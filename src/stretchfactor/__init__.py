@@ -10,8 +10,6 @@ from .automorphisms import (
     Automorphism,
     SignedPermutation,
     WhiteheadSecondKind,
-    apply,
-    cancellation_bound,
     compose,
     conj,
     enumerate_second_kind,
@@ -19,7 +17,6 @@ from .automorphisms import (
     identity,
     inner,
     is_simple,
-    lipschitz,
     make_automorphism,
     parse_generator_expression,
     parse_map_text,

@@ -4,13 +4,17 @@ An Automorphism stores the images of the positive basis letters under the
 map and under its inverse; construction checks that the two compose to the
 identity on every generator.  Composition, inner automorphisms, signed
 permutations and second-kind moves all track their inverses, so the
-boundary engine always has a certified inverse available.
+boundary engine always has a certified inverse available.  Every map also
+factors into atoms of two kinds, elementary transvections and signed
+permutations, which are all the boundary engine ever sweeps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,6 +22,7 @@ from .errors import InputError, NotInverseError
 from .words import (
     Word,
     alphabet,
+    cancellation,
     concat,
     cyclic_reduce,
     format_letter,
@@ -37,13 +42,19 @@ _W2_TYPES = (FIX, RIGHT, LEFT, CONJ)
 class Automorphism:
     """An automorphism of the rank-k free group with a verified inverse.
 
-    `factors` decomposes the map as a composition of atoms (leftmost factor
-    applied last); raw maps are their own single atom.  `drop` is a
-    certified constant with |phi(v)| >= |v| - drop for every reduced v,
-    known for inner atoms and signed permutations.
+    `factors` writes the map as a composition of atoms, leftmost factor
+    applied last.  Every atom is an elementary transvection (x -> xa or
+    x -> a^-1 x with every other basis letter fixed) or a signed
+    permutation, so every atom has Lipschitz constants at most (2, 2).
+    An atom's factors are (self,).  Second-kind moves, inner automorphisms
+    and their compositions carry factors from construction; any other map
+    is factored by Nielsen reduction of its image tuple on first use.
+
+    The `factors` argument takes the atoms, () to mark the map itself as
+    an atom, or None to factor on demand.
     """
 
-    __slots__ = ("rank", "fwd", "bwd", "_factors", "drop", "_hash")
+    __slots__ = ("rank", "fwd", "bwd", "_factors", "_hash")
 
     def __init__(
         self,
@@ -52,7 +63,6 @@ class Automorphism:
         bwd: Sequence[Word],
         *,
         factors: Optional[tuple] = None,
-        drop: Optional[int] = None,
         verify: bool = True,
     ):
         if len(fwd) != rank or len(bwd) != rank:
@@ -65,7 +75,6 @@ class Automorphism:
                 raise InputError("automorphism images must be nonempty")
             validate_rank(w, rank)
         self._factors = factors
-        self.drop = drop
         self._hash = hash((rank, self.fwd))
         if verify:
             self._verify()
@@ -113,18 +122,30 @@ class Automorphism:
         return Word(out)
 
     def inverse(self) -> "Automorphism":
-        factors = None
-        if self._factors is not None:
-            factors = tuple(f.inverse() for f in reversed(self._factors))
+        factors = self._factors
+        if factors:
+            factors = tuple(f.inverse() for f in reversed(factors))
         return Automorphism(
-            self.rank, self.bwd, self.fwd,
-            factors=factors, drop=self.drop, verify=False,
+            self.rank, self.bwd, self.fwd, factors=factors, verify=False
         )
 
     @property
     def factors(self) -> tuple:
         """Atoms whose composition (left applied last) equals this map."""
-        return self._factors if self._factors is not None else (self,)
+        if self._factors is None:
+            self._factors = _nielsen_factors(self)
+        # An atom keeps () rather than a reference to itself, which
+        # inverse() would otherwise follow without end.
+        return self._factors or (self,)
+
+    def tail(self) -> "Automorphism":
+        """The composition of every factor but the leftmost one."""
+        head, *rest = self.factors
+        if len(rest) == 1:
+            return rest[0]
+        fwd = [head.apply_inverse(w) for w in self.fwd]
+        bwd = [self.apply_inverse(w) for w in head.fwd]
+        return Automorphism(self.rank, fwd, bwd, factors=tuple(rest))
 
     # -- metrics --------------------------------------------------------
 
@@ -189,30 +210,25 @@ def make_automorphism(
 
 def identity(rank: int) -> Automorphism:
     basis = [Word((x,)) for x in range(1, rank + 1)]
-    return Automorphism(rank, basis, basis, drop=0, verify=False)
+    return Automorphism(rank, basis, basis, factors=(), verify=False)
 
 
 def inner(rank: int, v: Sequence[int]) -> Automorphism:
-    """x -> v x v^-1, decomposed into single-letter inner atoms."""
+    """x -> v x v^-1, factored letter by letter.
+
+    Conjugation by the letter c is the second-kind move with multiplier
+    c^-1 and every other basis letter of type CONJ.
+    """
     v = Word(v)
     validate_rank(v, rank)
-    atoms = tuple(_inner_letter(rank, c) for c in v)
-    if not atoms:
+    if not v:
         return identity(rank)
-    if len(atoms) == 1:
-        return atoms[0]
+    conj_all = (CONJ,) * (rank - 1)
+    factors = tuple(t for c in v for t in _w2_factors(rank, -c, conj_all))
     fwd = [concat(v, concat(Word((x,)), inverse(v))) for x in range(1, rank + 1)]
     vi = inverse(v)
     bwd = [concat(vi, concat(Word((x,)), v)) for x in range(1, rank + 1)]
-    return Automorphism(
-        rank, fwd, bwd, factors=atoms, drop=2 * len(v), verify=False
-    )
-
-
-def _inner_letter(rank: int, c: int) -> Automorphism:
-    fwd = [free_reduce((c, x, -c)) for x in range(1, rank + 1)]
-    bwd = [free_reduce((-c, x, c)) for x in range(1, rank + 1)]
-    return Automorphism(rank, fwd, bwd, drop=2, verify=False)
+    return Automorphism(rank, fwd, bwd, factors=factors, verify=False)
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
@@ -229,18 +245,6 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
 def conj(phi: Automorphism, v: Sequence[int]) -> Automorphism:
     """x -> v phi(x) v^-1."""
     return compose(inner(phi.rank, v), phi)
-
-
-def apply(phi: Automorphism, w: Sequence[int]) -> Word:
-    return phi.apply(w)
-
-
-def lipschitz(phi: Automorphism) -> tuple[int, int]:
-    return phi.lipschitz()
-
-
-def cancellation_bound(phi: Automorphism) -> int:
-    return phi.cancellation_bound()
 
 
 # -- signed permutations ------------------------------------------------
@@ -272,7 +276,7 @@ class SignedPermutation:
             self.rank,
             [Word((y,)) for y in self.images],
             [Word((y,)) for y in inv_images],
-            drop=0,
+            factors=(),
             verify=False,
         )
 
@@ -318,6 +322,9 @@ class WhiteheadSecondKind:
         return self.types[self._others().index(x)]
 
     def automorphism(self) -> Automorphism:
+        factors = _w2_factors(self.rank, self.multiplier, self.types)
+        if len(factors) <= 1:
+            return factors[0] if factors else identity(self.rank)
         a = self.multiplier
         fwd: list[Word] = []
         bwd: list[Word] = []
@@ -329,7 +336,7 @@ class WhiteheadSecondKind:
             t = self.type_of(x)
             fwd.append(_w2_image(x, a, t))
             bwd.append(_w2_image(x, -a, t))
-        return Automorphism(self.rank, fwd, bwd, verify=True)
+        return Automorphism(self.rank, fwd, bwd, factors=factors, verify=True)
 
     def inverse(self) -> "WhiteheadSecondKind":
         return WhiteheadSecondKind(self.rank, -self.multiplier, self.types)
@@ -357,6 +364,34 @@ def _w2_image(x: int, a: int, t: str) -> Word:
     return free_reduce((-a, x, a))
 
 
+def _w2_factors(rank: int, a: int, types: Sequence[str]) -> tuple:
+    """Elementary factors of the second-kind move with multiplier a.
+
+    All of them fix a, so they commute; a CONJ letter x -> a^-1 x a
+    contributes LEFT o RIGHT.
+    """
+    others = [x for x in range(1, rank + 1) if x != abs(a)]
+    out = []
+    for x, t in zip(others, types):
+        if t in (LEFT, CONJ):
+            out.append(_transvection(rank, x, a, LEFT))
+        if t in (RIGHT, CONJ):
+            out.append(_transvection(rank, x, a, RIGHT))
+    return tuple(out)
+
+
+# At most 4k(k-1) transvections per rank, each built once and shared by
+# every map that uses it.
+@functools.cache
+def _transvection(rank: int, x: int, a: int, side: str) -> Automorphism:
+    """The atom x -> xa (RIGHT) or x -> a^-1 x (LEFT), other letters fixed."""
+    fwd = [Word((y,)) for y in range(1, rank + 1)]
+    bwd = list(fwd)
+    fwd[x - 1] = _w2_image(x, a, side)
+    bwd[x - 1] = _w2_image(x, -a, side)
+    return Automorphism(rank, fwd, bwd, factors=(), verify=False)
+
+
 def enumerate_second_kind(rank: int) -> list[WhiteheadSecondKind]:
     """All 2k * 4^(k-1) second-kind moves, identity-typed ones included."""
     out = []
@@ -364,6 +399,79 @@ def enumerate_second_kind(rank: int) -> list[WhiteheadSecondKind]:
         for types in itertools.product(_W2_TYPES, repeat=rank - 1):
             out.append(WhiteheadSecondKind(rank, a, types))
     return sorted(out, key=WhiteheadSecondKind.sort_key)
+
+
+# -- Nielsen reduction ----------------------------------------------------
+
+
+def _nielsen_factors(auto: Automorphism) -> tuple:
+    """Factors of a map into transvections and one signed permutation.
+
+    Composing auto on the right with x -> xa replaces the image w_x by
+    w_x auto(a) in the image tuple, and x -> a^-1 x replaces it by
+    auto(a)^-1 w_x.  A move that shortens the tuple most is taken while
+    one exists.  Otherwise the finitely many tuples reachable by moves
+    that keep the total length are searched breadth first for one with a
+    shortening move, which exists until the tuple is a signed permutation
+    (Lyndon-Schupp, Combinatorial Group Theory, Prop. I.2.2).  Moves
+    t_1, ..., t_n reaching sigma give auto = sigma o t_n^-1 o ... o t_1^-1.
+    Returns () when auto is itself a signed permutation.
+    """
+    k = auto.rank
+    current = tuple(tuple(w) for w in auto.fwd)
+    moves: list[tuple[int, int, str]] = []
+    while sum(map(len, current)) > k:
+        path, current = _shortening_path(k, current)
+        moves += path
+    if not moves:
+        return ()
+    factors = tuple(_transvection(k, x, -a, side) for x, a, side in reversed(moves))
+    sigma = SignedPermutation(k, tuple(w[0] for w in current))
+    if sigma.images == tuple(range(1, k + 1)):
+        return factors
+    return (sigma.automorphism(),) + factors
+
+
+def _shortening_path(k: int, start: tuple) -> tuple[list, tuple]:
+    """Moves through equal-length tuples ending in one shortening move."""
+    total = sum(map(len, start))
+    parent: dict[tuple, Optional[tuple]] = {start: None}
+    queue = deque([start])
+    while queue:
+        images = queue.popleft()
+        best: Optional[tuple[int, tuple, tuple]] = None
+        for move, size, new in _nielsen_moves(k, images, total):
+            if size < total:
+                if best is None or size < best[0]:
+                    best = (size, move, new)
+            elif new not in parent:
+                parent[new] = (images, move)
+                queue.append(new)
+        if best is not None:
+            path = [best[1]]
+            step = parent[images]
+            while step is not None:
+                images, move = step
+                path.append(move)
+                step = parent[images]
+            return path[::-1], best[2]
+    raise AssertionError("Nielsen reduction stalled on a basis image tuple")
+
+
+def _nielsen_moves(k: int, images: tuple, total: int):
+    """(move, new total length, new tuple) for each move that does not lengthen."""
+    for x in range(1, k + 1):
+        w = images[x - 1]
+        for a in alphabet(k):
+            if abs(a) == x:
+                continue
+            img = images[a - 1] if a > 0 else inverse(images[-a - 1])
+            for side, u, v in ((RIGHT, w, img), (LEFT, inverse(img), w)):
+                c = cancellation(u, v)
+                size = total - len(w) + len(u) + len(v) - 2 * c
+                if size <= total:
+                    new = u[: len(u) - c] + v[c:]
+                    yield (x, a, side), size, images[: x - 1] + (new,) + images[x:]
 
 
 # -- simplicity test -----------------------------------------------------
@@ -464,11 +572,14 @@ def _parse_expr_atom(rank: int, text: str) -> Automorphism:
     if kind == "perm":
         images = [0] * rank
         for part in body.split(","):
+            if "->" not in part:
+                raise InputError(f"expected 'x->y' perm entries, got {part.strip()!r}")
             left, right = part.split("->", 1)
             x = parse_letter(left.strip())
             y = parse_letter(right.strip())
             if x < 0:
                 raise InputError("perm entries must be keyed by basis letters")
+            validate_rank((x,), rank)
             images[x - 1] = y
         for x in range(1, rank + 1):
             if images[x - 1] == 0:
@@ -486,6 +597,8 @@ def _parse_expr_atom(rank: int, text: str) -> Automorphism:
         part = part.strip()
         if not part:
             continue
+        if ":" not in part:
+            raise InputError(f"expected 'x:TYPE' W2 entries, got {part!r}")
         left, right = part.split(":", 1)
         x = parse_letter(left.strip())
         t = right.strip().upper()

@@ -27,9 +27,11 @@ Three facts drive the computation:
 
 * Compositionality.  (phi o psi)^-1(Cyl u) is the disjoint union of
   psi^-1(Cyl w) over the pieces w of phi^-1(Cyl u), so partitions of a
-  composition assemble from the partitions of its factors.  Inner
-  automorphisms and generator expressions stay cheap this way even when
-  their one-shot Lipschitz constants are large.
+  composition assemble from the partitions of its factors.  Every map
+  factors into elementary transvections and signed permutations, whose
+  Lipschitz constants are at most (2, 2), so no sweep goes deeper than
+  six letters.  A chain's family is assembled in one right-to-left pass
+  that builds each suffix of the chain once.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .automorphisms import Automorphism, compose, conj, inner, is_simple
+from .automorphisms import Automorphism, conj
 from .errors import InputError, ResourceLimitError
 from .measures import FrequencyMeasure, uniform_eval, uniform_measure
 from .words import (
@@ -58,16 +60,19 @@ from .words import (
 )
 
 DEFAULT_BUDGET = 10**7
-# Above this many frontier leaves, try rewriting an atom as inner * perm
-# before brute-forcing the tree.
-_REWRITE_LEAVES = 30_000
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
 
 class Budget:
-    """Node counter shared across one public computation; never approximate."""
+    """Node counter shared across one public computation; never approximate.
+
+    Every swept frontier node and every assembled or translated cylinder
+    is spent as it is made, and the computation stops with a
+    ResourceLimitError as soon as the total passes the limit, so no work
+    that fits is refused in advance.
+    """
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
         self.limit = limit
@@ -78,15 +83,6 @@ class Budget:
         if self.spent > self.limit:
             raise ResourceLimitError(
                 f"node budget exhausted ({self.spent} > {self.limit})",
-                spent=self.spent,
-                limit=self.limit,
-            )
-
-    def require(self, n: int) -> None:
-        if self.spent + n > self.limit:
-            raise ResourceLimitError(
-                f"computation needs about {n} more nodes "
-                f"({self.spent} spent, limit {self.limit})",
                 spent=self.spent,
                 limit=self.limit,
             )
@@ -255,7 +251,10 @@ class PartitionCache:
         if not os.path.exists(path):
             return
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise InputError(f"partition cache {path!r} is not valid JSON: {e}") from e
         for label, ws in doc.get("partitions", {}).items():
             key, _, u = label.rpartition("|")
             self.partitions[(key, parse_word(u))] = CylinderPartition.from_words(
@@ -279,15 +278,7 @@ def _resolve(budget: Optional[int | Budget], cache: Optional[PartitionCache]):
 
 def _frontier_depth(atom: Automorphism) -> int:
     m, mp = atom.lipschitz()
-    need = m + 1
-    lstar = mp * need
-    if atom.drop is not None:
-        lstar = min(lstar, need + atom.drop)
-    return max(2, lstar)
-
-
-def _tree_leaves(rank: int, depth: int) -> int:
-    return 2 * rank * (2 * rank - 1) ** (depth - 1)
+    return max(2, mp * (m + 1))
 
 
 def _atom_depth1(atom: Automorphism, budget: Budget) -> dict[int, CylinderPartition]:
@@ -295,7 +286,6 @@ def _atom_depth1(atom: Automorphism, budget: Budget) -> dict[int, CylinderPartit
     k = atom.rank
     m, _ = atom.lipschitz()
     lstar = _frontier_depth(atom)
-    budget.require(_tree_leaves(k, lstar))
     buckets: dict[int, list[Word]] = {y: [] for y in alphabet(k)}
 
     def sweep(w: tuple, img: Word) -> Optional[int]:
@@ -328,61 +318,45 @@ def _atom_depth1(atom: Automorphism, budget: Budget) -> dict[int, CylinderPartit
     return {y: CylinderPartition.from_words(k, ws) for y, ws in buckets.items()}
 
 
-def _compose_chain(factors: Sequence[Automorphism]) -> Automorphism:
-    result = factors[0]
-    for f in factors[1:]:
-        result = compose(result, f)
-    return result
-
-
 def _depth1_family(
     auto: Automorphism, budget: Budget, cache: PartitionCache
 ) -> dict[int, CylinderPartition]:
-    key = auto.key()
-    fam = cache.families.get(key)
-    if fam is not None:
-        return fam
-    factors = auto.factors
-    if len(factors) > 1:
-        fam = _family_from_factors(auto.rank, factors, budget, cache)
-    else:
-        fam = _atom_family(factors[0], budget, cache)
-    cache.families[key] = fam
+    """Depth-1 preimage partitions of a map, cached by its key.
+
+    Leading factors are peeled off until a suffix of the chain is cached
+    or is a single atom, which the sweep handles; the longer suffixes are
+    then assembled right to left, so each suffix is built once.
+    """
+    suffixes = [auto]
+    fam = cache.families.get(auto.key())
+    while fam is None and len(suffixes[-1].factors) > 1:
+        suffixes.append(suffixes[-1].tail())
+        fam = cache.families.get(suffixes[-1].key())
+    if fam is None:
+        fam = _atom_depth1(suffixes[-1].factors[0], budget)
+        cache.families[suffixes[-1].key()] = fam
+    for i in range(len(suffixes) - 2, -1, -1):
+        chain, rest = suffixes[i], suffixes[i + 1]
+        fam = _family_from_factors(chain.factors[0], rest, budget, cache)
+        cache.families[chain.key()] = fam
     return fam
 
 
-def _atom_family(
-    atom: Automorphism, budget: Budget, cache: PartitionCache
-) -> dict[int, CylinderPartition]:
-    if _tree_leaves(atom.rank, _frontier_depth(atom)) > _REWRITE_LEAVES:
-        simple = is_simple(atom)
-        if simple is not None:
-            v, pi = simple
-            rewritten = (
-                tuple(inner(atom.rank, (c,)) for c in v) + (pi.automorphism(),)
-            )
-            return _family_from_factors(atom.rank, rewritten, budget, cache)
-    return _atom_depth1(atom, budget)
-
-
 def _family_from_factors(
-    rank: int,
-    factors: Sequence[Automorphism],
+    head: Automorphism,
+    rest: Automorphism,
     budget: Budget,
     cache: PartitionCache,
 ) -> dict[int, CylinderPartition]:
-    head = factors[0]
-    if len(factors) == 1:
-        return _depth1_family(head, budget, cache)
-    rest = _compose_chain(factors[1:])
+    """Family of head o rest: rest-preimages of the pieces of head's family."""
     head_fam = _depth1_family(head, budget, cache)
     fam: dict[int, CylinderPartition] = {}
-    for y in alphabet(rank):
+    for y in alphabet(head.rank):
         pieces: list[Word] = []
         for w in head_fam[y].words:
             pieces.extend(_preimage(rest, w, budget, cache).words)
         budget.spend(len(pieces))
-        fam[y] = CylinderPartition.from_words(rank, pieces)
+        fam[y] = CylinderPartition.from_words(head.rank, pieces)
     return fam
 
 

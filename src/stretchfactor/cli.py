@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input errors, 3 node-budget exhaustion, 4 stuck
-descent.  All rationals print as "p/q"; decimal renderings are labeled
+Exit codes: 0 success, 1 internal error (an engine bug, reported with its
+traceback), 2 input errors, 3 node-budget exhaustion, 4 stuck descent.
+All rationals print as "p/q"; decimal renderings are labeled
 approximations.  Identical invocations produce byte-identical output.
 """
 
@@ -63,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--no-cache", action="store_true")
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--jobs", type=int, default=1, help="reserved; engine is pure")
 
     p = sub.add_parser("length", help="exact length of the map")
     add_common(p)
@@ -170,7 +170,7 @@ def run(argv: list[str]) -> int:
         return int(e.code or 0)
     try:
         return _dispatch(args)
-    except (InputError, ValueError) as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ResourceLimitError as e:
@@ -292,9 +292,7 @@ def _dispatch(args) -> int:
         if not ok:
             raise InputError("measure failed the cylinder consistency identities")
         if args.measure.startswith("markov:"):
-            spec = measures.load_markov_spec(
-                open(args.measure.split(":", 1)[1], "r", encoding="utf-8").read()
-            )
+            spec = measures.read_markov_file(args.measure.split(":", 1)[1])
             crit = measures.criterion_check(spec)
             doc = crit.as_dict()
             if args.format == "json":

@@ -2,7 +2,8 @@
 
 Every error carries a message naming the invariant that failed; the CLI
 maps exception classes to exit codes (input errors -> 2, resource
-exhaustion -> 3, descent failure -> 4).
+exhaustion -> 3, descent failure -> 4); any other exception is an engine
+bug and exits 1.
 """
 
 

@@ -53,7 +53,10 @@ def frac_str(q: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"malformed rational {text!r}: expected 'num/den'") from None
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ def load_markov_spec(text: str) -> MarkovSpec:
     except json.JSONDecodeError as e:
         raise InputError(f"markov spec is not valid JSON: {e}") from e
     try:
-        rank = int(doc["rank"])
+        rank = _parse_rank(doc["rank"])
         mass = parse_frac(str(doc["mass"]))
         p = {parse_letter(x): parse_frac(str(q)) for x, q in doc["p"].items()}
         rows = {
@@ -186,6 +189,23 @@ def load_markov_spec(text: str) -> MarkovSpec:
     except (KeyError, TypeError) as e:
         raise InputError(f"markov spec is missing field {e}") from e
     return MarkovSpec(rank=rank, mass=mass, initial=p, transitions=rows)
+
+
+def _parse_rank(value) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(f"markov spec rank {value!r} is not an integer") from None
+
+
+def read_markov_file(path: str) -> MarkovSpec:
+    """Load a Markov spec file; a file that cannot be read is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read markov spec: {e}") from None
+    return load_markov_spec(text)
 
 
 def dump_markov_spec(spec: MarkovSpec) -> str:
@@ -351,15 +371,13 @@ def criterion_check(spec: MarkovSpec, *, validate: bool = True) -> CriterionRepo
 
 
 def parse_measure_selector(
-    k: int, text: str, *, read_file=None, reduce: bool = False
+    k: int, text: str, *, reduce: bool = False
 ) -> FrequencyMeasure:
     """Resolve 'uniform', 'markov:<file>' or 'rational:<word>'."""
     if text == "uniform":
         return uniform_measure(k)
     if text.startswith("markov:"):
-        path = text.split(":", 1)[1]
-        reader = read_file or (lambda p: open(p, "r", encoding="utf-8").read())
-        spec = load_markov_spec(reader(path))
+        spec = read_markov_file(text.split(":", 1)[1])
         if spec.rank != k:
             raise InputError(f"markov spec has rank {spec.rank}, expected {k}")
         return markov_measure(spec)

@@ -21,14 +21,13 @@ from .automorphisms import (
     enumerate_second_kind,
     enumerate_signed_permutations,
     identity,
-    inner,
     is_simple,
 )
 from .boundary import Budget, PartitionCache, _resolve
 from .errors import DescentStuckError, InputError
 from .length import length_exact
 from .measures import frac_str
-from .words import Word, alphabet, concat, format_word, letter_key, word_key
+from .words import Word, alphabet, format_word, letter_key, word_key
 
 ONE = Fraction(1)
 
@@ -144,7 +143,7 @@ def canonical_out_key(auto: Automorphism) -> tuple[Word, ...]:
     distinct keys may still be conjugate, so this is a deduplication
     aid, not a class invariant.
     """
-    return _normalize(auto)[0]
+    return _normalize(auto.fwd)
 
 
 _PLATEAU_CAP = 4096
@@ -154,47 +153,53 @@ def _tuple_sort_key(images: tuple[Word, ...]) -> tuple:
     return tuple(word_key(w) for w in images)
 
 
-def _normalize(auto: Automorphism) -> tuple[tuple[Word, ...], Automorphism]:
-    current = auto
-    cost = sum(len(w) for w in current.fwd)
+def _conjugate(c: int, images: tuple) -> tuple:
+    """Images of x -> c phi(x) c^-1, given the reduced images of phi."""
+    out = []
+    for w in images:
+        w = w[1:] if w and w[0] == -c else (c,) + w
+        out.append(w[:-1] if w and w[-1] == c else w + (-c,))
+    return tuple(out)
+
+
+def _normalize(images: tuple) -> tuple[Word, ...]:
+    rank = len(images)
+    current = tuple(tuple(w) for w in images)
+    cost = sum(len(w) for w in current)
     while True:
         # strict descent by the best single-letter conjugation
         improved = True
         while improved:
             improved = False
             best: Optional[tuple[int, tuple, int]] = None
-            for c in alphabet(auto.rank):
-                c_cost = sum(
-                    len(concat(Word((c,)), concat(w, Word((-c,)))))
-                    for w in current.fwd
-                )
+            for c in alphabet(rank):
+                c_cost = sum(len(w) for w in _conjugate(c, current))
                 key = (c_cost, letter_key(c))
                 if c_cost < cost and (best is None or key < best[:2]):
                     best = (c_cost, letter_key(c), c)
             if best is not None:
-                current = compose(inner(auto.rank, (best[2],)), current)
+                current = _conjugate(best[2], current)
                 cost = best[0]
                 improved = True
         # walk the equal-cost plateau toward the lexicographically least tuple
-        seen = {current.fwd: current}
+        seen = {current}
         queue = [current]
-        lower: Optional[Automorphism] = None
+        lower: Optional[tuple] = None
         while queue and len(seen) <= _PLATEAU_CAP and lower is None:
             phi = queue.pop()
-            for c in alphabet(auto.rank):
-                psi = compose(inner(auto.rank, (c,)), phi)
-                psi_cost = sum(len(w) for w in psi.fwd)
+            for c in alphabet(rank):
+                psi = _conjugate(c, phi)
+                psi_cost = sum(len(w) for w in psi)
                 if psi_cost < cost:
                     lower = psi
                     break
-                if psi_cost == cost and psi.fwd not in seen:
-                    seen[psi.fwd] = psi
+                if psi_cost == cost and psi not in seen:
+                    seen.add(psi)
                     queue.append(psi)
         if lower is None:
-            best_images = min(seen, key=_tuple_sort_key)
-            return best_images, seen[best_images]
+            return tuple(Word(w) for w in min(seen, key=_tuple_sort_key))
         current = lower
-        cost = sum(len(w) for w in current.fwd)
+        cost = sum(len(w) for w in current)
 
 
 def spectrum(
@@ -216,6 +221,8 @@ def spectrum(
     budget, cache = _resolve(budget, cache)
     gens = [t.automorphism() for t in enumerate_second_kind(rank)]
     gens += enumerate_signed_permutations(rank)
+    # Each class is measured on the composition that found it: L is a
+    # conjugacy invariant, and compositions carry their factors.
     seen: dict[tuple[Word, ...], Automorphism] = {}
     frontier: dict[tuple[Word, ...], Automorphism] = {}
     for level in range(1, max_factors + 1):
@@ -224,9 +231,9 @@ def spectrum(
         for base in sources:
             for g in gens:
                 candidate = compose(g, base)
-                key, normalized = _normalize(candidate)
+                key = _normalize(candidate.fwd)
                 if key not in seen:
-                    seen[key] = normalized
+                    seen[key] = candidate
                     frontier[key] = candidate
     by_value: dict[Fraction, list[tuple[Word, ...]]] = {}
     for key, rep in sorted(

@@ -26,3 +26,17 @@ def random_composition(rank, n_factors, rng: random.Random):
     for _ in range(n_factors - 1):
         phi = compose(gens[rng.randrange(len(gens))], phi)
     return phi
+
+
+def is_atom(f):
+    """True for an elementary transvection or a signed permutation."""
+    if all(len(img) == 1 for img in f.fwd):
+        return True
+    moved = [x for x in range(1, f.rank + 1) if f.fwd[x - 1] != (x,)]
+    if len(moved) != 1:
+        return False
+    x = moved[0]
+    img = f.fwd[x - 1]
+    return len(img) == 2 and (
+        (img[0] == x and abs(img[1]) != x) or (img[1] == x and abs(img[0]) != x)
+    )

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 from stretchfactor import (
     MarkovSpec,
     Word,
+    canonical_out_key,
     compose,
     criterion_check,
     cyclic_length,
@@ -199,19 +200,17 @@ def test_criterion_7_spectrum_discreteness():
     assert values[0] == 1
     assert rep.min_gap is not None and rep.min_gap > 0
     assert all(v >= 1 for v in values)
-    # L = 1 exactly on representatives passing the simplicity test
-    from stretchfactor.whitehead import _normalize
-
+    # L = 1 exactly on class members passing the simplicity test; both are
+    # conjugation invariants, so each class is checked on one member
     gens = [t.automorphism() for t in enumerate_second_kind(2)]
     gens += enumerate_signed_permutations(2)
     seen = {}
     rng = random.Random(707)
     for _ in range(150):
         phi = random_composition(2, rng.randrange(1, 4), rng)
-        key, norm = _normalize(phi)
-        seen.setdefault(key, norm)
-    for norm in seen.values():
-        assert (length_exact(norm).value == 1) == (is_simple(norm) is not None)
+        seen.setdefault(canonical_out_key(phi), phi)
+    for phi in seen.values():
+        assert (length_exact(phi).value == 1) == (is_simple(phi) is not None)
     _report(
         7,
         f"spectrum {{{', '.join(str(v) for v in values)}}}, min gap {rep.min_gap}",

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from stretchfactor import (
     NotInverseError,
-    cancellation_bound,
     compose,
     conj,
     cyclic_length,
@@ -14,7 +13,6 @@ from stretchfactor import (
     identity,
     inner,
     is_simple,
-    lipschitz,
     make_automorphism,
     parse_generator_expression,
     parse_map_text,
@@ -23,7 +21,7 @@ from stretchfactor import (
 )
 from stretchfactor.words import cancellation
 
-from conftest import nielsen, random_composition
+from conftest import is_atom, nielsen, random_composition
 
 
 def w(text):
@@ -79,10 +77,10 @@ def test_conjugation_preserves_cyclic_length(seed):
 
 
 def test_lipschitz_and_bound(nielsen_map):
-    assert lipschitz(identity(2)) == (1, 1)
-    assert cancellation_bound(identity(2)) == 3
-    assert lipschitz(nielsen_map) == (2, 2)
-    assert cancellation_bound(nielsen_map) == 18
+    assert identity(2).lipschitz() == (1, 1)
+    assert identity(2).cancellation_bound() == 3
+    assert nielsen_map.lipschitz() == (2, 2)
+    assert nielsen_map.cancellation_bound() == 18
 
 
 def test_cancellation_never_exceeds_bound():
@@ -94,7 +92,7 @@ def test_cancellation_never_exceeds_bound():
         compose(nielsen(), inner(2, w("Ba"))),
     ]
     for phi in maps:
-        bound = cancellation_bound(phi)
+        bound = phi.cancellation_bound()
         for _ in range(3400):
             u = random_reduced(rng.randrange(1, 14), 2, rng)
             v = random_reduced(rng.randrange(1, 14), 2, rng)
@@ -160,3 +158,44 @@ def test_generator_expressions():
     # left factor applied last
     comp = parse_generator_expression(2, "perm[a->b,b->a] * W2[a; b:RIGHT]")
     assert comp.apply(w("b")) == w("ab")
+
+
+def random_expression(rank, rng):
+    """A product of one to three random W2, perm and inner generators."""
+    letters = "abcd"[:rank]
+    parts = []
+    for _ in range(rng.randrange(1, 4)):
+        kind = rng.choice(["W2", "perm", "inner"])
+        if kind == "W2":
+            a = rng.randrange(rank)
+            entries = ", ".join(
+                f"{letters[x]}:{rng.choice(['FIX', 'RIGHT', 'LEFT', 'CONJ'])}"
+                for x in range(rank)
+                if x != a
+            )
+            head = letters[a] if rng.random() < 0.5 else letters[a].upper()
+            parts.append(f"W2[{head}; {entries}]")
+        elif kind == "perm":
+            order = rng.sample(letters, rank)
+            entries = ",".join(
+                f"{x}->{y if rng.random() < 0.5 else y.upper()}"
+                for x, y in zip(letters, order)
+            )
+            parts.append(f"perm[{entries}]")
+        else:
+            word = random_reduced(rng.randrange(1, 4), rank, rng)
+            parts.append(f"inner[{word}]")
+    return " * ".join(parts)
+
+
+@given(st.integers(2, 4), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_factors_are_atoms_and_recompose(rank, seed):
+    phi = parse_generator_expression(rank, random_expression(rank, random.Random(seed)))
+    raw = make_automorphism(rank, phi.fwd, phi.bwd)  # factored by Nielsen reduction
+    for auto in (phi, raw):
+        assert all(is_atom(f) for f in auto.factors)
+        recomposed = auto.factors[-1]
+        for f in reversed(auto.factors[:-1]):
+            recomposed = compose(f, recomposed)
+        assert recomposed == phi and recomposed.bwd == phi.bwd

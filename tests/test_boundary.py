@@ -28,7 +28,7 @@ from stretchfactor import (
 from stretchfactor.boundary import canonical_words, covers_boundary
 from stretchfactor.words import all_words, alphabet, extension_letters, format_word
 
-from conftest import nielsen
+from conftest import is_atom, nielsen
 from oracles import brute_depth1, brute_preimage_mass
 
 
@@ -266,6 +266,34 @@ def test_recenter_ignores_inner_twist(nielsen_map):
         twisted = compose(inner(2, w(text)), base)
         _, psi = recenter(twisted)
         assert psi == base_psi
+
+
+def test_sweep_receives_only_small_atoms(monkeypatch):
+    from stretchfactor import boundary, length_exact, parse_map_text
+
+    swept = []
+    sweep = boundary._atom_depth1
+
+    def recording(atom, budget):
+        swept.append(atom)
+        return sweep(atom, budget)
+
+    monkeypatch.setattr(boundary, "_atom_depth1", recording)
+    maps = [
+        parse_generator_expression(
+            3, "W2[a; b:CONJ, c:LEFT] * inner[cA] * perm[a->C,c->b,b->a]"
+        ),
+        make_automorphism(
+            3,
+            parse_map_text(3, "a->aB,b->abc,c->ac"),
+            parse_map_text(3, "a->bCa,b->AbCa,c->AcBc"),
+        ),
+        inner(4, w("a")),
+    ]
+    for auto in maps:
+        length_exact(auto, cache=PartitionCache())
+    assert swept
+    assert all(is_atom(f) and boundary._frontier_depth(f) <= 6 for f in swept)
 
 
 def test_budget_limits_are_honest(nielsen_map):

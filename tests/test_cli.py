@@ -2,6 +2,8 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import pytest
+
 from stretchfactor.cli import run
 from stretchfactor.measures import dump_markov_spec, uniform_as_markov
 
@@ -195,3 +197,68 @@ def test_emitted_map_reparses():
 
     text = out.splitlines()[1].split("= ", 1)[1]
     parse_map_text(2, text)
+
+
+@pytest.mark.parametrize("entry, named", [("a b", "'a b'"), ("c->a", "'c'")])
+def test_bad_perm_entry_is_input_error(capsys, entry, named):
+    code, _ = invoke(["length", "--rank", "2", "--map", f"perm[{entry}]"])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_w2_entry_without_colon_is_input_error(capsys):
+    code, _ = invoke(["length", "--rank", "2", "--map", "W2[a; b]"])
+    assert code == 2
+    assert "'b'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "good, bad", [('"1/4"', '"1/x"'), ('"rank": 2', '"rank": "two"')]
+)
+def test_malformed_markov_entry_is_input_error(tmp_path, capsys, good, bad):
+    text = dump_markov_spec(uniform_as_markov(2)).replace(good, bad, 1)
+    assert bad in text
+    path = tmp_path / "markov.json"
+    path.write_text(text)
+    code, _ = invoke(
+        ["check-current", "--rank", "2", "--measure", f"markov:{path}", "--depth", "2"]
+    )
+    assert code == 2
+    assert bad.split(": ")[-1].strip('"') in capsys.readouterr().err
+
+
+def test_missing_markov_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    code, _ = invoke(
+        ["length", "--rank", "2", "--map", "W2[a; b:RIGHT]", "--measure", f"markov:{path}"]
+    )
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_corrupt_cache_file_is_input_error(tmp_path):
+    (tmp_path / "partitions.json").write_text("{not json")
+    code, _ = invoke(
+        ["length", "--rank", "2", "--map", "W2[a; b:RIGHT]", "--cache-dir", str(tmp_path)]
+    )
+    assert code == 2
+
+
+def test_engine_value_error_is_not_an_input_error(monkeypatch):
+    from stretchfactor import cli
+
+    def boom(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(cli.length, "eta_length", boom)
+    # run() lets it propagate, so the process exits 1 with a traceback
+    with pytest.raises(ValueError, match="injected"):
+        invoke(["length", "--rank", "2", "--map", "W2[a; b:RIGHT]"])
+
+
+def test_budget_admits_feasible_rank8_move():
+    # about 5.4e5 nodes, far below the default budget; nothing refuses it
+    # up front from a whole-tree estimate
+    code, out = invoke(["length", "--rank", "8", "--map", "W2[a; b:RIGHT]"])
+    assert code == 0
+    assert out.splitlines()[0].startswith("length = 133/120 ")

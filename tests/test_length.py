@@ -14,7 +14,10 @@ from stretchfactor import (
     inner,
     length_exact,
     length_mc,
+    make_automorphism,
     markov_measure,
+    parse_generator_expression,
+    parse_map_text,
     parse_word,
     random_reduced,
     rational_measure,
@@ -110,3 +113,35 @@ def test_mc_preconditions(nielsen_map):
         length_mc(nielsen_map, 5, 10, seed=0)
     with pytest.raises(InputError):
         length_mc(nielsen_map, 100, 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "rank, expression, value",
+    [
+        (3, "W2[a; c:CONJ]", F(19, 15)),
+        (4, "inner[a]", F(1)),
+    ],
+)
+def test_rank3_and_rank4_expressions(rank, expression, value):
+    assert length_exact(parse_generator_expression(rank, expression)).value == value
+
+
+def test_raw_nielsen_cube():
+    cube = make_automorphism(
+        2, parse_map_text(2, "a->a,b->baaa"), parse_map_text(2, "a->a,b->bAAA")
+    )
+    assert length_exact(cube).value == F(95, 54)
+
+
+def test_raw_rank3_map_against_monte_carlo():
+    # No single transvection shortens this image tuple, so factoring it
+    # needs the search over equal-length tuples.
+    phi = make_automorphism(
+        3,
+        parse_map_text(3, "a->aB,b->abc,c->ac"),
+        parse_map_text(3, "a->bCa,b->AbCa,c->AcBc"),
+    )
+    exact = length_exact(phi).value
+    assert exact == F(133, 75)
+    est = length_mc(phi, 2000, 400, seed=1)
+    assert abs(est.mean - float(exact)) <= 3 * est.stderr + 4 / est.n
