@@ -6,7 +6,8 @@ identity on every generator.  Composition, inner automorphisms, signed
 permutations and second-kind moves all track their inverses, so the
 boundary engine always has a certified inverse available.  Every map also
 factors into atoms of two kinds, elementary transvections and signed
-permutations, which are all the boundary engine ever sweeps.
+permutations, whose preimage families the boundary engine knows in
+closed form.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ class Automorphism:
     `factors` writes the map as a composition of atoms, leftmost factor
     applied last.  Every atom is an elementary transvection (x -> xa or
     x -> a^-1 x with every other basis letter fixed) or a signed
-    permutation, so every atom has Lipschitz constants at most (2, 2).
-    An atom's factors are (self,).  Second-kind moves, inner automorphisms
-    and their compositions carry factors from construction; any other map
-    is factored by Nielsen reduction of its image tuple on first use.
+    permutation.  An atom's factors are (self,).  Second-kind moves, inner
+    automorphisms and their compositions carry factors from construction;
+    any other map is factored by Nielsen reduction of its image tuple on
+    first use.
 
     The `factors` argument takes the atoms, () to mark the map itself as
     an atom, or None to factor on demand.

@@ -8,16 +8,20 @@ exact rational arithmetic.
 
 Three facts drive the computation:
 
-* Sound frontier test.  Let M, M' be the letter-image length maxima of
-  phi and its inverse and fix a certified floor |phi(v)| >= floor(|v|).
-  If L satisfies floor(L) >= M + 1, and every extension of w to length L
-  has its image starting with the letter y, then so does every deeper
-  word image (one more letter cancels at most M, leaving at least one
-  letter of a y-prefixed image) and hence every boundary ray image.  So
-  a single post-order sweep of the depth-L tree yields exact depth-1
-  preimage partitions: maximal subtrees whose frontier images agree.
-  The assigned pieces are sound, and they cover the whole boundary, so
-  they equal the true preimages.
+* Closed-form atom families.  Every map factors into atoms, whose
+  depth-1 preimage families are explicit.  A signed permutation sigma
+  has sigma^-1(Cyl y) = Cyl(sigma^-1(y)).  An elementary transvection
+  (x -> xa or x -> a^-1 x) fixes a and sends one signed letter s to
+  s a: s = x for x -> xa, and s = x^-1 for x -> a^-1 x, since then
+  x^-1 -> x^-1 a.  Letter images cancel only at the pairs (s, a^-1) and
+  (a, s^-1), and each pair removes one letter and leaves one that
+  nothing later cancels, so the first image letter of a ray is known
+  from its first two letters:
+    phi^-1(Cyl s)    = Cyl(s)
+    phi^-1(Cyl s^-1) = Cyl(a s^-1)
+    phi^-1(Cyl a)    = union of Cyl(a c) over c not in {a^-1, s^-1}
+    phi^-1(Cyl a^-1) = Cyl(s^-1) union Cyl(a^-1)
+    phi^-1(Cyl z)    = Cyl(z) for every other letter z.
 
 * Translation identity.  Cyl(u) = u * (boundary minus Cyl(l)) for
   l = last(u)^-1, hence
@@ -27,11 +31,9 @@ Three facts drive the computation:
 
 * Compositionality.  (phi o psi)^-1(Cyl u) is the disjoint union of
   psi^-1(Cyl w) over the pieces w of phi^-1(Cyl u), so partitions of a
-  composition assemble from the partitions of its factors.  Every map
-  factors into elementary transvections and signed permutations, whose
-  Lipschitz constants are at most (2, 2), so no sweep goes deeper than
-  six letters.  A chain's family is assembled in one right-to-left pass
-  that builds each suffix of the chain once.
+  composition assemble from the partitions of its factors.  A chain's
+  family is assembled from its atoms in one right-to-left pass that
+  builds each suffix of the chain once.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .words import (
     inverse,
     is_prefix,
     parse_word,
+    validate_rank,
     word_key,
 )
 
@@ -68,8 +71,8 @@ HALF = Fraction(1, 2)
 class Budget:
     """Node counter shared across one public computation; never approximate.
 
-    Every swept frontier node and every assembled or translated cylinder
-    is spent as it is made, and the computation stops with a
+    Every cylinder of an atom family and every assembled or translated
+    cylinder is spent as it is made, and the computation stops with a
     ResourceLimitError as soon as the total passes the limit, so no work
     that fits is refused in advance.
     """
@@ -226,7 +229,16 @@ def translate_union(
 
 
 class PartitionCache:
-    """Exact partition store keyed by canonical map text plus target label."""
+    """Exact partition store keyed by canonical map text plus target label.
+
+    `save` writes `partitions.json` with a format version.  `load` checks
+    what is cheap to check, each entry at the rank its map key names:
+    the version, that every family is already canonical, and that a
+    map's 2k depth-1 families, when all are stored, cover the boundary.
+    This catches edits, but not every stale entry.
+    """
+
+    VERSION = 1
 
     def __init__(self):
         self.families: dict[str, dict[int, CylinderPartition]] = {}
@@ -234,19 +246,20 @@ class PartitionCache:
 
     def save(self, directory: str) -> None:
         doc = {
+            "version": self.VERSION,
             "partitions": {
                 f"{key}|{format_word(u)}": [format_word(w) for w in part.words]
                 for (key, u), part in sorted(
                     self.partitions.items(), key=lambda kv: (kv[0][0], word_key(kv[0][1]))
                 )
-            }
+            },
         }
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, "partitions.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
 
-    def load(self, directory: str, rank: int) -> None:
+    def load(self, directory: str) -> None:
         path = os.path.join(directory, "partitions.json")
         if not os.path.exists(path):
             return
@@ -255,11 +268,51 @@ class PartitionCache:
                 doc = json.load(fh)
             except json.JSONDecodeError as e:
                 raise InputError(f"partition cache {path!r} is not valid JSON: {e}") from e
-        for label, ws in doc.get("partitions", {}).items():
-            key, _, u = label.rpartition("|")
-            self.partitions[(key, parse_word(u))] = CylinderPartition.from_words(
-                rank, [parse_word(w) for w in ws]
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != self.VERSION:
+            raise InputError(
+                f"partition cache {path!r} has format version {version!r}, "
+                f"expected {self.VERSION}"
             )
+        entries = doc.get("partitions", {})
+        if not isinstance(entries, dict):
+            raise InputError(f"partition cache {path!r} has no partitions table")
+        loaded: dict[tuple[str, Word], CylinderPartition] = {}
+        depth1: dict[str, list[CylinderPartition]] = {}
+        for label, texts in entries.items():
+            try:
+                key, u, part = _cache_entry(label, texts)
+            except InputError as e:
+                raise InputError(f"partition cache {path!r}, entry {label!r}: {e}") from e
+            loaded[(key, u)] = part
+            if len(u) == 1:
+                depth1.setdefault(key, []).append(part)
+        for key, parts in depth1.items():
+            rank = key.count("->")
+            words = [w for part in parts for w in part.words]
+            if len(parts) == 2 * rank and not covers_boundary(rank, words):
+                raise InputError(
+                    f"partition cache {path!r}: the depth-1 families of {key!r} "
+                    "do not partition the boundary"
+                )
+        self.partitions.update(loaded)
+
+
+def _cache_entry(label: str, texts) -> tuple[str, Word, CylinderPartition]:
+    """One stored partition, checked to be canonical at its map's rank."""
+    key, _, target = label.rpartition("|")
+    rank = key.count("->")
+    alphabet(rank)  # rank validation
+    u = parse_word(target)
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise InputError("a partition must be a list of words")
+    words = tuple(parse_word(t) for t in texts)
+    for w in (u,) + words:
+        validate_rank(w, rank)
+    part = CylinderPartition.from_words(rank, words)
+    if part.words != words:
+        raise InputError("partition is not in canonical form")
+    return key, u, part
 
 
 _GLOBAL_CACHE = PartitionCache()
@@ -276,46 +329,38 @@ def _resolve(budget: Optional[int | Budget], cache: Optional[PartitionCache]):
 # -- depth-1 partitions ----------------------------------------------------
 
 
-def _frontier_depth(atom: Automorphism) -> int:
-    m, mp = atom.lipschitz()
-    return max(2, mp * (m + 1))
-
-
 def _atom_depth1(atom: Automorphism, budget: Budget) -> dict[int, CylinderPartition]:
-    """Depth-1 preimage partitions of a single atom by the frontier sweep."""
+    """Depth-1 preimage partitions of a single atom, in closed form.
+
+    Spends one node per cylinder: 2k for a signed permutation, 4k - 2
+    for a transvection.  Anything else is an engine bug and raises.
+    """
     k = atom.rank
-    m, _ = atom.lipschitz()
-    lstar = _frontier_depth(atom)
-    buckets: dict[int, list[Word]] = {y: [] for y in alphabet(k)}
+    if all(len(img) == 1 for img in atom.fwd):
+        fam = {y: [atom.inverse_letter_image(y)] for y in alphabet(k)}
+    else:
+        s, a = _transvection_letters(atom)
+        fam = {z: [Word((z,))] for z in alphabet(k)}
+        fam[-s] = [Word((a, -s))]
+        fam[a] = [Word((a, c)) for c in alphabet(k) if c not in (-a, -s)]
+        fam[-a] = [Word((-s,)), Word((-a,))]
+    budget.spend(sum(map(len, fam.values())))
+    return {y: CylinderPartition.from_words(k, ws) for y, ws in fam.items()}
 
-    def sweep(w: tuple, img: Word) -> Optional[int]:
-        budget.spend()
-        # Each further letter cancels at most m letters of the image, so a
-        # long enough image pins the first letter of the whole subtree.
-        if len(w) >= lstar or len(img) > m * (lstar - len(w)):
-            return img[0]
-        agreed: Optional[int] = None
-        consistent = True
-        kids = []
-        for c in extension_letters(w, k):
-            child = sweep(w + (c,), concat(img, atom.letter_image(c)))
-            kids.append((c, child))
-            if child is None or (agreed is not None and child != agreed):
-                consistent = False
-            elif agreed is None:
-                agreed = child
-        if consistent and agreed is not None:
-            return agreed
-        for c, child in kids:
-            if child is not None:
-                buckets[child].append(Word(w + (c,)))
-        return None
 
-    for c in alphabet(k):
-        label = sweep((c,), atom.letter_image(c))
-        if label is not None:
-            buckets[label].append(Word((c,)))
-    return {y: CylinderPartition.from_words(k, ws) for y, ws in buckets.items()}
+def _transvection_letters(atom: Automorphism) -> tuple[int, int]:
+    """(s, a) with atom(s) = s a, for x -> xa (s = x) or x -> a^-1 x (s = x^-1)."""
+    moved = [x for x in range(1, atom.rank + 1) if atom.fwd[x - 1] != (x,)]
+    if len(moved) == 1 and len(atom.fwd[moved[0] - 1]) == 2:
+        x = moved[0]
+        first, last = atom.fwd[x - 1]
+        if first == x and abs(last) != x:
+            return x, last
+        if last == x and abs(first) != x:
+            return -x, -first
+    raise AssertionError(
+        f"{atom.key()} is neither a transvection nor a signed permutation"
+    )
 
 
 def _depth1_family(
@@ -324,7 +369,7 @@ def _depth1_family(
     """Depth-1 preimage partitions of a map, cached by its key.
 
     Leading factors are peeled off until a suffix of the chain is cached
-    or is a single atom, which the sweep handles; the longer suffixes are
+    or is a single atom, whose family is closed-form; the longer suffixes are
     then assembled right to left, so each suffix is built once.
     """
     suffixes = [auto]
@@ -522,12 +567,11 @@ def pushforward_current_value(
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
     p_u = _preimage(auto, u, budget, cache)
-    mu_ = mu
     total = ZERO
     for a in alphabet(auto.rank):
         if a == u[0]:
             continue
-        total += _pair_mass(mu_, fam[a], p_u)
+        total += _pair_mass(mu, fam[a], p_u)
     return total
 
 

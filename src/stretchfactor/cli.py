@@ -124,7 +124,7 @@ def _cache(args) -> boundary.PartitionCache:
         return boundary.PartitionCache()
     cache = boundary.PartitionCache()
     if args.cache_dir:
-        cache.load(args.cache_dir, args.rank)
+        cache.load(args.cache_dir)
     return cache
 
 

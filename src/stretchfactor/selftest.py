@@ -1,8 +1,10 @@
 """Exact invariant suite behind `stretchfactor selftest`.
 
 Each check prints one line and the run fails loudly on the first broken
-identity.  Everything here is exact rational arithmetic; nothing is
-sampled except the choice of random cylinder unions, which is seeded.
+identity.  `_check` raises AssertionError itself, so the checks still
+run under `python -O`, which strips `assert` statements.  Everything
+here is exact rational arithmetic; nothing is sampled except the choice
+of random cylinder unions, which is seeded.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from .measures import (
 from .words import Word, alphabet, all_words, comparable, extension_letters, lcp, random_reduced
 
 ZERO = Fraction(0)
+
+
+def _check(ok: bool, what: str, *detail) -> None:
+    if not ok:
+        raise AssertionError(f"selftest failed: {what}", *detail)
 
 
 def _random_prefix_free(k: int, rng: random.Random, max_depth: int = 3) -> list[Word]:
@@ -65,12 +72,12 @@ def run_selftest(rank: int, depth: int) -> int:
             )
             value = current_pair_value(mu, v, w)
             expected = f * mu.eval(v) * mu.eval(w)
-            assert value == expected, (v, w)
-            assert value >= mu.eval(v) * mu.eval(w)
+            _check(value == expected, "disintegration identity", v, w)
+            _check(value >= mu.eval(v) * mu.eval(w), "product lower bound", v, w)
             checked += 1
     print(f"ok disintegration identity on {checked} non-comparable pairs")
 
-    assert consistency_check(mu, depth)
+    _check(consistency_check(mu, depth), "uniform measure consistency")
     print(f"ok additivity and shift invariance of the uniform measure to depth {depth}")
 
     rng = random.Random(20240 + k)
@@ -81,7 +88,7 @@ def run_selftest(rank: int, depth: int) -> int:
             f = random_reduced(flen, k, rng)
             translated = translate_union(f, family, k)
             t_mass = sum((mu.eval(w) for w in translated), ZERO)
-            assert t_mass >= e_mass / (2 * k - 1) ** flen, (f, family)
+            _check(t_mass >= e_mass / (2 * k - 1) ** flen, "translation bound", f, family)
     print("ok translation lower bound on 100 random cylinder unions, |f| <= 3")
 
     # Concrete separation witness: f = a, E = Cyl(a^-1), S = Cyl(a).
@@ -90,16 +97,16 @@ def run_selftest(rank: int, depth: int) -> int:
     complement_e = [Word((c,)) for c in alphabet(k) if c != -a]
     complement_s = [Word((c,)) for c in alphabet(k) if c != a]
     image = translate_union(Word((a,)), complement_e, k)
-    assert all(any(w[: len(s)] == s for s in s_words) for w in image)
+    _check(all(any(w[: len(s)] == s for s in s_words) for w in image), "a * E^c in S")
     image = translate_union(Word((-a,)), complement_s, k)
-    assert all(any(w[: len(e)] == e for e in e_words) for w in image)
+    _check(all(any(w[: len(e)] == e for e in e_words) for w in image), "a^-1 * S^c in E")
     pair = current_pair_value(mu, e_words[0], s_words[0])
     bound = (
         (1 - mu.eval(e_words[0]))
         * (1 - mu.eval(s_words[0]))
         / Fraction(2 * k - 1) ** 2
     )
-    assert pair >= bound, (pair, bound)
+    _check(pair >= bound, "separation bound", pair, bound)
     print(f"ok separation witness: {pair} >= {bound}")
 
     # Preimage partitions of a small family partition the boundary exactly.
@@ -111,7 +118,7 @@ def run_selftest(rank: int, depth: int) -> int:
         )
     for auto in family:
         profile = depth1_profile(auto)
-        assert sum(profile.values(), ZERO) == 1, auto.key()
+        _check(sum(profile.values(), ZERO) == 1, "depth-1 masses sum to one", auto.key())
         for u in all_words(2, k):
             whole = preimage_partition(auto, u)
             pieces = [
@@ -119,13 +126,14 @@ def run_selftest(rank: int, depth: int) -> int:
                 for c in extension_letters(u, k)
                 for w in preimage_partition(auto, Word(tuple(u) + (c,))).words
             ]
-            assert canonical_words(k, pieces) == whole.words
+            _check(canonical_words(k, pieces) == whole.words, "refinement", auto.key(), u)
     print(f"ok preimage partitions for {len(family)} maps: exact masses and refinement")
 
     report = criterion_check(uniform_as_markov(k))
-    assert report.passes
-    assert all(q == Fraction(1, 2 * k - 1) for q in report.c1.values())
-    assert all(q == Fraction(1, 2 * k - 1) for q in report.c2.values())
+    third = Fraction(1, 2 * k - 1)
+    _check(report.passes, "uniform-as-markov criterion")
+    _check(all(q == third for q in report.c1.values()), "C1 constants")
+    _check(all(q == third for q in report.c2.values()), "C2 constants")
     print("ok uniform-as-markov criterion constants")
     print("selftest passed")
     return 0

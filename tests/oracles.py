@@ -1,18 +1,22 @@
 """Independent brute-force oracles for cross-checking the engine.
 
 These deliberately avoid the engine's machinery (translation identity,
-compositional assembly, maximal-subtree sweep): every decision comes from
-enumerating all reduced extensions of a cell to a fixed absolute depth
-and comparing image prefixes directly.  The frontier depth used by the
-tests far exceeds the observed cancellation of the maps under test, and
-every decision is asserted to be unanimous over the whole frontier.
+compositional assembly, closed-form atom families): every decision comes
+from enumerating all reduced extensions of a cell to a fixed absolute
+depth and comparing image prefixes directly.  The frontier depth used by
+the tests far exceeds the observed cancellation of the maps under test,
+and every decision is asserted to be unanimous over the whole frontier.
+
+`sweep_depth1` is a generic maximal-subtree sweep that works for any
+atom; it is the reference for the engine's closed-form atom families.
 """
 
 from fractions import Fraction
+from typing import Optional
 
-from stretchfactor import uniform_measure
-from stretchfactor.boundary import canonical_words
-from stretchfactor.words import all_words, extension_letters
+from stretchfactor import Word, uniform_measure
+from stretchfactor.boundary import CylinderPartition, canonical_words
+from stretchfactor.words import all_words, alphabet, concat, extension_letters
 
 CELL_DEPTH = 4
 FRONTIER = 12
@@ -21,14 +25,17 @@ _PREFIX_LEN = 3
 _PREFIX_SETS: dict = {}
 
 
-def prefix_sets(auto):
+def prefix_sets(auto, frontier=FRONTIER):
     """Per depth-4 cell, every image prefix of length 3 over the frontier.
+
+    `frontier` is the absolute depth of the enumeration; a map whose
+    images cancel little may use a shallower one than the default.
 
     Images are maintained incrementally on a mutable stack; since letter
     images are reduced, all cancellation happens before any append, so a
     step is undone by truncating and restoring the popped letters.
     """
-    key = auto.key()
+    key = (auto.key(), frontier)
     cached = _PREFIX_SETS.get(key)
     if cached is not None:
         return cached
@@ -36,7 +43,7 @@ def prefix_sets(auto):
     images = {c: auto.letter_image(c) for c in range(-k, k + 1) if c}
 
     def sweep(v, out, sink):
-        if len(v) == FRONTIER:
+        if len(v) == frontier:
             assert len(out) >= _PREFIX_LEN, "frontier too shallow for this map"
             sink.add(tuple(out[:_PREFIX_LEN]))
             return
@@ -64,10 +71,10 @@ def prefix_sets(auto):
     return result
 
 
-def brute_depth1(auto):
+def brute_depth1(auto, frontier=FRONTIER):
     """Depth-1 preimage families from the flat enumeration; None if undecided."""
     buckets: dict = {}
-    for cell, prefixes in prefix_sets(auto).items():
+    for cell, prefixes in prefix_sets(auto, frontier).items():
         firsts = {p[0] for p in prefixes}
         if len(firsts) != 1:
             return None
@@ -87,3 +94,46 @@ def brute_preimage_mass(auto, u):
         if hits.pop():
             total += mu.eval(cell)
     return total
+
+
+def sweep_depth1(atom):
+    """Depth-1 preimage partitions of an atom by a sound frontier sweep.
+
+    Let M, M' be the letter-image length maxima of the atom and its
+    inverse.  At depth L = max(2, M'(M + 1)) one more letter cancels at
+    most M letters of an image, so a subtree whose frontier images all
+    start with y maps into Cyl(y); a post-order sweep collects the
+    maximal such subtrees, which cover the boundary.
+    """
+    k = atom.rank
+    m, mp = atom.lipschitz()
+    lstar = max(2, mp * (m + 1))
+    buckets: dict[int, list[Word]] = {y: [] for y in alphabet(k)}
+
+    def sweep(w: tuple, img: Word) -> Optional[int]:
+        # Each further letter cancels at most m letters of the image, so a
+        # long enough image pins the first letter of the whole subtree.
+        if len(w) >= lstar or len(img) > m * (lstar - len(w)):
+            return img[0]
+        agreed: Optional[int] = None
+        consistent = True
+        kids = []
+        for c in extension_letters(w, k):
+            child = sweep(w + (c,), concat(img, atom.letter_image(c)))
+            kids.append((c, child))
+            if child is None or (agreed is not None and child != agreed):
+                consistent = False
+            elif agreed is None:
+                agreed = child
+        if consistent and agreed is not None:
+            return agreed
+        for c, child in kids:
+            if child is not None:
+                buckets[child].append(Word(w + (c,)))
+        return None
+
+    for c in alphabet(k):
+        label = sweep((c,), atom.letter_image(c))
+        if label is not None:
+            buckets[label].append(Word((c,)))
+    return {y: CylinderPartition.from_words(k, ws) for y, ws in buckets.items()}

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +12,7 @@ from stretchfactor import (
     Word,
     compose,
     depth1_profile,
+    enumerate_signed_permutations,
     identity,
     inner,
     make_automorphism,
@@ -25,11 +28,12 @@ from stretchfactor import (
     translate_union,
     uniform_measure,
 )
-from stretchfactor.boundary import canonical_words, covers_boundary
+from stretchfactor.automorphisms import LEFT, RIGHT, _transvection
+from stretchfactor.boundary import Budget, _atom_depth1, canonical_words, covers_boundary
 from stretchfactor.words import all_words, alphabet, extension_letters, format_word
 
 from conftest import is_atom, nielsen
-from oracles import brute_depth1, brute_preimage_mass
+from oracles import brute_depth1, brute_preimage_mass, sweep_depth1
 
 
 def w(text):
@@ -272,11 +276,11 @@ def test_sweep_receives_only_small_atoms(monkeypatch):
     from stretchfactor import boundary, length_exact, parse_map_text
 
     swept = []
-    sweep = boundary._atom_depth1
+    closed_form = boundary._atom_depth1
 
     def recording(atom, budget):
         swept.append(atom)
-        return sweep(atom, budget)
+        return closed_form(atom, budget)
 
     monkeypatch.setattr(boundary, "_atom_depth1", recording)
     maps = [
@@ -293,7 +297,43 @@ def test_sweep_receives_only_small_atoms(monkeypatch):
     for auto in maps:
         length_exact(auto, cache=PartitionCache())
     assert swept
-    assert all(is_atom(f) and boundary._frontier_depth(f) <= 6 for f in swept)
+    assert all(is_atom(f) for f in swept)
+    # A map that is not an atom has no closed-form family.
+    with pytest.raises(AssertionError):
+        closed_form(inner(2, w("a")), Budget())
+
+
+def _atoms(rank):
+    """Every elementary transvection and every signed permutation."""
+    transvections = [
+        _transvection(rank, x, a, side)
+        for x in range(1, rank + 1)
+        for a in alphabet(rank)
+        if abs(a) != x
+        for side in (LEFT, RIGHT)
+    ]
+    return transvections + enumerate_signed_permutations(rank)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_atom_families_match_sweep(rank):
+    for atom in _atoms(rank):
+        budget = Budget()
+        assert _atom_depth1(atom, budget) == sweep_depth1(atom), atom.key()
+        # one node per emitted cylinder
+        expected = 2 * rank if atom.lipschitz() == (1, 1) else 4 * rank - 2
+        assert budget.spent == expected, atom.key()
+
+
+def test_atom_families_match_brute_force_rank2():
+    # An atom's images lose at most one letter to cancellation, so five
+    # letters below each cell decide every 3-letter image prefix.
+    for atom in _atoms(2):
+        fam = _atom_depth1(atom, Budget())
+        brute = brute_depth1(atom, frontier=9)
+        assert brute is not None, atom.key()
+        for c in alphabet(2):
+            assert fam[c].words == brute.get(c, ()), (atom.key(), format_word((c,)))
 
 
 def test_budget_limits_are_honest(nielsen_map):
@@ -306,9 +346,64 @@ def test_partition_cache_round_trip(tmp_path, nielsen_map):
     part = preimage_partition(nielsen_map, w("ab"), cache=cache)
     cache.save(str(tmp_path))
     fresh = PartitionCache()
-    fresh.load(str(tmp_path), 2)
+    fresh.load(str(tmp_path))
     cached = fresh.partitions[(nielsen_map.key(), w("ab"))]
     assert cached.words == part.words
     # cache hits are bit-identical to recomputation
     again = preimage_partition(nielsen_map, w("ab"), cache=PartitionCache())
     assert again.words == part.words
+
+
+def _saved_cache_doc(tmp_path, auto, targets):
+    cache = PartitionCache()
+    for u in targets:
+        preimage_partition(auto, w(u), cache=cache)
+    cache.save(str(tmp_path))
+    return json.loads((tmp_path / "partitions.json").read_text())
+
+
+def test_partition_cache_keeps_each_rank(tmp_path):
+    # Rank-3 'a' has preimage {aa, ab, aB}, which rank-2 coalescing would
+    # wrongly merge into {a}; each entry is read at its own map's rank.
+    rank3 = parse_generator_expression(3, "W2[a; c:CONJ]")
+    cache = PartitionCache()
+    part3 = preimage_partition(rank3, w("a"), cache=cache)
+    part2 = preimage_partition(nielsen(), w("ab"), cache=cache)
+    assert part3.words == words("aa", "ab", "aB")
+    cache.save(str(tmp_path))
+    fresh = PartitionCache()
+    fresh.load(str(tmp_path))
+    assert fresh.partitions[(rank3.key(), w("a"))] == part3
+    assert fresh.partitions[(nielsen().key(), w("ab"))] == part2
+
+
+def _drop_version(doc):
+    del doc["version"]
+
+
+def _future_version(doc):
+    doc["version"] = 2
+
+
+def _reorder_family(doc):
+    # nielsen^-1(Cyl a) = {aa, ab}: the same set, out of canonical order
+    doc["partitions"]["a->a,b->ba|a"] = ["ab", "aa"]
+
+
+def _break_depth1_cover(doc):
+    # nielsen^-1(Cyl b) = {b}; {bb} is canonical but leaves a hole
+    doc["partitions"]["a->a,b->ba|b"] = ["bb"]
+
+
+@pytest.mark.parametrize(
+    "edit", [_drop_version, _future_version, _reorder_family, _break_depth1_cover]
+)
+def test_partition_cache_rejects_edits(tmp_path, edit):
+    doc = _saved_cache_doc(tmp_path, nielsen(), ["a", "A", "b", "B", "ab"])
+    fresh = PartitionCache()
+    fresh.load(str(tmp_path))  # the unedited file loads
+    edit(doc)
+    path = tmp_path / "partitions.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=re.escape(repr(str(path)))):
+        PartitionCache().load(str(tmp_path))

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +130,33 @@ def test_selftest_passes():
     code, out = invoke(["selftest", "--rank", "2", "--depth", "3"])
     assert code == 0
     assert "selftest passed" in out
+
+
+_SELFTEST_WITH_FAULT = """
+import sys
+from fractions import Fraction
+import stretchfactor.measures as m
+
+exact = m.uniform_eval
+if sys.argv[1] == "fault":
+    m.uniform_eval = lambda k, v: exact(k, v) + (Fraction(1, 1000) if len(v) == 3 else 0)
+from stretchfactor.cli import run
+sys.exit(run(["selftest", "--rank", "2", "--depth", "3"]))
+"""
+
+
+@pytest.mark.parametrize("mode, fails", [("exact", False), ("fault", True)])
+def test_selftest_checks_survive_optimize_flag(mode, fails):
+    # python -O strips assert statements; the selftest checks must not be them.
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _SELFTEST_WITH_FAULT, mode],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode != 0) == fails, result.stderr
+    assert ("selftest passed" in result.stdout) != fails
 
 
 def test_cache_dir_round_trip(tmp_path):
@@ -257,8 +288,28 @@ def test_engine_value_error_is_not_an_input_error(monkeypatch):
 
 
 def test_budget_admits_feasible_rank8_move():
-    # about 5.4e5 nodes, far below the default budget; nothing refuses it
-    # up front from a whole-tree estimate
-    code, out = invoke(["length", "--rank", "8", "--map", "W2[a; b:RIGHT]"])
+    # one transvection: 4k - 2 = 30 nodes, and a budget of exactly that
+    # much suffices; nothing refuses it up front from a whole-tree estimate
+    argv = ["length", "--rank", "8", "--map", "W2[a; b:RIGHT]"]
+    code, out = invoke(argv)
     assert code == 0
     assert out.splitlines()[0].startswith("length = 133/120 ")
+    assert out.splitlines()[-1] == "nodes = 30"
+    assert invoke(argv + ["--budget", "30"]) == (code, out)
+    code, _ = invoke(argv + ["--budget", "29"])
+    assert code == 3
+
+
+@pytest.mark.parametrize(
+    "rank, expression, nodes",
+    [
+        (3, "W2[a; c:CONJ]", 78),
+        (4, "inner[a]", 624),
+        (2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]", 217),
+    ],
+)
+def test_node_counts_are_pinned(rank, expression, nodes):
+    # Node counts are deterministic: a change here changes the work done.
+    code, out = invoke(["length", "--rank", str(rank), "--map", expression])
+    assert code == 0
+    assert f"nodes = {nodes}" in out.splitlines()
