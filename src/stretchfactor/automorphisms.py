@@ -40,6 +40,18 @@ FIX, RIGHT, LEFT, CONJ = "FIX", "RIGHT", "LEFT", "CONJ"
 _W2_TYPES = (FIX, RIGHT, LEFT, CONJ)
 
 
+def _substitute(images: tuple[Word, ...], w: Sequence[int]) -> Word:
+    """Reduced image of w under the map sending basis letter i to images[i - 1]."""
+    out: list[int] = []
+    for x in w:
+        for y in images[x - 1] if x > 0 else [-z for z in reversed(images[-x - 1])]:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return Word(out)
+
+
 class Automorphism:
     """An automorphism of the rank-k free group with a verified inverse.
 
@@ -103,24 +115,10 @@ class Automorphism:
         return self.bwd[x - 1] if x > 0 else inverse(self.bwd[-x - 1])
 
     def apply(self, w: Sequence[int]) -> Word:
-        out: list[int] = []
-        for x in w:
-            for y in self.letter_image(x):
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-        return Word(out)
+        return _substitute(self.fwd, w)
 
     def apply_inverse(self, w: Sequence[int]) -> Word:
-        out: list[int] = []
-        for x in w:
-            for y in self.inverse_letter_image(x):
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-        return Word(out)
+        return _substitute(self.bwd, w)
 
     def inverse(self) -> "Automorphism":
         factors = self._factors

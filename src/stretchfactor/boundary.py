@@ -6,7 +6,7 @@ finite prefix-free family of cylinders whose union is exactly
 values, exact lengths, recentering) reduces to these partitions plus
 exact rational arithmetic.
 
-Three facts drive the computation:
+Four facts drive the computation:
 
 * Closed-form atom families.  Every map factors into atoms, whose
   depth-1 preimage families are explicit.  A signed permutation sigma
@@ -34,6 +34,15 @@ Three facts drive the computation:
   composition assemble from the partitions of its factors.  A chain's
   family is assembled from its atoms in one right-to-left pass that
   builds each suffix of the chain once.
+
+* Pair sums.  The current value on Cyl(a) x Cyl(u) is the sum of
+  mu(w1^-1 w2) over w1 in phi^-1(Cyl a) and w2 in phi^-1(Cyl u)
+  (Kapovich, "Currents on free groups", math/0412128).  A pair c x u,
+  c y v splitting after a common prefix c has mass (init and steps of
+  (x u)^-1) (steps of y v) 1 / (E D^(|u|+|v|+1)) over mu's automaton,
+  so each edge of one prefix tree carries a row, each edge of the other
+  a column, each summed over its subtree, and one walk of both trees
+  gives the whole sum.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from typing import Iterable, Optional, Sequence
 
 from .automorphisms import Automorphism, conj
 from .errors import InputError, ResourceLimitError
-from .measures import FrequencyMeasure, uniform_eval, uniform_measure
+from .measures import FrequencyMeasure, uniform_measure
 from .words import (
     EMPTY,
     Word,
@@ -116,27 +125,7 @@ class CylinderPartition:
 
 def canonical_words(rank: int, words: Iterable[Sequence[int]]) -> tuple[Word, ...]:
     """Sort, check pairwise disjointness, coalesce complete sibling families."""
-    root: dict = {}
-    for w in words:
-        if not w:
-            raise InputError("partition labels must be nonempty")
-        node = root
-        for i, c in enumerate(w):
-            if i == len(w) - 1:
-                if c in node:
-                    raise InputError(
-                        f"overlapping cylinders: {format_word(w)!r} collides"
-                    )
-                node[c] = None
-            else:
-                nxt = node.get(c, _MISSING)
-                if nxt is None:
-                    raise InputError(
-                        f"overlapping cylinders at {format_word(w)!r}"
-                    )
-                if nxt is _MISSING:
-                    node[c] = nxt = {}
-                node = nxt
+    root = _trie(words)
     if not root:
         return ()
     if _collapse(root, rank, 0):
@@ -148,6 +137,29 @@ def canonical_words(rank: int, words: Iterable[Sequence[int]]) -> tuple[Word, ..
 
 
 _MISSING = object()
+
+
+def _trie(words: Iterable[Sequence[int]]) -> dict:
+    """Prefix tree of disjoint nonempty labels: nested dicts, None at the leaves.
+
+    Raises InputError naming a word whose cylinder overlaps an earlier one.
+    """
+    root: dict = {}
+    for w in words:
+        if not w:
+            raise InputError("partition labels must be nonempty")
+        node = root
+        for c in w[:-1]:
+            nxt = node.get(c, _MISSING)
+            if nxt is None:
+                raise InputError(f"overlapping cylinders at {format_word(w)!r}")
+            if nxt is _MISSING:
+                node[c] = nxt = {}
+            node = nxt
+        if w[-1] in node:
+            raise InputError(f"overlapping cylinders: {format_word(w)!r} collides")
+        node[w[-1]] = None
+    return root
 
 
 def _collapse(node: dict, rank: int, depth: int) -> bool:
@@ -173,21 +185,10 @@ def _collect(node: dict, prefix: tuple, out: list[Word]) -> None:
 
 def covers_boundary(rank: int, words: Iterable[Sequence[int]]) -> bool:
     """True iff the disjoint cylinders exactly cover the whole boundary."""
-    root: dict = {}
-    for w in words:
-        node = root
-        for i, c in enumerate(w):
-            if i == len(w) - 1:
-                if c in node:
-                    return False
-                node[c] = None
-            else:
-                nxt = node.get(c, _MISSING)
-                if nxt is None:
-                    return False
-                if nxt is _MISSING:
-                    node[c] = nxt = {}
-                node = nxt
+    try:
+        root = _trie(words)
+    except InputError:
+        return False
     return bool(root) and _collapse(root, rank, 0)
 
 
@@ -315,15 +316,13 @@ def _cache_entry(label: str, texts) -> tuple[str, Word, CylinderPartition]:
     return key, u, part
 
 
-_GLOBAL_CACHE = PartitionCache()
-
-
 def _resolve(budget: Optional[int | Budget], cache: Optional[PartitionCache]):
+    """The caller's budget and cache, or fresh ones: no state outlives a call."""
     if budget is None:
         budget = Budget()
     elif isinstance(budget, int):
         budget = Budget(budget)
-    return budget, (cache if cache is not None else _GLOBAL_CACHE)
+    return budget, (cache if cache is not None else PartitionCache())
 
 
 # -- depth-1 partitions ----------------------------------------------------
@@ -492,59 +491,85 @@ def stable_prefix(
 # -- current values under pushforward ---------------------------------------
 
 
-def _grouped(words: Iterable[Word]) -> dict[int, list[tuple]]:
-    groups: dict[int, list[tuple]] = {}
-    for w in words:
-        groups.setdefault(w[0], []).append(tuple(w[1:]))
-    return groups
-
-
-def _pair_mass_uniform(
-    k: int, ws1: Sequence[tuple], ws2: Sequence[tuple], depth: int
-) -> Fraction:
-    """Sum of uniform masses mu(w1^-1 w2) over pairs from two disjoint families.
-
-    Pairs splitting at depth d contribute 2k(2k-1)^(2d-1) mu(w1) mu(w2),
-    so a joint walk of the two prefix trees with subtree masses is exact
-    and avoids the quadratic pair enumeration.
-    """
-    if not ws1 or not ws2:
-        return ZERO
-    if any(not w for w in ws1) or any(not w for w in ws2):
-        raise AssertionError("comparable cylinders across disjoint partitions")
-    g1, g2 = _grouped(ws1), _grouped(ws2)
-
-    def side_mass(groups: dict[int, list[tuple]]) -> dict[int, Fraction]:
-        return {
-            c: sum((uniform_eval(k, range(depth + 1 + len(s))) for s in suf), ZERO)
-            for c, suf in groups.items()
-        }
-
-    m1, m2 = side_mass(g1), side_mass(g2)
-    t1 = sum(m1.values(), ZERO)
-    t2 = sum(m2.values(), ZERO)
-    same = sum((m1[c] * m2[c] for c in m1 if c in m2), ZERO)
-    factor = Fraction(2 * k, (2 * k - 1)) * Fraction(2 * k - 1) ** (2 * depth)
-    total = factor * (t1 * t2 - same)
-    for c in m1:
-        if c in m2:
-            total += _pair_mass_uniform(k, g1[c], g2[c], depth + 1)
-    return total
-
-
 def _pair_mass(
     mu: FrequencyMeasure, p1: CylinderPartition, p2: CylinderPartition
 ) -> Fraction:
-    if mu.kind == "uniform":
-        return _pair_mass_uniform(
-            mu.rank, [tuple(w) for w in p1.words], [tuple(w) for w in p2.words], 0
-        )
-    total = ZERO
-    for w1 in p1.words:
-        left = inverse(w1)
-        for w2 in p2.words:
-            total += mu.eval(concat(left, w2))
-    return total
+    """Sum of mu(w1^-1 w2) over w1 in p1 and w2 in p2, two disjoint families.
+
+    One walk of both prefix trees (module docstring).  Rows carry
+    D^(h1-|w1|) and columns D^(h2-|w2|), h the longest word of each
+    family, so a pair splitting at depth d counts E D^(h1+h2-2d-1) times
+    its mass, and D^(2d) brings it to the denominator E D^(h1+h2-1).
+    """
+    if not p1.words or not p2.words:
+        return ZERO
+    e, d, init, step = mu.chain
+    h1 = max(map(len, p1.words))
+    h2 = max(map(len, p2.words))
+    power = [d**i for i in range(2 * max(h1, h2))]
+    total = 0
+
+    def walk(n1: dict, n2: dict, depth: int) -> tuple[dict, dict]:
+        # Count the pairs splitting at this node; return the summed rows of
+        # the edges below n1 and the summed columns of those below n2.
+        nonlocal total
+        rows: dict = {}
+        cols: dict = {}
+        same = 0
+        for x, c1 in n1.items():
+            c2 = n2.get(x, {})
+            if c2 is None or (c1 is None and x in n2):
+                raise AssertionError("comparable cylinders across disjoint partitions")
+            if c1 is None:
+                row = {s: q * power[h1 - depth - 1] for s, q in init[-x].items()}
+            else:
+                below1, below2 = walk(c1, c2, depth + 1)
+                row = _row_times(below1, step[-x])
+                if c2:
+                    col = _times_column(step[x], below2)
+                    same += _dot(row, col)
+                    _add(cols, col)
+            _add(rows, row)
+        for y, c2 in n2.items():
+            if y not in n1:
+                if c2 is None:
+                    below2 = {t: power[h2 - depth - 1] for _, t in step[y]}
+                else:
+                    below2 = walk({}, c2, depth + 1)[1]
+                _add(cols, _times_column(step[y], below2))
+        total += (_dot(rows, cols) - same) * power[2 * depth]
+        return rows, cols
+
+    walk(_trie(p1.words), _trie(p2.words), 0)
+    return Fraction(total, e * power[h1 + h2 - 1])
+
+
+# Vectors are dicts state -> int, matrices dicts (from, to) -> int.
+
+
+def _row_times(vec: dict, mat: dict) -> dict:
+    out: dict = {}
+    for (s, t), q in mat.items():
+        if s in vec:
+            out[t] = out.get(t, 0) + vec[s] * q
+    return out
+
+
+def _times_column(mat: dict, vec: dict) -> dict:
+    out: dict = {}
+    for (s, t), q in mat.items():
+        if t in vec:
+            out[s] = out.get(s, 0) + q * vec[t]
+    return out
+
+
+def _add(into: dict, vec: dict) -> None:
+    for s, q in vec.items():
+        into[s] = into.get(s, 0) + q
+
+
+def _dot(r: dict, c: dict) -> int:
+    return sum(q * c[s] for s, q in r.items() if s in c)
 
 
 def pushforward_current_value(

@@ -21,6 +21,7 @@ from .automorphisms import (
 )
 from .errors import DescentStuckError, InputError, ResourceLimitError
 from .measures import frac_str
+from .selftest import run_selftest
 from .words import format_letter, format_word, letter_key, parse_word, word_key
 
 DECIMAL_DIGITS = 12
@@ -28,10 +29,6 @@ DECIMAL_DIGITS = 12
 
 def _approx(q: Fraction) -> str:
     return format(float(q), f".{DECIMAL_DIGITS}g")
-
-
-def _rat(q: Fraction) -> str:
-    return frac_str(q)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,16 +144,16 @@ def _report_length(rep: length.LengthReport, fmt: str) -> list[str]:
     by_letter = sorted(rep.breakdown.items(), key=lambda kv: letter_key(kv[0]))
     if fmt == "json":
         doc = {
-            "value": _rat(rep.value),
+            "value": frac_str(rep.value),
             "decimal_approx": _approx(rep.value),
-            "breakdown": {format_letter(x): _rat(q) for x, q in by_letter},
+            "breakdown": {format_letter(x): frac_str(q) for x, q in by_letter},
             "measure": rep.measure,
             "nodes": rep.nodes,
         }
         return [json.dumps(doc, sort_keys=True)]
-    lines = [f"length = {_rat(rep.value)} (decimal approx {_approx(rep.value)})"]
+    lines = [f"length = {frac_str(rep.value)} (decimal approx {_approx(rep.value)})"]
     for x, q in by_letter:
-        lines.append(f"breakdown {format_letter(x)} = {_rat(q)}")
+        lines.append(f"breakdown {format_letter(x)} = {frac_str(q)}")
     lines.append(f"measure = {rep.measure}")
     lines.append(f"nodes = {rep.nodes}")
     return lines
@@ -213,9 +210,9 @@ def _dispatch(args) -> int:
         )
         items = sorted(table.items(), key=lambda kv: word_key(kv[0]))
         if args.format == "json":
-            _emit([json.dumps({format_word(w): _rat(q) for w, q in items}, sort_keys=True)])
+            _emit([json.dumps({format_word(w): frac_str(q) for w, q in items}, sort_keys=True)])
         else:
-            _emit([f"{format_word(w)} = {_rat(q)}" for w, q in items])
+            _emit([f"{format_word(w)} = {frac_str(q)}" for w, q in items])
     elif args.command == "preimage":
         auto = _resolve_map(args)
         target = parse_word(args.target, reduce=args.reduce)
@@ -228,13 +225,13 @@ def _dispatch(args) -> int:
             doc = {
                 "target": format_word(target),
                 "cylinders": [format_word(w) for w in part.words],
-                "uniform_mass": _rat(mass),
+                "uniform_mass": frac_str(mass),
             }
             _emit([json.dumps(doc, sort_keys=True)])
         else:
             lines = [f"preimage of Cyl({format_word(target)}):"]
             lines += [f"  {format_word(w)}" for w in part.words]
-            lines.append(f"uniform mass = {_rat(mass)}")
+            lines.append(f"uniform mass = {frac_str(mass)}")
             _emit(lines)
     elif args.command == "recenter":
         auto = _resolve_map(args)
@@ -250,13 +247,13 @@ def _dispatch(args) -> int:
             doc = {
                 "sigma": rep.sigma.key(),
                 "taus": [t.label() for t in rep.taus],
-                "lengths": [_rat(q) for q in rep.lengths],
+                "lengths": [frac_str(q) for q in rep.lengths],
             }
             _emit([json.dumps(doc, sort_keys=True)])
         else:
             lines = [f"sigma = {rep.sigma.key()}"]
             lines += [f"tau_{i + 1} = {t.label()}" for i, t in enumerate(rep.taus)]
-            lines.append("lengths = " + ", ".join(_rat(q) for q in rep.lengths))
+            lines.append("lengths = " + ", ".join(frac_str(q) for q in rep.lengths))
             _emit(lines)
     elif args.command == "spectrum":
         fmt = args.format
@@ -271,18 +268,18 @@ def _dispatch(args) -> int:
         elif fmt == "json":
             doc = {
                 "entries": [
-                    {"length": _rat(v), "multiplicity": m, "representative": r}
+                    {"length": frac_str(v), "multiplicity": m, "representative": r}
                     for v, m, r in rep.entries
                 ],
-                "min_gap": _rat(rep.min_gap) if rep.min_gap is not None else None,
+                "min_gap": frac_str(rep.min_gap) if rep.min_gap is not None else None,
             }
             _emit([json.dumps(doc, sort_keys=True)])
         else:
             lines = [
-                f"{_rat(v)} (decimal approx {_approx(v)}) multiplicity {m} rep {r}"
+                f"{frac_str(v)} (decimal approx {_approx(v)}) multiplicity {m} rep {r}"
                 for v, m, r in rep.entries
             ]
-            gap = _rat(rep.min_gap) if rep.min_gap is not None else "n/a"
+            gap = frac_str(rep.min_gap) if rep.min_gap is not None else "n/a"
             lines.append(f"min gap = {gap}")
             _emit(lines)
     elif args.command == "check-current":
@@ -307,18 +304,11 @@ def _dispatch(args) -> int:
                 lines.append(f"witness = {format_letter(crit.witness)} ({crit.reason})")
         _emit(lines)
     elif args.command == "selftest":
-        code = _selftest(args.rank, args.depth)
+        code = run_selftest(args.rank, args.depth)
         _save_cache(args, cache)
         return code
     _save_cache(args, cache)
     return 0
-
-
-def _selftest(rank: int, depth: int) -> int:
-    """Exact invariant suite: disintegration, translation bounds, partitions."""
-    from .selftest import run_selftest
-
-    return run_selftest(rank, depth)
 
 
 def main() -> None:

@@ -7,11 +7,19 @@ letter chain, and the counting measures of rational currents.  The
 correspondence with currents is used through one formula: the current
 value of a product of disjoint ray-cylinders Cyl(v) x Cyl(w) equals the
 measure of Cyl(v^-1 w).
+
+Each measure also carries its values as an integer weighted automaton,
+`chain = (E, D, init, step)`: E D^(n-1) mu(v) = init[v_1] step[v_2] ...
+step[v_n] 1 for every nonempty reduced word v of length n, with init[x]
+a row {state: weight}, step[x] a matrix {(from, to): weight} and 1 the
+all-ones column.  The boundary engine sums pair masses through `chain`;
+`eval` stays the direct evaluator, and tests check that the two agree.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -61,12 +69,17 @@ def parse_frac(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class FrequencyMeasure:
-    """Exact nonnegative cylinder evaluator, shift invariant by construction."""
+    """Exact nonnegative cylinder evaluator, shift invariant by construction.
+
+    `chain` holds the same measure as an integer weighted automaton (module
+    docstring), with an init row and a step matrix for every letter.
+    """
 
     rank: int
     kind: str  # uniform | markov | rational-word
     mass: Fraction
     _eval: Callable[[Word], Fraction]
+    chain: tuple[int, int, dict[int, dict], dict[int, dict]]
     label: str = ""
 
     def eval(self, v: Sequence[int]) -> Fraction:
@@ -89,12 +102,13 @@ def uniform_eval(k: int, v: Sequence[int]) -> Fraction:
 
 
 def uniform_measure(k: int) -> FrequencyMeasure:
-    alphabet(k)  # rank validation
+    letters = alphabet(k)  # one state, E = 2k, D = 2k - 1, every weight 1
     return FrequencyMeasure(
         rank=k,
         kind="uniform",
         mass=ONE,
         _eval=lambda w: uniform_eval(k, w),
+        chain=(2 * k, 2 * k - 1, {x: {0: 1} for x in letters}, {x: {(0, 0): 1} for x in letters}),
         label="uniform",
     )
 
@@ -157,8 +171,18 @@ def markov_measure(spec: MarkovSpec, *, validate: bool = True) -> FrequencyMeasu
             q *= spec.transitions[x][y]
         return q
 
+    # one state per letter: init[x] = {x: E m p(x)}, step[x] = {(y, x): D P(y, x)},
+    # E and D the lcm of the denominators of m p and of P
+    letters = alphabet(spec.rank)
+    start = {x: spec.mass * spec.initial[x] for x in letters}
+    moves = spec.transitions
+    e = math.lcm(*(q.denominator for q in start.values()))
+    d = math.lcm(*(moves[y][x].denominator for y in letters for x in letters))
+    init = {x: ({x: int(e * q)} if q else {}) for x, q in start.items()}
+    step = {x: {(y, x): int(d * moves[y][x]) for y in letters if moves[y][x]} for x in letters}
     return FrequencyMeasure(
-        rank=spec.rank, kind="markov", mass=spec.mass, _eval=evaluate, label="markov"
+        rank=spec.rank, kind="markov", mass=spec.mass, _eval=evaluate,
+        chain=(e, d, init, step), label="markov",
     )
 
 
@@ -238,11 +262,16 @@ def rational_measure(k: int, w: Sequence[int]) -> FrequencyMeasure:
         raise ProperPowerError(
             f"{format_word(w)!r} is a proper power; its current duplicates the root's"
         )
+    # one state per position i of w, E = D = 1: the word read so far ends at w[i]
+    n, letters = len(w), alphabet(k)
+    init = {x: {i: 1 for i in range(n) if w[i] == x} for x in letters}
+    step = {x: {(i, (i + 1) % n): 1 for i in range(n) if w[(i + 1) % n] == x} for x in letters}
     return FrequencyMeasure(
         rank=k,
         kind="rational-word",
-        mass=Fraction(len(w)),
+        mass=Fraction(n),
         _eval=lambda u: Fraction(occurrences_in_cyclic(u, w)),
+        chain=(1, 1, init, step),
         label=f"rational:{format_word(w)}",
     )
 

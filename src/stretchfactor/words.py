@@ -39,10 +39,6 @@ class Word(tuple):
 EMPTY = Word()
 
 
-def inv_letter(x: int) -> int:
-    return -x
-
-
 def letter_key(x: int) -> tuple[int, int]:
     # Canonical letter order a < A < b < B < ...
     return (abs(x), 0 if x > 0 else 1)
@@ -236,10 +232,6 @@ def occurrences_in_cyclic(u: Sequence[int], w: Sequence[int]) -> int:
         if all(u[j] == w[(i + j) % n] for j in range(len(u))):
             count += 1
     return count
-
-
-def rotations(w: Sequence[int]) -> list[Word]:
-    return [Word(tuple(w[i:]) + tuple(w[:i])) for i in range(len(w))]
 
 
 def is_proper_power(w: Sequence[int]) -> bool:

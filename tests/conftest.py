@@ -1,8 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from stretchfactor import Word, make_automorphism
+from stretchfactor.measures import (
+    MarkovSpec,
+    markov_measure,
+    rational_measure,
+    uniform_as_markov,
+    uniform_measure,
+)
+from stretchfactor.words import alphabet, is_cyclically_reduced, is_proper_power, random_reduced
 
 
 def nielsen():
@@ -40,3 +49,36 @@ def is_atom(f):
     return len(img) == 2 and (
         (img[0] == x and abs(img[1]) != x) or (img[1] == x and abs(img[0]) != x)
     )
+
+
+def reversible_markov(rank, rng: random.Random, mass=Fraction(1)):
+    """A Markov spec from random symmetric weights; detailed balance makes it stationary."""
+    letters = alphabet(rank)
+    weight = {}
+    for x in letters:
+        for y in letters:
+            weight[x, y] = weight.get((y, x), 0 if y == -x else rng.randint(1, 4))
+    row = {x: sum(weight[x, y] for y in letters) for x in letters}
+    total = sum(row.values())
+    return MarkovSpec(
+        rank=rank,
+        mass=mass,
+        initial={x: Fraction(row[x], total) for x in letters},
+        transitions={x: {y: Fraction(weight[x, y], row[x]) for y in letters} for x in letters},
+    )
+
+
+def sample_measures(rank, rng: random.Random):
+    """One measure of each construction: uniform, uniform as Markov, a biased
+    Markov measure of mass 3/2, a one-letter rational word and a longer one."""
+    while True:
+        word = random_reduced(rng.randint(2, 7), rank, rng)
+        if is_cyclically_reduced(word) and not is_proper_power(word):
+            break
+    return [
+        uniform_measure(rank),
+        markov_measure(uniform_as_markov(rank)),
+        markov_measure(reversible_markov(rank, rng, Fraction(3, 2))),
+        rational_measure(rank, Word((rank,))),
+        rational_measure(rank, word),
+    ]

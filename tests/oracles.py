@@ -9,6 +9,8 @@ and every decision is asserted to be unanimous over the whole frontier.
 
 `sweep_depth1` is a generic maximal-subtree sweep that works for any
 atom; it is the reference for the engine's closed-form atom families.
+`pair_mass_by_pairs` sums pair masses one pair at a time through
+`mu.eval`; it is the reference for the engine's prefix-tree walk.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ from typing import Optional
 
 from stretchfactor import Word, uniform_measure
 from stretchfactor.boundary import CylinderPartition, canonical_words
-from stretchfactor.words import all_words, alphabet, concat, extension_letters
+from stretchfactor.words import all_words, alphabet, concat, extension_letters, inverse
 
 CELL_DEPTH = 4
 FRONTIER = 12
@@ -137,3 +139,13 @@ def sweep_depth1(atom):
         if label is not None:
             buckets[label].append(Word((c,)))
     return {y: CylinderPartition.from_words(k, ws) for y, ws in buckets.items()}
+
+
+def pair_mass_by_pairs(mu, p1, p2):
+    """Sum of mu(w1^-1 w2) over w1 in p1 and w2 in p2, one eval per pair."""
+    total = Fraction(0)
+    for w1 in p1.words:
+        left = inverse(w1)
+        for w2 in p2.words:
+            total += mu.eval(concat(left, w2))
+    return total

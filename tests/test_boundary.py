@@ -4,6 +4,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stretchfactor import (
     InputError,
@@ -29,11 +30,18 @@ from stretchfactor import (
     uniform_measure,
 )
 from stretchfactor.automorphisms import LEFT, RIGHT, _transvection
-from stretchfactor.boundary import Budget, _atom_depth1, canonical_words, covers_boundary
-from stretchfactor.words import all_words, alphabet, extension_letters, format_word
+from stretchfactor.boundary import (
+    Budget,
+    CylinderPartition,
+    _atom_depth1,
+    _pair_mass,
+    canonical_words,
+    covers_boundary,
+)
+from stretchfactor.words import all_words, alphabet, extension_letters, format_word, random_reduced
 
-from conftest import is_atom, nielsen
-from oracles import brute_depth1, brute_preimage_mass, sweep_depth1
+from conftest import is_atom, nielsen, random_composition, sample_measures
+from oracles import brute_depth1, brute_preimage_mass, pair_mass_by_pairs, sweep_depth1
 
 
 def w(text):
@@ -209,7 +217,8 @@ def test_pushforward_table_consistency(nielsen_map):
 
 
 def test_pair_sum_fast_path_matches_generic(nielsen_map):
-    # uniform-as-markov evaluates identically but walks the generic path
+    # uniform-as-markov has the uniform values but another automaton for the
+    # pair-sum walk: one state per letter instead of a single state
     from stretchfactor import markov_measure, uniform_as_markov
 
     mu_fast = uniform_measure(2)
@@ -218,6 +227,72 @@ def test_pair_sum_fast_path_matches_generic(nielsen_map):
         fast = pushforward_current_value(nielsen_map, mu_fast, u)
         slow = pushforward_current_value(nielsen_map, mu_slow, u)
         assert fast == slow
+
+
+def _disjoint_pairs(auto, targets):
+    """(preimage of Cyl a, preimage of Cyl u) for a != u[0], as pushforward sums them."""
+    cache = PartitionCache()
+    for u in targets:
+        p_u = preimage_partition(auto, u, cache=cache)
+        for a in alphabet(auto.rank):
+            if a != u[0]:
+                yield preimage_partition(auto, (a,), cache=cache), p_u
+
+
+def _assert_pair_masses(auto, targets, measures):
+    pairs = list(_disjoint_pairs(auto, targets))
+    for mu in measures:
+        for p1, p2 in pairs:
+            assert _pair_mass(mu, p1, p2) == pair_mass_by_pairs(mu, p1, p2), (mu.label, p1, p2)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_pair_mass_matches_pairwise_sum_on_depth1_families(rank):
+    rng = random.Random(500 + rank)
+    measures = sample_measures(rank, rng)
+    letters = [Word((x,)) for x in alphabet(rank)]
+    maps = [identity(rank), inner(rank, Word((1, 2)))]
+    maps += [random_composition(rank, 3, rng) for _ in range(2)]
+    for auto in maps:
+        _assert_pair_masses(auto, letters, measures)
+
+
+def test_pair_mass_matches_pairwise_sum_on_depth2_preimages():
+    auto = parse_generator_expression(2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]")
+    measures = sample_measures(2, random.Random(7))
+    _assert_pair_masses(auto, list(all_words(2, 2)), measures)
+    cache = PartitionCache()
+    parts = [preimage_partition(auto, u, cache=cache) for u in all_words(2, 2)]
+    for mu in measures:
+        for i, p1 in enumerate(parts):
+            for p2 in parts[i + 1:]:
+                assert _pair_mass(mu, p1, p2) == pair_mass_by_pairs(mu, p1, p2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 4),
+    target_len=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_mass_matches_pairwise_sum_property(rank, n_factors, target_len, seed):
+    rng = random.Random(seed)
+    auto = random_composition(rank, n_factors, rng)
+    target = random_reduced(target_len, rank, rng)
+    _assert_pair_masses(auto, [target], sample_measures(rank, rng))
+
+
+def test_pair_mass_of_empty_or_comparable_families():
+    empty = CylinderPartition(2, ())
+    p1 = CylinderPartition.from_words(2, words("a"))
+    p2 = CylinderPartition.from_words(2, words("ab", "b"))
+    for mu in sample_measures(2, random.Random(3)):
+        assert _pair_mass(mu, empty, p1) == _pair_mass(mu, p1, empty) == 0
+        with pytest.raises(AssertionError):
+            _pair_mass(mu, p1, p2)
+        with pytest.raises(AssertionError):
+            _pair_mass(mu, p2, p1)
 
 
 def test_stable_prefix_contract(nielsen_map):

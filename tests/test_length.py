@@ -5,6 +5,7 @@ import pytest
 
 from stretchfactor import (
     InputError,
+    ResourceLimitError,
     compose,
     conj,
     cyclic_length,
@@ -124,6 +125,16 @@ def test_mc_preconditions(nielsen_map):
 )
 def test_rank3_and_rank4_expressions(rank, expression, value):
     assert length_exact(parse_generator_expression(rank, expression)).value == value
+
+
+def test_repeated_calls_share_no_cache():
+    # Without a caller's cache each call starts empty: the same node count
+    # every time, and a budget that is too small fails every time.
+    phi = parse_generator_expression(3, "W2[a; c:CONJ]")
+    assert [length_exact(phi).nodes for _ in range(2)] == [78, 78]
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            length_exact(phi, budget=5)
 
 
 def test_raw_nielsen_cube():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -25,9 +26,28 @@ from stretchfactor import (
 from stretchfactor.measures import dump_markov_spec, frac_str
 from stretchfactor.words import all_words, alphabet
 
+from conftest import sample_measures
+
 
 def w(text):
     return parse_word(text)
+
+
+@pytest.mark.parametrize("rank, depth", [(2, 5), (3, 4), (4, 3)])
+def test_chain_matches_eval(rank, depth):
+    # E D^(n-1) mu(v) = init[v_1] step[v_2] ... step[v_n] 1 for every kind
+    for mu in sample_measures(rank, random.Random(rank)):
+        e, d, init, step = mu.chain
+        for n in range(1, depth + 1):
+            for v in all_words(n, rank):
+                vec = dict(init[v[0]])
+                for x in v[1:]:
+                    nxt = {}
+                    for (s, t), q in step[x].items():
+                        if s in vec:
+                            nxt[t] = nxt.get(t, 0) + vec[s] * q
+                    vec = nxt
+                assert sum(vec.values()) == e * d ** (n - 1) * mu.eval(v), (mu.label, v)
 
 
 def test_uniform_values():
@@ -133,6 +153,7 @@ def test_corrupted_table_detected():
         kind="uniform",
         mass=F(1),
         _eval=lambda v: F(1, 5) if tuple(v) == (1,) else uniform_eval(2, v),
+        chain=mu.chain,
         label="broken",
     )
     assert not consistency_check(broken, 2)

@@ -1,0 +1,51 @@
+"""The benchmark's per-layer hooks (perfbench/tracing.py) still fit the engine.
+
+The hooks rebind module globals and class attributes for the whole
+process, so they run in a subprocess that leaves this test session as
+it was.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_TRACE_ONE_OP_PER_KIND = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import stretchfactor as sf
+import tracing
+
+tr = tracing.Tracer()
+tracing.install(tr)
+phi = sf.parse_generator_expression(2, "W2[a; b:CONJ] * inner[ab]")
+for mu in (
+    sf.uniform_measure(2),
+    sf.markov_measure(sf.uniform_as_markov(2)),
+    sf.rational_measure(2, sf.parse_word("abAAB")),
+):
+    sf.eta_length(phi, mu, cache=sf.PartitionCache())
+print(json.dumps({"absent": tr.absent, "calls": tr.calls}))
+"""
+
+
+def test_benchmark_hooks_find_every_layer():
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run(
+        [sys.executable, "-c", _TRACE_ONE_OP_PER_KIND, str(root / "perfbench")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    # the frontier sweep left the engine; every other hook target is found
+    assert doc["absent"] == ["stretchfactor.boundary:_frontier_depth"]
+    calls = doc["calls"]
+    # rank 2: 4 letters x 3 pairs per eta_length, spans labelled by mu.kind
+    assert calls["boundary.pair_mass.uniform"] == 12
+    assert calls["boundary.pair_mass.generic"] == 24
+    assert calls["length.eta_length"] == 3
+    # pair sums read the measure's automaton, not eval
+    assert "measures.eval" not in calls
