@@ -167,7 +167,7 @@ class Automorphism:
     # -- plumbing -------------------------------------------------------
 
     def key(self) -> str:
-        """Canonical text of the forward map, stable across sessions."""
+        """Canonical text of the forward map, for output and messages."""
         return ",".join(
             f"{format_letter(x)}->{format_word(self.fwd[x - 1])}"
             for x in range(1, self.rank + 1)

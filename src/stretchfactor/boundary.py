@@ -47,8 +47,6 @@ Four facts drive the computation:
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -66,8 +64,6 @@ from .words import (
     format_word,
     inverse,
     is_prefix,
-    parse_word,
-    validate_rank,
     word_key,
 )
 
@@ -183,15 +179,6 @@ def _collect(node: dict, prefix: tuple, out: list[Word]) -> None:
             _collect(child, prefix + (c,), out)
 
 
-def covers_boundary(rank: int, words: Iterable[Sequence[int]]) -> bool:
-    """True iff the disjoint cylinders exactly cover the whole boundary."""
-    try:
-        root = _trie(words)
-    except InputError:
-        return False
-    return bool(root) and _collapse(root, rank, 0)
-
-
 # -- exact translation of cylinder unions ---------------------------------
 
 
@@ -230,90 +217,16 @@ def translate_union(
 
 
 class PartitionCache:
-    """Exact partition store keyed by canonical map text plus target label.
+    """In-memory partitions, owned by the caller and keyed by the map.
 
-    `save` writes `partitions.json` with a format version.  `load` checks
-    what is cheap to check, each entry at the rank its map key names:
-    the version, that every family is already canonical, and that a
-    map's 2k depth-1 families, when all are stored, cover the boundary.
-    This catches edits, but not every stale entry.
+    `families` maps an Automorphism to its depth-1 preimage families and
+    `partitions` maps (Automorphism, target word) to a preimage
+    partition; maps hash and compare by rank and forward images.
     """
 
-    VERSION = 1
-
     def __init__(self):
-        self.families: dict[str, dict[int, CylinderPartition]] = {}
-        self.partitions: dict[tuple[str, Word], CylinderPartition] = {}
-
-    def save(self, directory: str) -> None:
-        doc = {
-            "version": self.VERSION,
-            "partitions": {
-                f"{key}|{format_word(u)}": [format_word(w) for w in part.words]
-                for (key, u), part in sorted(
-                    self.partitions.items(), key=lambda kv: (kv[0][0], word_key(kv[0][1]))
-                )
-            },
-        }
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, "partitions.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-
-    def load(self, directory: str) -> None:
-        path = os.path.join(directory, "partitions.json")
-        if not os.path.exists(path):
-            return
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise InputError(f"partition cache {path!r} is not valid JSON: {e}") from e
-        version = doc.get("version") if isinstance(doc, dict) else None
-        if version != self.VERSION:
-            raise InputError(
-                f"partition cache {path!r} has format version {version!r}, "
-                f"expected {self.VERSION}"
-            )
-        entries = doc.get("partitions", {})
-        if not isinstance(entries, dict):
-            raise InputError(f"partition cache {path!r} has no partitions table")
-        loaded: dict[tuple[str, Word], CylinderPartition] = {}
-        depth1: dict[str, list[CylinderPartition]] = {}
-        for label, texts in entries.items():
-            try:
-                key, u, part = _cache_entry(label, texts)
-            except InputError as e:
-                raise InputError(f"partition cache {path!r}, entry {label!r}: {e}") from e
-            loaded[(key, u)] = part
-            if len(u) == 1:
-                depth1.setdefault(key, []).append(part)
-        for key, parts in depth1.items():
-            rank = key.count("->")
-            words = [w for part in parts for w in part.words]
-            if len(parts) == 2 * rank and not covers_boundary(rank, words):
-                raise InputError(
-                    f"partition cache {path!r}: the depth-1 families of {key!r} "
-                    "do not partition the boundary"
-                )
-        self.partitions.update(loaded)
-
-
-def _cache_entry(label: str, texts) -> tuple[str, Word, CylinderPartition]:
-    """One stored partition, checked to be canonical at its map's rank."""
-    key, _, target = label.rpartition("|")
-    rank = key.count("->")
-    alphabet(rank)  # rank validation
-    u = parse_word(target)
-    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-        raise InputError("a partition must be a list of words")
-    words = tuple(parse_word(t) for t in texts)
-    for w in (u,) + words:
-        validate_rank(w, rank)
-    part = CylinderPartition.from_words(rank, words)
-    if part.words != words:
-        raise InputError("partition is not in canonical form")
-    return key, u, part
+        self.families: dict[Automorphism, dict[int, CylinderPartition]] = {}
+        self.partitions: dict[tuple[Automorphism, Word], CylinderPartition] = {}
 
 
 def _resolve(budget: Optional[int | Budget], cache: Optional[PartitionCache]):
@@ -365,24 +278,24 @@ def _transvection_letters(atom: Automorphism) -> tuple[int, int]:
 def _depth1_family(
     auto: Automorphism, budget: Budget, cache: PartitionCache
 ) -> dict[int, CylinderPartition]:
-    """Depth-1 preimage partitions of a map, cached by its key.
+    """Depth-1 preimage partitions of a map, cached by the map.
 
     Leading factors are peeled off until a suffix of the chain is cached
     or is a single atom, whose family is closed-form; the longer suffixes are
     then assembled right to left, so each suffix is built once.
     """
     suffixes = [auto]
-    fam = cache.families.get(auto.key())
+    fam = cache.families.get(auto)
     while fam is None and len(suffixes[-1].factors) > 1:
         suffixes.append(suffixes[-1].tail())
-        fam = cache.families.get(suffixes[-1].key())
+        fam = cache.families.get(suffixes[-1])
     if fam is None:
         fam = _atom_depth1(suffixes[-1].factors[0], budget)
-        cache.families[suffixes[-1].key()] = fam
+        cache.families[suffixes[-1]] = fam
     for i in range(len(suffixes) - 2, -1, -1):
         chain, rest = suffixes[i], suffixes[i + 1]
         fam = _family_from_factors(chain.factors[0], rest, budget, cache)
-        cache.families[chain.key()] = fam
+        cache.families[chain] = fam
     return fam
 
 
@@ -407,7 +320,7 @@ def _family_from_factors(
 def _preimage(
     auto: Automorphism, u: Word, budget: Budget, cache: PartitionCache
 ) -> CylinderPartition:
-    key = (auto.key(), u)
+    key = (auto, u)
     part = cache.partitions.get(key)
     if part is not None:
         return part
@@ -583,8 +496,9 @@ def pushforward_current_value(
     """Value of the pushed-forward current on the geodesic cylinder at u.
 
     Cyl[1,u] splits into products Cyl(a) x Cyl(u) over letters a other
-    than the first letter of u, so the value is an exact pair sum over
-    the preimage partitions of both sides.
+    than the first letter of u.  Their preimage families are disjoint and
+    pair sums are bilinear, so the value is one exact pair sum between
+    the union of those families and the preimage of Cyl(u).
     """
     u = Word(u)
     if not u:
@@ -592,12 +506,10 @@ def pushforward_current_value(
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
     p_u = _preimage(auto, u, budget, cache)
-    total = ZERO
-    for a in alphabet(auto.rank):
-        if a == u[0]:
-            continue
-        total += _pair_mass(mu, fam[a], p_u)
-    return total
+    others = CylinderPartition.from_words(
+        auto.rank, (w for a, part in fam.items() if a != u[0] for w in part.words)
+    )
+    return _pair_mass(mu, others, p_u)
 
 
 def pushforward_table(

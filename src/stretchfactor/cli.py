@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 internal error (an engine bug, reported with its
-traceback), 2 input errors, 3 node-budget exhaustion, 4 stuck descent.
-All rationals print as "p/q"; decimal renderings are labeled
-approximations.  Identical invocations produce byte-identical output.
+traceback), 2 input errors (an unknown option included), 3 node-budget
+exhaustion, 4 stuck descent.  Each subcommand takes only the options it
+reads.  All rationals print as "p/q"; decimal renderings are labeled
+approximations.  Identical invocations produce byte-identical output,
+and no command writes files.
 """
 
 from __future__ import annotations
@@ -38,67 +40,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_map=True, formats=("text", "json")):
-        p.add_argument("--rank", type=int, required=True, help="free group rank k")
-        if needs_map:
-            p.add_argument(
-                "--map",
-                required=True,
-                help="basis images 'a->a,b->ba' or an expression "
-                "W2[a; b:RIGHT] * perm[a->b,b->a] * inner[ab]",
-            )
-            p.add_argument(
-                "--inverse",
-                default=None,
-                help="inverse basis images (required for raw '->' maps)",
-            )
-        p.add_argument("--budget", type=int, default=boundary.DEFAULT_BUDGET)
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument(
-            "--reduce",
+    common = {
+        "--map": dict(
+            required=True,
+            help="basis images 'a->a,b->ba' or an expression "
+            "W2[a; b:RIGHT] * perm[a->b,b->a] * inner[ab]",
+        ),
+        "--inverse": dict(
+            default=None, help="inverse basis images (required for raw '->' maps)"
+        ),
+        "--budget": dict(type=int, default=boundary.DEFAULT_BUDGET),
+        "--format": dict(choices=("text", "json"), default="text"),
+        "--reduce": dict(
             action="store_true",
             help="freely reduce word arguments instead of rejecting them",
-        )
-        p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--cache-dir", default=None)
+        ),
+    }
 
-    p = sub.add_parser("length", help="exact length of the map")
-    add_common(p)
+    def add(name, help, *options):
+        """A subcommand with --rank and the named common options."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--rank", type=int, required=True, help="free group rank k")
+        for option in options:
+            p.add_argument(option, **common[option])
+        return p
+
+    mapped = ("--map", "--inverse", "--budget", "--format")
+
+    p = add("length", "exact length of the map", *mapped, "--reduce")
     p.add_argument("--measure", default="uniform")
 
-    p = sub.add_parser("estimate", help="Monte Carlo length estimate")
-    add_common(p)
+    p = add("estimate", "Monte Carlo length estimate", "--map", "--inverse", "--format")
     p.add_argument("--n", type=int, default=2000, help="random word length")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("pushforward", help="pushforward cylinder table")
-    add_common(p)
+    p = add("pushforward", "pushforward cylinder table", *mapped, "--reduce")
     p.add_argument("--measure", default="uniform")
     p.add_argument("--depth", type=int, default=2)
 
-    p = sub.add_parser("preimage", help="exact cylinder preimage partition")
-    add_common(p)
+    p = add("preimage", "exact cylinder preimage partition", *mapped, "--reduce")
     p.add_argument("--target", required=True, help="cylinder label, e.g. 'ab'")
 
-    p = sub.add_parser("recenter", help="greedy mass recentering")
-    add_common(p)
+    add("recenter", "greedy mass recentering", *mapped)
+    add("factorize", "descent factorization", *mapped)
 
-    p = sub.add_parser("factorize", help="descent factorization")
-    add_common(p)
-
-    p = sub.add_parser("spectrum", help="length spectrum of bounded compositions")
-    add_common(p, needs_map=False, formats=("text", "json", "csv"))
+    p = add("spectrum", "length spectrum of bounded compositions", "--budget")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--max-factors", type=int, default=1)
-    p.add_argument("--emit", default=None, help="write the spectrum as CSV")
 
-    p = sub.add_parser("check-current", help="validate a measure / criterion check")
-    add_common(p, needs_map=False)
+    p = add("check-current", "validate a measure / criterion check", "--format", "--reduce")
     p.add_argument("--measure", required=True)
     p.add_argument("--depth", type=int, default=4)
 
-    p = sub.add_parser("selftest", help="run the exact invariant suite")
-    add_common(p, needs_map=False)
+    p = add("selftest", "run the exact invariant suite")
     p.add_argument("--depth", type=int, default=5)
     return parser
 
@@ -116,28 +111,12 @@ def _resolve_map(args) -> Automorphism:
     return make_automorphism(args.rank, fwd, bwd)
 
 
-def _cache(args) -> boundary.PartitionCache:
-    if args.no_cache:
-        return boundary.PartitionCache()
-    cache = boundary.PartitionCache()
-    if args.cache_dir:
-        cache.load(args.cache_dir)
-    return cache
-
-
-def _save_cache(args, cache: boundary.PartitionCache) -> None:
-    if args.cache_dir and not args.no_cache:
-        cache.save(args.cache_dir)
-
-
 def _emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _measure(args) -> measures.FrequencyMeasure:
-    return measures.parse_measure_selector(
-        args.rank, args.measure, reduce=getattr(args, "reduce", False)
-    )
+    return measures.parse_measure_selector(args.rank, args.measure, reduce=args.reduce)
 
 
 def _report_length(rep: length.LengthReport, fmt: str) -> list[str]:
@@ -179,12 +158,9 @@ def run(argv: list[str]) -> int:
 
 
 def _dispatch(args) -> int:
-    cache = _cache(args)
     if args.command == "length":
         auto = _resolve_map(args)
-        rep = length.eta_length(
-            auto, _measure(args), budget=args.budget, cache=cache
-        )
+        rep = length.eta_length(auto, _measure(args), budget=args.budget)
         _emit(_report_length(rep, args.format))
     elif args.command == "estimate":
         auto = _resolve_map(args)
@@ -206,7 +182,7 @@ def _dispatch(args) -> int:
     elif args.command == "pushforward":
         auto = _resolve_map(args)
         table = boundary.pushforward_table(
-            auto, _measure(args), args.depth, budget=args.budget, cache=cache
+            auto, _measure(args), args.depth, budget=args.budget
         )
         items = sorted(table.items(), key=lambda kv: word_key(kv[0]))
         if args.format == "json":
@@ -216,9 +192,7 @@ def _dispatch(args) -> int:
     elif args.command == "preimage":
         auto = _resolve_map(args)
         target = parse_word(args.target, reduce=args.reduce)
-        part = boundary.preimage_partition(
-            auto, target, budget=args.budget, cache=cache
-        )
+        part = boundary.preimage_partition(auto, target, budget=args.budget)
         mu = measures.uniform_measure(args.rank)
         mass = boundary.partition_mass(mu, part)
         if args.format == "json":
@@ -235,14 +209,14 @@ def _dispatch(args) -> int:
             _emit(lines)
     elif args.command == "recenter":
         auto = _resolve_map(args)
-        v, psi = boundary.recenter(auto, budget=args.budget, cache=cache)
+        v, psi = boundary.recenter(auto, budget=args.budget)
         if args.format == "json":
             _emit([json.dumps({"v": format_word(v), "conjugated": psi.key()}, sort_keys=True)])
         else:
             _emit([f"v = {format_word(v)}", f"conjugated map = {psi.key()}"])
     elif args.command == "factorize":
         auto = _resolve_map(args)
-        rep = whitehead.factorize(auto, budget=args.budget, cache=cache)
+        rep = whitehead.factorize(auto, budget=args.budget)
         if args.format == "json":
             doc = {
                 "sigma": rep.sigma.key(),
@@ -257,12 +231,7 @@ def _dispatch(args) -> int:
             _emit(lines)
     elif args.command == "spectrum":
         fmt = args.format
-        rep = whitehead.spectrum(
-            args.rank, args.max_factors, budget=args.budget, cache=cache
-        )
-        if args.emit:
-            with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(rep.csv_lines()) + "\n")
+        rep = whitehead.spectrum(args.rank, args.max_factors, budget=args.budget)
         if fmt == "csv":
             _emit(rep.csv_lines())
         elif fmt == "json":
@@ -283,31 +252,23 @@ def _dispatch(args) -> int:
             lines.append(f"min gap = {gap}")
             _emit(lines)
     elif args.command == "check-current":
-        mu = _measure(args)
-        ok = measures.consistency_check(mu, args.depth)
-        lines = [f"consistency depth {args.depth} = {'pass' if ok else 'FAIL'}"]
-        if not ok:
+        if not measures.consistency_check(_measure(args), args.depth):
             raise InputError("measure failed the cylinder consistency identities")
+        doc = {"consistency": True}
+        lines = [f"consistency depth {args.depth} = pass"]
         if args.measure.startswith("markov:"):
             spec = measures.read_markov_file(args.measure.split(":", 1)[1])
             crit = measures.criterion_check(spec)
-            doc = crit.as_dict()
-            if args.format == "json":
-                _emit([json.dumps({"consistency": ok, **doc}, sort_keys=True)])
-                _save_cache(args, cache)
-                return 0
+            doc.update(crit.as_dict())
             lines.append(f"criterion passes = {crit.passes}")
             for name in ("C1", "C2", "b"):
                 for letter, q in doc[name].items():
                     lines.append(f"{name}({letter}) = {q}")
             if crit.witness is not None:
                 lines.append(f"witness = {format_letter(crit.witness)} ({crit.reason})")
-        _emit(lines)
+        _emit([json.dumps(doc, sort_keys=True)] if args.format == "json" else lines)
     elif args.command == "selftest":
-        code = run_selftest(args.rank, args.depth)
-        _save_cache(args, cache)
-        return code
-    _save_cache(args, cache)
+        return run_selftest(args.rank, args.depth)
     return 0
 
 

@@ -27,7 +27,7 @@ from .boundary import Budget, PartitionCache, _resolve
 from .errors import DescentStuckError, InputError
 from .length import length_exact
 from .measures import frac_str
-from .words import Word, alphabet, format_word, letter_key, word_key
+from .words import Word, alphabet, format_word, word_key
 
 ONE = Fraction(1)
 
@@ -134,19 +134,16 @@ def factorize(
 
 
 def canonical_out_key(auto: Automorphism) -> tuple[Word, ...]:
-    """Conjugation normal form of the image tuple.
+    """Conjugation normal form of the image tuple: a class invariant.
 
-    Single-letter conjugations are applied while they shrink the total
-    image length; the equal-length plateau around the local minimum is
-    then searched exhaustively (up to a size cap) for the
-    lexicographically least tuple.  Equal keys imply conjugate maps;
-    distinct keys may still be conjugate, so this is a deduplication
-    aid, not a class invariant.
+    The cost v -> sum of |v phi(x) v^-1| is convex on the Cayley tree, so
+    single-letter conjugations that shrink the total image length reach
+    a global minimum, and the minimizers form a finite subtree that the
+    equal-cost search walks whole.  The key is the lexicographically
+    least minimizing tuple, so two maps have equal keys exactly when
+    they differ by an inner automorphism.
     """
     return _normalize(auto.fwd)
-
-
-_PLATEAU_CAP = 4096
 
 
 def _tuple_sort_key(images: tuple[Word, ...]) -> tuple:
@@ -162,44 +159,33 @@ def _conjugate(c: int, images: tuple) -> tuple:
     return tuple(out)
 
 
+def _cost(images: tuple) -> int:
+    return sum(len(w) for w in images)
+
+
 def _normalize(images: tuple) -> tuple[Word, ...]:
     rank = len(images)
     current = tuple(tuple(w) for w in images)
-    cost = sum(len(w) for w in current)
-    while True:
-        # strict descent by the best single-letter conjugation
-        improved = True
-        while improved:
-            improved = False
-            best: Optional[tuple[int, tuple, int]] = None
-            for c in alphabet(rank):
-                c_cost = sum(len(w) for w in _conjugate(c, current))
-                key = (c_cost, letter_key(c))
-                if c_cost < cost and (best is None or key < best[:2]):
-                    best = (c_cost, letter_key(c), c)
-            if best is not None:
-                current = _conjugate(best[2], current)
-                cost = best[0]
-                improved = True
-        # walk the equal-cost plateau toward the lexicographically least tuple
-        seen = {current}
-        queue = [current]
-        lower: Optional[tuple] = None
-        while queue and len(seen) <= _PLATEAU_CAP and lower is None:
-            phi = queue.pop()
-            for c in alphabet(rank):
-                psi = _conjugate(c, phi)
-                psi_cost = sum(len(w) for w in psi)
-                if psi_cost < cost:
-                    lower = psi
-                    break
-                if psi_cost == cost and psi not in seen:
-                    seen.add(psi)
-                    queue.append(psi)
-        if lower is None:
-            return tuple(Word(w) for w in min(seen, key=_tuple_sort_key))
-        current = lower
-        cost = sum(len(w) for w in current)
+    cost = _cost(current)
+    # strict descent reaches a global minimum (canonical_out_key)
+    improved = True
+    while improved:
+        improved = False
+        for c in alphabet(rank):
+            psi = _conjugate(c, current)
+            if _cost(psi) < cost:
+                current, cost, improved = psi, _cost(psi), True
+    # the minimizers are the equal-cost plateau around it
+    seen = {current}
+    queue = [current]
+    while queue:
+        phi = queue.pop()
+        for c in alphabet(rank):
+            psi = _conjugate(c, phi)
+            if psi not in seen and _cost(psi) == cost:
+                seen.add(psi)
+                queue.append(psi)
+    return tuple(Word(w) for w in min(seen, key=_tuple_sort_key))
 
 
 def spectrum(
@@ -212,9 +198,8 @@ def spectrum(
     """Exact lengths of all compositions of up to max_factors generators.
 
     Generators are the signed permutations plus all second-kind moves.
-    Classes are merged by the conjugation normal form, which never merges
-    distinct classes, so the value set is exact and multiplicities count
-    normal forms.
+    Maps are merged by the conjugation normal form, a class invariant, so
+    multiplicities count maps up to inner automorphisms.
     """
     if max_factors < 1:
         raise InputError("max_factors must be at least 1")

@@ -166,15 +166,6 @@ def is_prefix(u: Sequence[int], v: Sequence[int]) -> bool:
     return len(u) <= len(v) and tuple(v[: len(u)]) == tuple(u)
 
 
-def extensions(w: Sequence[int], k: int) -> Iterator[Word]:
-    """Reduced one-letter extensions of w, in canonical letter order."""
-    last = w[-1] if w else 0
-    base = tuple(w)
-    for c in alphabet(k):
-        if c != -last:
-            yield Word(base + (c,))
-
-
 def extension_letters(w: Sequence[int], k: int) -> list[int]:
     last = w[-1] if w else 0
     return [c for c in alphabet(k) if c != -last]

@@ -11,6 +11,7 @@ and every decision is asserted to be unanimous over the whole frontier.
 atom; it is the reference for the engine's closed-form atom families.
 `pair_mass_by_pairs` sums pair masses one pair at a time through
 `mu.eval`; it is the reference for the engine's prefix-tree walk.
+`covers_boundary` decides covering by uniform mass, not by coalescing.
 """
 
 from fractions import Fraction
@@ -18,7 +19,14 @@ from typing import Optional
 
 from stretchfactor import Word, uniform_measure
 from stretchfactor.boundary import CylinderPartition, canonical_words
-from stretchfactor.words import all_words, alphabet, concat, extension_letters, inverse
+from stretchfactor.words import (
+    all_words,
+    alphabet,
+    concat,
+    extension_letters,
+    inverse,
+    is_prefix,
+)
 
 CELL_DEPTH = 4
 FRONTIER = 12
@@ -149,3 +157,20 @@ def pair_mass_by_pairs(mu, p1, p2):
         for w2 in p2.words:
             total += mu.eval(concat(left, w2))
     return total
+
+
+def covers_boundary(rank, words):
+    """True iff the cylinders are nonempty, pairwise disjoint and cover the boundary.
+
+    The complement of finitely many cylinders is a finite union of
+    cylinders, so disjoint cylinders cover exactly when their uniform
+    masses sum to one.
+    """
+    words = [tuple(w) for w in words]
+    if not all(words):
+        return False
+    for i, p in enumerate(words):
+        if any(i != j and is_prefix(p, q) for j, q in enumerate(words)):
+            return False
+    mu = uniform_measure(rank)
+    return sum((mu.eval(w) for w in words), Fraction(0)) == 1

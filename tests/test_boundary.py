@@ -1,6 +1,4 @@
-import json
 import random
-import re
 from fractions import Fraction as F
 
 import pytest
@@ -36,12 +34,17 @@ from stretchfactor.boundary import (
     _atom_depth1,
     _pair_mass,
     canonical_words,
-    covers_boundary,
 )
 from stretchfactor.words import all_words, alphabet, extension_letters, format_word, random_reduced
 
 from conftest import is_atom, nielsen, random_composition, sample_measures
-from oracles import brute_depth1, brute_preimage_mass, pair_mass_by_pairs, sweep_depth1
+from oracles import (
+    brute_depth1,
+    brute_preimage_mass,
+    covers_boundary,
+    pair_mass_by_pairs,
+    sweep_depth1,
+)
 
 
 def w(text):
@@ -416,69 +419,25 @@ def test_budget_limits_are_honest(nielsen_map):
         preimage_partition(nielsen_map, w("ab"), budget=3, cache=PartitionCache())
 
 
-def test_partition_cache_round_trip(tmp_path, nielsen_map):
+def test_partition_cache_hit_equals_recomputation(nielsen_map):
     cache = PartitionCache()
     part = preimage_partition(nielsen_map, w("ab"), cache=cache)
-    cache.save(str(tmp_path))
-    fresh = PartitionCache()
-    fresh.load(str(tmp_path))
-    cached = fresh.partitions[(nielsen_map.key(), w("ab"))]
-    assert cached.words == part.words
-    # cache hits are bit-identical to recomputation
+    # an equal map built separately finds the entry: keys are maps, not objects
+    assert cache.partitions[(nielsen(), w("ab"))] is part
+    assert preimage_partition(nielsen(), w("ab"), cache=cache) is part
     again = preimage_partition(nielsen_map, w("ab"), cache=PartitionCache())
-    assert again.words == part.words
+    assert again == part
 
 
-def _saved_cache_doc(tmp_path, auto, targets):
-    cache = PartitionCache()
-    for u in targets:
-        preimage_partition(auto, w(u), cache=cache)
-    cache.save(str(tmp_path))
-    return json.loads((tmp_path / "partitions.json").read_text())
-
-
-def test_partition_cache_keeps_each_rank(tmp_path):
+def test_partition_cache_keeps_each_rank():
     # Rank-3 'a' has preimage {aa, ab, aB}, which rank-2 coalescing would
-    # wrongly merge into {a}; each entry is read at its own map's rank.
+    # wrongly merge into {a}; one cache serves both ranks.
     rank3 = parse_generator_expression(3, "W2[a; c:CONJ]")
     cache = PartitionCache()
     part3 = preimage_partition(rank3, w("a"), cache=cache)
     part2 = preimage_partition(nielsen(), w("ab"), cache=cache)
     assert part3.words == words("aa", "ab", "aB")
-    cache.save(str(tmp_path))
-    fresh = PartitionCache()
-    fresh.load(str(tmp_path))
-    assert fresh.partitions[(rank3.key(), w("a"))] == part3
-    assert fresh.partitions[(nielsen().key(), w("ab"))] == part2
-
-
-def _drop_version(doc):
-    del doc["version"]
-
-
-def _future_version(doc):
-    doc["version"] = 2
-
-
-def _reorder_family(doc):
-    # nielsen^-1(Cyl a) = {aa, ab}: the same set, out of canonical order
-    doc["partitions"]["a->a,b->ba|a"] = ["ab", "aa"]
-
-
-def _break_depth1_cover(doc):
-    # nielsen^-1(Cyl b) = {b}; {bb} is canonical but leaves a hole
-    doc["partitions"]["a->a,b->ba|b"] = ["bb"]
-
-
-@pytest.mark.parametrize(
-    "edit", [_drop_version, _future_version, _reorder_family, _break_depth1_cover]
-)
-def test_partition_cache_rejects_edits(tmp_path, edit):
-    doc = _saved_cache_doc(tmp_path, nielsen(), ["a", "A", "b", "B", "ab"])
-    fresh = PartitionCache()
-    fresh.load(str(tmp_path))  # the unedited file loads
-    edit(doc)
-    path = tmp_path / "partitions.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(InputError, match=re.escape(repr(str(path)))):
-        PartitionCache().load(str(tmp_path))
+    assert part2 == preimage_partition(nielsen(), w("ab"), cache=PartitionCache())
+    assert cache.partitions[(rank3, w("a"))] == part3
+    assert cache.partitions[(nielsen(), w("ab"))] == part2
+    assert preimage_partition(rank3, w("a"), cache=cache) is part3

@@ -49,7 +49,7 @@ def test_budget_exhaustion_exit_code():
     code, _ = invoke(
         [
             "preimage", "--rank", "2", "--map", "W2[a; b:RIGHT]",
-            "--target", "ab", "--budget", "3", "--no-cache",
+            "--target", "ab", "--budget", "3",
         ]
     )
     assert code == 3
@@ -91,20 +91,16 @@ def test_factorize_output():
     assert "lengths = 1/1, 7/6" in out
 
 
-def test_spectrum_csv(tmp_path):
-    target = tmp_path / "spec.csv"
+def test_spectrum_csv():
     code, out = invoke(
-        [
-            "spectrum", "--rank", "2", "--max-factors", "1",
-            "--format", "csv", "--emit", str(target),
-        ]
+        ["spectrum", "--rank", "2", "--max-factors", "1", "--format", "csv"]
     )
     assert code == 0
-    lines = target.read_text().splitlines()
-    assert lines[0] == "length_num,length_den,multiplicity,representative"
-    assert lines[1].startswith("1,1,")
-    assert lines[2].startswith("7,6,")
-    assert out.splitlines() == lines
+    assert out.splitlines() == [
+        "length_num,length_den,multiplicity,representative",
+        '1,1,8,"a,b"',
+        '7,6,4,"a,ab"',
+    ]
 
 
 def test_check_current_markov(tmp_path):
@@ -124,6 +120,16 @@ def test_check_current_rational():
     )
     assert code == 0
     assert "consistency depth 3 = pass" in out
+
+
+@pytest.mark.parametrize("measure", ["uniform", "rational:aab"])
+def test_check_current_json(measure):
+    code, out = invoke(
+        ["check-current", "--rank", "2", "--measure", measure, "--depth", "3",
+         "--format", "json"]
+    )
+    assert code == 0
+    assert json.loads(out) == {"consistency": True}
 
 
 def test_selftest_passes():
@@ -157,19 +163,6 @@ def test_selftest_checks_survive_optimize_flag(mode, fails):
     )
     assert (result.returncode != 0) == fails, result.stderr
     assert ("selftest passed" in result.stdout) != fails
-
-
-def test_cache_dir_round_trip(tmp_path):
-    argv = [
-        "preimage", "--rank", "2", "--map", "W2[a; b:RIGHT]", "--target", "ab",
-        "--cache-dir", str(tmp_path),
-    ]
-    code, first = invoke(argv)
-    assert code == 0
-    assert (tmp_path / "partitions.json").exists()
-    code, second = invoke(argv)
-    assert code == 0
-    assert first == second
 
 
 def test_word_parse_error():
@@ -267,14 +260,6 @@ def test_missing_markov_file_is_input_error(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
-def test_corrupt_cache_file_is_input_error(tmp_path):
-    (tmp_path / "partitions.json").write_text("{not json")
-    code, _ = invoke(
-        ["length", "--rank", "2", "--map", "W2[a; b:RIGHT]", "--cache-dir", str(tmp_path)]
-    )
-    assert code == 2
-
-
 def test_engine_value_error_is_not_an_input_error(monkeypatch):
     from stretchfactor import cli
 
@@ -313,3 +298,33 @@ def test_node_counts_are_pinned(rank, expression, nodes):
     code, out = invoke(["length", "--rank", str(rank), "--map", expression])
     assert code == 0
     assert f"nodes = {nodes}" in out.splitlines()
+
+
+_MAP = ["--map", "W2[a; b:RIGHT]"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["length", *_MAP, "--no-cache"],
+        ["length", *_MAP, "--cache-dir", "cache"],
+        ["estimate", *_MAP, "--budget", "5"],
+        ["estimate", *_MAP, "--reduce"],
+        ["recenter", *_MAP, "--reduce"],
+        ["factorize", *_MAP, "--reduce"],
+        ["spectrum", "--reduce"],
+        ["spectrum", "--emit", "spectrum.csv"],
+        ["check-current", "--measure", "uniform", "--budget", "5"],
+        ["selftest", "--budget", "5"],
+        ["selftest", "--reduce"],
+        ["selftest", "--format", "json"],
+    ],
+    ids=lambda argv: f"{argv[0]} {[a for a in argv if a.startswith('--')][-1]}",
+)
+def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch):
+    # a command takes only the options it reads; anything else exits 2
+    monkeypatch.chdir(tmp_path)
+    code, out = invoke([argv[0], "--rank", "2", *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert not any(tmp_path.iterdir())

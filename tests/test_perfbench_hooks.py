@@ -43,9 +43,9 @@ def test_benchmark_hooks_find_every_layer():
     # the frontier sweep left the engine; every other hook target is found
     assert doc["absent"] == ["stretchfactor.boundary:_frontier_depth"]
     calls = doc["calls"]
-    # rank 2: 4 letters x 3 pairs per eta_length, spans labelled by mu.kind
-    assert calls["boundary.pair_mass.uniform"] == 12
-    assert calls["boundary.pair_mass.generic"] == 24
+    # rank 2: one pair sum per letter per eta_length, spans labelled by mu.kind
+    assert calls["boundary.pair_mass.uniform"] == 4
+    assert calls["boundary.pair_mass.generic"] == 8
     assert calls["length.eta_length"] == 3
     # pair sums read the measure's automaton, not eval
     assert "measures.eval" not in calls

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stretchfactor import (
     canonical_out_key,
@@ -17,7 +18,9 @@ from stretchfactor import (
     parse_word,
     spectrum,
 )
+from stretchfactor.words import random_reduced
 
+from conftest import random_composition
 
 
 def w(text):
@@ -89,6 +92,20 @@ def test_canonical_out_key_examples(nielsen_map):
         assert canonical_out_key(conj(nielsen_map, w(text))) == canonical_out_key(
             nielsen_map
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 4),
+    v_len=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_canonical_out_key_is_a_conjugation_invariant(rank, n_factors, v_len, seed):
+    rng = random.Random(seed)
+    phi = random_composition(rank, n_factors, rng)
+    v = random_reduced(v_len, rank, rng)
+    assert canonical_out_key(conj(phi, v)) == canonical_out_key(phi)
 
 
 def test_spectrum_one_factor():
