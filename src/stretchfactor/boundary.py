@@ -6,7 +6,7 @@ finite prefix-free family of cylinders whose union is exactly
 values, exact lengths, recentering) reduces to these partitions plus
 exact rational arithmetic.
 
-Four facts drive the computation:
+Five facts drive the computation:
 
 * Closed-form atom families.  Every map factors into atoms, whose
   depth-1 preimage families are explicit.  A signed permutation sigma
@@ -43,11 +43,21 @@ Four facts drive the computation:
   so each edge of one prefix tree carries a row, each edge of the other
   a column, each summed over its subtree, and one walk of both trees
   gives the whole sum.
+
+* Canonical partitions are tries.  A partition is stored as the prefix
+  tree that canonicalization builds (labels checked for disjointness,
+  complete sibling sets coalesced; the path every label shares is kept
+  as a tuple, not one dict per letter), and every reader uses it as it
+  is: assembly and translation iterate its leaves, the pair-sum walk
+  reads it directly and containment is one descent.  The shortlex-sorted
+  word tuple is built on first request, for output, keys and tests only.
+  Leaf order never matters inside the engine: the pair sum is an integer
+  sum over pairs of leaves, and every family built from leaves is
+  canonicalized again into the same trie whatever their order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -59,11 +69,10 @@ from .words import (
     Word,
     alphabet,
     all_words,
-    concat,
+    cancellation,
     extension_letters,
     format_word,
     inverse,
-    is_prefix,
     word_key,
 )
 
@@ -96,87 +105,155 @@ class Budget:
             )
 
 
-@dataclass(frozen=True)
 class CylinderPartition:
-    """Canonical prefix-free family of nonempty cylinder labels."""
+    """A disjoint family of nonempty cylinders, stored as its canonical trie.
 
-    rank: int
-    words: tuple[Word, ...]
+    The canonical trie is the prefix tree of the labels with complete
+    sibling sets coalesced: nested dicts keyed by letter, whose leaves
+    hold their label Word.  Its single-child path from the root is kept
+    as the tuple `stem` and the tree below it as `trie` (see
+    `canonical_words`): translated families share long prefixes, and a
+    dict per shared letter would outweigh the labels.  Two partitions are equal when their label sets are, and comparing
+    stems and tries decides that without sorting.  `leaves` lists the
+    labels in trie order and `words` in shortlex order; both are built
+    on first use and kept, and only output, keys and tests read `words`.
+    """
+
+    __slots__ = ("rank", "stem", "trie", "_leaves", "_words")
+
+    def __init__(self, rank: int, stem: tuple, trie: dict):
+        self.rank = rank
+        self.stem = stem
+        self.trie = trie
+        self._leaves: Optional[tuple[Word, ...]] = None
+        self._words: Optional[tuple[Word, ...]] = None
 
     @classmethod
     def from_words(cls, rank: int, words: Iterable[Sequence[int]]) -> "CylinderPartition":
-        return cls(rank, canonical_words(rank, words))
+        return cls(rank, *canonical_words(rank, words))
+
+    def root(self) -> dict:
+        """The whole canonical trie, the stem expanded to one dict per letter."""
+        node = self.trie
+        for c in reversed(self.stem):
+            node = {c: node}
+        return node
+
+    @property
+    def leaves(self) -> tuple[Word, ...]:
+        if self._leaves is None:
+            out: list[Word] = []
+            _collect(self.trie, out)
+            self._leaves = tuple(out)
+        return self._leaves
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        if self._words is None:
+            self._words = tuple(sorted(self.leaves, key=word_key))
+        return self._words
 
     def contains_cylinder(self, w: Sequence[int]) -> bool:
         # Canonical families have no complete sibling sets, so Cyl(w) lies in
-        # the union iff some member is a prefix of w.
-        return any(is_prefix(p, w) for p in self.words)
+        # the union iff the descent along w reaches a leaf.
+        n = len(self.stem)
+        if tuple(w[:n]) != self.stem:
+            return False
+        node = self.trie
+        for c in w[n:]:
+            node = node.get(c)
+            if type(node) is not dict:
+                return node is not None
+        return False
 
     def __iter__(self):
         return iter(self.words)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.leaves)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CylinderPartition):
+            return NotImplemented
+        return (self.rank, self.stem, self.trie) == (other.rank, other.stem, other.trie)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.words))
+
+    def __repr__(self) -> str:
+        return f"CylinderPartition(rank={self.rank}, words={self.words!r})"
 
 
-def canonical_words(rank: int, words: Iterable[Sequence[int]]) -> tuple[Word, ...]:
-    """Sort, check pairwise disjointness, coalesce complete sibling families."""
-    root = _trie(words)
-    if not root:
-        return ()
-    if _collapse(root, rank, 0):
-        raise InputError("partition coalesces to the full boundary")
-    out: list[Word] = []
-    _collect(root, (), out)
-    out.sort(key=word_key)
-    return tuple(out)
+def canonical_words(rank: int, words: Iterable[Sequence[int]]) -> tuple[tuple, dict]:
+    """Canonical trie of a disjoint family, as (stem, trie below the stem).
+
+    Labels are checked for overlaps and complete sibling sets coalesced.
+    The stem is the labels' common prefix, short of the last letter of
+    the shortest, so the tree below it branches at its root or holds a
+    lone label.
+    """
+    words = [w if isinstance(w, Word) else Word(w) for w in words]
+    if not words:
+        return (), {}
+    # the common prefix of all labels is that of the least and the greatest
+    shortest = min(map(len, words))
+    lo, hi = min(words), max(words)
+    n = 0
+    while n < shortest - 1 and lo[n] == hi[n]:
+        n += 1
+    stem = lo[:n]
+    root = _trie(words, len(stem))
+    if _collapse(root, rank, stem):
+        if not stem:
+            raise InputError("partition coalesces to the full boundary")
+        # the labels fill Cyl(stem), which is one leaf a level up
+        return stem[:-1], {stem[-1]: Word(stem)}
+    return stem, root
 
 
-_MISSING = object()
+def _trie(words: Iterable[Word], start: int) -> dict:
+    """Prefix tree of disjoint nonempty labels below their first `start` letters.
 
-
-def _trie(words: Iterable[Sequence[int]]) -> dict:
-    """Prefix tree of disjoint nonempty labels: nested dicts, None at the leaves.
-
-    Raises InputError naming a word whose cylinder overlaps an earlier one.
+    Nested dicts keyed by letter, each leaf the label Word.  Raises
+    InputError naming a word whose cylinder overlaps an earlier one.
     """
     root: dict = {}
     for w in words:
         if not w:
             raise InputError("partition labels must be nonempty")
         node = root
-        for c in w[:-1]:
-            nxt = node.get(c, _MISSING)
+        for c in w[start:-1]:
+            nxt = node.get(c)
             if nxt is None:
-                raise InputError(f"overlapping cylinders at {format_word(w)!r}")
-            if nxt is _MISSING:
                 node[c] = nxt = {}
+            elif type(nxt) is not dict:
+                raise InputError(f"overlapping cylinders at {format_word(w)!r}")
             node = nxt
         if w[-1] in node:
             raise InputError(f"overlapping cylinders: {format_word(w)!r} collides")
-        node[w[-1]] = None
+        node[w[-1]] = w
     return root
 
 
-def _collapse(node: dict, rank: int, depth: int) -> bool:
+def _collapse(node: dict, rank: int, prefix: tuple) -> bool:
     complete = True
     for c in list(node):
         child = node[c]
-        if child is not None:
-            if _collapse(child, rank, depth + 1):
-                node[c] = None
+        if type(child) is dict:
+            if _collapse(child, rank, prefix + (c,)):
+                node[c] = Word(prefix + (c,))
             else:
                 complete = False
-    needed = 2 * rank if depth == 0 else 2 * rank - 1
+    needed = 2 * rank if not prefix else 2 * rank - 1
     return complete and len(node) == needed
 
 
-def _collect(node: dict, prefix: tuple, out: list[Word]) -> None:
-    for c, child in node.items():
-        if child is None:
-            out.append(Word(prefix + (c,)))
+def _collect(node: dict, out: list[Word]) -> None:
+    for child in node.values():
+        if type(child) is dict:
+            _collect(child, out)
         else:
-            _collect(child, prefix + (c,), out)
+            out.append(child)
 
 
 # -- exact translation of cylinder unions ---------------------------------
@@ -185,32 +262,33 @@ def _collect(node: dict, prefix: tuple, out: list[Word]) -> None:
 def translate_cylinder(f: Sequence[int], v: Sequence[int], rank: int) -> list[Word]:
     """The set f * Cyl(v) as disjoint cylinders.
 
-    A single cylinder Cyl(reduce(f v)) unless v is a prefix of f^-1, in
-    which case Cyl(v) splits into children first.  Accepts the empty v
-    (the whole boundary).
+    A single cylinder Cyl(reduce(f v)) unless v is a prefix of f^-1, that
+    is, unless f cancels all of v, in which case Cyl(v) splits into
+    children first.  Accepts the empty v (the whole boundary).
     """
-    fi = inverse(f)
+    f = f if isinstance(f, Word) else Word(f)
+    n = len(f)
     out: list[Word] = []
-    stack = [Word(v)]
+    stack = [v if isinstance(v, Word) else Word(v)]
     while stack:
         u = stack.pop()
-        if is_prefix(u, fi):
-            base = tuple(u)
-            for c in extension_letters(u, rank):
-                stack.append(Word(base + (c,)))
+        c = cancellation(f, u)
+        if c == len(u):
+            for x in extension_letters(u, rank):
+                stack.append(Word(u + (x,)))
         else:
-            out.append(concat(f, u))
+            out.append(Word(f[: n - c] + u[c:]))
     return out
 
 
 def translate_union(
     f: Sequence[int], words: Iterable[Sequence[int]], rank: int
 ) -> tuple[Word, ...]:
-    """Canonical form of f * (disjoint union of cylinders)."""
+    """Canonical form of f * (disjoint union of cylinders), in shortlex order."""
     pieces: list[Word] = []
     for w in words:
         pieces.extend(translate_cylinder(f, w, rank))
-    return canonical_words(rank, pieces)
+    return CylinderPartition.from_words(rank, pieces).words
 
 
 # -- partition cache -------------------------------------------------------
@@ -219,14 +297,17 @@ def translate_union(
 class PartitionCache:
     """In-memory partitions, owned by the caller and keyed by the map.
 
-    `families` maps an Automorphism to its depth-1 preimage families and
+    `families` maps an Automorphism to its depth-1 preimage families,
     `partitions` maps (Automorphism, target word) to a preimage
-    partition; maps hash and compare by rank and forward images.
+    partition and `unions` maps (Automorphism, letter u) to the union of
+    the families of the other letters; maps hash and compare by rank and
+    forward images.
     """
 
     def __init__(self):
         self.families: dict[Automorphism, dict[int, CylinderPartition]] = {}
         self.partitions: dict[tuple[Automorphism, Word], CylinderPartition] = {}
+        self.unions: dict[tuple[Automorphism, int], CylinderPartition] = {}
 
 
 def _resolve(budget: Optional[int | Budget], cache: Optional[PartitionCache]):
@@ -310,8 +391,8 @@ def _family_from_factors(
     fam: dict[int, CylinderPartition] = {}
     for y in alphabet(head.rank):
         pieces: list[Word] = []
-        for w in head_fam[y].words:
-            pieces.extend(_preimage(rest, w, budget, cache).words)
+        for w in head_fam[y].leaves:
+            pieces.extend(_preimage(rest, w, budget, cache).leaves)
         budget.spend(len(pieces))
         fam[y] = CylinderPartition.from_words(head.rank, pieces)
     return fam
@@ -334,7 +415,7 @@ def _preimage(
         for z in alphabet(auto.rank):
             if z == ell:
                 continue
-            for w in fam[z].words:
+            for w in fam[z].leaves:
                 pieces.extend(translate_cylinder(g, w, auto.rank))
         budget.spend(len(pieces))
         part = CylinderPartition.from_words(auto.rank, pieces)
@@ -361,7 +442,7 @@ def preimage_partition(
 
 
 def partition_mass(mu: FrequencyMeasure, part: CylinderPartition) -> Fraction:
-    return sum((mu.eval(w) for w in part.words), ZERO)
+    return sum((mu.eval(w) for w in part.leaves), ZERO)
 
 
 def stable_prefix(
@@ -414,11 +495,11 @@ def _pair_mass(
     family, so a pair splitting at depth d counts E D^(h1+h2-2d-1) times
     its mass, and D^(2d) brings it to the denominator E D^(h1+h2-1).
     """
-    if not p1.words or not p2.words:
+    if not p1.trie or not p2.trie:
         return ZERO
     e, d, init, step = mu.chain
-    h1 = max(map(len, p1.words))
-    h2 = max(map(len, p2.words))
+    h1 = max(map(len, p1.leaves))
+    h2 = max(map(len, p2.leaves))
     power = [d**i for i in range(2 * max(h1, h2))]
     total = 0
 
@@ -431,9 +512,10 @@ def _pair_mass(
         same = 0
         for x, c1 in n1.items():
             c2 = n2.get(x, {})
-            if c2 is None or (c1 is None and x in n2):
+            leaf = type(c1) is not dict
+            if type(c2) is not dict or (leaf and x in n2):
                 raise AssertionError("comparable cylinders across disjoint partitions")
-            if c1 is None:
+            if leaf:
                 row = {s: q * power[h1 - depth - 1] for s, q in init[-x].items()}
             else:
                 below1, below2 = walk(c1, c2, depth + 1)
@@ -445,7 +527,7 @@ def _pair_mass(
             _add(rows, row)
         for y, c2 in n2.items():
             if y not in n1:
-                if c2 is None:
+                if type(c2) is not dict:
                     below2 = {t: power[h2 - depth - 1] for _, t in step[y]}
                 else:
                     below2 = walk({}, c2, depth + 1)[1]
@@ -453,8 +535,9 @@ def _pair_mass(
         total += (_dot(rows, cols) - same) * power[2 * depth]
         return rows, cols
 
-    walk(_trie(p1.words), _trie(p2.words), 0)
+    walk(p1.root(), p2.root(), 0)
     return Fraction(total, e * power[h1 + h2 - 1])
+
 
 
 # Vectors are dicts state -> int, matrices dicts (from, to) -> int.
@@ -498,7 +581,8 @@ def pushforward_current_value(
     Cyl[1,u] splits into products Cyl(a) x Cyl(u) over letters a other
     than the first letter of u.  Their preimage families are disjoint and
     pair sums are bilinear, so the value is one exact pair sum between
-    the union of those families and the preimage of Cyl(u).
+    the union of those families, kept in the cache for (phi, u_1), and
+    the preimage of Cyl(u).
     """
     u = Word(u)
     if not u:
@@ -506,9 +590,12 @@ def pushforward_current_value(
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
     p_u = _preimage(auto, u, budget, cache)
-    others = CylinderPartition.from_words(
-        auto.rank, (w for a, part in fam.items() if a != u[0] for w in part.words)
-    )
+    others = cache.unions.get((auto, u[0]))
+    if others is None:
+        others = CylinderPartition.from_words(
+            auto.rank, (w for a, part in fam.items() if a != u[0] for w in part.leaves)
+        )
+        cache.unions[auto, u[0]] = others
     return _pair_mass(mu, others, p_u)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .automorphisms import identity, inner, make_automorphism
 from .boundary import (
-    canonical_words,
+    CylinderPartition,
     depth1_profile,
     preimage_partition,
     translate_union,
@@ -126,7 +126,7 @@ def run_selftest(rank: int, depth: int) -> int:
                 for c in extension_letters(u, k)
                 for w in preimage_partition(auto, Word(tuple(u) + (c,))).words
             ]
-            _check(canonical_words(k, pieces) == whole.words, "refinement", auto.key(), u)
+            _check(CylinderPartition.from_words(k, pieces) == whole, "refinement", auto.key(), u)
     print(f"ok preimage partitions for {len(family)} maps: exact masses and refinement")
 
     report = criterion_check(uniform_as_markov(k))

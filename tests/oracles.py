@@ -12,20 +12,25 @@ atom; it is the reference for the engine's closed-form atom families.
 `pair_mass_by_pairs` sums pair masses one pair at a time through
 `mu.eval`; it is the reference for the engine's prefix-tree walk.
 `covers_boundary` decides covering by uniform mass, not by coalescing.
+`canonical_words_by_sort` is the engine's former canonical form: build a
+prefix tree, coalesce, flatten to words and sort; it is the reference
+for the canonical tries that partitions now keep.
 """
 
 from fractions import Fraction
 from typing import Optional
 
-from stretchfactor import Word, uniform_measure
-from stretchfactor.boundary import CylinderPartition, canonical_words
+from stretchfactor import InputError, Word, uniform_measure
+from stretchfactor.boundary import CylinderPartition
 from stretchfactor.words import (
     all_words,
     alphabet,
     concat,
     extension_letters,
+    format_word,
     inverse,
     is_prefix,
+    word_key,
 )
 
 CELL_DEPTH = 4
@@ -89,7 +94,7 @@ def brute_depth1(auto, frontier=FRONTIER):
         if len(firsts) != 1:
             return None
         buckets.setdefault(firsts.pop(), []).append(cell)
-    return {y: canonical_words(auto.rank, ws) for y, ws in buckets.items()}
+    return {y: canonical_words_by_sort(auto.rank, ws) for y, ws in buckets.items()}
 
 
 def brute_preimage_mass(auto, u):
@@ -174,3 +179,63 @@ def covers_boundary(rank, words):
             return False
     mu = uniform_measure(rank)
     return sum((mu.eval(w) for w in words), Fraction(0)) == 1
+
+
+def canonical_words_by_sort(rank, words):
+    """Sort, check pairwise disjointness, coalesce complete sibling families."""
+    root = _trie(words)
+    if not root:
+        return ()
+    if _collapse(root, rank, 0):
+        raise InputError("partition coalesces to the full boundary")
+    out: list[Word] = []
+    _collect(root, (), out)
+    out.sort(key=word_key)
+    return tuple(out)
+
+
+_MISSING = object()
+
+
+def _trie(words):
+    """Prefix tree of disjoint nonempty labels: nested dicts, None at the leaves.
+
+    Raises InputError naming a word whose cylinder overlaps an earlier one.
+    """
+    root: dict = {}
+    for w in words:
+        if not w:
+            raise InputError("partition labels must be nonempty")
+        node = root
+        for c in w[:-1]:
+            nxt = node.get(c, _MISSING)
+            if nxt is None:
+                raise InputError(f"overlapping cylinders at {format_word(w)!r}")
+            if nxt is _MISSING:
+                node[c] = nxt = {}
+            node = nxt
+        if w[-1] in node:
+            raise InputError(f"overlapping cylinders: {format_word(w)!r} collides")
+        node[w[-1]] = None
+    return root
+
+
+def _collapse(node: dict, rank: int, depth: int) -> bool:
+    complete = True
+    for c in list(node):
+        child = node[c]
+        if child is not None:
+            if _collapse(child, rank, depth + 1):
+                node[c] = None
+            else:
+                complete = False
+    needed = 2 * rank if depth == 0 else 2 * rank - 1
+    return complete and len(node) == needed
+
+
+def _collect(node: dict, prefix: tuple, out: list[Word]) -> None:
+    for c, child in node.items():
+        if child is None:
+            out.append(Word(prefix + (c,)))
+        else:
+            _collect(child, prefix + (c,), out)

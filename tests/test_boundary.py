@@ -35,12 +35,21 @@ from stretchfactor.boundary import (
     _pair_mass,
     canonical_words,
 )
-from stretchfactor.words import all_words, alphabet, extension_letters, format_word, random_reduced
+from stretchfactor.selftest import _random_prefix_free
+from stretchfactor.words import (
+    all_words,
+    alphabet,
+    extension_letters,
+    format_word,
+    is_prefix,
+    random_reduced,
+)
 
-from conftest import is_atom, nielsen, random_composition, sample_measures
+from conftest import is_atom, nielsen, random_composition, reversible_markov, sample_measures
 from oracles import (
     brute_depth1,
     brute_preimage_mass,
+    canonical_words_by_sort,
     covers_boundary,
     pair_mass_by_pairs,
     sweep_depth1,
@@ -67,12 +76,54 @@ MAPS = {
 
 
 def test_canonical_words_coalesces_and_sorts():
-    got = canonical_words(2, words("aa", "ab", "aB", "b"))
-    assert got == words("a", "b")
+    got = CylinderPartition.from_words(2, words("aa", "ab", "aB", "b"))
+    assert got.words == words("a", "b")
     with pytest.raises(InputError):
         canonical_words(2, words("a", "ab"))
     with pytest.raises(InputError):
         canonical_words(2, words("a", "b", "A", "B"))
+
+
+def test_canonical_trie_coalesces_a_filled_stem():
+    # every label starts with ab and the three fill Cyl(ab): one label, ab
+    filled = CylinderPartition.from_words(2, words("aba", "abb", "abA"))
+    assert filled == CylinderPartition.from_words(2, words("ab"))
+    assert filled.words == words("ab") and filled.stem == (1,)
+    assert filled.contains_cylinder(w("abA")) and not filled.contains_cylinder(w("a"))
+    shuffled = CylinderPartition.from_words(2, words("bA", "aB", "ba", "bb"))
+    assert shuffled == CylinderPartition.from_words(2, words("aB", "b"))
+
+
+def _assert_matches_sorted_form(rank, family):
+    part = CylinderPartition.from_words(rank, family)
+    expected = canonical_words_by_sort(rank, family)
+    assert part.words == expected
+    assert len(part) == len(expected)
+    probes = {w for m in expected for w in (m, *(m[:i] for i in range(len(m))))}
+    probes |= {m + (c,) for m in expected for c in extension_letters(m, rank)}
+    for probe in probes:
+        linear = any(is_prefix(m, probe) for m in expected)
+        assert part.contains_cylinder(probe) == linear, format_word(probe)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_canonical_trie_matches_sorted_form(rank, seed):
+    rng = random.Random(seed)
+    family = _random_prefix_free(rank, rng)
+    _assert_matches_sorted_form(rank, family)
+    f = random_reduced(rng.randint(1, 3), rank, rng)
+    pieces = [p for x in family for p in translate_cylinder(f, x, rank)]
+    _assert_matches_sorted_form(rank, pieces)
+    # an extension or a proper prefix of a member overlaps it, and is named
+    member = rng.choice(family)
+    if len(member) > 1 and rng.random() < 0.5:
+        extra = Word(member[:-1])
+    else:
+        extra = Word(member + (rng.choice(extension_letters(member, rank)),))
+    for canonical in (CylinderPartition.from_words, canonical_words_by_sort):
+        with pytest.raises(InputError, match=f"'{format_word(extra)}'"):
+            canonical(rank, family + [extra])
 
 
 def test_covers_boundary():
@@ -141,7 +192,7 @@ def test_refinement_coherence(name):
                 for c in extension_letters(u, 2)
                 for piece in preimage_partition(auto, Word(tuple(u) + (c,))).words
             ]
-            assert canonical_words(2, pieces) == whole.words
+            assert CylinderPartition.from_words(2, pieces).words == whole.words
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
@@ -219,6 +270,32 @@ def test_pushforward_table_consistency(nielsen_map):
         assert value == mu.eval(v)
 
 
+def test_pushforward_table_builds_each_union_once(monkeypatch):
+    from stretchfactor import boundary
+
+    auto = parse_generator_expression(3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]")
+    mu = uniform_measure(3)
+    canonical = boundary.canonical_words
+    built = []
+
+    def counting(rank, words):
+        built.append(rank)
+        return canonical(rank, words)
+
+    monkeypatch.setattr(boundary, "canonical_words", counting)
+    targets = [v for n in (1, 2, 3) for v in all_words(n, 3)]
+    cache = PartitionCache()
+    for v in targets:
+        preimage_partition(auto, v, cache=cache)
+    preimages_only = len(built)
+    table = pushforward_table(auto, mu, 3, cache=cache)
+    assert len(table) == len(targets) == 186
+    # one union of the other letters' families per first letter
+    assert len(built) - preimages_only == 6
+    assert sorted(cache.unions) == sorted((auto, a) for a in alphabet(3))
+    assert table == pushforward_table(auto, mu, 3)
+
+
 def test_pair_sum_fast_path_matches_generic(nielsen_map):
     # uniform-as-markov has the uniform values but another automaton for the
     # pair-sum walk: one state per letter instead of a single state
@@ -287,7 +364,7 @@ def test_pair_mass_matches_pairwise_sum_property(rank, n_factors, target_len, se
 
 
 def test_pair_mass_of_empty_or_comparable_families():
-    empty = CylinderPartition(2, ())
+    empty = CylinderPartition.from_words(2, ())
     p1 = CylinderPartition.from_words(2, words("a"))
     p2 = CylinderPartition.from_words(2, words("ab", "b"))
     for mu in sample_measures(2, random.Random(3)):
@@ -379,6 +456,54 @@ def test_sweep_receives_only_small_atoms(monkeypatch):
     # A map that is not an atom has no closed-form family.
     with pytest.raises(AssertionError):
         closed_form(inner(2, w("a")), Budget())
+
+
+def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
+    # Pair sums walk the partitions' stored tries, and no partition is
+    # sorted while a length is computed: shortlex order is for output.
+    import sys
+
+    from stretchfactor import boundary, eta_length, length_exact, markov_measure
+    from stretchfactor import rational_measure, words as words_module
+
+    calls = {"trie": 0, "trie_in_pair_mass": 0, "word_key": 0}
+    in_pair_mass = []
+    trie, pair_mass, word_key = boundary._trie, boundary._pair_mass, words_module.word_key
+
+    def counting_trie(*args):
+        calls["trie"] += 1
+        calls["trie_in_pair_mass"] += bool(in_pair_mass)
+        return trie(*args)
+
+    def flagged_pair_mass(*args):
+        in_pair_mass.append(True)
+        try:
+            return pair_mass(*args)
+        finally:
+            in_pair_mass.pop()
+
+    def counting_word_key(w):
+        calls["word_key"] += 1
+        return word_key(w)
+
+    monkeypatch.setattr(boundary, "_trie", counting_trie)
+    monkeypatch.setattr(boundary, "_pair_mass", flagged_pair_mass)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stretchfactor" and getattr(module, "word_key", None) is word_key:
+            monkeypatch.setattr(module, "word_key", counting_word_key)
+    auto = parse_generator_expression(3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]")
+    length_exact(auto, cache=PartitionCache())
+    for mu in (
+        markov_measure(reversible_markov(3, random.Random(3))),
+        rational_measure(3, w("abC")),
+    ):
+        eta_length(auto, mu, cache=PartitionCache())
+    assert calls["trie"] > 0
+    assert calls["trie_in_pair_mass"] == 0
+    assert calls["word_key"] == 0
+    # the counter is live: output order still sorts
+    assert preimage_partition(auto, w("ab")).words
+    assert calls["word_key"] > 0
 
 
 def _atoms(rank):

@@ -52,20 +52,20 @@ def test_eta_length_examples(nielsen_map):
 
 
 def test_rational_current_oracle_random():
-    rng = random.Random(42)
-    checked = 0
-    while checked < 30:
-        phi = random_composition(2, rng.randrange(1, 4), rng)
-        word = random_reduced(rng.randrange(1, 7), 2, rng)
-        core = word
-        from stretchfactor.words import cyclic_reduce, is_proper_power
+    from stretchfactor.words import cyclic_reduce, is_proper_power
 
-        core = cyclic_reduce(word)[0]
-        if not core or is_proper_power(core):
-            continue
-        mu = rational_measure(2, core)
-        assert eta_length(phi, mu).value == cyclic_length(phi.apply(core))
-        checked += 1
+    rng = random.Random(42)
+    # (rank, most factors, cases)
+    for rank, max_factors, cases in ((2, 3, 30), (3, 3, 20), (4, 2, 12)):
+        checked = 0
+        while checked < cases:
+            phi = random_composition(rank, rng.randrange(1, max_factors + 1), rng)
+            core = cyclic_reduce(random_reduced(rng.randrange(1, 7), rank, rng))[0]
+            if not core or is_proper_power(core):
+                continue
+            mu = rational_measure(rank, core)
+            assert eta_length(phi, mu).value == cyclic_length(phi.apply(core)), (rank, phi.key())
+            checked += 1
 
 
 def test_conjugation_invariance_exact(nielsen_map):

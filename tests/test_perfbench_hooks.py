@@ -26,7 +26,7 @@ for mu in (
     sf.rational_measure(2, sf.parse_word("abAAB")),
 ):
     sf.eta_length(phi, mu, cache=sf.PartitionCache())
-print(json.dumps({"absent": tr.absent, "calls": tr.calls}))
+print(json.dumps({"absent": tr.absent, "calls": tr.calls, "counts": tr.counts}))
 """
 
 
@@ -49,3 +49,20 @@ def test_benchmark_hooks_find_every_layer():
     assert calls["length.eta_length"] == 3
     # pair sums read the measure's automaton, not eval
     assert "measures.eval" not in calls
+    # every engine layer the trace hooks is still on the path, so a
+    # refactor that routes around a hook fails here instead of reading 0
+    for layer in (
+        "boundary.canonical",
+        "boundary.translate",
+        "boundary.preimage",
+        "boundary.family",
+        "boundary.assemble",
+    ):
+        assert calls.get(layer, 0) >= 1, layer
+    counts = doc["counts"]
+    for metric in (
+        "boundary.canonical.words_in",
+        "boundary.translate.pieces",
+        "boundary.pair_mass.generic.pairs",
+    ):
+        assert counts.get(metric, 0) >= 1, metric
