@@ -17,6 +17,7 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
+from operator import neg
 from typing import Optional, Sequence
 
 from .errors import InputError, NotInverseError
@@ -41,14 +42,27 @@ _W2_TYPES = (FIX, RIGHT, LEFT, CONJ)
 
 
 def _substitute(images: tuple[Word, ...], w: Sequence[int]) -> Word:
-    """Reduced image of w under the map sending basis letter i to images[i - 1]."""
+    """Reduced image of w under the map sending basis letter i to images[i - 1].
+
+    Each letter image is reduced, so appending one cancels only a run at
+    the seam: count the run, append the image whole and delete the run
+    from both sides.  Inverse images are lists, made once per call.
+    """
     out: list[int] = []
+    inverses: dict[int, list[int]] = {}
     for x in w:
-        for y in images[x - 1] if x > 0 else [-z for z in reversed(images[-x - 1])]:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
+        img = images[x - 1] if x > 0 else inverses.get(x)
+        if img is None:
+            img = inverses[x] = list(map(neg, reversed(images[-x - 1])))
+        if out and out[-1] == -img[0]:
+            n = len(out)
+            c = 1
+            while c < n and c < len(img) and out[n - 1 - c] == -img[c]:
+                c += 1
+            out += img
+            del out[n - c : n + c]
+        else:
+            out += img
     return Word(out)
 
 
@@ -81,8 +95,8 @@ class Automorphism:
         if len(fwd) != rank or len(bwd) != rank:
             raise InputError("need exactly one image per basis letter")
         self.rank = rank
-        self.fwd = tuple(Word(w) for w in fwd)
-        self.bwd = tuple(Word(w) for w in bwd)
+        self.fwd = tuple(w if type(w) is Word else Word(w) for w in fwd)
+        self.bwd = tuple(w if type(w) is Word else Word(w) for w in bwd)
         for w in self.fwd + self.bwd:
             if not w:
                 raise InputError("automorphism images must be nonempty")

@@ -44,16 +44,19 @@ Five facts drive the computation:
   a column, each summed over its subtree, and one walk of both trees
   gives the whole sum.
 
-* Canonical partitions are tries.  A partition is stored as the prefix
-  tree that canonicalization builds (labels checked for disjointness,
-  complete sibling sets coalesced; the path every label shares is kept
-  as a tuple, not one dict per letter), and every reader uses it as it
-  is: assembly and translation iterate its leaves, the pair-sum walk
-  reads it directly and containment is one descent.  The shortlex-sorted
-  word tuple is built on first request, for output, keys and tests only.
-  Leaf order never matters inside the engine: the pair sum is an integer
-  sum over pairs of leaves, and every family built from leaves is
-  canonicalized again into the same trie whatever their order.
+* Canonical partitions are shared, immutable tries.  A partition is
+  stored as its canonical prefix tree (complete sibling sets coalesced;
+  the path every label shares kept as a tuple, not one dict per letter),
+  and a leaf is a marker whose label is its path.  No trie changes once
+  built, so partitions share subtrees.  Translation grafts: g moves the
+  subtree hanging off the path along g^-1 at depth c, unchanged, under
+  g[:|g|-c], so a preimage builds only the new path along g (a label on
+  the old path is cancelled whole and splits first).  Unions merge:
+  assembly and the union of the other letters' families copy only the
+  nodes two inputs share, and only there can siblings coalesce.  The
+  pair-sum walk reads the tries directly and containment is one
+  descent.  Label words are built from paths on first request, and the
+  shortlex-sorted tuple only for output, keys and tests.
 """
 
 from __future__ import annotations
@@ -105,26 +108,35 @@ class Budget:
             )
 
 
+# A trie leaf.  Its label is the path of letters from the root to it.
+_LEAF = True
+
+
 class CylinderPartition:
     """A disjoint family of nonempty cylinders, stored as its canonical trie.
 
     The canonical trie is the prefix tree of the labels with complete
-    sibling sets coalesced: nested dicts keyed by letter, whose leaves
-    hold their label Word.  Its single-child path from the root is kept
-    as the tuple `stem` and the tree below it as `trie` (see
-    `canonical_words`): translated families share long prefixes, and a
-    dict per shared letter would outweigh the labels.  Two partitions are equal when their label sets are, and comparing
-    stems and tries decides that without sorting.  `leaves` lists the
-    labels in trie order and `words` in shortlex order; both are built
-    on first use and kept, and only output, keys and tests read `words`.
+    sibling sets coalesced: nested dicts keyed by letter, with `_LEAF`
+    at the leaves; a leaf's label is its path.  The single-child path
+    from the root is kept as the tuple `stem` and the tree below it as
+    `trie`: translated families share long prefixes, and a dict per
+    shared letter would outweigh the rest.  Tries are never changed once
+    built, so partitions share subtrees: a graft or a merge copies only
+    the nodes it changes.  `size` is the number of labels, set when the
+    partition is built.  Two partitions are equal when their label sets
+    are, and comparing stems and tries decides that without sorting.
+    `height`, `leaves` (trie order) and `words` (shortlex) are built on
+    first use and kept; only output, keys and tests read `words`.
     """
 
-    __slots__ = ("rank", "stem", "trie", "_leaves", "_words")
+    __slots__ = ("rank", "stem", "trie", "size", "_height", "_leaves", "_words")
 
-    def __init__(self, rank: int, stem: tuple, trie: dict):
+    def __init__(self, rank: int, stem: tuple, trie: dict, size: int):
         self.rank = rank
         self.stem = stem
         self.trie = trie
+        self.size = size
+        self._height: Optional[int] = None
         self._leaves: Optional[tuple[Word, ...]] = None
         self._words: Optional[tuple[Word, ...]] = None
 
@@ -134,16 +146,20 @@ class CylinderPartition:
 
     def root(self) -> dict:
         """The whole canonical trie, the stem expanded to one dict per letter."""
-        node = self.trie
-        for c in reversed(self.stem):
-            node = {c: node}
-        return node
+        return _chain(self.stem, self.trie)
+
+    @property
+    def height(self) -> int:
+        """Length of the longest label; 0 for the empty family."""
+        if self._height is None:
+            self._height = len(self.stem) + _depth(self.trie)
+        return self._height
 
     @property
     def leaves(self) -> tuple[Word, ...]:
         if self._leaves is None:
             out: list[Word] = []
-            _collect(self.trie, out)
+            _collect(self.trie, self.stem, out)
             self._leaves = tuple(out)
         return self._leaves
 
@@ -153,24 +169,28 @@ class CylinderPartition:
             self._words = tuple(sorted(self.leaves, key=word_key))
         return self._words
 
-    def contains_cylinder(self, w: Sequence[int]) -> bool:
-        # Canonical families have no complete sibling sets, so Cyl(w) lies in
-        # the union iff the descent along w reaches a leaf.
+    def label_prefix(self, w: Sequence[int]) -> int:
+        """Length of the label that is a prefix of w, or 0 if none is."""
         n = len(self.stem)
         if tuple(w[:n]) != self.stem:
-            return False
+            return 0
         node = self.trie
-        for c in w[n:]:
-            node = node.get(c)
+        for i in range(n, len(w)):
+            node = node.get(w[i])
             if type(node) is not dict:
-                return node is not None
-        return False
+                return i + 1 if node is not None else 0
+        return 0
+
+    def contains_cylinder(self, w: Sequence[int]) -> bool:
+        # Canonical families have no complete sibling sets, so Cyl(w) lies in
+        # the union iff a label is a prefix of w.
+        return self.label_prefix(w) > 0
 
     def __iter__(self):
         return iter(self.words)
 
     def __len__(self) -> int:
-        return len(self.leaves)
+        return self.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CylinderPartition):
@@ -184,8 +204,8 @@ class CylinderPartition:
         return f"CylinderPartition(rank={self.rank}, words={self.words!r})"
 
 
-def canonical_words(rank: int, words: Iterable[Sequence[int]]) -> tuple[tuple, dict]:
-    """Canonical trie of a disjoint family, as (stem, trie below the stem).
+def canonical_words(rank: int, words: Iterable[Sequence[int]]) -> tuple[tuple, dict, int]:
+    """Canonical trie of a disjoint family, as (stem, trie below the stem, size).
 
     Labels are checked for overlaps and complete sibling sets coalesced.
     The stem is the labels' common prefix, short of the last letter of
@@ -194,27 +214,28 @@ def canonical_words(rank: int, words: Iterable[Sequence[int]]) -> tuple[tuple, d
     """
     words = [w if isinstance(w, Word) else Word(w) for w in words]
     if not words:
-        return (), {}
+        return (), {}, 0
     # the common prefix of all labels is that of the least and the greatest
     shortest = min(map(len, words))
     lo, hi = min(words), max(words)
     n = 0
     while n < shortest - 1 and lo[n] == hi[n]:
         n += 1
-    stem = lo[:n]
-    root = _trie(words, len(stem))
-    if _collapse(root, rank, stem):
+    stem = tuple(lo[:n])
+    root = _trie(words, n)
+    size = _collapse(root, rank)
+    if _complete(root, 2 * rank if not stem else 2 * rank - 1):
         if not stem:
             raise InputError("partition coalesces to the full boundary")
         # the labels fill Cyl(stem), which is one leaf a level up
-        return stem[:-1], {stem[-1]: Word(stem)}
-    return stem, root
+        return stem[:-1], {stem[-1]: _LEAF}, 1
+    return stem, root, size
 
 
 def _trie(words: Iterable[Word], start: int) -> dict:
     """Prefix tree of disjoint nonempty labels below their first `start` letters.
 
-    Nested dicts keyed by letter, each leaf the label Word.  Raises
+    Nested dicts keyed by letter, `_LEAF` at the leaves.  Raises
     InputError naming a word whose cylinder overlaps an earlier one.
     """
     root: dict = {}
@@ -231,29 +252,168 @@ def _trie(words: Iterable[Word], start: int) -> dict:
             node = nxt
         if w[-1] in node:
             raise InputError(f"overlapping cylinders: {format_word(w)!r} collides")
-        node[w[-1]] = w
+        node[w[-1]] = _LEAF
     return root
 
 
-def _collapse(node: dict, rank: int, prefix: tuple) -> bool:
-    complete = True
-    for c in list(node):
-        child = node[c]
+def _collapse(node: dict, rank: int) -> int:
+    """Coalesce the complete sibling sets below a node; its leaf count after."""
+    count = 0
+    for c, child in node.items():
+        n = 1
         if type(child) is dict:
-            if _collapse(child, rank, prefix + (c,)):
-                node[c] = Word(prefix + (c,))
-            else:
-                complete = False
-    needed = 2 * rank if not prefix else 2 * rank - 1
-    return complete and len(node) == needed
+            n = _collapse(child, rank)
+            if _complete(child, 2 * rank - 1):
+                node[c] = _LEAF
+                n = 1
+        count += n
+    return count
 
 
-def _collect(node: dict, out: list[Word]) -> None:
-    for child in node.values():
+def _complete(node: dict, needed: int) -> bool:
+    """Whether a node's children are `needed` leaves: a complete sibling set."""
+    return len(node) == needed and all(type(v) is not dict for v in node.values())
+
+
+def _collect(node: dict, prefix: tuple, out: list[Word]) -> None:
+    for c, child in node.items():
         if type(child) is dict:
-            _collect(child, out)
+            _collect(child, prefix + (c,), out)
         else:
-            out.append(child)
+            out.append(Word(prefix + (c,)))
+
+
+def _depth(node: dict) -> int:
+    return max((_depth(v) if type(v) is dict else 0 for v in node.values()), default=-1) + 1
+
+
+def _chain(stem: Sequence[int], node) -> dict:
+    """The node reached by `stem`, as one dict per letter of the stem."""
+    for c in reversed(stem):
+        node = {c: node}
+    return node
+
+
+def _partition(rank: int, stem: tuple, node, size: int) -> CylinderPartition:
+    """The partition whose trie is `node` hung under `stem`, in canonical form.
+
+    A coalesced node becomes one label, and a single-child path at the top
+    of the node moves into the stem.
+    """
+    if type(node) is not dict:
+        if not stem:
+            raise AssertionError("partition coalesces to the full boundary")
+        return CylinderPartition(rank, stem[:-1], {stem[-1]: _LEAF}, 1)
+    while len(node) == 1:
+        ((c, child),) = node.items()
+        if type(child) is not dict:
+            break
+        stem += (c,)
+        node = child
+    return CylinderPartition(rank, stem, node, size)
+
+
+def _merge(rank: int, parts: Sequence[CylinderPartition]) -> CylinderPartition:
+    """Union of disjoint partitions, sharing their subtrees.
+
+    A node that two inputs both reach is copied, and only there are
+    complete sibling sets coalesced; every other subtree is reused.
+    Overlapping labels raise AssertionError.
+    """
+    parts = [p for p in parts if p.size]
+    if len(parts) <= 1:
+        return parts[0] if parts else CylinderPartition(rank, (), {}, 0)
+    # the common prefix of all stems is that of the least and the greatest
+    lo = min(p.stem for p in parts)
+    hi = max(p.stem for p in parts)
+    m = 0
+    while m < len(lo) and m < len(hi) and lo[m] == hi[m]:
+        m += 1
+    nodes = [
+        p.trie if len(p.stem) == m else {p.stem[m]: _chain(p.stem[m + 1 :], p.trie)}
+        for p in parts
+    ]
+    full = 2 * rank - 1
+    lost = 0
+
+    def merge(nodes: list, needed: int):
+        nonlocal lost
+        out = dict(nodes[0])
+        shared: dict = {}
+        for node in nodes[1:]:
+            for c, child in node.items():
+                first = out.get(c)
+                if first is None:
+                    out[c] = child
+                elif c in shared:
+                    shared[c].append(child)
+                else:
+                    shared[c] = [first, child]
+        for c, kids in shared.items():
+            if any(type(kid) is not dict for kid in kids):
+                raise AssertionError("overlapping cylinders across disjoint partitions")
+            out[c] = merge(kids, full)
+        if _complete(out, needed):
+            lost += needed - 1
+            return _LEAF
+        return out
+
+    node = merge(nodes, full + 1 if m == 0 else full)
+    return _partition(rank, lo[:m], node, sum(p.size for p in parts) - lost)
+
+
+def _graft(part: CylinderPartition, g: Sequence[int]) -> CylinderPartition:
+    """The partition g * part, sharing part's subtrees.
+
+    With n = |g| and h = g^-1, a label w agreeing with h in exactly its
+    first c < |w| letters translates to g[:n-c] w[c:], so the subtree
+    hanging off the path along h at depth c lands, unchanged, under
+    g[:n-c].  A label on that path is cancelled whole: it splits into
+    its 2k - 1 children, which the walk then meets in turn.  Only the new
+    path along g is built, and only its nodes can coalesce.
+    """
+    rank, n = part.rank, len(g)
+    if not part.size or not n:
+        return part
+    h = [-x for x in reversed(g)]
+    stem, m = part.stem, len(part.stem)
+    size = part.size
+    # hung[c]: the children of the node along h at depth c, but for h[c]
+    hung: list[dict] = []
+    c = 0
+    while c < m and c < n and stem[c] == h[c]:
+        hung.append({})
+        c += 1
+    if c < m:
+        hung.append({stem[c]: _chain(stem[c + 1 :], part.trie)})
+    else:
+        node = part.trie
+        while True:
+            # at the end of h, or where it leaves the trie, every child hangs
+            x = h[c] if c < n else None
+            child = node.get(x)
+            if child is None:
+                hung.append(dict(node))
+                break
+            hung.append({y: v for y, v in node.items() if y != x})
+            if type(child) is not dict:
+                # the label h[:c+1] is cancelled whole
+                child = dict.fromkeys([y for y in alphabet(rank) if y != -x], _LEAF)
+                size += 2 * rank - 2
+            node = child
+            c += 1
+    below = None
+    for c, node in enumerate(hung):
+        if below is not None:
+            node[g[n - c]] = below
+        elif not node:
+            continue
+        needed = 2 * rank - 1 if c < n else 2 * rank
+        if _complete(node, needed):
+            size -= needed - 1
+            node = _LEAF
+        below = node
+    return _partition(rank, tuple(g[: n - len(hung) + 1]), below, size)
 
 
 # -- exact translation of cylinder unions ---------------------------------
@@ -264,7 +424,9 @@ def translate_cylinder(f: Sequence[int], v: Sequence[int], rank: int) -> list[Wo
 
     A single cylinder Cyl(reduce(f v)) unless v is a prefix of f^-1, that
     is, unless f cancels all of v, in which case Cyl(v) splits into
-    children first.  Accepts the empty v (the whole boundary).
+    children first.  Accepts the empty v (the whole boundary).  The
+    engine translates whole tries with `_graft`; it calls this only to
+    count the pieces of a family label that g cancels whole.
     """
     f = f if isinstance(f, Word) else Word(f)
     n = len(f)
@@ -300,8 +462,9 @@ class PartitionCache:
     `families` maps an Automorphism to its depth-1 preimage families,
     `partitions` maps (Automorphism, target word) to a preimage
     partition and `unions` maps (Automorphism, letter u) to the union of
-    the families of the other letters; maps hash and compare by rank and
-    forward images.
+    the families of the other letters, which every preimage of a word
+    ending in u^-1 translates and every pair sum for a target starting
+    with u reads; maps hash and compare by rank and forward images.
     """
 
     def __init__(self):
@@ -390,12 +553,24 @@ def _family_from_factors(
     head_fam = _depth1_family(head, budget, cache)
     fam: dict[int, CylinderPartition] = {}
     for y in alphabet(head.rank):
-        pieces: list[Word] = []
-        for w in head_fam[y].leaves:
-            pieces.extend(_preimage(rest, w, budget, cache).leaves)
-        budget.spend(len(pieces))
-        fam[y] = CylinderPartition.from_words(head.rank, pieces)
+        parts = [_preimage(rest, w, budget, cache) for w in head_fam[y].leaves]
+        budget.spend(sum(map(len, parts)))
+        fam[y] = _merge(head.rank, parts)
     return fam
+
+
+def _others(
+    auto: Automorphism,
+    letter: int,
+    fam: dict[int, CylinderPartition],
+    cache: PartitionCache,
+) -> CylinderPartition:
+    """Union of the families of every letter but `letter`, cached by (map, letter)."""
+    part = cache.unions.get((auto, letter))
+    if part is None:
+        part = _merge(auto.rank, [p for a, p in fam.items() if a != letter])
+        cache.unions[auto, letter] = part
+    return part
 
 
 def _preimage(
@@ -409,16 +584,20 @@ def _preimage(
     if len(u) == 1:
         part = fam[u[0]]
     else:
+        # the translation identity: g * (families of the letters but ell)
         g = auto.apply_inverse(u)
         ell = -u[-1]
-        pieces: list[Word] = []
-        for z in alphabet(auto.rank):
-            if z == ell:
-                continue
-            for w in fam[z].leaves:
-                pieces.extend(translate_cylinder(g, w, auto.rank))
-        budget.spend(len(pieces))
-        part = CylinderPartition.from_words(auto.rank, pieces)
+        others = _others(auto, ell, fam, cache)
+        # one node per piece the families' own labels translate to; only
+        # a label on the path along g^-1, at most one, gives several
+        pieces = sum(len(p) for z, p in fam.items() if z != ell)
+        h = [-x for x in reversed(g)]
+        if others.contains_cylinder(h):
+            d = max(p.label_prefix(h) for z, p in fam.items() if z != ell)
+            if d:
+                pieces += len(translate_cylinder(g, h[:d], auto.rank)) - 1
+        budget.spend(pieces)
+        part = _graft(others, g)
     cache.partitions[key] = part
     return part
 
@@ -498,8 +677,8 @@ def _pair_mass(
     if not p1.trie or not p2.trie:
         return ZERO
     e, d, init, step = mu.chain
-    h1 = max(map(len, p1.leaves))
-    h2 = max(map(len, p2.leaves))
+    h1 = p1.height
+    h2 = p2.height
     power = [d**i for i in range(2 * max(h1, h2))]
     total = 0
 
@@ -590,13 +769,7 @@ def pushforward_current_value(
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
     p_u = _preimage(auto, u, budget, cache)
-    others = cache.unions.get((auto, u[0]))
-    if others is None:
-        others = CylinderPartition.from_words(
-            auto.rank, (w for a, part in fam.items() if a != u[0] for w in part.leaves)
-        )
-        cache.unions[auto, u[0]] = others
-    return _pair_mass(mu, others, p_u)
+    return _pair_mass(mu, _others(auto, u[0], fam, cache), p_u)
 
 
 def pushforward_table(

@@ -15,12 +15,14 @@ atom; it is the reference for the engine's closed-form atom families.
 `canonical_words_by_sort` is the engine's former canonical form: build a
 prefix tree, coalesce, flatten to words and sort; it is the reference
 for the canonical tries that partitions now keep.
+`length_by_cancellation` computes a length by the cancellation (Busemann)
+formula from preimage partitions and `mu.eval` alone, with no pair sums.
 """
 
 from fractions import Fraction
 from typing import Optional
 
-from stretchfactor import InputError, Word, uniform_measure
+from stretchfactor import InputError, PartitionCache, Word, preimage_partition, uniform_measure
 from stretchfactor.boundary import CylinderPartition
 from stretchfactor.words import (
     all_words,
@@ -179,6 +181,33 @@ def covers_boundary(rank, words):
             return False
     mu = uniform_measure(rank)
     return sum((mu.eval(w) for w in words), Fraction(0)) == 1
+
+
+def length_by_cancellation(auto, mu):
+    """L_mu(phi) as the drift of the image of a mu-random ray.
+
+    Write the ray as x xi' (xi' not starting with x^-1).  Its image gains
+    |phi(x)| - 2c letters, c the cancellation between phi(x) and
+    phi(xi'), and c >= j exactly when phi(xi') lies in Cyl(s_j), s_j the
+    first j letters of phi(x)^-1.  So
+      L = sum_x mu(x) |phi(x)|
+          - 2 sum_x sum_{j <= |phi(x)|} sum mu(x w),
+    the last sum over the cells w of phi^-1 Cyl(s_j) with w_1 != x^-1
+    (Kaimanovich-Kapovich-Schupp, math/0504105; Cooper's bounded
+    cancellation).  It reads preimage partitions and mu.eval, and neither
+    pair sums nor the measure's automaton.
+    """
+    cache = PartitionCache()
+    total = Fraction(0)
+    for x in alphabet(auto.rank):
+        image = auto.letter_image(x)
+        total += mu.eval((x,)) * len(image)
+        s = inverse(image)
+        for j in range(1, len(s) + 1):
+            for w in preimage_partition(auto, s[:j], cache=cache):
+                if w[0] != -x:
+                    total -= 2 * mu.eval((x,) + w)
+    return total
 
 
 def canonical_words_by_sort(rank, words):

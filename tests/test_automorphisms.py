@@ -19,7 +19,7 @@ from stretchfactor import (
     parse_word,
     random_reduced,
 )
-from stretchfactor.words import cancellation
+from stretchfactor.words import cancellation, free_reduce, inverse
 
 from conftest import is_atom, nielsen, random_composition
 
@@ -64,6 +64,20 @@ def test_homomorphism_law(seed, n):
     psi = random_composition(2, 2, rng)
     word = random_reduced(n, 2, rng)
     assert compose(phi, psi).apply(word) == phi.apply(psi.apply(word))
+
+
+@given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 24), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_substitution_matches_letter_by_letter_reduction(rank, n_factors, n, seed):
+    # seam-block substitution against freely reducing the concatenated images
+    rng = random.Random(seed)
+    phi = random_composition(rank, n_factors, rng)
+    word = random_reduced(n, rank, rng)
+    for images, image in ((phi.fwd, phi.apply), (phi.bwd, phi.apply_inverse)):
+        letters = [y for x in word for y in (images[x - 1] if x > 0 else inverse(images[-x - 1]))]
+        assert image(word) == free_reduce(letters)
+    assert phi.apply_inverse(phi.apply(word)) == word
+    assert phi.apply(phi.apply_inverse(word)) == word
 
 
 @given(st.integers(0, 2**32))

@@ -32,6 +32,8 @@ from stretchfactor.boundary import (
     Budget,
     CylinderPartition,
     _atom_depth1,
+    _graft,
+    _merge,
     _pair_mass,
     canonical_words,
 )
@@ -41,6 +43,7 @@ from stretchfactor.words import (
     alphabet,
     extension_letters,
     format_word,
+    inverse,
     is_prefix,
     random_reduced,
 )
@@ -124,6 +127,76 @@ def test_canonical_trie_matches_sorted_form(rank, seed):
     for canonical in (CylinderPartition.from_words, canonical_words_by_sort):
         with pytest.raises(InputError, match=f"'{format_word(extra)}'"):
             canonical(rank, family + [extra])
+
+
+def _recount(node):
+    return sum(_recount(v) if isinstance(v, dict) else 1 for v in node.values())
+
+
+def _assert_same_partition(got, expected):
+    assert got.stem == expected.stem and got.trie == expected.trie
+    assert got.words == expected.words
+    assert len(got) == len(expected) == _recount(got.trie)
+    assert got.height == max(map(len, expected.words))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_graft_matches_leaf_by_leaf_translation(rank, seed):
+    # translate_cylinder piece by piece, then canonicalize, is the oracle
+    rng = random.Random(seed)
+    part = CylinderPartition.from_words(rank, _random_prefix_free(rank, rng))
+    if rng.random() < 0.4:
+        # g^-1 starts with a label, which g cancels whole and splits
+        label = rng.choice(part.leaves)
+        tail = random_reduced(rng.randint(0, 3), rank, rng)
+        while tail and tail[0] == -label[-1]:
+            tail = random_reduced(len(tail), rank, rng)
+        g = inverse(label + tail)
+    else:
+        g = random_reduced(rng.randint(1, 5), rank, rng)
+    pieces = [p for w in part.leaves for p in translate_cylinder(g, w, rank)]
+    _assert_same_partition(_graft(part, g), CylinderPartition.from_words(rank, pieces))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_merge_of_a_family_cut_in_two(rank, seed):
+    rng = random.Random(seed)
+    # a translated family, so that the halves have stems of their own
+    f = random_reduced(rng.randint(0, 3), rank, rng)
+    pieces = [p for x in _random_prefix_free(rank, rng) for p in translate_cylinder(f, x, rank)]
+    family = list(CylinderPartition.from_words(rank, pieces).leaves)
+    rng.shuffle(family)
+    cut = rng.randint(0, len(family))
+    halves = [CylinderPartition.from_words(rank, ws) for ws in (family[:cut], family[cut:])]
+    _assert_same_partition(_merge(rank, halves), CylinderPartition.from_words(rank, family))
+    # a proper prefix or an extension of a member overlaps it
+    member = rng.choice(family)
+    if len(member) > 1 and rng.random() < 0.5:
+        extra = Word(member[:-1])
+    else:
+        extra = Word(member + (rng.choice(extension_letters(member, rank)),))
+    with pytest.raises(AssertionError, match="overlapping"):
+        _merge(rank, [halves[0], CylinderPartition.from_words(rank, [extra]), halves[1]])
+
+
+def test_merge_coalesces_and_shares_subtrees():
+    deep = CylinderPartition.from_words(2, words("bab", "baB"))
+    left = CylinderPartition.from_words(2, words("ab", "aB"))
+    merged = _merge(2, [left, CylinderPartition.from_words(2, words("aa")), deep])
+    assert merged.words == words("a", "bab", "baB") and len(merged) == 3
+    # a subtree only one input reaches is the input's own
+    assert merged.trie[2][1] is deep.trie
+    assert _merge(2, [left]) is left
+
+
+def test_graft_shares_the_subtrees_off_the_path():
+    part = CylinderPartition.from_words(2, words("aab", "aaB", "bA", "bb"))
+    grafted = _graft(part, w("B"))
+    # g^-1 = b: the subtree of a lands under B, bA's and bb's labels lose b
+    assert grafted.words == words("A", "b", "Baab", "BaaB")
+    assert grafted.trie[-2][1] is part.trie[1]
 
 
 def test_covers_boundary():
@@ -275,24 +348,27 @@ def test_pushforward_table_builds_each_union_once(monkeypatch):
 
     auto = parse_generator_expression(3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]")
     mu = uniform_measure(3)
-    canonical = boundary.canonical_words
+    cache = PartitionCache()
+    # the families of the map and of its suffixes are merged first
+    depth1_profile(auto, cache=cache)
+    merge = boundary._merge
     built = []
 
-    def counting(rank, words):
+    def counting(rank, parts):
         built.append(rank)
-        return canonical(rank, words)
+        return merge(rank, parts)
 
-    monkeypatch.setattr(boundary, "canonical_words", counting)
+    # with the families built, every merge builds a union of families
+    monkeypatch.setattr(boundary, "_merge", counting)
     targets = [v for n in (1, 2, 3) for v in all_words(n, 3)]
-    cache = PartitionCache()
     for v in targets:
         preimage_partition(auto, v, cache=cache)
-    preimages_only = len(built)
     table = pushforward_table(auto, mu, 3, cache=cache)
     assert len(table) == len(targets) == 186
-    # one union of the other letters' families per first letter
-    assert len(built) - preimages_only == 6
-    assert sorted(cache.unions) == sorted((auto, a) for a in alphabet(3))
+    # one union of the other letters' families per letter, shared by the
+    # preimages' translations and the pair sums
+    assert len(built) == 6
+    assert sorted(a for m, a in cache.unions if m == auto) == sorted(alphabet(3))
     assert table == pushforward_table(auto, mu, 3)
 
 

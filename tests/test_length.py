@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stretchfactor import (
     InputError,
@@ -24,7 +25,8 @@ from stretchfactor import (
     rational_measure,
     uniform_as_markov,
 )
-from conftest import random_composition
+from conftest import random_composition, sample_measures
+from oracles import length_by_cancellation
 
 
 def w(text):
@@ -49,6 +51,20 @@ def test_eta_length_examples(nielsen_map):
     assert eta_length(nielsen_map, rational_measure(2, w("b"))).value == 2
     markov = markov_measure(uniform_as_markov(2))
     assert eta_length(nielsen_map, markov).value == length_exact(nielsen_map).value
+
+
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_length_by_cancellation_matches_pair_sums(rank, n_factors, seed):
+    # a second exact length that reads preimages but no pair sums
+    rng = random.Random(seed)
+    phi = random_composition(rank, n_factors if rank < 4 else min(n_factors, 2), rng)
+    for mu in sample_measures(rank, rng):
+        assert length_by_cancellation(phi, mu) == eta_length(phi, mu).value, mu.kind
 
 
 def test_rational_current_oracle_random():

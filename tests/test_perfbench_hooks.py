@@ -26,6 +26,11 @@ for mu in (
     sf.rational_measure(2, sf.parse_word("abAAB")),
 ):
     sf.eta_length(phi, mu, cache=sf.PartitionCache())
+# the smallest pooled map whose assembly cancels a family label whole,
+# the one case that still translates a cylinder on its own
+sf.preimage_partition(
+    sf.parse_generator_expression(2, "W2[b; a:LEFT] * inner[ba] * inner[a]"), sf.parse_word("aa")
+)
 print(json.dumps({"absent": tr.absent, "calls": tr.calls, "counts": tr.counts}))
 """
 

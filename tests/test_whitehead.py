@@ -72,16 +72,25 @@ def test_factorize_nielsen(nielsen_map):
     assert rep.recomposed() == nielsen_map
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_factorize_random_compositions(seed):
-    rng = random.Random(1000 + seed)
-    phi = random_second_kind_composition(2, rng.randrange(1, 4), rng)
+def _check_factorization(phi):
     rep = factorize(phi)
     assert rep.recomposed() == phi
     assert all(a < b for a, b in zip(rep.lengths, rep.lengths[1:]))
     assert is_simple(rep.sigma) is not None
     assert all(q >= 1 for q in rep.lengths)
     assert rep.lengths[0] == 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_factorize_random_compositions(seed):
+    rng = random.Random(1000 + seed)
+    _check_factorization(random_second_kind_composition(2, rng.randrange(1, 4), rng))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_factorize_random_compositions_rank3(seed):
+    rng = random.Random(3000 + seed)
+    _check_factorization(random_second_kind_composition(3, rng.randrange(1, 3), rng))
 
 
 def test_canonical_out_key_examples(nielsen_map):
