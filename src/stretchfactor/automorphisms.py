@@ -41,14 +41,18 @@ FIX, RIGHT, LEFT, CONJ = "FIX", "RIGHT", "LEFT", "CONJ"
 _W2_TYPES = (FIX, RIGHT, LEFT, CONJ)
 
 
-def _substitute(images: tuple[Word, ...], w: Sequence[int]) -> Word:
-    """Reduced image of w under the map sending basis letter i to images[i - 1].
+def _substitute(
+    images: tuple[Word, ...], w: Sequence[int], out: Optional[list] = None
+) -> list[int]:
+    """Reduced image of w under the map sending basis letter i to
+    images[i - 1], appended to the reduced list `out`.
 
     Each letter image is reduced, so appending one cancels only a run at
     the seam: count the run, append the image whole and delete the run
     from both sides.  Inverse images are lists, made once per call.
     """
-    out: list[int] = []
+    if out is None:
+        out = []
     inverses: dict[int, list[int]] = {}
     for x in w:
         img = images[x - 1] if x > 0 else inverses.get(x)
@@ -63,7 +67,7 @@ def _substitute(images: tuple[Word, ...], w: Sequence[int]) -> Word:
             del out[n - c : n + c]
         else:
             out += img
-    return Word(out)
+    return out
 
 
 class Automorphism:
@@ -129,10 +133,10 @@ class Automorphism:
         return self.bwd[x - 1] if x > 0 else inverse(self.bwd[-x - 1])
 
     def apply(self, w: Sequence[int]) -> Word:
-        return _substitute(self.fwd, w)
+        return Word(_substitute(self.fwd, w))
 
     def apply_inverse(self, w: Sequence[int]) -> Word:
-        return _substitute(self.bwd, w)
+        return Word(_substitute(self.bwd, w))
 
     def inverse(self) -> "Automorphism":
         factors = self._factors

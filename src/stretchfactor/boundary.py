@@ -23,11 +23,10 @@ Five facts drive the computation:
     phi^-1(Cyl a^-1) = Cyl(s^-1) union Cyl(a^-1)
     phi^-1(Cyl z)    = Cyl(z) for every other letter z.
 
-* Translation identity.  Cyl(u) = u * (boundary minus Cyl(l)) for
-  l = last(u)^-1, hence
-  phi^-1(Cyl u) = phi^-1(u) * disjoint-union of phi^-1(Cyl z), z != l.
-  Long targets therefore reduce to depth-1 partitions via exact
-  word-by-cylinder translation.
+* Translation identity.  Cyl(u) = u' * Cyl(x) for u = u' x, hence
+  phi^-1(Cyl u) = phi^-1(u') * phi^-1(Cyl x).
+  Long targets therefore reduce to one depth-1 family, translated by
+  exact word-by-cylinder translation.
 
 * Compositionality.  (phi o psi)^-1(Cyl u) is the disjoint union of
   psi^-1(Cyl w) over the pieces w of phi^-1(Cyl u), so partitions of a
@@ -40,9 +39,13 @@ Five facts drive the computation:
   (Kapovich, "Currents on free groups", math/0412128).  A pair c x u,
   c y v splitting after a common prefix c has mass (init and steps of
   (x u)^-1) (steps of y v) 1 / (E D^(|u|+|v|+1)) over mu's automaton,
-  so each edge of one prefix tree carries a row, each edge of the other
-  a column, each summed over its subtree, and one walk of both trees
-  gives the whole sum.
+  so each edge carries a row and a column, each summed over the cells
+  below it.  The cells of several disjoint partitions are
+  coloured by partition, and one joint walk of all their prefix trees
+  sums, for every target colour, the pairs whose source has another
+  colour: at a node, the pairs splitting between children x != y add
+  (rows of x) (columns of y).  A length is one such walk over the 2k
+  families of the map, each colour both source and target.
 
 * Canonical partitions are shared, immutable tries.  A partition is
   stored as its canonical prefix tree (complete sibling sets coalesced;
@@ -52,11 +55,11 @@ Five facts drive the computation:
   subtree hanging off the path along g^-1 at depth c, unchanged, under
   g[:|g|-c], so a preimage builds only the new path along g (a label on
   the old path is cancelled whole and splits first).  Unions merge:
-  assembly and the union of the other letters' families copy only the
-  nodes two inputs share, and only there can siblings coalesce.  The
-  pair-sum walk reads the tries directly and containment is one
-  descent.  Label words are built from paths on first request, and the
-  shortlex-sorted tuple only for output, keys and tests.
+  assembly copies only the nodes two inputs share, and only there can
+  siblings coalesce.  The pair-sum walk reads the tries directly and
+  containment is one descent.  Label words are built from paths on
+  first request, and the shortlex-sorted tuple only for output, keys
+  and tests.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .automorphisms import Automorphism, conj
+from .automorphisms import Automorphism, _substitute, conj
 from .errors import InputError, ResourceLimitError
 from .measures import FrequencyMeasure, uniform_measure
 from .words import (
@@ -460,17 +463,14 @@ class PartitionCache:
     """In-memory partitions, owned by the caller and keyed by the map.
 
     `families` maps an Automorphism to its depth-1 preimage families,
-    `partitions` maps (Automorphism, target word) to a preimage
-    partition and `unions` maps (Automorphism, letter u) to the union of
-    the families of the other letters, which every preimage of a word
-    ending in u^-1 translates and every pair sum for a target starting
-    with u reads; maps hash and compare by rank and forward images.
+    which every preimage and pair sum of the map reads, and `partitions`
+    maps (Automorphism, target word) to a preimage partition; maps hash
+    and compare by rank and forward images.
     """
 
     def __init__(self):
         self.families: dict[Automorphism, dict[int, CylinderPartition]] = {}
         self.partitions: dict[tuple[Automorphism, Word], CylinderPartition] = {}
-        self.unions: dict[tuple[Automorphism, int], CylinderPartition] = {}
 
 
 def _resolve(budget: Optional[int | Budget], cache: Optional[PartitionCache]):
@@ -559,20 +559,6 @@ def _family_from_factors(
     return fam
 
 
-def _others(
-    auto: Automorphism,
-    letter: int,
-    fam: dict[int, CylinderPartition],
-    cache: PartitionCache,
-) -> CylinderPartition:
-    """Union of the families of every letter but `letter`, cached by (map, letter)."""
-    part = cache.unions.get((auto, letter))
-    if part is None:
-        part = _merge(auto.rank, [p for a, p in fam.items() if a != letter])
-        cache.unions[auto, letter] = part
-    return part
-
-
 def _preimage(
     auto: Automorphism, u: Word, budget: Budget, cache: PartitionCache
 ) -> CylinderPartition:
@@ -584,20 +570,23 @@ def _preimage(
     if len(u) == 1:
         part = fam[u[0]]
     else:
-        # the translation identity: g * (families of the letters but ell)
-        g = auto.apply_inverse(u)
-        ell = -u[-1]
-        others = _others(auto, ell, fam, cache)
-        # one node per piece the families' own labels translate to; only
-        # a label on the path along g^-1, at most one, gives several
-        pieces = sum(len(p) for z, p in fam.items() if z != ell)
+        # the translation identity: phi^-1(u' x) = phi^-1(u') * phi^-1(Cyl x)
+        head = _substitute(auto.bwd, u[:-1])
+        # Spend one node per piece of the equivalent translation of the
+        # other letters' families by g = phi^-1(u): one per label, and
+        # more only for a label on the path along g^-1, at most one.
+        g = _substitute(auto.bwd, u[-1:], list(head))
         h = [-x for x in reversed(g)]
-        if others.contains_cylinder(h):
-            d = max(p.label_prefix(h) for z, p in fam.items() if z != ell)
-            if d:
-                pieces += len(translate_cylinder(g, h[:d], auto.rank)) - 1
+        ell = -u[-1]
+        pieces = d = 0
+        for z, p in fam.items():
+            if z != ell:
+                pieces += p.size
+                d = max(d, p.label_prefix(h))
+        if d:
+            pieces += len(translate_cylinder(g, h[:d], auto.rank)) - 1
         budget.spend(pieces)
-        part = _graft(others, g)
+        part = _graft(fam[u[-1]], head)
     cache.partitions[key] = part
     return part
 
@@ -665,58 +654,102 @@ def stable_prefix(
 
 
 def _pair_mass(
-    mu: FrequencyMeasure, p1: CylinderPartition, p2: CylinderPartition
-) -> Fraction:
-    """Sum of mu(w1^-1 w2) over w1 in p1 and w2 in p2, two disjoint families.
+    mu: FrequencyMeasure,
+    sources: dict[int, CylinderPartition],
+    targets: dict[int, CylinderPartition],
+) -> dict[int, Fraction]:
+    """For each target colour t, the sum of mu(w1^-1 w2) over w2 in
+    targets[t] and w1 in sources[s], for every source colour s != t.
 
-    One walk of both prefix trees (module docstring).  Rows carry
-    D^(h1-|w1|) and columns D^(h2-|w2|), h the longest word of each
-    family, so a pair splitting at depth d counts E D^(h1+h2-2d-1) times
-    its mass, and D^(2d) brings it to the denominator E D^(h1+h2-1).
+    The partitions are pairwise disjoint, and a colour in both dicts
+    names one partition.  One joint walk of all their prefix trees
+    (module docstring): below a node it carries a row per source colour
+    and a column per target colour present there; the source colours
+    that are not targets share one row.  Pairs are counted only where
+    two colours meet.  Partitions that fill the boundary, like the 2k
+    families of a map, meet at every node that is not a leaf, so their
+    walk recurses only there.  Rows carry D^(hr-|w1|) and columns
+    D^(hc-|w2|), hr and hc the longest source and target words, so a
+    pair splitting at depth d counts E D^(hr+hc-2d-1) times its mass,
+    and D^(2d) brings it to the denominator E D^(hr+hc-1).
     """
-    if not p1.trie or not p2.trie:
-        return ZERO
+    total = dict.fromkeys(targets, 0)
+    parts = []
+    for c, p in sources.items():
+        if p.size:
+            parts.append((c if c in targets else None, p))
+    for c, p in targets.items():
+        if c in sources:
+            if sources[c] is not p:
+                raise AssertionError("a colour names two partitions")
+        elif p.size:
+            parts.append((c, p))
+    rowed = {c for c, _ in parts if c is None or c in sources}
+    hr = max((p.height for c, p in parts if c in rowed), default=0)
+    hc = max((p.height for c, p in parts if c is not None), default=0)
+    if not hr or not hc:
+        return {t: ZERO for t in total}
     e, d, init, step = mu.chain
-    h1 = p1.height
-    h2 = p2.height
-    power = [d**i for i in range(2 * max(h1, h2))]
-    total = 0
+    power = [d**i for i in range(hr + hc)]
+    # the column of a cell's last letter: step[x] times the all-ones column
+    ends = {x: {} for x in step}
+    for x, mat in step.items():
+        for (s, _), q in mat.items():
+            ends[x][s] = ends[x].get(s, 0) + q
 
-    def walk(n1: dict, n2: dict, depth: int) -> tuple[dict, dict]:
-        # Count the pairs splitting at this node; return the summed rows of
-        # the edges below n1 and the summed columns of those below n2.
-        nonlocal total
+    def walk(entries: list, depth: int) -> tuple[dict, dict]:
+        # Count the pairs splitting at this node; return, per colour, the
+        # summed rows and columns of the edges below it.
+        by_letter: dict = {}
+        for colour, node in entries:
+            for x, child in node.items():
+                by_letter.setdefault(x, []).append((colour, child))
         rows: dict = {}
         cols: dict = {}
-        same = 0
-        for x, c1 in n1.items():
-            c2 = n2.get(x, {})
-            leaf = type(c1) is not dict
-            if type(c2) is not dict or (leaf and x in n2):
+        same: dict = {}
+        # read only for a source (target) cell here, so depth < hr (hc)
+        leaf_row = power[hr - depth - 1]
+        leaf_col = power[hc - depth - 1]
+        for x, below in by_letter.items():
+            if len(below) == 1 and type(below[0][1]) is not dict:
+                colour = below[0][0]
+                if colour in rowed:
+                    _add_scaled(rows.setdefault(colour, {}), init[-x], leaf_row)
+                if colour is not None:
+                    _add_scaled(cols.setdefault(colour, {}), ends[x], leaf_col)
+                continue
+            if len(below) > 1 and any(type(child) is not dict for _, child in below):
                 raise AssertionError("comparable cylinders across disjoint partitions")
-            if leaf:
-                row = {s: q * power[h1 - depth - 1] for s, q in init[-x].items()}
-            else:
-                below1, below2 = walk(c1, c2, depth + 1)
-                row = _row_times(below1, step[-x])
-                if c2:
-                    col = _times_column(step[x], below2)
-                    same += _dot(row, col)
-                    _add(cols, col)
-            _add(rows, row)
-        for y, c2 in n2.items():
-            if y not in n1:
-                if type(c2) is not dict:
-                    below2 = {t: power[h2 - depth - 1] for _, t in step[y]}
+            below_rows, below_cols = walk(below, depth + 1)
+            row = {c: _row_times(v, step[-x]) for c, v in below_rows.items()}
+            col = {c: _times_column(step[x], v) for c, v in below_cols.items()}
+            if row and col and (len(row) > 1 or row.keys() != col.keys()):
+                # pairs inside one child split deeper: take them out here
+                every = _total(row)
+                for t, v in col.items():
+                    q = _dot(every, v) - (_dot(row[t], v) if t in row else 0)
+                    same[t] = same.get(t, 0) + q
+            for c, v in row.items():
+                if c in rows:
+                    _add(rows[c], v)
                 else:
-                    below2 = walk({}, c2, depth + 1)[1]
-                _add(cols, _times_column(step[y], below2))
-        total += (_dot(rows, cols) - same) * power[2 * depth]
+                    rows[c] = v
+            for c, v in col.items():
+                if c in cols:
+                    _add(cols[c], v)
+                else:
+                    cols[c] = v
+        if rows and cols and (len(rows) > 1 or rows.keys() != cols.keys()):
+            every = _total(rows)
+            scale = power[2 * depth]
+            for t, v in cols.items():
+                q = _dot(every, v) - (_dot(rows[t], v) if t in rows else 0) - same.get(t, 0)
+                total[t] += q * scale
         return rows, cols
 
-    walk(p1.root(), p2.root(), 0)
-    return Fraction(total, e * power[h1 + h2 - 1])
-
+    walk([(c, p.root()) for c, p in parts], 0)
+    den = e * power[hr + hc - 1]
+    return {t: Fraction(q, den) for t, q in total.items()}
 
 
 # Vectors are dicts state -> int, matrices dicts (from, to) -> int.
@@ -743,6 +776,22 @@ def _add(into: dict, vec: dict) -> None:
         into[s] = into.get(s, 0) + q
 
 
+def _total(vecs: dict) -> dict:
+    """The sum of the vectors in a dict of vectors; the lone one itself."""
+    if len(vecs) == 1:
+        (out,) = vecs.values()
+        return out
+    out = {}
+    for vec in vecs.values():
+        _add(out, vec)
+    return out
+
+
+def _add_scaled(into: dict, vec: dict, scale: int) -> None:
+    for s, q in vec.items():
+        into[s] = into.get(s, 0) + q * scale
+
+
 def _dot(r: dict, c: dict) -> int:
     return sum(q * c[s] for s, q in r.items() if s in c)
 
@@ -758,10 +807,9 @@ def pushforward_current_value(
     """Value of the pushed-forward current on the geodesic cylinder at u.
 
     Cyl[1,u] splits into products Cyl(a) x Cyl(u) over letters a other
-    than the first letter of u.  Their preimage families are disjoint and
-    pair sums are bilinear, so the value is one exact pair sum between
-    the union of those families, kept in the cache for (phi, u_1), and
-    the preimage of Cyl(u).
+    than the first letter of u.  Their preimage families are disjoint, so
+    the value is one coloured pair-sum walk of those families, as
+    sources, against the preimage of Cyl(u).
     """
     u = Word(u)
     if not u:
@@ -769,7 +817,8 @@ def pushforward_current_value(
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
     p_u = _preimage(auto, u, budget, cache)
-    return _pair_mass(mu, _others(auto, u[0], fam, cache), p_u)
+    others = {a: p for a, p in fam.items() if a != u[0]}
+    return _pair_mass(mu, others, {u[0]: p_u})[u[0]]
 
 
 def pushforward_table(
@@ -780,16 +829,23 @@ def pushforward_table(
     budget: Optional[int | Budget] = None,
     cache: Optional[PartitionCache] = None,
 ) -> dict[Word, Fraction]:
-    """Pushforward measure of every cylinder up to the given depth."""
+    """Pushforward measure of every cylinder up to the given depth.
+
+    The preimages of the cylinders of one length and first letter a are
+    disjoint, so their values are one coloured pair-sum walk against the
+    families of the other letters.
+    """
     if depth < 1:
         raise InputError("depth must be at least 1")
     budget, cache = _resolve(budget, cache)
+    fam = _depth1_family(auto, budget, cache)
     table: dict[Word, Fraction] = {}
     for n in range(1, depth + 1):
-        for v in all_words(n, auto.rank):
-            table[v] = pushforward_current_value(
-                auto, mu, v, budget=budget, cache=cache
-            )
+        words = list(all_words(n, auto.rank))
+        for a in alphabet(auto.rank):
+            targets = {v: _preimage(auto, v, budget, cache) for v in words if v[0] == a}
+            others = {b: p for b, p in fam.items() if b != a}
+            table.update(_pair_mass(mu, others, targets))
     return table
 
 

@@ -2,10 +2,11 @@
 
 The length of an automorphism is the mass the pushed-forward uniform
 current gives to the set of geodesics through the base vertex; it is
-computed exactly as a sum of pair masses over preimage partitions, one
-term per oriented letter.  The Monte Carlo estimator divides the
-cyclically reduced image length of a uniform random reduced word by the
-word length; the two agree up to sampling error plus an O(1/n) seam bias.
+computed exactly as a sum of pair masses over the depth-1 preimage
+families, one term per oriented letter, all in one coloured walk.  The
+Monte Carlo estimator divides the cyclically reduced image length of a
+uniform random reduced word by the word length; the two agree up to
+sampling error plus an O(1/n) seam bias.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .automorphisms import Automorphism
-from .boundary import Budget, PartitionCache, _resolve, pushforward_current_value
+from .boundary import Budget, PartitionCache, _depth1_family, _pair_mass, _resolve
 from .errors import InputError
 from .measures import FrequencyMeasure, uniform_measure
-from .words import Word, alphabet, cyclic_length, random_reduced
+from .words import alphabet, cyclic_length, random_reduced
 
 ZERO = Fraction(0)
 
@@ -59,14 +60,17 @@ def eta_length(
     budget: Optional[int | Budget] = None,
     cache: Optional[PartitionCache] = None,
 ) -> LengthReport:
-    """Length of the pushforward of the current attached to mu."""
+    """Length of the pushforward of the current attached to mu.
+
+    The term of letter x is the pushed-forward current of Cyl[1, x]: the
+    pair sum of the families of the other letters against that of x.
+    """
     if mu.rank != auto.rank:
         raise InputError("measure and automorphism ranks differ")
     budget, cache = _resolve(budget, cache)
-    breakdown = {
-        x: pushforward_current_value(auto, mu, Word((x,)), budget=budget, cache=cache)
-        for x in alphabet(auto.rank)
-    }
+    fam = _depth1_family(auto, budget, cache)
+    masses = _pair_mass(mu, fam, fam)
+    breakdown = {x: masses[x] for x in alphabet(auto.rank)}
     return LengthReport(
         value=sum(breakdown.values(), ZERO),
         breakdown=breakdown,

@@ -343,7 +343,7 @@ def test_pushforward_table_consistency(nielsen_map):
         assert value == mu.eval(v)
 
 
-def test_pushforward_table_builds_each_union_once(monkeypatch):
+def test_pushforward_table_builds_no_union(monkeypatch):
     from stretchfactor import boundary
 
     auto = parse_generator_expression(3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]")
@@ -358,18 +358,18 @@ def test_pushforward_table_builds_each_union_once(monkeypatch):
         built.append(rank)
         return merge(rank, parts)
 
-    # with the families built, every merge builds a union of families
+    # with the families built, a preimage grafts one family and a pair
+    # sum walks the other letters' families side by side: nothing merges
     monkeypatch.setattr(boundary, "_merge", counting)
     targets = [v for n in (1, 2, 3) for v in all_words(n, 3)]
     for v in targets:
         preimage_partition(auto, v, cache=cache)
     table = pushforward_table(auto, mu, 3, cache=cache)
     assert len(table) == len(targets) == 186
-    # one union of the other letters' families per letter, shared by the
-    # preimages' translations and the pair sums
-    assert len(built) == 6
-    assert sorted(a for m, a in cache.unions if m == auto) == sorted(alphabet(3))
-    assert table == pushforward_table(auto, mu, 3)
+    assert built == []
+    # one walk per length and first letter gives each cylinder's own value
+    fresh = PartitionCache()
+    assert table == {v: pushforward_current_value(auto, mu, v, cache=fresh) for v in targets}
 
 
 def test_pair_sum_fast_path_matches_generic(nielsen_map):
@@ -385,21 +385,27 @@ def test_pair_sum_fast_path_matches_generic(nielsen_map):
         assert fast == slow
 
 
-def _disjoint_pairs(auto, targets):
-    """(preimage of Cyl a, preimage of Cyl u) for a != u[0], as pushforward sums them."""
-    cache = PartitionCache()
-    for u in targets:
-        p_u = preimage_partition(auto, u, cache=cache)
-        for a in alphabet(auto.rank):
-            if a != u[0]:
-                yield preimage_partition(auto, (a,), cache=cache), p_u
+def _assert_coloured_pair_masses(mu, sources, targets):
+    """_pair_mass against the sum of pairwise oracle sums over other colours."""
+    got = _pair_mass(mu, sources, targets)
+    assert list(got) == list(targets)
+    for t, p2 in targets.items():
+        expected = sum(
+            (pair_mass_by_pairs(mu, p1, p2) for s, p1 in sources.items() if s != t), F(0)
+        )
+        assert got[t] == expected, (mu.label, t)
 
 
 def _assert_pair_masses(auto, targets, measures):
-    pairs = list(_disjoint_pairs(auto, targets))
+    """All 2k families against each other, and each target's pushforward form."""
+    cache = PartitionCache()
+    fam = {a: preimage_partition(auto, (a,), cache=cache) for a in alphabet(auto.rank)}
+    preimages = {u: preimage_partition(auto, u, cache=cache) for u in targets}
     for mu in measures:
-        for p1, p2 in pairs:
-            assert _pair_mass(mu, p1, p2) == pair_mass_by_pairs(mu, p1, p2), (mu.label, p1, p2)
+        _assert_coloured_pair_masses(mu, fam, fam)
+        for u, p_u in preimages.items():
+            others = {a: p for a, p in fam.items() if a != u[0]}
+            _assert_coloured_pair_masses(mu, others, {u[0]: p_u})
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -417,12 +423,11 @@ def test_pair_mass_matches_pairwise_sum_on_depth2_preimages():
     auto = parse_generator_expression(2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]")
     measures = sample_measures(2, random.Random(7))
     _assert_pair_masses(auto, list(all_words(2, 2)), measures)
+    # the twelve depth-2 preimages as twelve colours, each a source and a target
     cache = PartitionCache()
-    parts = [preimage_partition(auto, u, cache=cache) for u in all_words(2, 2)]
+    parts = {u: preimage_partition(auto, u, cache=cache) for u in all_words(2, 2)}
     for mu in measures:
-        for i, p1 in enumerate(parts):
-            for p2 in parts[i + 1:]:
-                assert _pair_mass(mu, p1, p2) == pair_mass_by_pairs(mu, p1, p2)
+        _assert_coloured_pair_masses(mu, parts, parts)
 
 
 @settings(max_examples=25, deadline=None)
@@ -443,12 +448,80 @@ def test_pair_mass_of_empty_or_comparable_families():
     empty = CylinderPartition.from_words(2, ())
     p1 = CylinderPartition.from_words(2, words("a"))
     p2 = CylinderPartition.from_words(2, words("ab", "b"))
+    p3 = CylinderPartition.from_words(2, words("B"))
     for mu in sample_measures(2, random.Random(3)):
-        assert _pair_mass(mu, empty, p1) == _pair_mass(mu, p1, empty) == 0
+        assert _pair_mass(mu, {1: empty}, {2: p1}) == _pair_mass(mu, {1: p1}, {2: empty}) == {2: 0}
+        assert _pair_mass(mu, {1: p1, 2: empty}, {1: p1, 2: empty}) == {1: 0, 2: 0}
         with pytest.raises(AssertionError):
-            _pair_mass(mu, p1, p2)
+            _pair_mass(mu, {1: p1}, {2: p2})
         with pytest.raises(AssertionError):
-            _pair_mass(mu, p2, p1)
+            _pair_mass(mu, {1: p2}, {2: p1})
+        # two parts of any colours, both sources or both targets
+        with pytest.raises(AssertionError):
+            _pair_mass(mu, {1: p1, 2: p2}, {3: p3})
+        with pytest.raises(AssertionError):
+            _pair_mass(mu, {3: p3}, {1: p1, 2: p2})
+        with pytest.raises(AssertionError):
+            _pair_mass(mu, {1: p2, 3: p3}, {1: p2, 3: p3, 2: p1})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 3),
+    target_len=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_preimage_is_the_translated_union_of_the_other_families(rank, n_factors, target_len, seed):
+    # phi^-1(Cyl u) = g * (families of the letters but last(u)^-1), g = phi^-1(u)
+    rng = random.Random(seed)
+    auto = random_composition(rank, min(n_factors, 2) if rank == 4 else n_factors, rng)
+    u = random_reduced(target_len, rank, rng)
+    cache = PartitionCache()
+    fam = {a: preimage_partition(auto, (a,), cache=cache) for a in alphabet(rank)}
+    g = auto.apply_inverse(u)
+    leaves = [w for a, p in fam.items() if a != -u[-1] for w in p.leaves]
+    budget = Budget()
+    got = preimage_partition(auto, u, budget=budget, cache=cache)
+    expected = CylinderPartition.from_words(rank, translate_union(g, leaves, rank))
+    _assert_same_partition(got, expected)
+    # one node per translated piece, though the union is never translated
+    assert budget.spent == sum(len(translate_cylinder(g, w, rank)) for w in leaves)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 3),
+    target_len=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coloured_pair_mass_property(rank, n_factors, target_len, seed):
+    from stretchfactor import eta_length
+
+    rng = random.Random(seed)
+    auto = random_composition(rank, min(n_factors, 2) if rank == 4 else n_factors, rng)
+    target = random_reduced(target_len, rank, rng)
+    measures = sample_measures(rank, rng)
+    _assert_pair_masses(auto, [target], measures)
+    fam = {a: preimage_partition(auto, (a,)) for a in alphabet(rank)}
+    for mu in measures:
+        # the length's breakdown, letter by letter
+        report = eta_length(auto, mu)
+        for x in alphabet(rank):
+            expected = sum(
+                (pair_mass_by_pairs(mu, fam[a], fam[x]) for a in alphabet(rank) if a != x), F(0)
+            )
+            assert report.breakdown[x] == expected, (mu.label, x)
+    # a cell that overlaps two colours' parts raises, whichever role it has
+    x, y = rng.sample(alphabet(rank), 2)
+    label = rng.choice(fam[x].leaves)
+    overlap = CylinderPartition.from_words(rank, [label + (rng.choice(extension_letters(label, rank)),)])
+    for mu in measures[:1]:
+        with pytest.raises(AssertionError):
+            _pair_mass(mu, {x: fam[x], y: fam[y]}, {"overlap": overlap})
+        with pytest.raises(AssertionError):
+            _pair_mass(mu, {"overlap": overlap}, {x: fam[x], y: fam[y]})
 
 
 def test_stable_prefix_contract(nielsen_map):
@@ -542,7 +615,7 @@ def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
     from stretchfactor import boundary, eta_length, length_exact, markov_measure
     from stretchfactor import rational_measure, words as words_module
 
-    calls = {"trie": 0, "trie_in_pair_mass": 0, "word_key": 0}
+    calls = {"trie": 0, "trie_in_pair_mass": 0, "word_key": 0, "pair_mass": 0}
     in_pair_mass = []
     trie, pair_mass, word_key = boundary._trie, boundary._pair_mass, words_module.word_key
 
@@ -552,6 +625,7 @@ def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
         return trie(*args)
 
     def flagged_pair_mass(*args):
+        calls["pair_mass"] += 1
         in_pair_mass.append(True)
         try:
             return pair_mass(*args)
@@ -563,9 +637,13 @@ def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
         return word_key(w)
 
     monkeypatch.setattr(boundary, "_trie", counting_trie)
-    monkeypatch.setattr(boundary, "_pair_mass", flagged_pair_mass)
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "stretchfactor" and getattr(module, "word_key", None) is word_key:
+        if name.split(".")[0] != "stretchfactor":
+            continue
+        # eta_length binds _pair_mass in its own module
+        if getattr(module, "_pair_mass", None) is pair_mass:
+            monkeypatch.setattr(module, "_pair_mass", flagged_pair_mass)
+        if getattr(module, "word_key", None) is word_key:
             monkeypatch.setattr(module, "word_key", counting_word_key)
     auto = parse_generator_expression(3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]")
     length_exact(auto, cache=PartitionCache())
@@ -575,6 +653,8 @@ def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
     ):
         eta_length(auto, mu, cache=PartitionCache())
     assert calls["trie"] > 0
+    # one walk per length, and no trie is rebuilt inside it
+    assert calls["pair_mass"] == 3
     assert calls["trie_in_pair_mass"] == 0
     assert calls["word_key"] == 0
     # the counter is live: output order still sorts

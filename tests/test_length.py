@@ -98,6 +98,25 @@ def test_signed_permutation_invariance(nielsen_map):
         assert length_exact(compose(pi, nielsen_map)).value == base
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 3),
+    v_len=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conjugation_and_signed_permutation_invariance(rank, n_factors, v_len, seed):
+    # the length is a class function, and the uniform current and word
+    # length are both invariant under signed permutations
+    rng = random.Random(seed)
+    phi = random_composition(rank, n_factors if rank < 4 else min(n_factors, 2), rng)
+    base = length_exact(phi).value
+    assert length_exact(conj(phi, random_reduced(v_len, rank, rng))).value == base
+    pi = rng.choice(enumerate_signed_permutations(rank))
+    assert length_exact(compose(pi, phi)).value == base
+    assert length_exact(compose(phi, pi)).value == base
+
+
 def test_length_at_least_one():
     rng = random.Random(11)
     for _ in range(10):

@@ -48,9 +48,9 @@ def test_benchmark_hooks_find_every_layer():
     # the frontier sweep left the engine; every other hook target is found
     assert doc["absent"] == ["stretchfactor.boundary:_frontier_depth"]
     calls = doc["calls"]
-    # rank 2: one pair sum per letter per eta_length, spans labelled by mu.kind
-    assert calls["boundary.pair_mass.uniform"] == 4
-    assert calls["boundary.pair_mass.generic"] == 8
+    # one coloured pair-sum walk per eta_length, spans labelled by mu.kind
+    assert calls["boundary.pair_mass.uniform"] == 1
+    assert calls["boundary.pair_mass.generic"] == 2
     assert calls["length.eta_length"] == 3
     # pair sums read the measure's automaton, not eval
     assert "measures.eval" not in calls

@@ -4,9 +4,13 @@ For every (category, stratum) of the committed `length-cold` and
 `currents` pools, the cheapest input is run through the public API: one
 with an expected value where the pool stores one, checked exactly, and
 for `rational:` strata one checked against the cyclic length of the
-image of the rational word.  The nodes each input spends are pinned, so
-a wrong translation or a drift in the work done fails here, not only in
-the benchmark.  The pool files are read, never written.
+image of the rational word.  The `whitehead` pool contributes the
+cheapest input with an expected value of each stratum: a factorization
+must recompose to its input with strictly increasing lengths ending at
+the expected length, and a spectrum must list the expected values.  The
+nodes each input spends are pinned, so a wrong translation, a wrong
+pair sum or a drift in the work done fails here, not only in the
+benchmark.  The pool files are read, never written.
 """
 
 import json
@@ -55,6 +59,14 @@ SPENT = {
     "uniform_as_markov-0090": 627,
 }
 
+# Budget.spent of each sampled whitehead input.
+WHITEHEAD_SPENT = {
+    "factorize2-0002": 34, "factorize2-0046": 34, "factorize2-0075": 126,
+    "factorize2-0094": 144, "factorize2-0135": 218, "factorize3-0004": 211,
+    "factorize3-0035": 537, "spectrum-0000": 130, "spectrum-0001": 486,
+    "spectrum-0002": 1604,
+}
+
 
 def _sample():
     """The cheapest checkable input of every (category, stratum) of both pools."""
@@ -74,6 +86,24 @@ def _sample():
 
 
 SAMPLE = _sample()
+
+
+def _whitehead_sample():
+    """The cheapest input with an expected value of every whitehead stratum."""
+    with open(POOLS / "whitehead.json", encoding="utf-8") as fh:
+        entries = json.load(fh)["entries"]
+    chosen = {}
+    for entry in entries:
+        if "expect" not in entry:
+            continue
+        key = (entry["cat"], str(entry["stratum"]))
+        best = chosen.get(key)
+        if best is None or (entry["ms"], entry["id"]) < (best["ms"], best["id"]):
+            chosen[key] = entry
+    return [chosen[key] for key in sorted(chosen)]
+
+
+WHITEHEAD_SAMPLE = _whitehead_sample()
 
 
 def _measure(rank, text):
@@ -111,3 +141,26 @@ def test_pooled_answer_and_nodes(entry):
     else:
         assert value == cyclic_length(auto.apply(sf.parse_word(measure[len("rational:"):])))
     assert budget.spent == SPENT[entry["id"]]
+
+
+def test_whitehead_sample_covers_every_stratum():
+    # factorize2 strata 1-5, factorize3 strata 1-2 and spectrum (2, 1..3)
+    # carry an expected value; spectrum (3, 1) has none
+    assert len(WHITEHEAD_SAMPLE) == 10
+    assert sorted(e["id"] for e in WHITEHEAD_SAMPLE) == sorted(WHITEHEAD_SPENT)
+
+
+@pytest.mark.parametrize("entry", WHITEHEAD_SAMPLE, ids=lambda e: e["id"])
+def test_pooled_whitehead_answer_and_nodes(entry):
+    budget = sf.Budget()
+    if entry["op"] == "factorize":
+        auto = sf.parse_generator_expression(entry["rank"], entry["map"])
+        report = sf.factorize(auto, budget=budget)
+        assert report.recomposed() == auto
+        lengths = report.lengths
+        assert all(a < b for a, b in zip(lengths, lengths[1:]))
+        assert lengths[-1] == Fraction(entry["expect"])
+    else:
+        report = sf.spectrum(entry["rank"], entry["max_factors"], budget=budget)
+        assert list(report.values()) == [Fraction(v) for v in entry["expect"]]
+    assert budget.spent == WHITEHEAD_SPENT[entry["id"]]
