@@ -1,13 +1,18 @@
-"""Verified automorphism pairs (forward and inverse basis images).
+"""Automorphisms as inverse pairs (forward and inverse basis images).
 
 An Automorphism stores the images of the positive basis letters under the
-map and under its inverse; construction checks that the two compose to the
-identity on every generator.  Composition, inner automorphisms, signed
-permutations and second-kind moves all track their inverses, so the
-boundary engine always has a certified inverse available.  Every map also
-factors into atoms of two kinds, elementary transvections and signed
-permutations, whose preimage families the boundary engine knows in
-closed form.
+map and under its inverse.  Pairs that come from outside the engine
+(`make_automorphism`, or the constructor with verify=True) are checked by
+brute force: both substitutions must send every generator to itself.
+Products of two such pairs (`compose`, and the suffixes `tail` peels off
+a chain) are certified instead, by round trips through the factor with
+the shorter images, in time linear in the product's images.  Inner
+automorphisms, signed permutations and transvections are inverse pairs
+by construction, and each second-kind move is built and verified once
+per process, so the boundary engine always has a certified inverse
+available.  Every map also factors into atoms of two kinds,
+elementary transvections and signed permutations, whose preimage
+families the boundary engine knows in closed form.
 """
 
 from __future__ import annotations
@@ -82,7 +87,11 @@ class Automorphism:
     first use.
 
     The `factors` argument takes the atoms, () to mark the map itself as
-    an atom, or None to factor on demand.
+    an atom, or None to factor on demand.  With verify=True (the default)
+    the constructor checks by brute force that `bwd` inverts `fwd` and
+    raises NotInverseError otherwise.  verify=False is for callers whose
+    pair is inverse by construction or already certified; nothing checks
+    it then.
     """
 
     __slots__ = ("rank", "fwd", "bwd", "_factors", "_hash")
@@ -156,13 +165,17 @@ class Automorphism:
         return self._factors or (self,)
 
     def tail(self) -> "Automorphism":
-        """The composition of every factor but the leftmost one."""
+        """The composition of every factor but the leftmost one.
+
+        It is the product head^-1 o self, certified like `compose`;
+        head^-1's pair is head's read backwards, so no second map is built.
+        """
         head, *rest = self.factors
         if len(rest) == 1:
             return rest[0]
-        fwd = [head.apply_inverse(w) for w in self.fwd]
-        bwd = [self.apply_inverse(w) for w in head.fwd]
-        return Automorphism(self.rank, fwd, bwd, factors=tuple(rest))
+        return _product(
+            self.rank, (head.bwd, head.fwd), (self.fwd, self.bwd), tuple(rest)
+        )
 
     # -- metrics --------------------------------------------------------
 
@@ -249,14 +262,59 @@ def inner(rank: int, v: Sequence[int]) -> Automorphism:
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
-    """x -> phi(psi(x)); the left factor is applied last."""
+    """x -> phi(psi(x)); the left factor is applied last.
+
+    Both factors are inverse pairs already, so the product is certified
+    from them (`_certify`) rather than verified by brute force.
+    """
     if phi.rank != psi.rank:
         raise InputError("cannot compose automorphisms of different ranks")
-    fwd = [phi.apply(w) for w in psi.fwd]
-    bwd = [psi.apply_inverse(w) for w in phi.bwd]
-    return Automorphism(
-        phi.rank, fwd, bwd, factors=phi.factors + psi.factors, verify=True
+    return _product(
+        phi.rank, (phi.fwd, phi.bwd), (psi.fwd, psi.bwd), phi.factors + psi.factors
     )
+
+
+# An inverse pair (forward images, backward images) of basis letters.
+_Pair = tuple[Sequence[Word], Sequence[Word]]
+
+
+def _product(rank: int, phi: _Pair, psi: _Pair, factors: tuple) -> Automorphism:
+    """The certified product phi o psi of two inverse pairs."""
+    fwd = [Word(_substitute(phi[0], w)) for w in psi[0]]
+    bwd = [Word(_substitute(psi[1], w)) for w in phi[1]]
+    _certify(phi, psi, fwd, bwd)
+    return Automorphism(rank, fwd, bwd, factors=factors, verify=False)
+
+
+def _certify(phi: _Pair, psi: _Pair, fwd: Sequence[Word], bwd: Sequence[Word]) -> None:
+    """Check that (fwd, bwd) is the inverse pair of phi o psi.
+
+    Two round trips run through the factor with the shorter images.  If
+    that is phi: phi^-1(fwd[x]) = psi(x) gives fwd = phi o psi, and
+    bwd(phi(x)) = psi^-1(x) gives bwd = psi^-1 o phi^-1.  Otherwise
+    fwd(psi^-1(x)) = phi(x) and psi(bwd[x]) = phi^-1(x) give the same.
+    So fwd and bwd are inverse, as the brute-force check proves, but
+    each substitution costs the product's images times the short factor's
+    instead of the product's images times each other.  Both factors are
+    inverse pairs, so a failure is an engine bug: AssertionError, not
+    NotInverseError.
+    """
+    (phi_f, phi_b), (psi_f, psi_b) = phi, psi
+    if _size(phi) <= _size(psi):
+        trips = ((phi_b, fwd, psi_f), (bwd, phi_f, psi_b))
+    else:
+        trips = ((fwd, psi_b, phi_f), (psi_f, bwd, phi_b))
+    for images, words, expected in trips:
+        for x, (w, want) in enumerate(zip(words, expected), 1):
+            if tuple(_substitute(images, w)) != want:
+                raise AssertionError(
+                    f"product certificate failed at {format_letter(x)}: "
+                    "a substitution of two verified maps is wrong"
+                )
+
+
+def _size(pair: _Pair) -> int:
+    return sum(map(len, pair[0])) + sum(map(len, pair[1]))
 
 
 def conj(phi: Automorphism, v: Sequence[int]) -> Automorphism:
@@ -335,25 +393,8 @@ class WhiteheadSecondKind:
     def _others(self) -> list[int]:
         return [x for x in range(1, self.rank + 1) if x != abs(self.multiplier)]
 
-    def type_of(self, x: int) -> str:
-        return self.types[self._others().index(x)]
-
     def automorphism(self) -> Automorphism:
-        factors = _w2_factors(self.rank, self.multiplier, self.types)
-        if len(factors) <= 1:
-            return factors[0] if factors else identity(self.rank)
-        a = self.multiplier
-        fwd: list[Word] = []
-        bwd: list[Word] = []
-        for x in range(1, self.rank + 1):
-            if x == abs(a):
-                fwd.append(Word((x,)))
-                bwd.append(Word((x,)))
-                continue
-            t = self.type_of(x)
-            fwd.append(_w2_image(x, a, t))
-            bwd.append(_w2_image(x, -a, t))
-        return Automorphism(self.rank, fwd, bwd, factors=factors, verify=True)
+        return _second_kind(self.rank, self.multiplier, self.types)
 
     def inverse(self) -> "WhiteheadSecondKind":
         return WhiteheadSecondKind(self.rank, -self.multiplier, self.types)
@@ -379,6 +420,22 @@ def _w2_image(x: int, a: int, t: str) -> Word:
     if t == LEFT:
         return free_reduce((-a, x))
     return free_reduce((-a, x, a))
+
+
+# At most 2k * 4^(k-1) moves per rank, each built and verified once and
+# shared by every caller.
+@functools.cache
+def _second_kind(rank: int, a: int, types: tuple[str, ...]) -> Automorphism:
+    """The map of the second-kind move with multiplier a and these types."""
+    factors = _w2_factors(rank, a, types)
+    if len(factors) <= 1:
+        return factors[0] if factors else identity(rank)
+    others = [x for x in range(1, rank + 1) if x != abs(a)]
+    type_of = dict(zip(others, types))  # the multiplier's letter is fixed
+    letters = [(x, type_of.get(x, FIX)) for x in range(1, rank + 1)]
+    fwd = [_w2_image(x, a, t) for x, t in letters]
+    bwd = [_w2_image(x, -a, t) for x, t in letters]
+    return Automorphism(rank, fwd, bwd, factors=factors, verify=True)
 
 
 def _w2_factors(rank: int, a: int, types: Sequence[str]) -> tuple:

@@ -75,9 +75,9 @@ def descent_step(
 ) -> Optional[WhiteheadSecondKind]:
     """The second-kind move minimizing L(tau o phi), if one goes strictly down.
 
-    Ties break toward the canonically smallest move.  Raises DescentStuck
-    when phi is non-simple yet no move decreases the length, since the
-    descent theorem promises one exists.
+    Ties break toward the canonically smallest move.  Raises
+    DescentStuckError when phi is non-simple yet no move decreases the
+    length, since the descent theorem promises one exists.
     """
     budget, cache = _resolve(budget, cache)
     base = length_exact(auto, budget=budget, cache=cache).value

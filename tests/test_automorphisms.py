@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stretchfactor import (
+    Automorphism,
+    Budget,
     NotInverseError,
+    WhiteheadSecondKind,
     compose,
     conj,
     cyclic_length,
@@ -13,12 +17,14 @@ from stretchfactor import (
     identity,
     inner,
     is_simple,
+    length_exact,
     make_automorphism,
     parse_generator_expression,
     parse_map_text,
     parse_word,
     random_reduced,
 )
+from stretchfactor.automorphisms import _certify
 from stretchfactor.words import cancellation, free_reduce, inverse
 
 from conftest import is_atom, nielsen, random_composition
@@ -35,6 +41,9 @@ def test_make_automorphism_verified():
         make_automorphism(2, {1: w("a"), 2: w("ba")}, {1: w("a"), 2: w("ba")})
     swap = make_automorphism(2, {1: w("b"), 2: w("a")}, {1: w("b"), 2: w("a")})
     assert swap.apply(w("aB")) == w("bA")
+    # the constructor checks pairs from outside by brute force too
+    with pytest.raises(NotInverseError):
+        Automorphism(2, (w("a"), w("ba")), (w("A"), w("bA")))
 
 
 def test_apply_examples(nielsen_map):
@@ -213,3 +222,107 @@ def test_factors_are_atoms_and_recompose(rank, seed):
         for f in reversed(auto.factors[:-1]):
             recomposed = compose(f, recomposed)
         assert recomposed == phi and recomposed.bwd == phi.bwd
+
+
+def letter_by_letter(rank, factors):
+    """Forward and backward images of the composition of `factors`, one
+    factor at a time by concatenating letter images and freely reducing."""
+    fwd = bwd = [(x,) for x in range(1, rank + 1)]
+    for f in reversed(factors):
+        fwd = [free_reduce([y for x in u for y in f.letter_image(x)]) for u in fwd]
+    for f in factors:
+        bwd = [free_reduce([y for x in u for y in f.inverse_letter_image(x)]) for u in bwd]
+    return tuple(fwd), tuple(bwd)
+
+
+def corrupted(images, i):
+    """The images with image i lengthened by its own last letter, still reduced."""
+    images = list(images)
+    images[i] = images[i] + images[i][-1:]
+    return images
+
+
+def suffixes(auto):
+    out = [auto]
+    while len(out[-1].factors) > 1:
+        out.append(out[-1].tail())
+    return out
+
+
+@given(st.integers(2, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_products_and_suffixes_are_certified(rank, m, n, seed):
+    rng = random.Random(seed)
+    phi = random_composition(rank, m, rng)
+    psi = random_composition(rank, n, rng)
+    for left, right in ((phi, psi), (psi, phi)):
+        product = compose(left, right)
+        for auto in suffixes(product):
+            auto._verify()  # the brute-force check agrees with the certificate
+            assert (auto.fwd, auto.bwd) == letter_by_letter(rank, auto.factors)
+        pairs = ((left.fwd, left.bwd), (right.fwd, right.bwd))
+        i = rng.randrange(rank)
+        with pytest.raises(AssertionError, match="certificate"):
+            _certify(*pairs, corrupted(product.fwd, i), product.bwd)
+        with pytest.raises(AssertionError, match="certificate"):
+            _certify(*pairs, product.fwd, corrupted(product.bwd, i))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_certificate_catches_a_wrong_image_through_either_factor(nielsen_map, side):
+    # nielsen^3 has longer images than nielsen, so the two orders of the
+    # product round-trip through different factors; a suffix reads
+    # head^-1's pair off head's
+    n, cube = nielsen_map, compose(nielsen_map, compose(nielsen_map, nielsen_map))
+    head = cube.factors[0]
+    cases = [
+        ((n.fwd, n.bwd), (cube.fwd, cube.bwd), compose(n, cube)),
+        ((cube.fwd, cube.bwd), (n.fwd, n.bwd), compose(cube, n)),
+        ((head.bwd, head.fwd), (cube.fwd, cube.bwd), cube.tail()),
+    ]
+    for phi, psi, product in cases:
+        _certify(phi, psi, product.fwd, product.bwd)
+        for i in range(2):
+            images = [product.fwd, product.bwd]
+            images[side] = corrupted(images[side], i)
+            with pytest.raises(AssertionError):
+                _certify(phi, psi, *images)
+
+
+@pytest.mark.parametrize(
+    "rank, expression, value, spent",
+    [
+        (2, " * ".join(["W2[a; b:RIGHT]"] * 24), Fraction(2471258444209, 282429536481), 2283),
+        (3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]", Fraction(42, 25), 875),
+    ],
+    ids=["nielsen-power-24", "rank3-chain"],
+)
+def test_cold_length_builds_each_suffix_once_without_brute_force(
+    monkeypatch, rank, expression, value, spent
+):
+    phi = parse_generator_expression(rank, expression)
+    counts = {"built": 0, "verified": 0}
+    init, verify = Automorphism.__init__, Automorphism._verify
+
+    def counted_init(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_verify(self):
+        counts["verified"] += 1
+        verify(self)
+
+    monkeypatch.setattr(Automorphism, "__init__", counted_init)
+    monkeypatch.setattr(Automorphism, "_verify", counted_verify)
+    budget = Budget()
+    report = length_exact(phi, budget=budget)
+    assert (report.value, budget.spent) == (value, spent)
+    assert counts["verified"] == 0
+    # one map per suffix of two or more factors; the last suffix is an atom
+    assert counts["built"] == len(phi.factors) - 2
+
+
+def test_second_kind_maps_are_built_once():
+    for tau in enumerate_second_kind(3):
+        assert tau.automorphism() is tau.automorphism()
+        assert WhiteheadSecondKind(3, tau.multiplier, tau.types).automorphism() is tau.automorphism()

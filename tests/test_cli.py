@@ -165,6 +165,45 @@ def test_selftest_checks_survive_optimize_flag(mode, fails):
     assert ("selftest passed" in result.stdout) != fails
 
 
+_LENGTH_WITH_PRODUCT_FAULT = """
+import sys
+import stretchfactor.automorphisms as A
+
+certify = A._certify
+if sys.argv[1] == "fault":
+    def corrupt_first_image(phi, psi, fwd, bwd):
+        fwd[0] = fwd[0] + fwd[0][-1:]
+        certify(phi, psi, fwd, bwd)
+    A._certify = corrupt_first_image
+from stretchfactor.cli import run
+sys.exit(run(["length", "--rank", "2", *sys.argv[2:]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "mode, argv, code, message",
+    [
+        ("exact", ["--map", "W2[a; b:RIGHT] * W2[b; a:LEFT]"], 0, ""),
+        # a product of verified maps that fails its certificate is an engine bug
+        ("fault", ["--map", "W2[a; b:RIGHT] * W2[b; a:LEFT]"], 1, "AssertionError: product certificate"),
+        # a wrong inverse from outside is an input error
+        ("exact", ["--map", "a->a,b->ba", "--inverse", "a->a,b->ba"], 2, "error: inverse check failed"),
+    ],
+    ids=["product", "corrupted-product", "wrong-inverse"],
+)
+def test_engine_bugs_and_input_errors_exit_apart(mode, argv, code, message):
+    # under python -O too: the certificate is not an assert statement
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _LENGTH_WITH_PRODUCT_FAULT, mode, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == code, result.stderr
+    assert message in result.stderr
+
+
 def test_word_parse_error():
     code, _ = invoke(
         ["preimage", "--rank", "2", "--map", "W2[a; b:RIGHT]", "--target", "a1"]
