@@ -75,6 +75,7 @@ from .words import (
     Word,
     alphabet,
     all_words,
+    as_word,
     cancellation,
     extension_letters,
     format_word,
@@ -173,7 +174,11 @@ class CylinderPartition:
         return self._words
 
     def label_prefix(self, w: Sequence[int]) -> int:
-        """Length of the label that is a prefix of w, or 0 if none is."""
+        """Length of the label that is a prefix of w, or 0 if none is.
+
+        A query on any letter sequence: preimage assembly asks it of the
+        image lists `_substitute` returns, so it does not validate w.
+        """
         n = len(self.stem)
         if tuple(w[:n]) != self.stem:
             return 0
@@ -187,7 +192,7 @@ class CylinderPartition:
     def contains_cylinder(self, w: Sequence[int]) -> bool:
         # Canonical families have no complete sibling sets, so Cyl(w) lies in
         # the union iff a label is a prefix of w.
-        return self.label_prefix(w) > 0
+        return self.label_prefix(as_word(w)) > 0
 
     def __iter__(self):
         return iter(self.words)

@@ -37,6 +37,7 @@ from .words import (
     Word,
     alphabet,
     all_words,
+    as_word,
     comparable,
     concat,
     extension_letters,
@@ -94,7 +95,12 @@ class FrequencyMeasure:
 
 
 def uniform_eval(k: int, v: Sequence[int]) -> Fraction:
-    """1 / (2k (2k-1)^(|v|-1)); the empty cylinder label gets mass 1."""
+    """1 / (2k (2k-1)^(|v|-1)); the empty cylinder label gets mass 1.
+
+    v is validated as `FrequencyMeasure.eval` validates it: a word that
+    is not reduced or leaves the rank-k alphabet raises.
+    """
+    validate_rank(as_word(v), k)
     n = len(v)
     if n == 0:
         return ONE

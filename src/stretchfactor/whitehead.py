@@ -6,28 +6,53 @@ factorization into second-kind moves times a simple map with strictly
 increasing lengths.  Enumerating bounded compositions of the generating
 moves and deduplicating by a conjugation-normal form exhibits the
 discreteness of the length spectrum at small scale.
+
+Every candidate move is scored by Whitehead's cut formula instead of
+being built and measured.  A second-kind move tau with multiplier a
+fixes a and sends each other basis letter x to a^-e x a^f (e, f in
+{0, 1}), so every letter image starts with a^-1 or its own letter and
+ends with a or its own letter.  At a turn xy (y != x^-1) the images
+tau(x) tau(y) can therefore cancel only a against a^-1, one letter; what
+is left of them then meets as x against y, which does not cancel, and
+tau(a) = a is never cancelled from its left, so no cancellation runs
+through a neighbouring image.  For a cyclic word w, |tau(w)| is thus the
+sum of |tau(x)| over its letters minus 2 for each turn whose images
+cancel.  Both sides are linear in the current of w and read finitely
+many cylinder values, and rational currents are dense (Kapovich,
+"Currents on free groups", math/0412128), so for every current nu
+
+    ||tau_* nu|| = sum_x nu(x) |tau(x)| - 2 sum nu(xy),
+
+the last sum over the turns xy whose images cancel.  With nu = phi_* mu,
+||nu|| = sum_x nu(x) = L(phi), so the lengths of all tau o phi are read
+off one depth-2 pushforward table of phi (J. H. C. Whitehead, Ann. of
+Math. 37 (1936); Lyndon-Schupp, Combinatorial Group Theory, I.4).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 from typing import Optional
 
 from .automorphisms import (
     Automorphism,
     WhiteheadSecondKind,
+    _substitute,
     compose,
     enumerate_second_kind,
     enumerate_signed_permutations,
     identity,
     is_simple,
 )
-from .boundary import Budget, PartitionCache, _resolve
+from .boundary import Budget, PartitionCache, _resolve, pushforward_table
 from .errors import DescentStuckError, InputError
 from .length import length_exact
-from .measures import frac_str
-from .words import Word, alphabet, format_word, word_key
+from .measures import frac_str, uniform_measure
+from .words import Word, alphabet, cancellation, format_word, word_key
 
 ONE = Fraction(1)
 
@@ -75,30 +100,19 @@ def descent_step(
 ) -> Optional[WhiteheadSecondKind]:
     """The second-kind move minimizing L(tau o phi), if one goes strictly down.
 
+    Every L(tau o phi) is read off one depth-2 pushforward table of phi
+    by the cut formula (module docstring), so no candidate map is built.
     Ties break toward the canonically smallest move.  Raises
     DescentStuckError when phi is non-simple yet no move decreases the
     length, since the descent theorem promises one exists.
     """
     budget, cache = _resolve(budget, cache)
-    base = length_exact(auto, budget=budget, cache=cache).value
-    best: Optional[tuple[Fraction, tuple, WhiteheadSecondKind]] = None
-    for tau in enumerate_second_kind(auto.rank):
-        if tau.is_identity():
-            continue
-        value = length_exact(
-            compose(tau.automorphism(), auto), budget=budget, cache=cache
-        ).value
-        key = (value, tau.sort_key())
-        if value < base and (best is None or key < best[:2]):
-            best = (value, tau.sort_key(), tau)
+    length, best = _steepest(auto, budget, cache)
     if best is not None:
-        return best[2]
+        return best[0]
     if is_simple(auto) is not None:
         return None
-    raise DescentStuckError(
-        f"no second-kind move decreases L = {frac_str(base)} for the "
-        f"non-simple map {auto.key()!r}"
-    )
+    raise _stuck(auto, length)
 
 
 def factorize(
@@ -107,18 +121,41 @@ def factorize(
     budget: Optional[int | Budget] = None,
     cache: Optional[PartitionCache] = None,
 ) -> FactorizationReport:
-    """Greedy steepest-descent factorization into second-kind moves."""
+    """Greedy steepest-descent factorization into second-kind moves.
+
+    Each step reads one depth-2 pushforward table of the current map:
+    its length is the sum of the depth-1 values, and the chosen move's
+    cut-formula value is the next map's length, so lengths are not
+    measured one by one.  `length_exact` runs only on an input that is
+    already simple.  Each table's own length must equal the value the
+    cut formula gave it one step earlier, and the simple map reached
+    must have length 1; either failing is an engine bug (AssertionError).
+    """
     budget, cache = _resolve(budget, cache)
-    lengths = [length_exact(auto, budget=budget, cache=cache).value]
+    lengths: list[Fraction] = []
     moves: list[WhiteheadSecondKind] = []
     current = auto
     while is_simple(current) is None:
-        step = descent_step(current, budget=budget, cache=cache)
-        if step is None:
-            raise DescentStuckError(f"descent returned no move for {current.key()!r}")
-        moves.append(step)
-        current = compose(step.automorphism(), current)
-        lengths.append(length_exact(current, budget=budget, cache=cache).value)
+        length, best = _steepest(current, budget, cache)
+        if not lengths:
+            lengths.append(length)
+        elif length != lengths[-1]:
+            raise AssertionError(
+                f"the cut formula gave L = {frac_str(lengths[-1])} but the "
+                f"table of {current.key()!r} sums to {frac_str(length)}"
+            )
+        if best is None:
+            raise _stuck(current, length)
+        moves.append(best[0])
+        lengths.append(best[1])
+        current = compose(best[0].automorphism(), current)
+    if not lengths:
+        lengths.append(length_exact(auto, budget=budget, cache=cache).value)
+    if lengths[-1] != ONE:
+        raise AssertionError(
+            f"descent reached the simple map {current.key()!r} at "
+            f"L = {frac_str(lengths[-1])}, not 1"
+        )
     taus = tuple(m.inverse() for m in moves)  # phi = w1^-1 o ... o wm^-1 o sigma
     report = FactorizationReport(
         rank=auto.rank,
@@ -131,6 +168,75 @@ def factorize(
     if any(a >= b for a, b in zip(report.lengths, report.lengths[1:])):
         raise AssertionError("factorization lengths are not strictly increasing")
     return report
+
+
+def _stuck(auto: Automorphism, length: Fraction) -> DescentStuckError:
+    return DescentStuckError(
+        f"no second-kind move decreases L = {frac_str(length)} for the "
+        f"non-simple map {auto.key()!r}"
+    )
+
+
+def _steepest(
+    auto: Automorphism, budget: Budget, cache: PartitionCache
+) -> tuple[Fraction, Optional[tuple[WhiteheadSecondKind, Fraction]]]:
+    """L(phi), and the least (L(tau o phi), move) below it if there is one."""
+    table = pushforward_table(
+        auto, uniform_measure(auto.rank), 2, budget=budget, cache=cache
+    )
+    den, total, scores = _cut_scores(auto.rank, table)
+    # scores run in canonical move order, and min keeps the first minimum
+    value, tau = min(scores, key=itemgetter(0))
+    best = (tau, Fraction(value, den)) if value < total else None
+    return Fraction(total, den), best
+
+
+def _cut_scores(
+    rank: int, table: dict[Word, Fraction]
+) -> tuple[int, int, list[tuple[int, WhiteheadSecondKind]]]:
+    """(D, D ||nu||, [(D ||tau_* nu||, tau) for each non-identity move]).
+
+    `table` holds a current nu on every cylinder of length 1 and 2, as
+    pushforward_table returns it, and D is its common denominator, so
+    every move is scored by integer sums of the cut formula.
+    """
+    den = math.lcm(*(q.denominator for q in table.values()))
+    num = {w: q.numerator * (den // q.denominator) for w, q in table.items()}
+    ones = [num[(x,)] for x in alphabet(rank)]
+    scores = [
+        (sum(map(mul, ones, lengths)) - 2 * sum(num[t] for t in turns), tau)
+        for tau, lengths, turns in _move_data(rank)
+    ]
+    return den, sum(ones), scores
+
+
+@functools.cache
+def _move_data(rank: int) -> tuple:
+    """(tau, |tau(x)| per letter x, cancelling turns xy) per non-identity move.
+
+    Built from the moves' letter images on first use at each rank, in
+    canonical move order.
+    """
+    letters = alphabet(rank)
+    out = []
+    for tau in enumerate_second_kind(rank):
+        if tau.is_identity():
+            continue
+        images = [tau.automorphism().letter_image(x) for x in letters]
+        turns = []
+        for x, u in zip(letters, images):
+            for y, v in zip(letters, images):
+                if y == -x:
+                    continue
+                c = cancellation(u, v)
+                if c > 1:
+                    raise AssertionError(
+                        f"{tau.label()} cancels {c} letters at a seam"
+                    )
+                if c:
+                    turns.append((x, y))
+        out.append((tau, tuple(map(len, images)), tuple(turns)))
+    return tuple(out)
 
 
 def canonical_out_key(auto: Automorphism) -> tuple[Word, ...]:
@@ -159,32 +265,45 @@ def _conjugate(c: int, images: tuple) -> tuple:
     return tuple(out)
 
 
-def _cost(images: tuple) -> int:
-    return sum(len(w) for w in images)
+def _deltas(images: tuple) -> dict[int, int]:
+    """The change of the total image length under conjugation by each letter.
+
+    Conjugating a reduced nonempty image by c drops its first letter if
+    that is c^-1 and its last if that is c, and adds a letter at each
+    other end, so the total changes by 2k - 2(F(c^-1) + E(c)), where
+    F(c^-1) counts the images that start with c^-1 and E(c) those that
+    end with c.
+    """
+    deltas = dict.fromkeys(alphabet(len(images)), 2 * len(images))
+    for w in images:
+        deltas[-w[0]] -= 2
+        deltas[w[-1]] -= 2
+    return deltas
 
 
-def _normalize(images: tuple) -> tuple[Word, ...]:
-    rank = len(images)
+def _normalize(images) -> tuple[Word, ...]:
     current = tuple(tuple(w) for w in images)
-    cost = _cost(current)
     # strict descent reaches a global minimum (canonical_out_key)
+    deltas = _deltas(current)
     improved = True
     while improved:
         improved = False
-        for c in alphabet(rank):
-            psi = _conjugate(c, current)
-            if _cost(psi) < cost:
-                current, cost, improved = psi, _cost(psi), True
+        for c in alphabet(len(current)):
+            if deltas[c] < 0:
+                current = _conjugate(c, current)
+                deltas = _deltas(current)
+                improved = True
     # the minimizers are the equal-cost plateau around it
     seen = {current}
     queue = [current]
     while queue:
         phi = queue.pop()
-        for c in alphabet(rank):
-            psi = _conjugate(c, phi)
-            if psi not in seen and _cost(psi) == cost:
-                seen.add(psi)
-                queue.append(psi)
+        for c, delta in _deltas(phi).items():
+            if delta == 0:
+                psi = _conjugate(c, phi)
+                if psi not in seen:
+                    seen.add(psi)
+                    queue.append(psi)
     return tuple(Word(w) for w in min(seen, key=_tuple_sort_key))
 
 
@@ -215,11 +334,11 @@ def spectrum(
         frontier = {}
         for base in sources:
             for g in gens:
-                candidate = compose(g, base)
-                key = _normalize(candidate.fwd)
+                # the key needs only the forward images; a new class's
+                # map is certified once, by compose
+                key = _normalize([_substitute(g.fwd, w) for w in base.fwd])
                 if key not in seen:
-                    seen[key] = candidate
-                    frontier[key] = candidate
+                    seen[key] = frontier[key] = compose(g, base)
     by_value: dict[Fraction, list[tuple[Word, ...]]] = {}
     for key, rep in sorted(
         seen.items(), key=lambda kv: tuple(word_key(w) for w in kv[0])

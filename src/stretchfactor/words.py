@@ -39,6 +39,11 @@ class Word(tuple):
 EMPTY = Word()
 
 
+def as_word(w: Sequence[int]) -> Word:
+    """w as a Word: NotReducedError unless it is freely reduced."""
+    return w if type(w) is Word else Word(w)
+
+
 def letter_key(x: int) -> tuple[int, int]:
     # Canonical letter order a < A < b < B < ...
     return (abs(x), 0 if x > 0 else 1)
@@ -108,7 +113,8 @@ def free_reduce(seq: Iterable[int]) -> Word:
 
 def concat(u: Sequence[int], v: Sequence[int]) -> Word:
     """Reduced product u*v of two reduced words."""
-    u = list(u)
+    v = as_word(v)
+    u = list(as_word(u))
     i = len(v)
     j = 0
     while u and j < i and u[-1] == -v[j]:
@@ -132,6 +138,7 @@ def cancellation(u: Sequence[int], v: Sequence[int]) -> int:
 
 def cyclic_reduce(w: Sequence[int]) -> tuple[Word, Word]:
     """Split w = conj * core * conj^-1 with core cyclically reduced."""
+    w = as_word(w)
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == -w[j - 1]:
         i += 1
@@ -148,6 +155,7 @@ def is_cyclically_reduced(w: Sequence[int]) -> bool:
 
 
 def lcp(u: Sequence[int], v: Sequence[int]) -> Word:
+    u, v = as_word(u), as_word(v)
     n = 0
     for x, y in zip(u, v):
         if x != y:
@@ -158,6 +166,7 @@ def lcp(u: Sequence[int], v: Sequence[int]) -> Word:
 
 def comparable(u: Sequence[int], v: Sequence[int]) -> bool:
     """True iff one word is a prefix of the other (nested cylinders)."""
+    u, v = as_word(u), as_word(v)
     n = min(len(u), len(v))
     return tuple(u[:n]) == tuple(v[:n])
 
@@ -209,6 +218,7 @@ def random_reduced(n: int, k: int, rng: random.Random) -> Word:
 
 def occurrences_in_cyclic(u: Sequence[int], w: Sequence[int]) -> int:
     """Occurrences of u in the bi-infinite periodic word ...www... per period."""
+    u, w = as_word(u), as_word(w)
     if not u:
         raise InputError("pattern must be nonempty")
     if not w:

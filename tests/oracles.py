@@ -17,13 +17,30 @@ prefix tree, coalesce, flatten to words and sort; it is the reference
 for the canonical tries that partitions now keep.
 `length_by_cancellation` computes a length by the cancellation (Busemann)
 formula from preimage partitions and `mu.eval` alone, with no pair sums.
+`descent_step_by_lengths` is the former descent step: it builds every
+candidate move's composite and measures it; it is the reference for the
+cut-formula scoring.  `normalize_by_costs` is the former conjugation
+normal form, which rebuilds and re-measures the image tuple for every
+letter at every step; it is the reference for the tally-driven one.
 """
 
 from fractions import Fraction
 from typing import Optional
 
-from stretchfactor import InputError, PartitionCache, Word, preimage_partition, uniform_measure
-from stretchfactor.boundary import CylinderPartition
+from stretchfactor import (
+    DescentStuckError,
+    InputError,
+    PartitionCache,
+    Word,
+    compose,
+    enumerate_second_kind,
+    is_simple,
+    length_exact,
+    preimage_partition,
+    uniform_measure,
+)
+from stretchfactor.boundary import CylinderPartition, _resolve
+from stretchfactor.measures import frac_str
 from stretchfactor.words import (
     all_words,
     alphabet,
@@ -268,3 +285,74 @@ def _collect(node: dict, prefix: tuple, out: list[Word]) -> None:
             out.append(Word(prefix + (c,)))
         else:
             _collect(child, prefix + (c,), out)
+
+
+def descent_step_by_lengths(auto, *, budget=None, cache=None):
+    """The second-kind move minimizing L(tau o phi), if one goes strictly down.
+
+    Ties break toward the canonically smallest move.  Raises
+    DescentStuckError when phi is non-simple yet no move decreases the
+    length, since the descent theorem promises one exists.
+    """
+    budget, cache = _resolve(budget, cache)
+    base = length_exact(auto, budget=budget, cache=cache).value
+    best = None
+    for tau in enumerate_second_kind(auto.rank):
+        if tau.is_identity():
+            continue
+        value = length_exact(
+            compose(tau.automorphism(), auto), budget=budget, cache=cache
+        ).value
+        key = (value, tau.sort_key())
+        if value < base and (best is None or key < best[:2]):
+            best = (value, tau.sort_key(), tau)
+    if best is not None:
+        return best[2]
+    if is_simple(auto) is not None:
+        return None
+    raise DescentStuckError(
+        f"no second-kind move decreases L = {frac_str(base)} for the "
+        f"non-simple map {auto.key()!r}"
+    )
+
+
+def _tuple_sort_key(images):
+    return tuple(word_key(w) for w in images)
+
+
+def _conjugate(c, images):
+    """Images of x -> c phi(x) c^-1, given the reduced images of phi."""
+    out = []
+    for w in images:
+        w = w[1:] if w and w[0] == -c else (c,) + w
+        out.append(w[:-1] if w and w[-1] == c else w + (-c,))
+    return tuple(out)
+
+
+def _cost(images):
+    return sum(len(w) for w in images)
+
+
+def normalize_by_costs(images):
+    rank = len(images)
+    current = tuple(tuple(w) for w in images)
+    cost = _cost(current)
+    # strict descent reaches a global minimum (canonical_out_key)
+    improved = True
+    while improved:
+        improved = False
+        for c in alphabet(rank):
+            psi = _conjugate(c, current)
+            if _cost(psi) < cost:
+                current, cost, improved = psi, _cost(psi), True
+    # the minimizers are the equal-cost plateau around it
+    seen = {current}
+    queue = [current]
+    while queue:
+        phi = queue.pop()
+        for c in alphabet(rank):
+            psi = _conjugate(c, phi)
+            if psi not in seen and _cost(psi) == cost:
+                seen.add(psi)
+                queue.append(psi)
+    return tuple(Word(w) for w in min(seen, key=_tuple_sort_key))

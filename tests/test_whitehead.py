@@ -1,26 +1,40 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stretchfactor.boundary as boundary_module
+import stretchfactor.length as length_module
+import stretchfactor.whitehead as whitehead_module
 from stretchfactor import (
+    Budget,
+    PartitionCache,
     canonical_out_key,
     compose,
     conj,
     descent_step,
     enumerate_second_kind,
+    eta_length,
     factorize,
     identity,
     inner,
     is_simple,
     length_exact,
+    parse_generator_expression,
     parse_word,
+    pushforward_table,
     spectrum,
 )
-from stretchfactor.words import random_reduced
+from stretchfactor.whitehead import _cut_scores, _move_data, _normalize
+from stretchfactor.words import alphabet, random_reduced
 
-from conftest import random_composition
+from conftest import random_composition, sample_measures
+from oracles import descent_step_by_lengths, normalize_by_costs
+
+POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "pools"
 
 
 def w(text):
@@ -182,3 +196,137 @@ def test_rank3_spectrum_of_single_generators():
     rep = spectrum(3, 1)
     assert rep.values() == (1, F(6, 5), F(19, 15))
     assert rep.min_gap == F(1, 15)
+
+
+def random_map(rank, n_factors, v_len, rng):
+    """A random composition of generators, conjugated by a random word."""
+    phi = random_composition(rank, n_factors, rng)
+    return conj(phi, random_reduced(v_len, rank, rng)) if v_len else phi
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 5),
+    v_len=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_normalize_matches_the_cost_search(rank, n_factors, v_len, seed):
+    phi = random_map(rank, n_factors, v_len, random.Random(seed))
+    assert _normalize(phi.fwd) == normalize_by_costs(phi.fwd)
+
+
+def test_move_data_seams_cancel_one_letter():
+    # 2k * 4^(k-1) moves, less the 2k identity-typed ones; a move's turns
+    # are those whose images cancel, one letter each (asserted on build)
+    for rank in (2, 3, 4):
+        data = _move_data(rank)
+        assert len(data) == 2 * rank * (4 ** (rank - 1) - 1)
+        assert data is _move_data(rank)
+        for tau, lengths, turns in data:
+            phi = tau.automorphism()
+            letters = alphabet(rank)
+            assert lengths == tuple(len(phi.letter_image(x)) for x in letters)
+            for x, y in turns:
+                u, v = phi.letter_image(x), phi.letter_image(y)
+                assert y != -x and u[-1] == -v[0] == tau.multiplier
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cut_formula_matches_eta_length_for_every_move(rank, n_factors, seed):
+    # ||tau_* nu|| from phi's depth-2 table is L_mu(tau o phi) for every
+    # move and every kind of measure (module docstring of whitehead)
+    rng = random.Random(seed)
+    phi = random_composition(rank, n_factors, rng)
+    cache = PartitionCache()
+    for mu in sample_measures(rank, rng):
+        den, total, scores = _cut_scores(rank, pushforward_table(phi, mu, 2, cache=cache))
+        assert F(total, den) == eta_length(phi, mu, cache=cache).value
+        for value, tau in scores:
+            moved = compose(tau.automorphism(), phi)
+            assert F(value, den) == eta_length(moved, mu, cache=cache).value, tau.label()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 4),
+    v_len=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_descent_step_matches_the_candidate_scan(rank, n_factors, v_len, seed):
+    # the same move, ties broken toward the canonically smallest one
+    phi = random_map(rank, n_factors, v_len, random.Random(seed))
+    cache = PartitionCache()
+    assert descent_step(phi, cache=cache) == descent_step_by_lengths(phi, cache=cache)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 5),
+    v_len=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factorize_lengths_are_the_partial_products_lengths(rank, n_factors, v_len, seed):
+    phi = random_map(rank, n_factors, v_len, random.Random(seed))
+    rep = factorize(phi)
+    partial = rep.sigma
+    assert rep.lengths[0] == length_exact(partial).value == 1
+    for tau, value in zip(reversed(rep.taus), rep.lengths[1:]):
+        partial = compose(tau.automorphism(), partial)
+        assert length_exact(partial).value == value
+    assert partial == phi
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 6),
+    v_len=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_non_simple_map_has_a_decreasing_move(rank, n_factors, v_len, seed):
+    # the descent theorem: descent_step raises DescentStuckError otherwise
+    phi = random_map(rank, n_factors, v_len, random.Random(seed))
+    tau = descent_step(phi)
+    if is_simple(phi) is not None:
+        assert tau is None
+    else:
+        assert length_exact(compose(tau.automorphism(), phi)).value < length_exact(phi).value
+
+
+def test_factorize_builds_no_candidate_map(monkeypatch):
+    # A pooled rank-3 input of two steps.  Each step reads one depth-2
+    # table, 2 * 2k = 12 pair-sum walks, and composes only the chosen
+    # move; recomposing the report composes twice more.  Measuring each
+    # of the 90 candidate maps instead would take 184 compositions, 185
+    # walks and 12215 nodes.
+    with open(POOLS / "whitehead.json", encoding="utf-8") as fh:
+        entry = next(e for e in json.load(fh)["entries"] if e["id"] == "factorize3-0020")
+    phi = parse_generator_expression(entry["rank"], entry["map"])
+    counts = {"compose": 0, "walks": 0}
+    compose_, pair_mass = whitehead_module.compose, boundary_module._pair_mass
+
+    def counted_compose(*args, **kwargs):
+        counts["compose"] += 1
+        return compose_(*args, **kwargs)
+
+    def counted_pair_mass(*args, **kwargs):
+        counts["walks"] += 1
+        return pair_mass(*args, **kwargs)
+
+    monkeypatch.setattr(whitehead_module, "compose", counted_compose)
+    monkeypatch.setattr(boundary_module, "_pair_mass", counted_pair_mass)
+    monkeypatch.setattr(length_module, "_pair_mass", counted_pair_mass)
+    budget = Budget()
+    rep = factorize(phi, budget=budget)
+    assert rep.lengths == (1, F(6, 5), F(7, 5))
+    assert len(rep.taus) == 2
+    assert counts == {"compose": 2 * 2, "walks": 2 * 12}
+    assert budget.spent == 1018
