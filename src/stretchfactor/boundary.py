@@ -41,11 +41,16 @@ Five facts drive the computation:
   (x u)^-1) (steps of y v) 1 / (E D^(|u|+|v|+1)) over mu's automaton,
   so each edge carries a row and a column, each summed over the cells
   below it.  The cells of several disjoint partitions are
-  coloured by partition, and one joint walk of all their prefix trees
-  sums, for every target colour, the pairs whose source has another
-  colour: at a node, the pairs splitting between children x != y add
-  (rows of x) (columns of y).  A length is one such walk over the 2k
-  families of the map, each colour both source and target.
+  coloured by partition and the colours put in groups, each its own
+  group unless told otherwise; one joint walk of all their prefix trees
+  sums, for every target colour, the pairs whose source lies in another
+  group: at a node, the pairs splitting between children x != y add
+  (rows of x) (columns of y), rows summed per group.  A length is one
+  such walk over the 2k families of the map, each colour both source
+  and target.  A pushforward table to depth n is one walk over the
+  preimages of all length-n cylinders, each colour both source and
+  target and grouped by its cylinder's first letter, so the value of v
+  counts the pairs in Cyl[1, v]; a shorter cylinder sums its children.
 
 * Canonical partitions are shared, immutable tries.  A partition is
   stored as its canonical prefix tree (complete sibling sets coalesced;
@@ -658,42 +663,53 @@ def stable_prefix(
 # -- current values under pushforward ---------------------------------------
 
 
+# The row key of the sources in no target's group.
+_REST = object()
+
+
 def _pair_mass(
     mu: FrequencyMeasure,
-    sources: dict[int, CylinderPartition],
-    targets: dict[int, CylinderPartition],
-) -> dict[int, Fraction]:
-    """For each target colour t, the sum of mu(w1^-1 w2) over w2 in
-    targets[t] and w1 in sources[s], for every source colour s != t.
+    sources: dict,
+    targets: dict,
+    groups: Optional[dict] = None,
+) -> tuple[int, dict]:
+    """(D, {t: D times the sum of mu(w1^-1 w2) over w2 in targets[t] and
+    w1 in sources[s], for every source colour s in another group than t}).
 
-    The partitions are pairwise disjoint, and a colour in both dicts
-    names one partition.  One joint walk of all their prefix trees
-    (module docstring): below a node it carries a row per source colour
-    and a column per target colour present there; the source colours
-    that are not targets share one row.  Pairs are counted only where
-    two colours meet.  Partitions that fill the boundary, like the 2k
-    families of a map, meet at every node that is not a leaf, so their
-    walk recurses only there.  Rows carry D^(hr-|w1|) and columns
+    `groups` maps a colour to its group; a colour it does not name, or
+    every colour when it is None, is its own group.  D is one common
+    denominator for all targets.  The partitions are pairwise disjoint,
+    and a colour in both dicts names one partition.  One joint walk of
+    all their prefix trees (module docstring): below a node it carries a
+    row per source group and a column per target colour present there;
+    the sources in no target's group share one row.  Pairs are counted
+    only where two groups meet.  Partitions that fill the boundary, like
+    the 2k families of a map, meet at every node that is not a leaf, so
+    their walk recurses only there.  Rows carry D^(hr-|w1|) and columns
     D^(hc-|w2|), hr and hc the longest source and target words, so a
     pair splitting at depth d counts E D^(hr+hc-2d-1) times its mass,
     and D^(2d) brings it to the denominator E D^(hr+hc-1).
     """
     total = dict.fromkeys(targets, 0)
+    groups = groups or {}
+    group = {t: groups.get(t, t) for t in targets}
+    live = set(group.values())
+    # each part walks as (row key or None, target colour or None, trie)
     parts = []
     for c, p in sources.items():
         if p.size:
-            parts.append((c if c in targets else None, p))
+            g = groups.get(c, c)
+            parts.append((g if g in live else _REST, c if c in targets else None, p))
     for c, p in targets.items():
         if c in sources:
             if sources[c] is not p:
                 raise AssertionError("a colour names two partitions")
         elif p.size:
-            parts.append((c, p))
-    rowed = {c for c, _ in parts if c is None or c in sources}
-    hr = max((p.height for c, p in parts if c in rowed), default=0)
-    hc = max((p.height for c, p in parts if c is not None), default=0)
+            parts.append((None, c, p))
+    hr = max((p.height for r, _, p in parts if r is not None), default=0)
+    hc = max((p.height for _, t, p in parts if t is not None), default=0)
     if not hr or not hc:
-        return {t: ZERO for t in total}
+        return 1, total
     e, d, init, step = mu.chain
     power = [d**i for i in range(hr + hc)]
     # the column of a cell's last letter: step[x] times the all-ones column
@@ -702,13 +718,17 @@ def _pair_mass(
         for (s, _), q in mat.items():
             ends[x][s] = ends[x].get(s, 0) + q
 
+    def apart(rows: dict, cols: dict) -> bool:
+        # whether some row and some column lie in different groups
+        return len(rows) > 1 or any(group[t] not in rows for t in cols)
+
     def walk(entries: list, depth: int) -> tuple[dict, dict]:
-        # Count the pairs splitting at this node; return, per colour, the
-        # summed rows and columns of the edges below it.
+        # Count the pairs splitting at this node; return, per row key and
+        # target colour, the summed rows and columns of the edges below it.
         by_letter: dict = {}
-        for colour, node in entries:
+        for r, t, node in entries:
             for x, child in node.items():
-                by_letter.setdefault(x, []).append((colour, child))
+                by_letter.setdefault(x, []).append((r, t, child))
         rows: dict = {}
         cols: dict = {}
         same: dict = {}
@@ -716,23 +736,24 @@ def _pair_mass(
         leaf_row = power[hr - depth - 1]
         leaf_col = power[hc - depth - 1]
         for x, below in by_letter.items():
-            if len(below) == 1 and type(below[0][1]) is not dict:
-                colour = below[0][0]
-                if colour in rowed:
-                    _add_scaled(rows.setdefault(colour, {}), init[-x], leaf_row)
-                if colour is not None:
-                    _add_scaled(cols.setdefault(colour, {}), ends[x], leaf_col)
+            if len(below) == 1 and type(below[0][2]) is not dict:
+                r, t, _ = below[0]
+                if r is not None:
+                    _add_scaled(rows.setdefault(r, {}), init[-x], leaf_row)
+                if t is not None:
+                    _add_scaled(cols.setdefault(t, {}), ends[x], leaf_col)
                 continue
-            if len(below) > 1 and any(type(child) is not dict for _, child in below):
+            if len(below) > 1 and any(type(child) is not dict for _, _, child in below):
                 raise AssertionError("comparable cylinders across disjoint partitions")
             below_rows, below_cols = walk(below, depth + 1)
             row = {c: _row_times(v, step[-x]) for c, v in below_rows.items()}
             col = {c: _times_column(step[x], v) for c, v in below_cols.items()}
-            if row and col and (len(row) > 1 or row.keys() != col.keys()):
+            if row and col and apart(row, col):
                 # pairs inside one child split deeper: take them out here
                 every = _total(row)
                 for t, v in col.items():
-                    q = _dot(every, v) - (_dot(row[t], v) if t in row else 0)
+                    g = group[t]
+                    q = _dot(every, v) - (_dot(row[g], v) if g in row else 0)
                     same[t] = same.get(t, 0) + q
             for c, v in row.items():
                 if c in rows:
@@ -744,17 +765,17 @@ def _pair_mass(
                     _add(cols[c], v)
                 else:
                     cols[c] = v
-        if rows and cols and (len(rows) > 1 or rows.keys() != cols.keys()):
+        if rows and cols and apart(rows, cols):
             every = _total(rows)
             scale = power[2 * depth]
             for t, v in cols.items():
-                q = _dot(every, v) - (_dot(rows[t], v) if t in rows else 0) - same.get(t, 0)
+                g = group[t]
+                q = _dot(every, v) - (_dot(rows[g], v) if g in rows else 0) - same.get(t, 0)
                 total[t] += q * scale
         return rows, cols
 
-    walk([(c, p.root()) for c, p in parts], 0)
-    den = e * power[hr + hc - 1]
-    return {t: Fraction(q, den) for t, q in total.items()}
+    walk([(r, t, p.root()) for r, t, p in parts], 0)
+    return e * power[hr + hc - 1], total
 
 
 # Vectors are dicts state -> int, matrices dicts (from, to) -> int.
@@ -823,7 +844,8 @@ def pushforward_current_value(
     fam = _depth1_family(auto, budget, cache)
     p_u = _preimage(auto, u, budget, cache)
     others = {a: p for a, p in fam.items() if a != u[0]}
-    return _pair_mass(mu, others, {u[0]: p_u})[u[0]]
+    den, num = _pair_mass(mu, others, {u[0]: p_u})
+    return Fraction(num[u[0]], den)
 
 
 def pushforward_table(
@@ -836,22 +858,47 @@ def pushforward_table(
 ) -> dict[Word, Fraction]:
     """Pushforward measure of every cylinder up to the given depth.
 
-    The preimages of the cylinders of one length and first letter a are
-    disjoint, so their values are one coloured pair-sum walk against the
-    families of the other letters.
+    One coloured pair-sum walk gives every value of the deepest length,
+    and each shorter cylinder adds up its children (`_table`).
     """
     if depth < 1:
         raise InputError("depth must be at least 1")
     budget, cache = _resolve(budget, cache)
-    fam = _depth1_family(auto, budget, cache)
-    table: dict[Word, Fraction] = {}
-    for n in range(1, depth + 1):
-        words = list(all_words(n, auto.rank))
-        for a in alphabet(auto.rank):
-            targets = {v: _preimage(auto, v, budget, cache) for v in words if v[0] == a}
-            others = {b: p for b, p in fam.items() if b != a}
-            table.update(_pair_mass(mu, others, targets))
-    return table
+    den, num = _table(auto, mu, depth, budget, cache)
+    return {v: Fraction(q, den) for v, q in num.items()}
+
+
+def _table(
+    auto: Automorphism,
+    mu: FrequencyMeasure,
+    depth: int,
+    budget: Budget,
+    cache: PartitionCache,
+) -> tuple[int, dict[Word, int]]:
+    """(D, {v: D nu(v)}) for every cylinder v of length 1 to depth, nu = phi_* mu.
+
+    The preimages of the cylinders of length `depth` are disjoint and
+    cover the boundary, so one walk takes them all as sources and as
+    targets.  Grouped by the first letter of their cylinder, the pairs
+    counted for v are those whose source lies under another first
+    letter, which is Cyl[1, v].  A shorter v sums its children in
+    integers, nu(v) = sum of nu(vc), as they share its first letter.
+    Keys run by length, then in `all_words` order.
+    """
+    rank = auto.rank
+    # the families first: their assembly may cache preimages under this
+    # very key, when a suffix of the chain is the same map
+    _depth1_family(auto, budget, cache)
+    parts = {v: _preimage(auto, v, budget, cache) for v in all_words(depth, rank)}
+    den, deep = _pair_mass(mu, parts, parts, {v: v[0] for v in parts})
+    levels = [deep]
+    for n in range(depth - 1, 0, -1):
+        below = levels[-1]
+        levels.append({
+            v: sum(below[v + (c,)] for c in extension_letters(v, rank))
+            for v in all_words(n, rank)
+        })
+    return den, {v: q for level in reversed(levels) for v, q in level.items()}
 
 
 def depth1_profile(

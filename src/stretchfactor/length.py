@@ -69,8 +69,8 @@ def eta_length(
         raise InputError("measure and automorphism ranks differ")
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
-    masses = _pair_mass(mu, fam, fam)
-    breakdown = {x: masses[x] for x in alphabet(auto.rank)}
+    den, num = _pair_mass(mu, fam, fam)
+    breakdown = {x: Fraction(num[x], den) for x in alphabet(auto.rank)}
     return LengthReport(
         value=sum(breakdown.values(), ZERO),
         breakdown=breakdown,

@@ -32,7 +32,6 @@ Math. 37 (1936); Lyndon-Schupp, Combinatorial Group Theory, I.4).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -48,7 +47,7 @@ from .automorphisms import (
     identity,
     is_simple,
 )
-from .boundary import Budget, PartitionCache, _resolve, pushforward_table
+from .boundary import Budget, PartitionCache, _resolve, _table
 from .errors import DescentStuckError, InputError
 from .length import length_exact
 from .measures import frac_str, uniform_measure
@@ -180,11 +179,14 @@ def _stuck(auto: Automorphism, length: Fraction) -> DescentStuckError:
 def _steepest(
     auto: Automorphism, budget: Budget, cache: PartitionCache
 ) -> tuple[Fraction, Optional[tuple[WhiteheadSecondKind, Fraction]]]:
-    """L(phi), and the least (L(tau o phi), move) below it if there is one."""
-    table = pushforward_table(
-        auto, uniform_measure(auto.rank), 2, budget=budget, cache=cache
-    )
-    den, total, scores = _cut_scores(auto.rank, table)
+    """L(phi), and the least (L(tau o phi), move) below it if there is one.
+
+    Reads the integer numerators of phi's depth-2 table over their common
+    denominator D, so every move is compared in integers and only the
+    two values returned become fractions.
+    """
+    den, num = _table(auto, uniform_measure(auto.rank), 2, budget, cache)
+    total, scores = _cut_scores(auto.rank, num)
     # scores run in canonical move order, and min keeps the first minimum
     value, tau = min(scores, key=itemgetter(0))
     best = (tau, Fraction(value, den)) if value < total else None
@@ -192,22 +194,20 @@ def _steepest(
 
 
 def _cut_scores(
-    rank: int, table: dict[Word, Fraction]
-) -> tuple[int, int, list[tuple[int, WhiteheadSecondKind]]]:
-    """(D, D ||nu||, [(D ||tau_* nu||, tau) for each non-identity move]).
+    rank: int, num: dict[Word, int]
+) -> tuple[int, list[tuple[int, WhiteheadSecondKind]]]:
+    """(D ||nu||, [(D ||tau_* nu||, tau) for each non-identity move]).
 
-    `table` holds a current nu on every cylinder of length 1 and 2, as
-    pushforward_table returns it, and D is its common denominator, so
-    every move is scored by integer sums of the cut formula.
+    `num` holds D nu(v) for every cylinder v of length 1 and 2, for one
+    common denominator D, as `boundary._table` returns it, so every move
+    is scored by integer sums of the cut formula.
     """
-    den = math.lcm(*(q.denominator for q in table.values()))
-    num = {w: q.numerator * (den // q.denominator) for w, q in table.items()}
     ones = [num[(x,)] for x in alphabet(rank)]
     scores = [
         (sum(map(mul, ones, lengths)) - 2 * sum(num[t] for t in turns), tau)
         for tau, lengths, turns in _move_data(rank)
     ]
-    return den, sum(ones), scores
+    return sum(ones), scores
 
 
 @functools.cache

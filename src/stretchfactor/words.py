@@ -9,6 +9,7 @@ inverse pair; the empty word is the identity.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Iterable, Iterator, Sequence
 
@@ -54,8 +55,13 @@ def word_key(w: Sequence[int]) -> tuple:
     return (len(w), tuple(letter_key(x) for x in w))
 
 
+@functools.cache
 def alphabet(k: int) -> tuple[int, ...]:
-    """All 2k letters in canonical order a, A, b, B, ..."""
+    """All 2k letters in canonical order a, A, b, B, ...
+
+    Built once per rank; an invalid rank raises InputError on every
+    call, since the cache keeps only results.
+    """
     if not 2 <= k <= MAX_RANK:
         raise InputError(f"rank must be between 2 and {MAX_RANK}, got {k}")
     out = []

@@ -359,17 +359,60 @@ def test_pushforward_table_builds_no_union(monkeypatch):
         return merge(rank, parts)
 
     # with the families built, a preimage grafts one family and a pair
-    # sum walks the other letters' families side by side: nothing merges
+    # sum walks the deepest preimages side by side: nothing merges
     monkeypatch.setattr(boundary, "_merge", counting)
     targets = [v for n in (1, 2, 3) for v in all_words(n, 3)]
     for v in targets:
         preimage_partition(auto, v, cache=cache)
+    pair_mass, walks = boundary._pair_mass, []
+
+    def counted(*args):
+        walks.append(len(args[1]))
+        return pair_mass(*args)
+
+    monkeypatch.setattr(boundary, "_pair_mass", counted)
     table = pushforward_table(auto, mu, 3, cache=cache)
     assert len(table) == len(targets) == 186
     assert built == []
-    # one walk per length and first letter gives each cylinder's own value
+    # one walk of the 150 depth-3 preimages, shorter cylinders by additivity
+    assert walks == [150]
+    assert list(table) == targets
+    # and each cylinder's own walk gives the same value
+    monkeypatch.setattr(boundary, "_pair_mass", pair_mass)
     fresh = PartitionCache()
     assert table == {v: pushforward_current_value(auto, mu, v, cache=fresh) for v in targets}
+
+
+def test_pushforward_table_builds_each_preimage_once():
+    # The chain equals its last atom as a map, so assembling its families
+    # caches preimages under the chain's own keys; building the families
+    # first lets the table find them instead of building them again.
+    auto = parse_generator_expression(2, "W2[A; b:LEFT] * W2[a; b:LEFT] * W2[A; b:LEFT]")
+    assert auto == auto.factors[-1]
+    budget = Budget()
+    pushforward_table(auto, uniform_measure(2), 2, budget=budget)
+    assert budget.spent == 89
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    depth=st.integers(1, 3),
+    n_factors=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_walk_table_matches_each_cylinders_value(rank, depth, n_factors, seed):
+    # the grouped walk of the deepest preimages, summed up to shorter
+    # cylinders, against one pair-sum walk per cylinder, for uniform,
+    # Markov and rational measures alike
+    rng = random.Random(seed)
+    auto = random_composition(rank, n_factors if rank < 4 else min(n_factors, 2), rng)
+    for mu in sample_measures(rank, rng):
+        table = pushforward_table(auto, mu, depth, cache=PartitionCache())
+        fresh = PartitionCache()
+        assert list(table) == [v for n in range(1, depth + 1) for v in all_words(n, rank)]
+        for v, value in table.items():
+            assert value == pushforward_current_value(auto, mu, v, cache=fresh), (mu.label, v)
 
 
 def test_pair_sum_fast_path_matches_generic(nielsen_map):
@@ -387,13 +430,19 @@ def test_pair_sum_fast_path_matches_generic(nielsen_map):
 
 def _assert_coloured_pair_masses(mu, sources, targets):
     """_pair_mass against the sum of pairwise oracle sums over other colours."""
-    got = _pair_mass(mu, sources, targets)
+    got = _masses(mu, sources, targets)
     assert list(got) == list(targets)
     for t, p2 in targets.items():
         expected = sum(
             (pair_mass_by_pairs(mu, p1, p2) for s, p1 in sources.items() if s != t), F(0)
         )
         assert got[t] == expected, (mu.label, t)
+
+
+def _masses(mu, sources, targets, groups=None):
+    """_pair_mass as fractions: its numerators over its common denominator."""
+    den, num = _pair_mass(mu, sources, targets, groups)
+    return {t: F(q, den) for t, q in num.items()}
 
 
 def _assert_pair_masses(auto, targets, measures):
@@ -444,14 +493,67 @@ def test_pair_mass_matches_pairwise_sum_property(rank, n_factors, target_len, se
     _assert_pair_masses(auto, [target], sample_measures(rank, rng))
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    depth=st.integers(1, 2),
+    n_factors=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_pair_mass_matches_pairwise_sum(rank, depth, n_factors, seed):
+    # colours of disjoint preimages in random groups, some colours left to
+    # their own group, some only sources and some only targets
+    rng = random.Random(seed)
+    auto = random_composition(rank, n_factors if rank < 4 else min(n_factors, 2), rng)
+    cache = PartitionCache()
+    parts = {v: preimage_partition(auto, v, cache=cache) for v in all_words(depth, rank)}
+    colours = list(parts)
+    groups = {v: rng.randrange(3) for v in colours if rng.random() < 0.8}
+    sources = {v: parts[v] for v in colours if rng.random() < 0.7}
+    targets = {v: parts[v] for v in rng.sample(colours, min(4, len(colours)))}
+    for mu in sample_measures(rank, rng)[::2]:
+        got = _masses(mu, sources, targets, groups)
+        assert list(got) == list(targets)
+        for t, p2 in targets.items():
+            expected = sum(
+                (
+                    pair_mass_by_pairs(mu, p1, p2)
+                    for s, p1 in sources.items()
+                    if groups.get(s, s) != groups.get(t, t)
+                ),
+                F(0),
+            )
+            assert got[t] == expected, (mu.label, t)
+
+
+def test_grouped_pair_mass_rejects_comparable_cells():
+    # a cell under another first letter's cell raises, as without groups
+    auto = parse_generator_expression(2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]")
+    cache = PartitionCache()
+    parts = {v: preimage_partition(auto, v, cache=cache) for v in all_words(2, 2)}
+    groups = {v: v[0] for v in parts}
+    mu = uniform_measure(2)
+    _pair_mass(mu, parts, parts, groups)
+    first, other = w("ab"), w("ba")
+    label = parts[first].leaves[0]
+    inside = CylinderPartition.from_words(2, [label + (extension_letters(label, 2)[0],)])
+    # ba's preimage replaced by a cell inside one of ab's
+    broken = dict(parts)
+    broken[other] = inside
+    with pytest.raises(AssertionError):
+        _pair_mass(mu, broken, broken, groups)
+    with pytest.raises(AssertionError):
+        _pair_mass(mu, {first: parts[first]}, {other: inside}, groups)
+
+
 def test_pair_mass_of_empty_or_comparable_families():
     empty = CylinderPartition.from_words(2, ())
     p1 = CylinderPartition.from_words(2, words("a"))
     p2 = CylinderPartition.from_words(2, words("ab", "b"))
     p3 = CylinderPartition.from_words(2, words("B"))
     for mu in sample_measures(2, random.Random(3)):
-        assert _pair_mass(mu, {1: empty}, {2: p1}) == _pair_mass(mu, {1: p1}, {2: empty}) == {2: 0}
-        assert _pair_mass(mu, {1: p1, 2: empty}, {1: p1, 2: empty}) == {1: 0, 2: 0}
+        assert _masses(mu, {1: empty}, {2: p1}) == _masses(mu, {1: p1}, {2: empty}) == {2: 0}
+        assert _masses(mu, {1: p1, 2: empty}, {1: p1, 2: empty}) == {1: 0, 2: 0}
         with pytest.raises(AssertionError):
             _pair_mass(mu, {1: p1}, {2: p2})
         with pytest.raises(AssertionError):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stretchfactor import (
     InputError,
@@ -25,6 +25,8 @@ from stretchfactor import (
     rational_measure,
     uniform_as_markov,
 )
+from stretchfactor.words import alphabet, cyclic_reduce, is_proper_power
+
 from conftest import random_composition, sample_measures
 from oracles import length_by_cancellation
 
@@ -67,21 +69,30 @@ def test_length_by_cancellation_matches_pair_sums(rank, n_factors, seed):
         assert length_by_cancellation(phi, mu) == eta_length(phi, mu).value, mu.kind
 
 
-def test_rational_current_oracle_random():
-    from stretchfactor.words import cyclic_reduce, is_proper_power
+@st.composite
+def _cyclic_words(draw, rank):
+    """A cyclically reduced word of 1 to 6 letters that is no proper power."""
+    letters = alphabet(rank)
+    word = [draw(st.sampled_from(letters))]
+    for _ in range(draw(st.integers(0, 5))):
+        word.append(draw(st.sampled_from([c for c in letters if c != -word[-1]])))
+    core = cyclic_reduce(word)[0]
+    assume(not is_proper_power(core))
+    return core
 
-    rng = random.Random(42)
-    # (rank, most factors, cases)
-    for rank, max_factors, cases in ((2, 3, 30), (3, 3, 20), (4, 2, 12)):
-        checked = 0
-        while checked < cases:
-            phi = random_composition(rank, rng.randrange(1, max_factors + 1), rng)
-            core = cyclic_reduce(random_reduced(rng.randrange(1, 7), rank, rng))[0]
-            if not core or is_proper_power(core):
-                continue
-            mu = rational_measure(rank, core)
-            assert eta_length(phi, mu).value == cyclic_length(phi.apply(core)), (rank, phi.key())
-            checked += 1
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rational_current_oracle_random(data):
+    # The rational current of a cyclic word w has length |phi(w)|_cyclic.
+    # Every example checks each rank once, so each rank gets 30 cases.
+    for rank, max_factors in ((2, 3), (3, 3), (4, 2)):
+        n_factors = data.draw(st.integers(1, max_factors), label=f"factors at rank {rank}")
+        seed = data.draw(st.integers(0, 2**32 - 1), label=f"map seed at rank {rank}")
+        core = data.draw(_cyclic_words(rank), label=f"word at rank {rank}")
+        phi = random_composition(rank, n_factors, random.Random(seed))
+        mu = rational_measure(rank, core)
+        assert eta_length(phi, mu).value == cyclic_length(phi.apply(core)), (rank, phi.key())
 
 
 def test_conjugation_invariance_exact(nielsen_map):

@@ -35,16 +35,21 @@ print(json.dumps({"absent": tr.absent, "calls": tr.calls, "counts": tr.counts}))
 """
 
 
-def test_benchmark_hooks_find_every_layer():
+def _trace(script):
+    """Run a tracing script in a subprocess and read the JSON it prints."""
     root = Path(__file__).resolve().parent.parent
     path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     result = subprocess.run(
-        [sys.executable, "-c", _TRACE_ONE_OP_PER_KIND, str(root / "perfbench")],
+        [sys.executable, "-c", script, str(root / "perfbench")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    doc = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_benchmark_hooks_find_every_layer():
+    doc = _trace(_TRACE_ONE_OP_PER_KIND)
     # the frontier sweep left the engine; every other hook target is found
     assert doc["absent"] == ["stretchfactor.boundary:_frontier_depth"]
     calls = doc["calls"]
@@ -71,3 +76,29 @@ def test_benchmark_hooks_find_every_layer():
         "boundary.pair_mass.generic.pairs",
     ):
         assert counts.get(metric, 0) >= 1, metric
+
+
+_TRACE_TABLES = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import stretchfactor as sf
+import tracing
+
+tr = tracing.Tracer()
+tracing.install(tr)
+phi = sf.parse_generator_expression(2, "W2[a; b:CONJ] * inner[ab]")
+sf.pushforward_table(phi, sf.uniform_measure(2), 3)
+sf.pushforward_table(phi, sf.markov_measure(sf.uniform_as_markov(2)), 2)
+print(json.dumps({"absent": tr.absent, "calls": tr.calls, "counts": tr.counts}))
+"""
+
+
+def test_benchmark_hook_sees_one_walk_per_table():
+    # a table of any depth is one pair-sum walk, its sources and targets
+    # passed positionally, so the hook labels and counts it
+    doc = _trace(_TRACE_TABLES)
+    assert doc["absent"] == ["stretchfactor.boundary:_frontier_depth"]
+    assert doc["calls"]["boundary.pair_mass.uniform"] == 1
+    assert doc["calls"]["boundary.pair_mass.generic"] == 1
+    # the 12 depth-2 preimages, each a source and a target
+    assert doc["counts"]["boundary.pair_mass.generic.pairs"] == 12 * 12

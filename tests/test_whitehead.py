@@ -25,9 +25,9 @@ from stretchfactor import (
     length_exact,
     parse_generator_expression,
     parse_word,
-    pushforward_table,
     spectrum,
 )
+from stretchfactor.boundary import _table
 from stretchfactor.whitehead import _cut_scores, _move_data, _normalize
 from stretchfactor.words import alphabet, random_reduced
 
@@ -245,7 +245,8 @@ def test_cut_formula_matches_eta_length_for_every_move(rank, n_factors, seed):
     phi = random_composition(rank, n_factors, rng)
     cache = PartitionCache()
     for mu in sample_measures(rank, rng):
-        den, total, scores = _cut_scores(rank, pushforward_table(phi, mu, 2, cache=cache))
+        den, num = _table(phi, mu, 2, Budget(), cache)
+        total, scores = _cut_scores(rank, num)
         assert F(total, den) == eta_length(phi, mu, cache=cache).value
         for value, tau in scores:
             moved = compose(tau.automorphism(), phi)
@@ -303,7 +304,7 @@ def test_every_non_simple_map_has_a_decreasing_move(rank, n_factors, v_len, seed
 
 def test_factorize_builds_no_candidate_map(monkeypatch):
     # A pooled rank-3 input of two steps.  Each step reads one depth-2
-    # table, 2 * 2k = 12 pair-sum walks, and composes only the chosen
+    # table, which is one pair-sum walk, and composes only the chosen
     # move; recomposing the report composes twice more.  Measuring each
     # of the 90 candidate maps instead would take 184 compositions, 185
     # walks and 12215 nodes.
@@ -328,5 +329,5 @@ def test_factorize_builds_no_candidate_map(monkeypatch):
     rep = factorize(phi, budget=budget)
     assert rep.lengths == (1, F(6, 5), F(7, 5))
     assert len(rep.taus) == 2
-    assert counts == {"compose": 2 * 2, "walks": 2 * 12}
+    assert counts == {"compose": 2 * 2, "walks": 2 * 1}
     assert budget.spent == 1018

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stretchfactor import (
+    InputError,
     NotReducedError,
     Word,
     comparable,
@@ -44,6 +45,14 @@ def test_parser_rejects_unreduced():
     with pytest.raises(NotReducedError):
         parse_word("abB")
     assert parse_word("abB", reduce=True) == w("a")
+
+
+def test_alphabet_is_built_once_per_rank_and_rejects_every_bad_rank():
+    assert alphabet(3) == (1, -1, 2, -2, 3, -3)
+    assert alphabet(3) is alphabet(3)
+    for rank in (1, 27, 1, 0, 27):
+        with pytest.raises(InputError):
+            alphabet(rank)
 
 
 def test_free_reduce_examples():
