@@ -4,15 +4,15 @@ An Automorphism stores the images of the positive basis letters under the
 map and under its inverse.  Pairs that come from outside the engine
 (`make_automorphism`, or the constructor with verify=True) are checked by
 brute force: both substitutions must send every generator to itself.
-Products of two such pairs (`compose`, and the suffixes `tail` peels off
-a chain) are certified instead, by round trips through the factor with
-the shorter images, in time linear in the product's images.  Inner
-automorphisms, signed permutations and transvections are inverse pairs
-by construction, and each second-kind move is built and verified once
-per process, so the boundary engine always has a certified inverse
-available.  Every map also factors into atoms of two kinds,
-elementary transvections and signed permutations, whose preimage
-families the boundary engine knows in closed form.
+Products of two such pairs (`compose`) are certified instead, by round
+trips through the factor with the shorter images, in time linear in the
+product's images.  Inner automorphisms, signed permutations and
+transvections are inverse pairs by construction, and each second-kind
+move is built and verified once per process, so the boundary engine
+always has a certified inverse available.  Every map also factors into
+atoms of two kinds, elementary transvections and signed permutations,
+whose preimage families the boundary engine knows in closed form; it
+reads each suffix of that chain as inverse images alone, not as a map.
 """
 
 from __future__ import annotations
@@ -164,19 +164,6 @@ class Automorphism:
         # inverse() would otherwise follow without end.
         return self._factors or (self,)
 
-    def tail(self) -> "Automorphism":
-        """The composition of every factor but the leftmost one.
-
-        It is the product head^-1 o self, certified like `compose`;
-        head^-1's pair is head's read backwards, so no second map is built.
-        """
-        head, *rest = self.factors
-        if len(rest) == 1:
-            return rest[0]
-        return _product(
-            self.rank, (head.bwd, head.fwd), (self.fwd, self.bwd), tuple(rest)
-        )
-
     # -- metrics --------------------------------------------------------
 
     def lipschitz(self) -> tuple[int, int]:
@@ -269,21 +256,16 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     """
     if phi.rank != psi.rank:
         raise InputError("cannot compose automorphisms of different ranks")
-    return _product(
-        phi.rank, (phi.fwd, phi.bwd), (psi.fwd, psi.bwd), phi.factors + psi.factors
+    fwd = [Word(_substitute(phi.fwd, w)) for w in psi.fwd]
+    bwd = [Word(_substitute(psi.bwd, w)) for w in phi.bwd]
+    _certify((phi.fwd, phi.bwd), (psi.fwd, psi.bwd), fwd, bwd)
+    return Automorphism(
+        phi.rank, fwd, bwd, factors=phi.factors + psi.factors, verify=False
     )
 
 
 # An inverse pair (forward images, backward images) of basis letters.
 _Pair = tuple[Sequence[Word], Sequence[Word]]
-
-
-def _product(rank: int, phi: _Pair, psi: _Pair, factors: tuple) -> Automorphism:
-    """The certified product phi o psi of two inverse pairs."""
-    fwd = [Word(_substitute(phi[0], w)) for w in psi[0]]
-    bwd = [Word(_substitute(psi[1], w)) for w in phi[1]]
-    _certify(phi, psi, fwd, bwd)
-    return Automorphism(rank, fwd, bwd, factors=factors, verify=False)
 
 
 def _certify(phi: _Pair, psi: _Pair, fwd: Sequence[Word], bwd: Sequence[Word]) -> None:

@@ -32,7 +32,9 @@ Five facts drive the computation:
   psi^-1(Cyl w) over the pieces w of phi^-1(Cyl u), so partitions of a
   composition assemble from the partitions of its factors.  A chain's
   family is assembled from its atoms in one right-to-left pass that
-  builds each suffix of the chain once.
+  builds each suffix of the chain once.  A preimage reads only the map's
+  inverse images, so a suffix is its tuple of inverse images, each got
+  from the next longer one by substituting into a peeled atom's images.
 
 * Pair sums.  The current value on Cyl(a) x Cyl(u) is the sum of
   mu(w1^-1 w2) over w1 in phi^-1(Cyl a) and w2 in phi^-1(Cyl u)
@@ -438,8 +440,7 @@ def translate_cylinder(f: Sequence[int], v: Sequence[int], rank: int) -> list[Wo
     A single cylinder Cyl(reduce(f v)) unless v is a prefix of f^-1, that
     is, unless f cancels all of v, in which case Cyl(v) splits into
     children first.  Accepts the empty v (the whole boundary).  The
-    engine translates whole tries with `_graft`; it calls this only to
-    count the pieces of a family label that g cancels whole.
+    engine translates whole tries with `_graft` and never calls this.
     """
     f = f if isinstance(f, Word) else Word(f)
     n = len(f)
@@ -472,15 +473,17 @@ def translate_union(
 class PartitionCache:
     """In-memory partitions, owned by the caller and keyed by the map.
 
-    `families` maps an Automorphism to its depth-1 preimage families,
-    which every preimage and pair sum of the map reads, and `partitions`
-    maps (Automorphism, target word) to a preimage partition; maps hash
-    and compare by rank and forward images.
+    A map is keyed by its inverse images, one per basis letter, which
+    keeps ranks apart; Words compare and hash as tuples, so a chain
+    suffix, known by its images alone, finds an equal map's entries.
+    `families` maps a key to the depth-1 preimage families, which every
+    preimage and pair sum reads, and `partitions` maps (key, target word)
+    to a preimage partition.
     """
 
     def __init__(self):
-        self.families: dict[Automorphism, dict[int, CylinderPartition]] = {}
-        self.partitions: dict[tuple[Automorphism, Word], CylinderPartition] = {}
+        self.families: dict[tuple, dict[int, CylinderPartition]] = {}
+        self.partitions: dict[tuple[tuple, Word], CylinderPartition] = {}
 
 
 def _resolve(budget: Optional[int | Budget], cache: Optional[PartitionCache]):
@@ -532,60 +535,68 @@ def _transvection_letters(atom: Automorphism) -> tuple[int, int]:
 def _depth1_family(
     auto: Automorphism, budget: Budget, cache: PartitionCache
 ) -> dict[int, CylinderPartition]:
-    """Depth-1 preimage partitions of a map, cached by the map.
+    """Depth-1 preimage partitions of a map, cached by its inverse images.
 
-    Leading factors are peeled off until a suffix of the chain is cached
-    or is a single atom, whose family is closed-form; the longer suffixes are
-    then assembled right to left, so each suffix is built once.
+    Leading atoms are peeled off until a suffix of the chain is cached or
+    is the last atom, whose family is closed-form; the longer suffixes are
+    then assembled right to left, so each suffix is built once.  A suffix
+    is known by its inverse images alone: peeling the atom a off a o rest
+    gives rest^-1(x) = (a o rest)^-1(a(x)), where a(x) has at most two
+    letters.  At the last atom these must be the atom's own inverse
+    images, which proves that the chain composes to the map.
     """
-    suffixes = [auto]
-    fam = cache.families.get(auto)
-    while fam is None and len(suffixes[-1].factors) > 1:
-        suffixes.append(suffixes[-1].tail())
+    fam = cache.families.get(auto.bwd)
+    if fam is not None:
+        return fam
+    factors = auto.factors
+    suffixes = [auto.bwd]
+    while fam is None and len(suffixes) < len(factors):
+        prev, atom = suffixes[-1], factors[len(suffixes) - 1]
+        suffixes.append(tuple(tuple(_substitute(prev, w)) for w in atom.fwd))
         fam = cache.families.get(suffixes[-1])
+    if len(suffixes) == len(factors) and suffixes[-1] != factors[-1].bwd:
+        raise AssertionError(f"the factors of {auto.key()} do not compose to it")
     if fam is None:
-        fam = _atom_depth1(suffixes[-1].factors[0], budget)
+        fam = _atom_depth1(factors[-1], budget)
         cache.families[suffixes[-1]] = fam
     for i in range(len(suffixes) - 2, -1, -1):
-        chain, rest = suffixes[i], suffixes[i + 1]
-        fam = _family_from_factors(chain.factors[0], rest, budget, cache)
-        cache.families[chain] = fam
+        fam = _family_from_factors(factors[i], suffixes[i + 1], fam, budget, cache)
+        cache.families[suffixes[i]] = fam
     return fam
 
 
 def _family_from_factors(
-    head: Automorphism,
-    rest: Automorphism,
-    budget: Budget,
-    cache: PartitionCache,
+    head: Automorphism, bwd: tuple, fam: dict, budget: Budget, cache: PartitionCache
 ) -> dict[int, CylinderPartition]:
-    """Family of head o rest: rest-preimages of the pieces of head's family."""
+    """Family of head o rest, rest given by its inverse images and family:
+    the rest-preimages of the pieces of head's family."""
     head_fam = _depth1_family(head, budget, cache)
-    fam: dict[int, CylinderPartition] = {}
+    out: dict[int, CylinderPartition] = {}
     for y in alphabet(head.rank):
-        parts = [_preimage(rest, w, budget, cache) for w in head_fam[y].leaves]
+        parts = [_preimage(bwd, fam, w, budget, cache) for w in head_fam[y].leaves]
         budget.spend(sum(map(len, parts)))
-        fam[y] = _merge(head.rank, parts)
-    return fam
+        out[y] = _merge(head.rank, parts)
+    return out
 
 
 def _preimage(
-    auto: Automorphism, u: Word, budget: Budget, cache: PartitionCache
+    bwd: tuple, fam: dict, u: Word, budget: Budget, cache: PartitionCache
 ) -> CylinderPartition:
-    key = (auto, u)
+    """Preimage of Cyl(u) under the map with inverse images bwd and depth-1
+    families fam, cached by (bwd, u)."""
+    key = (bwd, u)
     part = cache.partitions.get(key)
     if part is not None:
         return part
-    fam = _depth1_family(auto, budget, cache)
     if len(u) == 1:
         part = fam[u[0]]
     else:
         # the translation identity: phi^-1(u' x) = phi^-1(u') * phi^-1(Cyl x)
-        head = _substitute(auto.bwd, u[:-1])
+        head = _substitute(bwd, u[:-1])
         # Spend one node per piece of the equivalent translation of the
         # other letters' families by g = phi^-1(u): one per label, and
         # more only for a label on the path along g^-1, at most one.
-        g = _substitute(auto.bwd, u[-1:], list(head))
+        g = _substitute(bwd, u[-1:], list(head))
         h = [-x for x in reversed(g)]
         ell = -u[-1]
         pieces = d = 0
@@ -594,7 +605,9 @@ def _preimage(
                 pieces += p.size
                 d = max(d, p.label_prefix(h))
         if d:
-            pieces += len(translate_cylinder(g, h[:d], auto.rank)) - 1
+            # g cancels the label h[:d] whole, which splits off 2k - 2
+            # pieces at each level along h and 2k - 1 at its end
+            pieces += (2 * len(bwd) - 2) * (len(g) - d + 1)
         budget.spend(pieces)
         part = _graft(fam[u[-1]], head)
     cache.partitions[key] = part
@@ -616,7 +629,8 @@ def preimage_partition(
     if not u:
         raise InputError("target cylinder label must be nonempty")
     budget, cache = _resolve(budget, cache)
-    return _preimage(auto, u, budget, cache)
+    fam = _depth1_family(auto, budget, cache)
+    return _preimage(auto.bwd, fam, u, budget, cache)
 
 
 def partition_mass(mu: FrequencyMeasure, part: CylinderPartition) -> Fraction:
@@ -646,12 +660,13 @@ def stable_prefix(
     if not refine:
         return coarse
     budget, cache = _resolve(budget, cache)
+    fam = _depth1_family(auto, budget, cache)
     s = EMPTY
     while True:
         step = None
         for c in extension_letters(s, auto.rank):
             cand = Word(tuple(s) + (c,))
-            if _preimage(auto, cand, budget, cache).contains_cylinder(w):
+            if _preimage(auto.bwd, fam, cand, budget, cache).contains_cylinder(w):
                 step = cand
                 break
         if step is None:
@@ -842,7 +857,7 @@ def pushforward_current_value(
         raise InputError("target label must be nonempty")
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
-    p_u = _preimage(auto, u, budget, cache)
+    p_u = _preimage(auto.bwd, fam, u, budget, cache)
     others = {a: p for a, p in fam.items() if a != u[0]}
     den, num = _pair_mass(mu, others, {u[0]: p_u})
     return Fraction(num[u[0]], den)
@@ -886,10 +901,8 @@ def _table(
     Keys run by length, then in `all_words` order.
     """
     rank = auto.rank
-    # the families first: their assembly may cache preimages under this
-    # very key, when a suffix of the chain is the same map
-    _depth1_family(auto, budget, cache)
-    parts = {v: _preimage(auto, v, budget, cache) for v in all_words(depth, rank)}
+    fam = _depth1_family(auto, budget, cache)
+    parts = {v: _preimage(auto.bwd, fam, v, budget, cache) for v in all_words(depth, rank)}
     den, deep = _pair_mass(mu, parts, parts, {v: v[0] for v in parts})
     levels = [deep]
     for n in range(depth - 1, 0, -1):
@@ -926,12 +939,13 @@ def recenter(
     letter) and the conjugated map x -> v^-1 phi(x) v.
     """
     budget, cache = _resolve(budget, cache)
+    fam = _depth1_family(auto, budget, cache)
     mu = uniform_measure(auto.rank)
     v: tuple = ()
     while True:
         step = None
         for c in extension_letters(v, auto.rank):
-            part = _preimage(auto, Word(v + (c,)), budget, cache)
+            part = _preimage(auto.bwd, fam, Word(v + (c,)), budget, cache)
             if partition_mass(mu, part) >= HALF:
                 step = c
                 break

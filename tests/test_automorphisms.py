@@ -8,6 +8,7 @@ from stretchfactor import (
     Automorphism,
     Budget,
     NotInverseError,
+    PartitionCache,
     WhiteheadSecondKind,
     compose,
     conj,
@@ -242,13 +243,6 @@ def corrupted(images, i):
     return images
 
 
-def suffixes(auto):
-    out = [auto]
-    while len(out[-1].factors) > 1:
-        out.append(out[-1].tail())
-    return out
-
-
 @given(st.integers(2, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)
 def test_products_and_suffixes_are_certified(rank, m, n, seed):
@@ -257,9 +251,13 @@ def test_products_and_suffixes_are_certified(rank, m, n, seed):
     psi = random_composition(rank, n, rng)
     for left, right in ((phi, psi), (psi, phi)):
         product = compose(left, right)
-        for auto in suffixes(product):
-            auto._verify()  # the brute-force check agrees with the certificate
-            assert (auto.fwd, auto.bwd) == letter_by_letter(rank, auto.factors)
+        product._verify()  # the brute-force check agrees with the certificate
+        assert (product.fwd, product.bwd) == letter_by_letter(rank, product.factors)
+        # the engine keys every suffix of the chain by its inverse images
+        cache = PartitionCache()
+        length_exact(product, cache=cache)
+        for i in range(len(product.factors)):
+            assert letter_by_letter(rank, product.factors[i:])[1] in cache.families
         pairs = ((left.fwd, left.bwd), (right.fwd, right.bwd))
         i = rng.randrange(rank)
         with pytest.raises(AssertionError, match="certificate"):
@@ -271,14 +269,11 @@ def test_products_and_suffixes_are_certified(rank, m, n, seed):
 @pytest.mark.parametrize("side", [0, 1])
 def test_certificate_catches_a_wrong_image_through_either_factor(nielsen_map, side):
     # nielsen^3 has longer images than nielsen, so the two orders of the
-    # product round-trip through different factors; a suffix reads
-    # head^-1's pair off head's
+    # product round-trip through different factors
     n, cube = nielsen_map, compose(nielsen_map, compose(nielsen_map, nielsen_map))
-    head = cube.factors[0]
     cases = [
         ((n.fwd, n.bwd), (cube.fwd, cube.bwd), compose(n, cube)),
         ((cube.fwd, cube.bwd), (n.fwd, n.bwd), compose(cube, n)),
-        ((head.bwd, head.fwd), (cube.fwd, cube.bwd), cube.tail()),
     ]
     for phi, psi, product in cases:
         _certify(phi, psi, product.fwd, product.bwd)
@@ -318,8 +313,22 @@ def test_cold_length_builds_each_suffix_once_without_brute_force(
     report = length_exact(phi, budget=budget)
     assert (report.value, budget.spent) == (value, spent)
     assert counts["verified"] == 0
-    # one map per suffix of two or more factors; the last suffix is an atom
-    assert counts["built"] == len(phi.factors) - 2
+    # suffixes of the chain are inverse-image tuples, not maps
+    assert counts["built"] == 0
+
+
+@pytest.mark.parametrize("wrong", ["nielsen-squared", "one-atom"])
+def test_factors_that_do_not_compose_to_the_map_are_an_engine_bug(nielsen_map, wrong):
+    # an inverse pair whose factor chain is another map's: peeling the
+    # chain ends on inverse images that are not its last atom's
+    factors = {
+        "nielsen-squared": compose(nielsen_map, nielsen_map).factors,
+        "one-atom": parse_generator_expression(2, "W2[b; a:RIGHT]").factors,
+    }[wrong]
+    n = nielsen_map
+    phi = Automorphism(2, n.fwd, n.bwd, factors=factors, verify=False)
+    with pytest.raises(AssertionError, match="do not compose"):
+        length_exact(phi)
 
 
 def test_second_kind_maps_are_built_once():

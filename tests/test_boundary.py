@@ -394,6 +394,28 @@ def test_pushforward_table_builds_each_preimage_once():
     assert budget.spent == 89
 
 
+def test_preimages_are_built_once_after_the_families():
+    # The same chain: assembling its families caches the preimage of aa
+    # under the map's own key, so a cold preimage finds it instead of
+    # building and spending it a second time (53 nodes when it did).
+    auto = parse_generator_expression(2, "W2[A; b:LEFT] * W2[a; b:LEFT] * W2[A; b:LEFT]")
+    budget = Budget()
+    preimage_partition(auto, w("aa"), budget=budget)
+    assert budget.spent == 49
+    calls = {
+        "preimage": lambda b, c: preimage_partition(auto, w("aa"), budget=b, cache=c),
+        "stable_prefix": lambda b, c: stable_prefix(auto, w("aa"), budget=b, cache=c),
+        "recenter": lambda b, c: recenter(auto, budget=b, cache=c),
+    }
+    for name, call in calls.items():
+        cold = Budget()
+        answer = call(cold, PartitionCache())
+        warm, cache = Budget(), PartitionCache()
+        depth1_profile(auto, budget=warm, cache=cache)
+        assert call(warm, cache) == answer, name
+        assert cold.spent == warm.spent, name
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     rank=st.integers(2, 4),
@@ -805,8 +827,8 @@ def test_budget_limits_are_honest(nielsen_map):
 def test_partition_cache_hit_equals_recomputation(nielsen_map):
     cache = PartitionCache()
     part = preimage_partition(nielsen_map, w("ab"), cache=cache)
-    # an equal map built separately finds the entry: keys are maps, not objects
-    assert cache.partitions[(nielsen(), w("ab"))] is part
+    # an equal map built separately finds the entry: keys are inverse images, not objects
+    assert cache.partitions[(nielsen().bwd, w("ab"))] is part
     assert preimage_partition(nielsen(), w("ab"), cache=cache) is part
     again = preimage_partition(nielsen_map, w("ab"), cache=PartitionCache())
     assert again == part
@@ -821,6 +843,6 @@ def test_partition_cache_keeps_each_rank():
     part2 = preimage_partition(nielsen(), w("ab"), cache=cache)
     assert part3.words == words("aa", "ab", "aB")
     assert part2 == preimage_partition(nielsen(), w("ab"), cache=PartitionCache())
-    assert cache.partitions[(rank3, w("a"))] == part3
-    assert cache.partitions[(nielsen(), w("ab"))] == part2
+    assert cache.partitions[(rank3.bwd, w("a"))] == part3
+    assert cache.partitions[(nielsen().bwd, w("ab"))] == part2
     assert preimage_partition(rank3, w("a"), cache=cache) is part3

@@ -202,3 +202,14 @@ def test_raw_rank3_map_against_monte_carlo():
     assert exact == F(133, 75)
     est = length_mc(phi, 2000, 400, seed=1)
     assert abs(est.mean - float(exact)) <= 3 * est.stderr + 4 / est.n
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_random_compositions_against_monte_carlo(rank, seed):
+    # statistical, so fixed seeds: the exact length of a random product of
+    # three generators against the mean cyclic image length of uniform words
+    phi = random_composition(rank, 3, random.Random(seed))
+    exact = length_exact(phi).value
+    est = length_mc(phi, 2000, 200, seed=seed)
+    assert abs(est.mean - float(exact)) <= 3 * est.stderr + 4 / est.n, exact

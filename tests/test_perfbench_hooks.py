@@ -26,11 +26,6 @@ for mu in (
     sf.rational_measure(2, sf.parse_word("abAAB")),
 ):
     sf.eta_length(phi, mu, cache=sf.PartitionCache())
-# the smallest pooled map whose assembly cancels a family label whole,
-# the one case that still translates a cylinder on its own
-sf.preimage_partition(
-    sf.parse_generator_expression(2, "W2[b; a:LEFT] * inner[ba] * inner[a]"), sf.parse_word("aa")
-)
 print(json.dumps({"absent": tr.absent, "calls": tr.calls, "counts": tr.counts}))
 """
 
@@ -60,10 +55,10 @@ def test_benchmark_hooks_find_every_layer():
     # pair sums read the measure's automaton, not eval
     assert "measures.eval" not in calls
     # every engine layer the trace hooks is still on the path, so a
-    # refactor that routes around a hook fails here instead of reading 0
+    # refactor that routes around a hook fails here instead of reading 0;
+    # `boundary.translate` is not, as the engine no longer translates
     for layer in (
         "boundary.canonical",
-        "boundary.translate",
         "boundary.preimage",
         "boundary.family",
         "boundary.assemble",
@@ -72,7 +67,6 @@ def test_benchmark_hooks_find_every_layer():
     counts = doc["counts"]
     for metric in (
         "boundary.canonical.words_in",
-        "boundary.translate.pieces",
         "boundary.pair_mass.generic.pairs",
     ):
         assert counts.get(metric, 0) >= 1, metric
