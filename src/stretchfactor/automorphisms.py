@@ -46,18 +46,14 @@ FIX, RIGHT, LEFT, CONJ = "FIX", "RIGHT", "LEFT", "CONJ"
 _W2_TYPES = (FIX, RIGHT, LEFT, CONJ)
 
 
-def _substitute(
-    images: tuple[Word, ...], w: Sequence[int], out: Optional[list] = None
-) -> list[int]:
-    """Reduced image of w under the map sending basis letter i to
-    images[i - 1], appended to the reduced list `out`.
+def _substitute(images: tuple[Word, ...], w: Sequence[int]) -> list[int]:
+    """Reduced image of w under the map sending basis letter i to images[i - 1].
 
     Each letter image is reduced, so appending one cancels only a run at
     the seam: count the run, append the image whole and delete the run
     from both sides.  Inverse images are lists, made once per call.
     """
-    if out is None:
-        out = []
+    out: list[int] = []
     inverses: dict[int, list[int]] = {}
     for x in w:
         img = images[x - 1] if x > 0 else inverses.get(x)

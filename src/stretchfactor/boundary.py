@@ -35,6 +35,9 @@ Five facts drive the computation:
   builds each suffix of the chain once.  A preimage reads only the map's
   inverse images, so a suffix is its tuple of inverse images, each got
   from the next longer one by substituting into a peeled atom's images.
+  A step builds no atom family but reads the atom's closed form: a
+  signed permutation relabels the families, and a transvection changes
+  only those of s^-1, a and a^-1.
 
 * Pair sums.  The current value on Cyl(a) x Cyl(u) is the sum of
   mu(w1^-1 w2) over w1 in phi^-1(Cyl a) and w2 in phi^-1(Cyl u)
@@ -99,10 +102,10 @@ HALF = Fraction(1, 2)
 class Budget:
     """Node counter shared across one public computation; never approximate.
 
-    Every cylinder of an atom family and every assembled or translated
-    cylinder is spent as it is made, and the computation stops with a
-    ResourceLimitError as soon as the total passes the limit, so no work
-    that fits is refused in advance.
+    One node is spent per cylinder of an atom family and per trie node
+    a graft or a merge builds, as it is made, and the computation stops
+    with a ResourceLimitError as soon as the total passes the limit, so
+    no work that fits is refused in advance.
     """
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
@@ -157,7 +160,10 @@ class CylinderPartition:
 
     def root(self) -> dict:
         """The whole canonical trie, the stem expanded to one dict per letter."""
-        return _chain(self.stem, self.trie)
+        node = self.trie
+        for c in reversed(self.stem):
+            node = {c: node}
+        return node
 
     @property
     def height(self) -> int:
@@ -183,8 +189,8 @@ class CylinderPartition:
     def label_prefix(self, w: Sequence[int]) -> int:
         """Length of the label that is a prefix of w, or 0 if none is.
 
-        A query on any letter sequence: preimage assembly asks it of the
-        image lists `_substitute` returns, so it does not validate w.
+        A query on any letter sequence, so it does not validate w;
+        `contains_cylinder` checks its word first.
         """
         n = len(self.stem)
         if tuple(w[:n]) != self.stem:
@@ -222,33 +228,20 @@ class CylinderPartition:
 def canonical_words(rank: int, words: Iterable[Sequence[int]]) -> tuple[tuple, dict, int]:
     """Canonical trie of a disjoint family, as (stem, trie below the stem, size).
 
-    Labels are checked for overlaps and complete sibling sets coalesced.
-    The stem is the labels' common prefix, short of the last letter of
-    the shortest, so the tree below it branches at its root or holds a
-    lone label.
+    Labels are checked for overlaps and complete sibling sets coalesced;
+    the single-child path from the root becomes the stem (`_partition`),
+    so the tree below it branches at its root or holds a lone label.
     """
-    words = [w if isinstance(w, Word) else Word(w) for w in words]
-    if not words:
-        return (), {}, 0
-    # the common prefix of all labels is that of the least and the greatest
-    shortest = min(map(len, words))
-    lo, hi = min(words), max(words)
-    n = 0
-    while n < shortest - 1 and lo[n] == hi[n]:
-        n += 1
-    stem = tuple(lo[:n])
-    root = _trie(words, n)
+    root = _trie(w if isinstance(w, Word) else Word(w) for w in words)
     size = _collapse(root, rank)
-    if _complete(root, 2 * rank if not stem else 2 * rank - 1):
-        if not stem:
-            raise InputError("partition coalesces to the full boundary")
-        # the labels fill Cyl(stem), which is one leaf a level up
-        return stem[:-1], {stem[-1]: _LEAF}, 1
-    return stem, root, size
+    if _complete(root, 2 * rank):
+        raise InputError("partition coalesces to the full boundary")
+    part = _partition(rank, (), root, size)
+    return part.stem, part.trie, part.size
 
 
-def _trie(words: Iterable[Word], start: int) -> dict:
-    """Prefix tree of disjoint nonempty labels below their first `start` letters.
+def _trie(words: Iterable[Word]) -> dict:
+    """Prefix tree of disjoint nonempty labels.
 
     Nested dicts keyed by letter, `_LEAF` at the leaves.  Raises
     InputError naming a word whose cylinder overlaps an earlier one.
@@ -258,7 +251,7 @@ def _trie(words: Iterable[Word], start: int) -> dict:
         if not w:
             raise InputError("partition labels must be nonempty")
         node = root
-        for c in w[start:-1]:
+        for c in w[:-1]:
             nxt = node.get(c)
             if nxt is None:
                 node[c] = nxt = {}
@@ -302,38 +295,42 @@ def _depth(node: dict) -> int:
     return max((_depth(v) if type(v) is dict else 0 for v in node.values()), default=-1) + 1
 
 
-def _chain(stem: Sequence[int], node) -> dict:
-    """The node reached by `stem`, as one dict per letter of the stem."""
-    for c in reversed(stem):
-        node = {c: node}
-    return node
-
-
-def _partition(rank: int, stem: tuple, node, size: int) -> CylinderPartition:
+def _partition(
+    rank: int, stem: tuple, node, size: int, built: int = 0, budget: Optional[Budget] = None
+) -> CylinderPartition:
     """The partition whose trie is `node` hung under `stem`, in canonical form.
 
-    A coalesced node becomes one label, and a single-child path at the top
-    of the node moves into the stem.
+    A coalesced node becomes one label, hung from one new dict, and a
+    single-child path at the top of the node moves into the stem.  The
+    top `built` dicts of the node are new, and each one the trie keeps
+    is spent from `budget`.
     """
     if type(node) is not dict:
         if not stem:
             raise AssertionError("partition coalesces to the full boundary")
-        return CylinderPartition(rank, stem[:-1], {stem[-1]: _LEAF}, 1)
+        stem, node, size, built = stem[:-1], {stem[-1]: _LEAF}, 1, 1
+    top = len(stem)
     while len(node) == 1:
         ((c, child),) = node.items()
         if type(child) is not dict:
             break
         stem += (c,)
         node = child
+    if budget is not None:
+        budget.spend(max(built - (len(stem) - top), 0))
     return CylinderPartition(rank, stem, node, size)
 
 
-def _merge(rank: int, parts: Sequence[CylinderPartition]) -> CylinderPartition:
+def _merge(
+    rank: int, parts: Sequence[CylinderPartition], budget: Optional[Budget] = None
+) -> CylinderPartition:
     """Union of disjoint partitions, sharing their subtrees.
 
     A node that two inputs both reach is copied, and only there are
     complete sibling sets coalesced; every other subtree is reused.
-    Overlapping labels raise AssertionError.
+    Spends one node per dict it builds that the union keeps: the copies,
+    and an input's stem below the common one, spelled out one dict per
+    letter.  Overlapping labels raise AssertionError.
     """
     parts = [p for p in parts if p.size]
     if len(parts) <= 1:
@@ -344,15 +341,20 @@ def _merge(rank: int, parts: Sequence[CylinderPartition]) -> CylinderPartition:
     m = 0
     while m < len(lo) and m < len(hi) and lo[m] == hi[m]:
         m += 1
-    nodes = [
-        p.trie if len(p.stem) == m else {p.stem[m]: _chain(p.stem[m + 1 :], p.trie)}
-        for p in parts
-    ]
+    # spelled[id(d)]: the dicts from d down, for each dict spelling a stem
+    spelled: dict = {}
+    nodes = []
+    for p in parts:
+        node = p.trie
+        for i, c in enumerate(reversed(p.stem[m:])):
+            node = {c: node}
+            spelled[id(node)] = i + 1
+        nodes.append(node)
     full = 2 * rank - 1
-    lost = 0
+    lost = built = 0
 
     def merge(nodes: list, needed: int):
-        nonlocal lost
+        nonlocal lost, built
         out = dict(nodes[0])
         shared: dict = {}
         for node in nodes[1:]:
@@ -371,13 +373,17 @@ def _merge(rank: int, parts: Sequence[CylinderPartition]) -> CylinderPartition:
         if _complete(out, needed):
             lost += needed - 1
             return _LEAF
+        built += 1 + sum(spelled.get(id(child), 0) for child in out.values())
         return out
 
     node = merge(nodes, full + 1 if m == 0 else full)
-    return _partition(rank, lo[:m], node, sum(p.size for p in parts) - lost)
+    size = sum(p.size for p in parts) - lost
+    return _partition(rank, lo[:m], node, size, built, budget)
 
 
-def _graft(part: CylinderPartition, g: Sequence[int]) -> CylinderPartition:
+def _graft(
+    part: CylinderPartition, g: Sequence[int], budget: Optional[Budget] = None
+) -> CylinderPartition:
     """The partition g * part, sharing part's subtrees.
 
     With n = |g| and h = g^-1, a label w agreeing with h in exactly its
@@ -385,7 +391,8 @@ def _graft(part: CylinderPartition, g: Sequence[int]) -> CylinderPartition:
     hanging off the path along h at depth c lands, unchanged, under
     g[:n-c].  A label on that path is cancelled whole: it splits into
     its 2k - 1 children, which the walk then meets in turn.  Only the new
-    path along g is built, and only its nodes can coalesce.
+    path along g is built, and only its nodes can coalesce.  Spends one
+    node per dict of that path that the result keeps.
     """
     rank, n = part.rank, len(g)
     if not part.size or not n:
@@ -393,32 +400,32 @@ def _graft(part: CylinderPartition, g: Sequence[int]) -> CylinderPartition:
     h = [-x for x in reversed(g)]
     stem, m = part.stem, len(part.stem)
     size = part.size
-    # hung[c]: the children of the node along h at depth c, but for h[c]
-    hung: list[dict] = []
     c = 0
     while c < m and c < n and stem[c] == h[c]:
-        hung.append({})
         c += 1
     if c < m:
-        hung.append({stem[c]: _chain(stem[c + 1 :], part.trie)})
-    else:
-        node = part.trie
-        while True:
-            # at the end of h, or where it leaves the trie, every child hangs
-            x = h[c] if c < n else None
-            child = node.get(x)
-            if child is None:
-                hung.append(dict(node))
-                break
-            hung.append({y: v for y, v in node.items() if y != x})
-            if type(child) is not dict:
-                # the label h[:c+1] is cancelled whole
-                child = dict.fromkeys([y for y in alphabet(rank) if y != -x], _LEAF)
-                size += 2 * rank - 2
-            node = child
-            c += 1
+        # every label agrees with h in exactly c letters: the trie moves whole
+        return CylinderPartition(rank, tuple(g[: n - c]) + stem[c:], part.trie, size)
+    # hung[c - m]: the children of the node along h at depth c, but for h[c]
+    hung: list[dict] = []
+    node = part.trie
+    while True:
+        # at the end of h, or where it leaves the trie, every child hangs
+        x = h[c] if c < n else None
+        child = node.get(x)
+        if child is None:
+            hung.append(dict(node))
+            break
+        hung.append({y: v for y, v in node.items() if y != x})
+        if type(child) is not dict:
+            # the label h[:c+1] is cancelled whole
+            child = dict.fromkeys([y for y in alphabet(rank) if y != -x], _LEAF)
+            size += 2 * rank - 2
+        node = child
+        c += 1
     below = None
-    for c, node in enumerate(hung):
+    built = 0
+    for c, node in enumerate(hung, m):
         if below is not None:
             node[g[n - c]] = below
         elif not node:
@@ -427,8 +434,10 @@ def _graft(part: CylinderPartition, g: Sequence[int]) -> CylinderPartition:
         if _complete(node, needed):
             size -= needed - 1
             node = _LEAF
+        else:
+            built += 1
         below = node
-    return _partition(rank, tuple(g[: n - len(hung) + 1]), below, size)
+    return _partition(rank, tuple(g[: n - m - len(hung) + 1]), below, size, built, budget)
 
 
 # -- exact translation of cylinder unions ---------------------------------
@@ -506,15 +515,19 @@ def _atom_depth1(atom: Automorphism, budget: Budget) -> dict[int, CylinderPartit
     """
     k = atom.rank
     if all(len(img) == 1 for img in atom.fwd):
-        fam = {y: [atom.inverse_letter_image(y)] for y in alphabet(k)}
-    else:
-        s, a = _transvection_letters(atom)
-        fam = {z: [Word((z,))] for z in alphabet(k)}
-        fam[-s] = [Word((a, -s))]
-        fam[a] = [Word((a, c)) for c in alphabet(k) if c not in (-a, -s)]
-        fam[-a] = [Word((-s,)), Word((-a,))]
-    budget.spend(sum(map(len, fam.values())))
-    return {y: CylinderPartition.from_words(k, ws) for y, ws in fam.items()}
+        budget.spend(2 * k)
+        return {
+            y: CylinderPartition(k, (), {atom.inverse_letter_image(y)[0]: _LEAF}, 1)
+            for y in alphabet(k)
+        }
+    s, a = _transvection_letters(atom)
+    budget.spend(4 * k - 2)
+    fam = {z: CylinderPartition(k, (), {z: _LEAF}, 1) for z in alphabet(k)}
+    fam[-s] = CylinderPartition(k, (a,), {-s: _LEAF}, 1)
+    rest = dict.fromkeys([c for c in alphabet(k) if c not in (-a, -s)], _LEAF)
+    fam[a] = CylinderPartition(k, (a,), rest, 2 * k - 2)
+    fam[-a] = CylinderPartition(k, (), {-s: _LEAF, -a: _LEAF}, 2)
+    return fam
 
 
 def _transvection_letters(atom: Automorphism) -> tuple[int, int]:
@@ -569,13 +582,17 @@ def _family_from_factors(
     head: Automorphism, bwd: tuple, fam: dict, budget: Budget, cache: PartitionCache
 ) -> dict[int, CylinderPartition]:
     """Family of head o rest, rest given by its inverse images and family:
-    the rest-preimages of the pieces of head's family."""
-    head_fam = _depth1_family(head, budget, cache)
-    out: dict[int, CylinderPartition] = {}
-    for y in alphabet(head.rank):
-        parts = [_preimage(bwd, fam, w, budget, cache) for w in head_fam[y].leaves]
-        budget.spend(sum(map(len, parts)))
-        out[y] = _merge(head.rank, parts)
+    rest^-1 of head's closed-form preimages (module docstring), which are
+    never built.  Only the families of s^-1, a and a^-1 change."""
+    k = head.rank
+    if all(len(img) == 1 for img in head.fwd):
+        return {y: fam[head.inverse_letter_image(y)[0]] for y in alphabet(k)}
+    s, a = _transvection_letters(head)
+    out = dict(fam)
+    out[-s] = _preimage(bwd, fam, Word((a, -s)), budget, cache)
+    follow = [c for c in alphabet(k) if c not in (-a, -s)]
+    out[a] = _merge(k, [_preimage(bwd, fam, Word((a, c)), budget, cache) for c in follow], budget)
+    out[-a] = _merge(k, [fam[-s], fam[-a]], budget)
     return out
 
 
@@ -592,24 +609,7 @@ def _preimage(
         part = fam[u[0]]
     else:
         # the translation identity: phi^-1(u' x) = phi^-1(u') * phi^-1(Cyl x)
-        head = _substitute(bwd, u[:-1])
-        # Spend one node per piece of the equivalent translation of the
-        # other letters' families by g = phi^-1(u): one per label, and
-        # more only for a label on the path along g^-1, at most one.
-        g = _substitute(bwd, u[-1:], list(head))
-        h = [-x for x in reversed(g)]
-        ell = -u[-1]
-        pieces = d = 0
-        for z, p in fam.items():
-            if z != ell:
-                pieces += p.size
-                d = max(d, p.label_prefix(h))
-        if d:
-            # g cancels the label h[:d] whole, which splits off 2k - 2
-            # pieces at each level along h and 2k - 1 at its end
-            pieces += (2 * len(bwd) - 2) * (len(g) - d + 1)
-        budget.spend(pieces)
-        part = _graft(fam[u[-1]], head)
+        part = _graft(fam[u[-1]], _substitute(bwd, u[:-1]), budget)
     cache.partitions[key] = part
     return part
 

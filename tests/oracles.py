@@ -9,6 +9,9 @@ and every decision is asserted to be unanimous over the whole frontier.
 
 `sweep_depth1` is a generic maximal-subtree sweep that works for any
 atom; it is the reference for the engine's closed-form atom families.
+`family_by_leaf_preimages` assembles the families of head o rest the
+generic way, one rest-preimage per label of the head atom's swept
+family; it is the reference for the closed-form step of an assembly.
 `pair_mass_by_pairs` sums pair masses one pair at a time through
 `mu.eval`; it is the reference for the engine's prefix-tree walk.
 `covers_boundary` decides covering by uniform mass, not by coalescing.
@@ -171,6 +174,20 @@ def sweep_depth1(atom):
         if label is not None:
             buckets[label].append(Word((c,)))
     return {y: CylinderPartition.from_words(k, ws) for y, ws in buckets.items()}
+
+
+def family_by_leaf_preimages(head, rest):
+    """Depth-1 families of head o rest, as shortlex label tuples: for each
+    letter y, the rest-preimages of every label of head's swept family of
+    y, their labels canonicalized together."""
+    cache = PartitionCache()
+    return {
+        y: canonical_words_by_sort(
+            head.rank,
+            [v for w in part.leaves for v in preimage_partition(rest, w, cache=cache).leaves],
+        )
+        for y, part in sweep_depth1(head).items()
+    }
 
 
 def pair_mass_by_pairs(mu, p1, p2):

@@ -32,6 +32,8 @@ from stretchfactor.boundary import (
     Budget,
     CylinderPartition,
     _atom_depth1,
+    _depth1_family,
+    _family_from_factors,
     _graft,
     _merge,
     _pair_mass,
@@ -54,6 +56,7 @@ from oracles import (
     brute_preimage_mass,
     canonical_words_by_sort,
     covers_boundary,
+    family_by_leaf_preimages,
     pair_mass_by_pairs,
     sweep_depth1,
 )
@@ -140,6 +143,22 @@ def _assert_same_partition(got, expected):
     assert got.height == max(map(len, expected.words))
 
 
+def _built_nodes(part, inputs):
+    """Dicts of part's trie that are not, by identity, dicts of an input's trie."""
+    old = set()
+    stack = [p.trie for p in inputs]
+    while stack:
+        node = stack.pop()
+        old.add(id(node))
+        stack.extend(v for v in node.values() if type(v) is dict)
+    stack, built = [part.trie], 0
+    while stack:
+        node = stack.pop()
+        built += id(node) not in old
+        stack.extend(v for v in node.values() if type(v) is dict)
+    return built
+
+
 @settings(max_examples=150, deadline=None)
 @given(rank=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
 def test_graft_matches_leaf_by_leaf_translation(rank, seed):
@@ -189,6 +208,38 @@ def test_merge_coalesces_and_shares_subtrees():
     # a subtree only one input reaches is the input's own
     assert merged.trie[2][1] is deep.trie
     assert _merge(2, [left]) is left
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_graft_and_merge_spend_the_nodes_they_build(rank, seed):
+    rng = random.Random(seed)
+    part = CylinderPartition.from_words(rank, _random_prefix_free(rank, rng))
+    if rng.random() < 0.4:
+        # g cancels a label whole
+        label = rng.choice(part.leaves)
+        g = inverse(label + (rng.choice(extension_letters(label, rank)),))
+    else:
+        g = random_reduced(rng.randint(1, 5), rank, rng)
+    budget = Budget()
+    grafted = _graft(part, g, budget)
+    assert budget.spent == _built_nodes(grafted, [part])
+    # a translated family cut into up to four pieces, merged back
+    family = list(grafted.leaves)
+    rng.shuffle(family)
+    cuts = sorted(rng.randint(0, len(family)) for _ in range(3))
+    bounds = [0, *cuts, len(family)]
+    pieces = [CylinderPartition.from_words(rank, family[i:j]) for i, j in zip(bounds, bounds[1:])]
+    budget = Budget()
+    merged = _merge(rank, pieces, budget)
+    _assert_same_partition(merged, grafted)
+    assert budget.spent == _built_nodes(merged, pieces)
+    # a union that coalesces to one label builds the dict that holds it
+    label = rng.choice(family)
+    children = [label + (c,) for c in extension_letters(label, rank)]
+    budget = Budget()
+    whole = _merge(rank, [CylinderPartition.from_words(rank, [c]) for c in children], budget)
+    assert whole.words == (label,) and budget.spent == 1
 
 
 def test_graft_shares_the_subtrees_off_the_path():
@@ -354,9 +405,9 @@ def test_pushforward_table_builds_no_union(monkeypatch):
     merge = boundary._merge
     built = []
 
-    def counting(rank, parts):
+    def counting(rank, parts, *budget):
         built.append(rank)
-        return merge(rank, parts)
+        return merge(rank, parts, *budget)
 
     # with the families built, a preimage grafts one family and a pair
     # sum walks the deepest preimages side by side: nothing merges
@@ -391,17 +442,17 @@ def test_pushforward_table_builds_each_preimage_once():
     assert auto == auto.factors[-1]
     budget = Budget()
     pushforward_table(auto, uniform_measure(2), 2, budget=budget)
-    assert budget.spent == 89
+    assert budget.spent == 21
 
 
 def test_preimages_are_built_once_after_the_families():
     # The same chain: assembling its families caches the preimage of aa
     # under the map's own key, so a cold preimage finds it instead of
-    # building and spending it a second time (53 nodes when it did).
+    # building and spending it a second time (17 nodes when it did).
     auto = parse_generator_expression(2, "W2[A; b:LEFT] * W2[a; b:LEFT] * W2[A; b:LEFT]")
     budget = Budget()
     preimage_partition(auto, w("aa"), budget=budget)
-    assert budget.spent == 49
+    assert budget.spent == 16
     calls = {
         "preimage": lambda b, c: preimage_partition(auto, w("aa"), budget=b, cache=c),
         "stable_prefix": lambda b, c: stable_prefix(auto, w("aa"), budget=b, cache=c),
@@ -605,12 +656,14 @@ def test_preimage_is_the_translated_union_of_the_other_families(rank, n_factors,
     fam = {a: preimage_partition(auto, (a,), cache=cache) for a in alphabet(rank)}
     g = auto.apply_inverse(u)
     leaves = [w for a, p in fam.items() if a != -u[-1] for w in p.leaves]
+    # cold, though assembling the families may have cached it
+    cache.partitions.pop((auto.bwd, u), None)
     budget = Budget()
     got = preimage_partition(auto, u, budget=budget, cache=cache)
     expected = CylinderPartition.from_words(rank, translate_union(g, leaves, rank))
     _assert_same_partition(got, expected)
-    # one node per translated piece, though the union is never translated
-    assert budget.spent == sum(len(translate_cylinder(g, w, rank)) for w in leaves)
+    # one node per trie node the graft built: those fam[u[-1]] does not have
+    assert budget.spent == _built_nodes(got, [fam[u[-1]]])
 
 
 @settings(max_examples=20, deadline=None)
@@ -776,14 +829,19 @@ def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
         rational_measure(3, w("abC")),
     ):
         eta_length(auto, mu, cache=PartitionCache())
-    assert calls["trie"] > 0
-    # one walk per length, and no trie is rebuilt inside it
+    # atom families are literal tries, so no trie is built from words,
+    # inside a walk or out of it
+    assert calls["trie"] == 0
+    # one walk per length
     assert calls["pair_mass"] == 3
     assert calls["trie_in_pair_mass"] == 0
     assert calls["word_key"] == 0
-    # the counter is live: output order still sorts
+    # the counters are live: output order still sorts, and a partition
+    # given by its labels still builds its trie
     assert preimage_partition(auto, w("ab")).words
     assert calls["word_key"] > 0
+    assert CylinderPartition.from_words(3, words("ab", "c"))
+    assert calls["trie"] > 0
 
 
 def _atoms(rank):
@@ -846,3 +904,79 @@ def test_partition_cache_keeps_each_rank():
     assert cache.partitions[(rank3.bwd, w("a"))] == part3
     assert cache.partitions[(nielsen().bwd, w("ab"))] == part2
     assert preimage_partition(rank3, w("a"), cache=cache) is part3
+
+
+def _random_atom(rank, rng):
+    """A transvection or a signed permutation, each kind half the time."""
+    if rng.random() < 0.5:
+        return rng.choice(enumerate_signed_permutations(rank))
+    x = rng.randint(1, rank)
+    a = rng.choice([c for c in alphabet(rank) if abs(c) != x])
+    return _transvection(rank, x, a, rng.choice((LEFT, RIGHT)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_atoms=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_atom_steps_match_leaf_by_leaf_assembly(rank, n_atoms, seed):
+    # each step of a chain mixing transvections and signed permutations
+    # against the rest-preimages of every label of the head's family
+    rng = random.Random(seed)
+    chain = [_random_atom(rank, rng) for _ in range(n_atoms)]
+    rest = chain[-1]
+    for head in reversed(chain[:-1]):
+        cache = PartitionCache()
+        fam = _depth1_family(rest, Budget(), cache)
+        step = _family_from_factors(head, rest.bwd, fam, Budget(), cache)
+        expected = family_by_leaf_preimages(head, rest)
+        assert {y: p.words for y, p in step.items()} == expected
+        rest = compose(head, rest)
+    whole = _depth1_family(rest, Budget(), PartitionCache())
+    assert {y: p.words for y, p in whole.items()} == expected
+
+
+def test_an_atom_step_builds_no_atom_family(monkeypatch):
+    from stretchfactor import boundary, length_exact
+
+    calls = {"atom": 0, "canonical": 0, "label_prefix": 0}
+    atom_depth1, canonical = boundary._atom_depth1, boundary.canonical_words
+    label_prefix = CylinderPartition.label_prefix
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(boundary, "_atom_depth1", counted("atom", atom_depth1))
+    monkeypatch.setattr(boundary, "canonical_words", counted("canonical", canonical))
+    monkeypatch.setattr(CylinderPartition, "label_prefix", counted("label_prefix", label_prefix))
+    for rank, expression, n in [
+        (2, " * ".join(["W2[a; b:RIGHT]"] * 6), 6),
+        (3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab] * perm[a->C,c->b,b->a]", 12),
+        (4, "inner[a] * perm[a->B,b->c,c->D,d->a]", 7),
+    ]:
+        phi = parse_generator_expression(rank, expression)
+        assert len(phi.factors) == n
+        calls.update(dict.fromkeys(calls, 0))
+        length_exact(phi, cache=PartitionCache())
+        # only the last atom's family is built, and nothing canonicalizes
+        assert calls == {"atom": 1, "canonical": 0, "label_prefix": 0}, expression
+    # a signed permutation relabels the rest's partitions, spending nothing
+    rest = parse_generator_expression(3, "W2[a; c:CONJ] * W2[b; a:RIGHT]")
+    sigma = parse_generator_expression(3, "perm[a->C,c->b,b->a]")
+    assert sigma.factors == (sigma,)
+    cache = PartitionCache()
+    fam = _depth1_family(rest, Budget(), cache)
+    budget = Budget()
+    step = _depth1_family(compose(sigma, rest), budget, cache)
+    assert all(step[y] is fam[sigma.inverse_letter_image(y)[0]] for y in alphabet(3))
+    assert budget.spent == 0
+    # the transvection a -> ab (s = a, multiplier b) changes only the
+    # families of s^-1 = A, b and B, and keeps every other one
+    tau = _transvection(3, 1, 2, RIGHT)
+    step = _depth1_family(compose(tau, rest), Budget(), cache)
+    assert {y for y in alphabet(3) if step[y] is not fam[y]} == {-1, 2, -2}

@@ -327,9 +327,9 @@ def test_budget_admits_feasible_rank8_move():
 @pytest.mark.parametrize(
     "rank, expression, nodes",
     [
-        (3, "W2[a; c:CONJ]", 78),
-        (4, "inner[a]", 624),
-        (2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]", 217),
+        (3, "W2[a; c:CONJ]", 15),
+        (4, "inner[a]", 39),
+        (2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]", 30),
     ],
 )
 def test_node_counts_are_pinned(rank, expression, nodes):

@@ -26,45 +26,45 @@ POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "pools"
 
 # Budget.spent of each sampled input, as the engine spends it.
 SPENT = {
-    "chain2-0010": 4, "chain2-0019": 12, "chain2-0034": 59, "chain2-0060": 64,
-    "chain2-0068": 72, "chain2-0095": 174, "chain2-0096": 169, "chain2-0113": 341,
-    "chain2-0128": 516, "chain2-0144": 357, "chain2-0175": 367, "chain2-0184": 399,
-    "chain2-0198": 694, "chain2-0221": 365, "chain2-0237": 735, "chain2-0247": 569,
-    "chain2-0258": 829, "chain2-0284": 801, "chain2-0295": 1654, "chain2-0318": 999,
-    "chain2-0324": 1110, "chain2-0345": 1402, "chain2-0361": 2127, "chain2-0374": 1025,
-    "chain3-0006": 6, "chain3-0015": 18, "chain3-0025": 206, "chain3-0039": 115,
-    "chain4-0011": 8, "chain4-0014": 139, "chain4-0025": 893, "chain4-0044": 479,
-    "nielsen-0000": 6, "nielsen-0001": 28, "nielsen-0002": 57, "nielsen-0003": 93,
-    "nielsen-0004": 136, "nielsen-0005": 186, "nielsen-0006": 243, "nielsen-0007": 307,
-    "nielsen-0008": 378, "nielsen-0009": 456, "nielsen-0010": 541, "nielsen-0011": 633,
-    "nielsen-0012": 732, "nielsen-0013": 838, "nielsen-0014": 951,
-    "nielsen-0015": 1071, "nielsen-0016": 1198, "nielsen-0017": 1332,
-    "nielsen-0018": 1473, "nielsen-0019": 1621, "nielsen-0020": 1776,
-    "nielsen-0021": 1938, "nielsen-0022": 2107, "nielsen-0023": 2283,
-    "nielsen-0024": 2466, "nielsen-0025": 2656, "nielsen-0026": 2853,
-    "nielsen-0027": 3057, "nielsen-0028": 3268, "nielsen-0029": 3486,
-    "nielsen-0030": 3711, "raw2-0017": 4, "raw2-0023": 16, "raw2-0055": 4,
-    "markov-0004": 4, "markov-0015": 53, "markov-0018": 16, "markov-0027": 68,
-    "markov-0035": 133, "markov-0046": 102, "markov-0052": 121, "markov-0058": 347,
-    "markov-0068": 228, "markov-0074": 277, "markov-0087": 469, "markov-0095": 546,
-    "rational-0005": 6, "rational-0008": 12, "rational-0017": 44, "rational-0026": 168,
-    "rational-0038": 109, "rational-0042": 110, "rational-0054": 145,
-    "rational-0058": 206, "rational-0068": 276, "rational-0074": 326,
-    "rational-0084": 393, "rational-0094": 683, "uniform_as_markov-0003": 4,
-    "uniform_as_markov-0011": 28, "uniform_as_markov-0017": 61,
-    "uniform_as_markov-0028": 126, "uniform_as_markov-0037": 104,
-    "uniform_as_markov-0046": 247, "uniform_as_markov-0048": 202,
-    "uniform_as_markov-0057": 310, "uniform_as_markov-0070": 302,
-    "uniform_as_markov-0072": 329, "uniform_as_markov-0083": 197,
-    "uniform_as_markov-0090": 627,
+    "chain2-0010": 4, "chain2-0019": 4, "chain2-0034": 12, "chain2-0060": 14,
+    "chain2-0068": 14, "chain2-0095": 29, "chain2-0096": 21, "chain2-0113": 54,
+    "chain2-0128": 63, "chain2-0144": 57, "chain2-0175": 49, "chain2-0184": 39,
+    "chain2-0198": 94, "chain2-0221": 54, "chain2-0237": 78, "chain2-0247": 74,
+    "chain2-0258": 107, "chain2-0284": 115, "chain2-0295": 200, "chain2-0318": 123,
+    "chain2-0324": 162, "chain2-0345": 169, "chain2-0361": 249, "chain2-0374": 105,
+    "chain3-0006": 6, "chain3-0015": 6, "chain3-0025": 28, "chain3-0039": 15,
+    "chain4-0011": 8, "chain4-0014": 21, "chain4-0025": 55, "chain4-0044": 36,
+    "nielsen-0000": 6, "nielsen-0001": 9, "nielsen-0002": 13, "nielsen-0003": 18,
+    "nielsen-0004": 24, "nielsen-0005": 31, "nielsen-0006": 39, "nielsen-0007": 48,
+    "nielsen-0008": 58, "nielsen-0009": 69, "nielsen-0010": 81, "nielsen-0011": 94,
+    "nielsen-0012": 108, "nielsen-0013": 123, "nielsen-0014": 139,
+    "nielsen-0015": 156, "nielsen-0016": 174, "nielsen-0017": 193,
+    "nielsen-0018": 213, "nielsen-0019": 234, "nielsen-0020": 256,
+    "nielsen-0021": 279, "nielsen-0022": 303, "nielsen-0023": 328,
+    "nielsen-0024": 354, "nielsen-0025": 381, "nielsen-0026": 409,
+    "nielsen-0027": 438, "nielsen-0028": 468, "nielsen-0029": 499,
+    "nielsen-0030": 531, "raw2-0017": 4, "raw2-0023": 6, "raw2-0055": 4,
+    "markov-0004": 4, "markov-0015": 12, "markov-0018": 4, "markov-0027": 12,
+    "markov-0035": 23, "markov-0046": 17, "markov-0052": 22, "markov-0058": 50,
+    "markov-0068": 28, "markov-0074": 46, "markov-0087": 72, "markov-0095": 69,
+    "rational-0005": 6, "rational-0008": 4, "rational-0017": 11, "rational-0026": 21,
+    "rational-0038": 19, "rational-0042": 23, "rational-0054": 22,
+    "rational-0058": 25, "rational-0068": 44, "rational-0074": 49,
+    "rational-0084": 64, "rational-0094": 82, "uniform_as_markov-0003": 4,
+    "uniform_as_markov-0011": 9, "uniform_as_markov-0017": 12,
+    "uniform_as_markov-0028": 23, "uniform_as_markov-0037": 19,
+    "uniform_as_markov-0046": 37, "uniform_as_markov-0048": 35,
+    "uniform_as_markov-0057": 42, "uniform_as_markov-0070": 53,
+    "uniform_as_markov-0072": 45, "uniform_as_markov-0083": 33,
+    "uniform_as_markov-0090": 69,
 }
 
 # Budget.spent of each sampled whitehead input.
 WHITEHEAD_SPENT = {
-    "factorize2-0002": 34, "factorize2-0046": 34, "factorize2-0075": 126,
-    "factorize2-0094": 144, "factorize2-0135": 218, "factorize3-0004": 211,
-    "factorize3-0035": 537, "spectrum-0000": 130, "spectrum-0001": 486,
-    "spectrum-0002": 1604,
+    "factorize2-0002": 9, "factorize2-0046": 11, "factorize2-0075": 27,
+    "factorize2-0094": 21, "factorize2-0135": 45, "factorize3-0004": 22,
+    "factorize3-0035": 41, "spectrum-0000": 18, "spectrum-0001": 50,
+    "spectrum-0002": 161,
 }
 
 
