@@ -20,6 +20,7 @@ Five facts drive the computation:
     phi^-1(Cyl s)    = Cyl(s)
     phi^-1(Cyl s^-1) = Cyl(a s^-1)
     phi^-1(Cyl a)    = union of Cyl(a c) over c not in {a^-1, s^-1}
+                     = Cyl(a) minus Cyl(a s^-1)
     phi^-1(Cyl a^-1) = Cyl(s^-1) union Cyl(a^-1)
     phi^-1(Cyl z)    = Cyl(z) for every other letter z.
 
@@ -37,7 +38,9 @@ Five facts drive the computation:
   from the next longer one by substituting into a peeled atom's images.
   A step builds no atom family but reads the atom's closed form: a
   signed permutation relabels the families, and a transvection changes
-  only those of s^-1, a and a^-1.
+  only those of s^-1, a and a^-1, with one graft (the preimage of
+  a s^-1), one difference (the family of a less that preimage) and one
+  merge (those of s^-1 and a^-1).
 
 * Pair sums.  The current value on Cyl(a) x Cyl(u) is the sum of
   mu(w1^-1 w2) over w1 in phi^-1(Cyl a) and w2 in phi^-1(Cyl u)
@@ -66,10 +69,11 @@ Five facts drive the computation:
   g[:|g|-c], so a preimage builds only the new path along g (a label on
   the old path is cancelled whole and splits first).  Unions merge:
   assembly copies only the nodes two inputs share, and only there can
-  siblings coalesce.  The pair-sum walk reads the tries directly and
-  containment is one descent.  Label words are built from paths on
-  first request, and the shortlex-sorted tuple only for output, keys
-  and tests.
+  siblings coalesce.  Differences copy only the paths to the cells
+  they cut, and nothing coalesces.  The pair-sum walk reads the tries
+  directly and containment is one descent.  Label words are built from
+  paths on first request, and the shortlex-sorted tuple only for output,
+  keys and tests.
 """
 
 from __future__ import annotations
@@ -103,9 +107,9 @@ class Budget:
     """Node counter shared across one public computation; never approximate.
 
     One node is spent per cylinder of an atom family and per trie node
-    a graft or a merge builds, as it is made, and the computation stops
-    with a ResourceLimitError as soon as the total passes the limit, so
-    no work that fits is refused in advance.
+    a graft, a merge or a difference builds, as it is made, and the
+    computation stops with a ResourceLimitError as soon as the total
+    passes the limit, so no work that fits is refused in advance.
     """
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
@@ -135,10 +139,11 @@ class CylinderPartition:
     from the root is kept as the tuple `stem` and the tree below it as
     `trie`: translated families share long prefixes, and a dict per
     shared letter would outweigh the rest.  Tries are never changed once
-    built, so partitions share subtrees: a graft or a merge copies only
-    the nodes it changes.  `size` is the number of labels, set when the
-    partition is built.  Two partitions are equal when their label sets
-    are, and comparing stems and tries decides that without sorting.
+    built, so partitions share subtrees: a graft, a merge or a difference
+    copies only the nodes it changes.  `size` is the number of labels,
+    set when the partition is built.  Two partitions are equal when their
+    label sets are, and comparing stems and tries decides that without
+    sorting.
     `height`, `leaves` (trie order) and `words` (shortlex) are built on
     first use and kept; only output, keys and tests read `words`.
     """
@@ -381,6 +386,58 @@ def _merge(
     return _partition(rank, lo[:m], node, size, built, budget)
 
 
+def _subtract(
+    part: CylinderPartition, sub: CylinderPartition, budget: Optional[Budget] = None
+) -> CylinderPartition:
+    """The partition part minus sub, for sub inside part, sharing part's subtrees.
+
+    Walks sub's trie inside part's and copies only the dicts of part on
+    sub's paths; every other subtree is reused.  A leaf both hold is
+    dropped, and a leaf of part above cells of sub is split into its
+    2k - 1 children first, so what stays of it is the complement of
+    sub's subtree.  Removing cells completes no sibling set, so nothing
+    coalesces.  Spends one node per copied dict the result keeps.  Cells
+    of sub outside part raise AssertionError.
+    """
+    if not sub.size:
+        return part
+    rank, m = part.rank, len(part.stem)
+    if sub.stem[:m] != part.stem:
+        raise AssertionError("subtracted cells lie outside the partition")
+    gone = sub.trie
+    for c in reversed(sub.stem[m:]):
+        gone = {c: gone}
+    size, built = part.size, 0
+
+    def cut(node: dict, gone: dict) -> dict:
+        nonlocal size, built
+        out = dict(node)
+        for c, below in gone.items():
+            have = out.get(c)
+            if have is None or (type(have) is dict and type(below) is not dict):
+                raise AssertionError("subtracted cells lie outside the partition")
+            if type(below) is not dict:
+                del out[c]
+                size -= 1
+                continue
+            if type(have) is not dict:
+                have = dict.fromkeys([y for y in alphabet(rank) if y != -c], _LEAF)
+                size += 2 * rank - 2
+            left = cut(have, below)
+            if left:
+                out[c] = left
+            else:
+                del out[c]
+        if out:
+            built += 1
+        return out
+
+    node = cut(part.trie, gone)
+    if not node:
+        return CylinderPartition(rank, (), {}, 0)
+    return _partition(rank, part.stem, node, size, built, budget)
+
+
 def _graft(
     part: CylinderPartition, g: Sequence[int], budget: Optional[Budget] = None
 ) -> CylinderPartition:
@@ -583,15 +640,16 @@ def _family_from_factors(
 ) -> dict[int, CylinderPartition]:
     """Family of head o rest, rest given by its inverse images and family:
     rest^-1 of head's closed-form preimages (module docstring), which are
-    never built.  Only the families of s^-1, a and a^-1 change."""
+    never built.  Only the families of s^-1, a and a^-1 change: the first
+    is the preimage of a s^-1, which lies inside fam[a], and the family
+    of a is fam[a] less it."""
     k = head.rank
     if all(len(img) == 1 for img in head.fwd):
         return {y: fam[head.inverse_letter_image(y)[0]] for y in alphabet(k)}
     s, a = _transvection_letters(head)
     out = dict(fam)
     out[-s] = _preimage(bwd, fam, Word((a, -s)), budget, cache)
-    follow = [c for c in alphabet(k) if c not in (-a, -s)]
-    out[a] = _merge(k, [_preimage(bwd, fam, Word((a, c)), budget, cache) for c in follow], budget)
+    out[a] = _subtract(fam[a], out[-s], budget)
     out[-a] = _merge(k, [fam[-s], fam[-a]], budget)
     return out
 

@@ -12,6 +12,10 @@ atom; it is the reference for the engine's closed-form atom families.
 `family_by_leaf_preimages` assembles the families of head o rest the
 generic way, one rest-preimage per label of the head atom's swept
 family; it is the reference for the closed-form step of an assembly.
+`subtract_by_leaves` removes cells from a family by splitting every
+label above a removed cell into its children until each piece is
+removed whole or kept whole; it is the reference for the trie
+difference that builds a transvection step's a-family.
 `pair_mass_by_pairs` sums pair masses one pair at a time through
 `mu.eval`; it is the reference for the engine's prefix-tree walk.
 `covers_boundary` decides covering by uniform mass, not by coalescing.
@@ -188,6 +192,29 @@ def family_by_leaf_preimages(head, rest):
         )
         for y, part in sweep_depth1(head).items()
     }
+
+
+def subtract_by_leaves(rank, words, removed):
+    """The labels of (union of words) minus (union of removed), uncoalesced.
+
+    A label that properly contains a removed cell splits into its
+    children; a label equal to a removed cell is dropped.  Raises
+    AssertionError if a removed cell is not inside the union of words.
+    """
+    removed = {tuple(r) for r in removed}
+    out = []
+    stack = [tuple(p) for p in words]
+    while stack:
+        p = stack.pop()
+        if p in removed:
+            removed.discard(p)
+        elif any(len(r) > len(p) and is_prefix(p, r) for r in removed):
+            stack.extend(p + (c,) for c in extension_letters(p, rank))
+        else:
+            out.append(p)
+    if removed:
+        raise AssertionError("removed cells outside the family")
+    return out
 
 
 def pair_mass_by_pairs(mu, p1, p2):

@@ -287,8 +287,8 @@ def test_certificate_catches_a_wrong_image_through_either_factor(nielsen_map, si
 @pytest.mark.parametrize(
     "rank, expression, value, spent",
     [
-        (2, " * ".join(["W2[a; b:RIGHT]"] * 24), Fraction(2471258444209, 282429536481), 328),
-        (3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]", Fraction(42, 25), 67),
+        (2, " * ".join(["W2[a; b:RIGHT]"] * 24), Fraction(2471258444209, 282429536481), 581),
+        (3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]", Fraction(42, 25), 44),
     ],
     ids=["nielsen-power-24", "rank3-chain"],
 )

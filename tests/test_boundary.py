@@ -37,6 +37,7 @@ from stretchfactor.boundary import (
     _graft,
     _merge,
     _pair_mass,
+    _subtract,
     canonical_words,
 )
 from stretchfactor.selftest import _random_prefix_free
@@ -58,6 +59,7 @@ from oracles import (
     covers_boundary,
     family_by_leaf_preimages,
     pair_mass_by_pairs,
+    subtract_by_leaves,
     sweep_depth1,
 )
 
@@ -210,6 +212,80 @@ def test_merge_coalesces_and_shares_subtrees():
     assert _merge(2, [left]) is left
 
 
+def _translated_family(rank, rng):
+    """A random canonical family, translated so that it may have a stem."""
+    f = random_reduced(rng.randint(0, 3), rank, rng)
+    pieces = [p for x in _random_prefix_free(rank, rng) for p in translate_cylinder(f, x, rank)]
+    return CylinderPartition.from_words(rank, pieces)
+
+
+def _cells_inside(part, rng):
+    """Disjoint cells inside part: whole labels, every label below a node of
+    part's trie, or cells below a label, each way a third of the time."""
+    rank, leaves = part.rank, list(part.leaves)
+    mode = rng.randrange(3)
+    if mode == 0:
+        return rng.sample(leaves, rng.randint(1, len(leaves)))
+    if mode == 1:
+        label = rng.choice(leaves)
+        node = label[: rng.randint(1, len(label))]
+        return [x for x in leaves if is_prefix(node, x)]
+    cells = []
+    for label in rng.sample(leaves, rng.randint(1, min(3, len(leaves)))):
+        # one extension of the label, or some of its children
+        if rng.random() < 0.5:
+            cell = label
+            for _ in range(rng.randint(1, 3)):
+                cell += (rng.choice(extension_letters(cell, rank)),)
+            cells.append(cell)
+        else:
+            children = [label + (c,) for c in extension_letters(label, rank)]
+            cells.extend(rng.sample(children, rng.randint(1, len(children) - 1)))
+    return cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_subtract_matches_leaf_by_leaf_difference(rank, seed):
+    rng = random.Random(seed)
+    part = _translated_family(rank, rng)
+    cells = _cells_inside(part, rng)
+    sub = CylinderPartition.from_words(rank, cells)
+    got = _subtract(part, sub)
+    expected = CylinderPartition.from_words(rank, subtract_by_leaves(rank, part.leaves, cells))
+    assert got.stem == expected.stem and got.trie == expected.trie
+    assert got.words == expected.words and len(got) == len(expected) == _recount(got.trie)
+    # cells outside part: a proper prefix of a label, or a disjoint cell
+    label = rng.choice(part.leaves)
+    outside = [Word(label[:-1])] if len(label) > 1 else []
+    for _ in range(20):
+        x = random_reduced(rng.randint(1, 4), rank, rng)
+        if not any(is_prefix(x, y) or is_prefix(y, x) for y in part.leaves):
+            outside.append(x)
+            break
+    for x in outside:
+        with pytest.raises(AssertionError, match="outside"):
+            _subtract(part, CylinderPartition.from_words(rank, [x]))
+        with pytest.raises(AssertionError, match="outside"):
+            subtract_by_leaves(rank, part.leaves, [x])
+
+
+def test_subtract_shares_the_subtrees_off_its_paths():
+    part = CylinderPartition.from_words(2, words("aab", "aaB", "ab", "bA", "bb"))
+    # sub's stem ab runs past part's, and the label ab above sub's cells
+    # keeps their complement in its cylinder
+    cut = _subtract(part, CylinderPartition.from_words(2, words("abab", "abA")))
+    assert set(cut.words) == set(words("aab", "aaB", "abaa", "abaB", "abb", "bA", "bb"))
+    # a whole subtree goes, and the subtrees off sub's paths are part's own
+    cut = _subtract(part, CylinderPartition.from_words(2, words("aab", "aaB")))
+    assert set(cut.words) == set(words("ab", "bA", "bb")) and cut.trie[2] is part.trie[2]
+    # a single-child top left behind moves into the stem
+    cut = _subtract(part, CylinderPartition.from_words(2, words("bA", "bb", "ab")))
+    assert set(cut.words) == set(words("aab", "aaB")) and cut.stem == (1, 1)
+    assert _subtract(part, part).size == 0
+    assert _subtract(part, CylinderPartition.from_words(2, ())) is part
+
+
 @settings(max_examples=150, deadline=None)
 @given(rank=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
 def test_graft_and_merge_spend_the_nodes_they_build(rank, seed):
@@ -240,6 +316,11 @@ def test_graft_and_merge_spend_the_nodes_they_build(rank, seed):
     budget = Budget()
     whole = _merge(rank, [CylinderPartition.from_words(rank, [c]) for c in children], budget)
     assert whole.words == (label,) and budget.spent == 1
+    # a difference builds only the dicts on the removed cells' paths, and
+    # an empty one holds none
+    budget = Budget()
+    cut = _subtract(grafted, CylinderPartition.from_words(rank, _cells_inside(grafted, rng)), budget)
+    assert budget.spent == (_built_nodes(cut, [grafted]) if cut.size else 0)
 
 
 def test_graft_shares_the_subtrees_off_the_path():
@@ -442,20 +523,20 @@ def test_pushforward_table_builds_each_preimage_once():
     assert auto == auto.factors[-1]
     budget = Budget()
     pushforward_table(auto, uniform_measure(2), 2, budget=budget)
-    assert budget.spent == 21
+    assert budget.spent == 19
 
 
 def test_preimages_are_built_once_after_the_families():
-    # The same chain: assembling its families caches the preimage of aa
+    # The same chain: assembling its families caches the preimage of ab
     # under the map's own key, so a cold preimage finds it instead of
-    # building and spending it a second time (17 nodes when it did).
+    # building and spending it a second time (13 nodes when it did).
     auto = parse_generator_expression(2, "W2[A; b:LEFT] * W2[a; b:LEFT] * W2[A; b:LEFT]")
     budget = Budget()
-    preimage_partition(auto, w("aa"), budget=budget)
-    assert budget.spent == 16
+    preimage_partition(auto, w("ab"), budget=budget)
+    assert budget.spent == 12
     calls = {
-        "preimage": lambda b, c: preimage_partition(auto, w("aa"), budget=b, cache=c),
-        "stable_prefix": lambda b, c: stable_prefix(auto, w("aa"), budget=b, cache=c),
+        "preimage": lambda b, c: preimage_partition(auto, w("ab"), budget=b, cache=c),
+        "stable_prefix": lambda b, c: stable_prefix(auto, w("ab"), budget=b, cache=c),
         "recenter": lambda b, c: recenter(auto, budget=b, cache=c),
     }
     for name, call in calls.items():
@@ -976,7 +1057,14 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
     assert all(step[y] is fam[sigma.inverse_letter_image(y)[0]] for y in alphabet(3))
     assert budget.spent == 0
     # the transvection a -> ab (s = a, multiplier b) changes only the
-    # families of s^-1 = A, b and B, and keeps every other one
+    # families of s^-1 = A, b and B, and keeps every other one; it builds
+    # one preimage, that of bA, and new[b] = fam[b] minus it, so it adds
+    # one key to the cache and makes one merge, new[B] = fam[A] + fam[B]
     tau = _transvection(3, 1, 2, RIGHT)
+    keys = set(cache.partitions)
+    merged = []
+    monkeypatch.setattr(boundary, "_merge", lambda *args: merged.append(args) or _merge(*args))
     step = _depth1_family(compose(tau, rest), Budget(), cache)
     assert {y for y in alphabet(3) if step[y] is not fam[y]} == {-1, 2, -2}
+    assert set(cache.partitions) - keys == {(rest.bwd, Word((2, -1)))}
+    assert [parts for _, parts, _ in merged] == [[fam[-1], fam[-2]]]

@@ -330,9 +330,9 @@ def test_budget_admits_feasible_rank8_move():
         pytest.param(rank, expression, nodes, id=f"{rank}-{expression}")
         # the id names the input only, so re-pinning a count keeps the name
         for rank, expression, nodes in [
-            (3, "W2[a; c:CONJ]", 15),
-            (4, "inner[a]", 39),
-            (2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]", 30),
+            (3, "W2[a; c:CONJ]", 13),
+            (4, "inner[a]", 29),
+            (2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]", 22),
         ]
     ],
 )

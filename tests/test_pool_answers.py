@@ -10,10 +10,14 @@ must recompose to its input with strictly increasing lengths ending at
 the expected length, and a spectrum must list the expected values.  The
 nodes each input spends are pinned, so a wrong translation, a wrong
 pair sum or a drift in the work done fails here, not only in the
-benchmark.  The pool files are read, never written.
+benchmark.  Every input of all three pools is also run and checked the
+way the benchmark checks it, through `perfbench/workloads.py`, with no
+node count pinned.  The pool files are read, never written.
 """
 
+import importlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,49 +26,50 @@ import pytest
 import stretchfactor as sf
 from stretchfactor.words import cyclic_length
 
-POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "pools"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+POOLS = PERFBENCH / "pools"
 
 # Budget.spent of each sampled input, as the engine spends it.
 SPENT = {
-    "chain2-0010": 4, "chain2-0019": 4, "chain2-0034": 12, "chain2-0060": 14,
-    "chain2-0068": 14, "chain2-0095": 29, "chain2-0096": 21, "chain2-0113": 54,
-    "chain2-0128": 63, "chain2-0144": 57, "chain2-0175": 49, "chain2-0184": 39,
-    "chain2-0198": 94, "chain2-0221": 54, "chain2-0237": 78, "chain2-0247": 74,
-    "chain2-0258": 107, "chain2-0284": 115, "chain2-0295": 200, "chain2-0318": 123,
-    "chain2-0324": 162, "chain2-0345": 169, "chain2-0361": 249, "chain2-0374": 105,
-    "chain3-0006": 6, "chain3-0015": 6, "chain3-0025": 28, "chain3-0039": 15,
-    "chain4-0011": 8, "chain4-0014": 21, "chain4-0025": 55, "chain4-0044": 36,
-    "nielsen-0000": 6, "nielsen-0001": 9, "nielsen-0002": 13, "nielsen-0003": 18,
-    "nielsen-0004": 24, "nielsen-0005": 31, "nielsen-0006": 39, "nielsen-0007": 48,
-    "nielsen-0008": 58, "nielsen-0009": 69, "nielsen-0010": 81, "nielsen-0011": 94,
-    "nielsen-0012": 108, "nielsen-0013": 123, "nielsen-0014": 139,
-    "nielsen-0015": 156, "nielsen-0016": 174, "nielsen-0017": 193,
-    "nielsen-0018": 213, "nielsen-0019": 234, "nielsen-0020": 256,
-    "nielsen-0021": 279, "nielsen-0022": 303, "nielsen-0023": 328,
-    "nielsen-0024": 354, "nielsen-0025": 381, "nielsen-0026": 409,
-    "nielsen-0027": 438, "nielsen-0028": 468, "nielsen-0029": 499,
-    "nielsen-0030": 531, "raw2-0017": 4, "raw2-0023": 6, "raw2-0055": 4,
-    "markov-0004": 4, "markov-0015": 12, "markov-0018": 4, "markov-0027": 12,
-    "markov-0035": 23, "markov-0046": 17, "markov-0052": 22, "markov-0058": 50,
-    "markov-0068": 28, "markov-0074": 46, "markov-0087": 72, "markov-0095": 69,
-    "rational-0005": 6, "rational-0008": 4, "rational-0017": 11, "rational-0026": 21,
-    "rational-0038": 19, "rational-0042": 23, "rational-0054": 22,
-    "rational-0058": 25, "rational-0068": 44, "rational-0074": 49,
-    "rational-0084": 64, "rational-0094": 82, "uniform_as_markov-0003": 4,
-    "uniform_as_markov-0011": 9, "uniform_as_markov-0017": 12,
-    "uniform_as_markov-0028": 23, "uniform_as_markov-0037": 19,
-    "uniform_as_markov-0046": 37, "uniform_as_markov-0048": 35,
-    "uniform_as_markov-0057": 42, "uniform_as_markov-0070": 53,
-    "uniform_as_markov-0072": 45, "uniform_as_markov-0083": 33,
-    "uniform_as_markov-0090": 69,
+    "chain2-0010": 4, "chain2-0019": 4, "chain2-0034": 10, "chain2-0060": 11,
+    "chain2-0068": 11, "chain2-0095": 23, "chain2-0096": 16, "chain2-0113": 41,
+    "chain2-0128": 52, "chain2-0144": 42, "chain2-0175": 36, "chain2-0184": 34,
+    "chain2-0198": 74, "chain2-0221": 42, "chain2-0237": 63, "chain2-0247": 54,
+    "chain2-0258": 87, "chain2-0284": 88, "chain2-0295": 173, "chain2-0318": 96,
+    "chain2-0324": 115, "chain2-0345": 141, "chain2-0361": 210, "chain2-0374": 89,
+    "chain3-0006": 6, "chain3-0015": 6, "chain3-0025": 17, "chain3-0039": 13,
+    "chain4-0011": 8, "chain4-0014": 17, "chain4-0025": 29, "chain4-0044": 20,
+    "nielsen-0000": 6, "nielsen-0001": 9, "nielsen-0002": 14, "nielsen-0003": 21,
+    "nielsen-0004": 30, "nielsen-0005": 41, "nielsen-0006": 54, "nielsen-0007": 69,
+    "nielsen-0008": 86, "nielsen-0009": 105, "nielsen-0010": 126, "nielsen-0011": 149,
+    "nielsen-0012": 174, "nielsen-0013": 201, "nielsen-0014": 230,
+    "nielsen-0015": 261, "nielsen-0016": 294, "nielsen-0017": 329,
+    "nielsen-0018": 366, "nielsen-0019": 405, "nielsen-0020": 446,
+    "nielsen-0021": 489, "nielsen-0022": 534, "nielsen-0023": 581,
+    "nielsen-0024": 630, "nielsen-0025": 681, "nielsen-0026": 734,
+    "nielsen-0027": 789, "nielsen-0028": 846, "nielsen-0029": 905,
+    "nielsen-0030": 966, "raw2-0017": 4, "raw2-0023": 6, "raw2-0055": 4,
+    "markov-0004": 4, "markov-0015": 10, "markov-0018": 4, "markov-0027": 10,
+    "markov-0035": 18, "markov-0046": 12, "markov-0052": 16, "markov-0058": 39,
+    "markov-0068": 23, "markov-0074": 33, "markov-0087": 58, "markov-0095": 53,
+    "rational-0005": 6, "rational-0008": 4, "rational-0017": 10, "rational-0026": 21,
+    "rational-0038": 15, "rational-0042": 20, "rational-0054": 18,
+    "rational-0058": 20, "rational-0068": 31, "rational-0074": 36,
+    "rational-0084": 46, "rational-0094": 64, "uniform_as_markov-0003": 4,
+    "uniform_as_markov-0011": 9, "uniform_as_markov-0017": 10,
+    "uniform_as_markov-0028": 18, "uniform_as_markov-0037": 15,
+    "uniform_as_markov-0046": 30, "uniform_as_markov-0048": 27,
+    "uniform_as_markov-0057": 34, "uniform_as_markov-0070": 35,
+    "uniform_as_markov-0072": 33, "uniform_as_markov-0083": 24,
+    "uniform_as_markov-0090": 64,
 }
 
 # Budget.spent of each sampled whitehead input.
 WHITEHEAD_SPENT = {
-    "factorize2-0002": 9, "factorize2-0046": 11, "factorize2-0075": 27,
-    "factorize2-0094": 21, "factorize2-0135": 45, "factorize3-0004": 22,
-    "factorize3-0035": 41, "spectrum-0000": 18, "spectrum-0001": 50,
-    "spectrum-0002": 161,
+    "factorize2-0002": 9, "factorize2-0046": 9, "factorize2-0075": 21,
+    "factorize2-0094": 21, "factorize2-0135": 33, "factorize3-0004": 19,
+    "factorize3-0035": 31, "spectrum-0000": 16, "spectrum-0001": 48,
+    "spectrum-0002": 164,
 }
 
 
@@ -164,3 +169,23 @@ def test_pooled_whitehead_answer_and_nodes(entry):
         report = sf.spectrum(entry["rank"], entry["max_factors"], budget=budget)
         assert list(report.values()) == [Fraction(v) for v in entry["expect"]]
     assert budget.spent == WHITEHEAD_SPENT[entry["id"]]
+
+
+@pytest.mark.parametrize("workload", ["length-cold", "currents", "whitehead"])
+def test_every_pooled_answer(monkeypatch, workload):
+    # the benchmark's own prepare, execute and check, one fresh budget and
+    # cache per input; importing writes no bytecode under perfbench/
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    wrong = []
+    entries = workloads.load_pool(workload)
+    for entry in entries:
+        prepared = workloads.prepare(sf, entry)
+        answer = workloads.execute(sf, entry, prepared, sf.Budget(), sf.PartitionCache())
+        try:
+            workloads.check(entry, answer)
+        except workloads.WrongAnswer as e:
+            wrong.append(str(e))
+    assert wrong == []
+    assert len(entries) == {"length-cold": 571, "currents": 288, "whitehead": 194}[workload]
