@@ -31,9 +31,6 @@ from .boundary import (
     pushforward_current_value,
     pushforward_table,
     recenter,
-    stable_prefix,
-    translate_cylinder,
-    translate_union,
 )
 from .errors import (
     ComparableCylindersError,

@@ -166,15 +166,6 @@ class Automorphism:
         """(max |phi(x)|, max |phi^-1(x)|) over all letters x."""
         return (max(len(w) for w in self.fwd), max(len(w) for w in self.bwd))
 
-    def cancellation_bound(self) -> int:
-        """Certified bound on cancellation in phi(u)*phi(v) for reduced uv.
-
-        2*M^2*M' + M comes from stability of the prefix path of phi-images,
-        which is an (M, M')-bi-Lipschitz embedding of a geodesic into the tree.
-        """
-        m, mp = self.lipschitz()
-        return 2 * m * m * mp + m
-
     def is_identity(self) -> bool:
         return all(self.fwd[x - 1] == Word((x,)) for x in range(1, self.rank + 1))
 

@@ -27,7 +27,7 @@ Five facts drive the computation:
 * Translation identity.  Cyl(u) = u' * Cyl(x) for u = u' x, hence
   phi^-1(Cyl u) = phi^-1(u') * phi^-1(Cyl x).
   Long targets therefore reduce to one depth-1 family, translated by
-  exact word-by-cylinder translation.
+  one graft (`_graft`) of its trie.
 
 * Compositionality.  (phi o psi)^-1(Cyl u) is the disjoint union of
   psi^-1(Cyl w) over the pieces w of phi^-1(Cyl u), so partitions of a
@@ -71,9 +71,8 @@ Five facts drive the computation:
   assembly copies only the nodes two inputs share, and only there can
   siblings coalesce.  Differences copy only the paths to the cells
   they cut, and nothing coalesces.  The pair-sum walk reads the tries
-  directly and containment is one descent.  Label words are built from
-  paths on first request, and the shortlex-sorted tuple only for output,
-  keys and tests.
+  directly.  Label words are built from paths on first request, and the
+  shortlex-sorted tuple only for output, keys and tests.
 """
 
 from __future__ import annotations
@@ -85,12 +84,9 @@ from .automorphisms import Automorphism, _substitute, conj
 from .errors import InputError, ResourceLimitError
 from .measures import FrequencyMeasure, uniform_measure
 from .words import (
-    EMPTY,
     Word,
     alphabet,
     all_words,
-    as_word,
-    cancellation,
     extension_letters,
     format_word,
     inverse,
@@ -143,7 +139,9 @@ class CylinderPartition:
     copies only the nodes it changes.  `size` is the number of labels,
     set when the partition is built.  Two partitions are equal when their
     label sets are, and comparing stems and tries decides that without
-    sorting.
+    sorting.  `from_words` canonicalizes a family given by its labels;
+    the engine builds every other partition by a graft, a merge or a
+    difference.
     `height`, `leaves` (trie order) and `words` (shortlex) are built on
     first use and kept; only output, keys and tests read `words`.
     """
@@ -161,7 +159,17 @@ class CylinderPartition:
 
     @classmethod
     def from_words(cls, rank: int, words: Iterable[Sequence[int]]) -> "CylinderPartition":
-        return cls(rank, *canonical_words(rank, words))
+        """The canonical partition of a disjoint family of nonempty labels.
+
+        Labels are checked for overlaps and complete sibling sets
+        coalesced; a family that coalesces to the whole boundary is
+        refused.
+        """
+        root = _trie(w if isinstance(w, Word) else Word(w) for w in words)
+        size = _collapse(root, rank)
+        if _complete(root, 2 * rank):
+            raise InputError("partition coalesces to the full boundary")
+        return _partition(rank, (), root, size)
 
     def root(self) -> dict:
         """The whole canonical trie, the stem expanded to one dict per letter."""
@@ -191,27 +199,6 @@ class CylinderPartition:
             self._words = tuple(sorted(self.leaves, key=word_key))
         return self._words
 
-    def label_prefix(self, w: Sequence[int]) -> int:
-        """Length of the label that is a prefix of w, or 0 if none is.
-
-        A query on any letter sequence, so it does not validate w;
-        `contains_cylinder` checks its word first.
-        """
-        n = len(self.stem)
-        if tuple(w[:n]) != self.stem:
-            return 0
-        node = self.trie
-        for i in range(n, len(w)):
-            node = node.get(w[i])
-            if type(node) is not dict:
-                return i + 1 if node is not None else 0
-        return 0
-
-    def contains_cylinder(self, w: Sequence[int]) -> bool:
-        # Canonical families have no complete sibling sets, so Cyl(w) lies in
-        # the union iff a label is a prefix of w.
-        return self.label_prefix(as_word(w)) > 0
-
     def __iter__(self):
         return iter(self.words)
 
@@ -228,21 +215,6 @@ class CylinderPartition:
 
     def __repr__(self) -> str:
         return f"CylinderPartition(rank={self.rank}, words={self.words!r})"
-
-
-def canonical_words(rank: int, words: Iterable[Sequence[int]]) -> tuple[tuple, dict, int]:
-    """Canonical trie of a disjoint family, as (stem, trie below the stem, size).
-
-    Labels are checked for overlaps and complete sibling sets coalesced;
-    the single-child path from the root becomes the stem (`_partition`),
-    so the tree below it branches at its root or holds a lone label.
-    """
-    root = _trie(w if isinstance(w, Word) else Word(w) for w in words)
-    size = _collapse(root, rank)
-    if _complete(root, 2 * rank):
-        raise InputError("partition coalesces to the full boundary")
-    part = _partition(rank, (), root, size)
-    return part.stem, part.trie, part.size
 
 
 def _trie(words: Iterable[Word]) -> dict:
@@ -497,42 +469,6 @@ def _graft(
     return _partition(rank, tuple(g[: n - m - len(hung) + 1]), below, size, built, budget)
 
 
-# -- exact translation of cylinder unions ---------------------------------
-
-
-def translate_cylinder(f: Sequence[int], v: Sequence[int], rank: int) -> list[Word]:
-    """The set f * Cyl(v) as disjoint cylinders.
-
-    A single cylinder Cyl(reduce(f v)) unless v is a prefix of f^-1, that
-    is, unless f cancels all of v, in which case Cyl(v) splits into
-    children first.  Accepts the empty v (the whole boundary).  The
-    engine translates whole tries with `_graft` and never calls this.
-    """
-    f = f if isinstance(f, Word) else Word(f)
-    n = len(f)
-    out: list[Word] = []
-    stack = [v if isinstance(v, Word) else Word(v)]
-    while stack:
-        u = stack.pop()
-        c = cancellation(f, u)
-        if c == len(u):
-            for x in extension_letters(u, rank):
-                stack.append(Word(u + (x,)))
-        else:
-            out.append(Word(f[: n - c] + u[c:]))
-    return out
-
-
-def translate_union(
-    f: Sequence[int], words: Iterable[Sequence[int]], rank: int
-) -> tuple[Word, ...]:
-    """Canonical form of f * (disjoint union of cylinders), in shortlex order."""
-    pieces: list[Word] = []
-    for w in words:
-        pieces.extend(translate_cylinder(f, w, rank))
-    return CylinderPartition.from_words(rank, pieces).words
-
-
 # -- partition cache -------------------------------------------------------
 
 
@@ -693,44 +629,6 @@ def preimage_partition(
 
 def partition_mass(mu: FrequencyMeasure, part: CylinderPartition) -> Fraction:
     return sum((mu.eval(w) for w in part.leaves), ZERO)
-
-
-def stable_prefix(
-    auto: Automorphism,
-    w: Sequence[int],
-    *,
-    refine: bool = True,
-    budget: Optional[int | Budget] = None,
-    cache: Optional[PartitionCache] = None,
-) -> Word:
-    """A word s with phi(Cyl w) inside Cyl(s).
-
-    The unrefined answer truncates phi(w) by the certified cancellation
-    bound.  Refinement walks the preimage partitions and returns the
-    longest s whose preimage contains Cyl(w), which is the exact common
-    prefix of all ray images.
-    """
-    w = Word(w)
-    if not w:
-        raise InputError("stable_prefix needs a nonempty cylinder label")
-    img = auto.apply(w)
-    coarse = Word(img[: max(0, len(img) - auto.cancellation_bound())])
-    if not refine:
-        return coarse
-    budget, cache = _resolve(budget, cache)
-    fam = _depth1_family(auto, budget, cache)
-    s = EMPTY
-    while True:
-        step = None
-        for c in extension_letters(s, auto.rank):
-            cand = Word(tuple(s) + (c,))
-            if _preimage(auto.bwd, fam, cand, budget, cache).contains_cylinder(w):
-                step = cand
-                break
-        if step is None:
-            break
-        s = step
-    return s if len(s) >= len(coarse) else coarse
 
 
 # -- current values under pushforward ---------------------------------------

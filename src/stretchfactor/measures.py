@@ -167,9 +167,8 @@ class MarkovSpec:
                 )
 
 
-def markov_measure(spec: MarkovSpec, *, validate: bool = True) -> FrequencyMeasure:
-    if validate:
-        spec.validate()
+def markov_measure(spec: MarkovSpec) -> FrequencyMeasure:
+    spec.validate()
 
     def evaluate(w: Word) -> Fraction:
         q = spec.mass * spec.initial[w[0]]

@@ -13,12 +13,7 @@ import random
 from fractions import Fraction
 
 from .automorphisms import identity, inner, make_automorphism
-from .boundary import (
-    CylinderPartition,
-    depth1_profile,
-    preimage_partition,
-    translate_union,
-)
+from .boundary import CylinderPartition, _graft, depth1_profile, preimage_partition
 from .measures import (
     criterion_check,
     current_pair_value,
@@ -86,7 +81,7 @@ def run_selftest(rank: int, depth: int) -> int:
         e_mass = sum((mu.eval(w) for w in family), ZERO)
         for flen in (1, 2, 3):
             f = random_reduced(flen, k, rng)
-            translated = translate_union(f, family, k)
+            translated = _graft(CylinderPartition.from_words(k, family), f).words
             t_mass = sum((mu.eval(w) for w in translated), ZERO)
             _check(t_mass >= e_mass / (2 * k - 1) ** flen, "translation bound", f, family)
     print("ok translation lower bound on 100 random cylinder unions, |f| <= 3")
@@ -96,9 +91,9 @@ def run_selftest(rank: int, depth: int) -> int:
     e_words, s_words = (Word((-a,)),), (Word((a,)),)
     complement_e = [Word((c,)) for c in alphabet(k) if c != -a]
     complement_s = [Word((c,)) for c in alphabet(k) if c != a]
-    image = translate_union(Word((a,)), complement_e, k)
+    image = _graft(CylinderPartition.from_words(k, complement_e), Word((a,))).words
     _check(all(any(w[: len(s)] == s for s in s_words) for w in image), "a * E^c in S")
-    image = translate_union(Word((-a,)), complement_s, k)
+    image = _graft(CylinderPartition.from_words(k, complement_s), Word((-a,))).words
     _check(all(any(w[: len(e)] == e for e in e_words) for w in image), "a^-1 * S^c in E")
     pair = current_pair_value(mu, e_words[0], s_words[0])
     bound = (

@@ -340,10 +340,8 @@ def spectrum(
                 if key not in seen:
                     seen[key] = frontier[key] = compose(g, base)
     by_value: dict[Fraction, list[tuple[Word, ...]]] = {}
-    for key, rep in sorted(
-        seen.items(), key=lambda kv: tuple(word_key(w) for w in kv[0])
-    ):
-        value = length_exact(rep, budget=budget, cache=cache).value
+    for key in sorted(seen, key=_tuple_sort_key):
+        value = length_exact(seen[key], budget=budget, cache=cache).value
         by_value.setdefault(value, []).append(key)
     entries = tuple(
         (value, len(keys), _key_text(keys[0]))

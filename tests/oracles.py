@@ -12,6 +12,10 @@ atom; it is the reference for the engine's closed-form atom families.
 `family_by_leaf_preimages` assembles the families of head o rest the
 generic way, one rest-preimage per label of the head atom's swept
 family; it is the reference for the closed-form step of an assembly.
+`translate_cylinder` translates one cylinder at a time, splitting a
+cylinder that the translate cancels whole into its children; with
+`CylinderPartition.from_words` it is the reference for the graft that
+translates a whole trie.
 `subtract_by_leaves` removes cells from a family by splitting every
 label above a removed cell into its children until each piece is
 removed whole or kept whole; it is the reference for the trie
@@ -51,6 +55,7 @@ from stretchfactor.measures import frac_str
 from stretchfactor.words import (
     all_words,
     alphabet,
+    cancellation,
     concat,
     extension_letters,
     format_word,
@@ -192,6 +197,27 @@ def family_by_leaf_preimages(head, rest):
         )
         for y, part in sweep_depth1(head).items()
     }
+
+
+def translate_cylinder(f, v, rank):
+    """The set f * Cyl(v) as disjoint cylinders.
+
+    A single cylinder Cyl(reduce(f v)) unless v is a prefix of f^-1, that
+    is, unless f cancels all of v, in which case Cyl(v) splits into
+    children first.  Accepts the empty v (the whole boundary).
+    """
+    f = Word(f)
+    n = len(f)
+    out = []
+    stack = [Word(v)]
+    while stack:
+        u = stack.pop()
+        c = cancellation(f, u)
+        if c == len(u):
+            stack.extend(Word(u + (x,)) for x in extension_letters(u, rank))
+        else:
+            out.append(Word(f[: n - c] + u[c:]))
+    return out
 
 
 def subtract_by_leaves(rank, words, removed):

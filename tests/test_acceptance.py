@@ -11,6 +11,7 @@ import time
 from fractions import Fraction as F
 
 from stretchfactor import (
+    CylinderPartition,
     MarkovSpec,
     Word,
     canonical_out_key,
@@ -32,7 +33,6 @@ from stretchfactor import (
     rational_measure,
     recenter,
     spectrum,
-    translate_union,
     uniform_as_markov,
     uniform_measure,
 )
@@ -48,7 +48,7 @@ from stretchfactor.words import (
 )
 
 from conftest import nielsen, random_composition
-from oracles import brute_preimage_mass
+from oracles import brute_preimage_mass, translate_cylinder
 
 
 def w(text):
@@ -142,7 +142,8 @@ def test_criterion_4_appendix_suite_depth5():
         e_mass = sum(mu.eval(x) for x in family)
         for flen in (1, 2):
             f = random_reduced(flen, k, rng)
-            translated = translate_union(f, family, k)
+            pieces = [p for x in family for p in translate_cylinder(f, x, k)]
+            translated = CylinderPartition.from_words(k, pieces).words
             assert sum(mu.eval(x) for x in translated) >= e_mass / (2 * k - 1) ** flen
 
     # separation witness: eta(E x S) = 1/12 >= 1/16

@@ -26,7 +26,7 @@ from stretchfactor import (
     random_reduced,
 )
 from stretchfactor.automorphisms import _certify
-from stretchfactor.words import cancellation, free_reduce, inverse
+from stretchfactor.words import free_reduce, inverse
 
 from conftest import is_atom, nielsen, random_composition
 
@@ -102,27 +102,7 @@ def test_conjugation_preserves_cyclic_length(seed):
 
 def test_lipschitz_and_bound(nielsen_map):
     assert identity(2).lipschitz() == (1, 1)
-    assert identity(2).cancellation_bound() == 3
     assert nielsen_map.lipschitz() == (2, 2)
-    assert nielsen_map.cancellation_bound() == 18
-
-
-def test_cancellation_never_exceeds_bound():
-    # 10^4 random reduced pairs across a few maps
-    rng = random.Random(7)
-    maps = [
-        nielsen(),
-        inner(2, w("ab")),
-        compose(nielsen(), inner(2, w("Ba"))),
-    ]
-    for phi in maps:
-        bound = phi.cancellation_bound()
-        for _ in range(3400):
-            u = random_reduced(rng.randrange(1, 14), 2, rng)
-            v = random_reduced(rng.randrange(1, 14), 2, rng)
-            if cancellation(u, v):
-                continue  # uv must stay reduced
-            assert cancellation(phi.apply(u), phi.apply(v)) <= bound
 
 
 def test_is_simple_examples():

@@ -22,9 +22,6 @@ from stretchfactor import (
     pushforward_current_value,
     pushforward_table,
     recenter,
-    stable_prefix,
-    translate_cylinder,
-    translate_union,
     uniform_measure,
 )
 from stretchfactor.automorphisms import LEFT, RIGHT, _transvection
@@ -38,7 +35,6 @@ from stretchfactor.boundary import (
     _merge,
     _pair_mass,
     _subtract,
-    canonical_words,
 )
 from stretchfactor.selftest import _random_prefix_free
 from stretchfactor.words import (
@@ -61,6 +57,7 @@ from oracles import (
     pair_mass_by_pairs,
     subtract_by_leaves,
     sweep_depth1,
+    translate_cylinder,
 )
 
 
@@ -87,9 +84,9 @@ def test_canonical_words_coalesces_and_sorts():
     got = CylinderPartition.from_words(2, words("aa", "ab", "aB", "b"))
     assert got.words == words("a", "b")
     with pytest.raises(InputError):
-        canonical_words(2, words("a", "ab"))
+        CylinderPartition.from_words(2, words("a", "ab"))
     with pytest.raises(InputError):
-        canonical_words(2, words("a", "b", "A", "B"))
+        CylinderPartition.from_words(2, words("a", "b", "A", "B"))
 
 
 def test_canonical_trie_coalesces_a_filled_stem():
@@ -97,7 +94,6 @@ def test_canonical_trie_coalesces_a_filled_stem():
     filled = CylinderPartition.from_words(2, words("aba", "abb", "abA"))
     assert filled == CylinderPartition.from_words(2, words("ab"))
     assert filled.words == words("ab") and filled.stem == (1,)
-    assert filled.contains_cylinder(w("abA")) and not filled.contains_cylinder(w("a"))
     shuffled = CylinderPartition.from_words(2, words("bA", "aB", "ba", "bb"))
     assert shuffled == CylinderPartition.from_words(2, words("aB", "b"))
 
@@ -107,11 +103,6 @@ def _assert_matches_sorted_form(rank, family):
     expected = canonical_words_by_sort(rank, family)
     assert part.words == expected
     assert len(part) == len(expected)
-    probes = {w for m in expected for w in (m, *(m[:i] for i in range(len(m))))}
-    probes |= {m + (c,) for m in expected for c in extension_letters(m, rank)}
-    for probe in probes:
-        linear = any(is_prefix(m, probe) for m in expected)
-        assert part.contains_cylinder(probe) == linear, format_word(probe)
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,8 +330,8 @@ def test_covers_boundary():
 
 def test_translate_cylinder_splits():
     # a * Cyl(A) needs splitting: the result is everything not starting a.
-    got = translate_union(w("a"), [w("A")], 2)
-    assert got == words("A", "b", "B")  # canonical order is a < A < b < B
+    got = CylinderPartition.from_words(2, translate_cylinder(w("a"), w("A"), 2))
+    assert got.words == words("A", "b", "B")  # canonical order is a < A < b < B
     assert translate_cylinder(w("bA"), w("aa"), 2) == [w("ba")]
     # translating the full boundary by any word returns the full boundary
     full = [Word((c,)) for c in alphabet(2)]
@@ -536,7 +527,6 @@ def test_preimages_are_built_once_after_the_families():
     assert budget.spent == 12
     calls = {
         "preimage": lambda b, c: preimage_partition(auto, w("ab"), budget=b, cache=c),
-        "stable_prefix": lambda b, c: stable_prefix(auto, w("ab"), budget=b, cache=c),
         "recenter": lambda b, c: recenter(auto, budget=b, cache=c),
     }
     for name, call in calls.items():
@@ -741,7 +731,8 @@ def test_preimage_is_the_translated_union_of_the_other_families(rank, n_factors,
     cache.partitions.pop((auto.bwd, u), None)
     budget = Budget()
     got = preimage_partition(auto, u, budget=budget, cache=cache)
-    expected = CylinderPartition.from_words(rank, translate_union(g, leaves, rank))
+    pieces = [p for x in leaves for p in translate_cylinder(g, x, rank)]
+    expected = CylinderPartition.from_words(rank, pieces)
     _assert_same_partition(got, expected)
     # one node per trie node the graft built: those fam[u[-1]] does not have
     assert budget.spent == _built_nodes(got, [fam[u[-1]]])
@@ -780,17 +771,6 @@ def test_coloured_pair_mass_property(rank, n_factors, target_len, seed):
             _pair_mass(mu, {x: fam[x], y: fam[y]}, {"overlap": overlap})
         with pytest.raises(AssertionError):
             _pair_mass(mu, {"overlap": overlap}, {x: fam[x], y: fam[y]})
-
-
-def test_stable_prefix_contract(nielsen_map):
-    # coarse reference result for the identity map
-    assert stable_prefix(identity(2), w("ab"), refine=False) == w("")
-    # refinement returns the exact common prefix of the image rays
-    assert stable_prefix(nielsen_map, w("b")) == w("b")
-    assert stable_prefix(nielsen_map, w("aB")) == w("B")
-    assert stable_prefix(identity(2), w("ab")) == w("ab")
-    # every image ray is abba followed by the image of a ray avoiding 'A'
-    assert stable_prefix(inner(2, w("ab")), w("ba")) == w("abba")
 
 
 def test_recenter_examples(nielsen_map):
@@ -1022,9 +1002,8 @@ def test_atom_steps_match_leaf_by_leaf_assembly(rank, n_atoms, seed):
 def test_an_atom_step_builds_no_atom_family(monkeypatch):
     from stretchfactor import boundary, length_exact
 
-    calls = {"atom": 0, "canonical": 0, "label_prefix": 0}
-    atom_depth1, canonical = boundary._atom_depth1, boundary.canonical_words
-    label_prefix = CylinderPartition.label_prefix
+    calls = {"atom": 0, "trie": 0}
+    atom_depth1, trie = boundary._atom_depth1, boundary._trie
 
     def counted(name, fn):
         def call(*args):
@@ -1033,8 +1012,7 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
         return call
 
     monkeypatch.setattr(boundary, "_atom_depth1", counted("atom", atom_depth1))
-    monkeypatch.setattr(boundary, "canonical_words", counted("canonical", canonical))
-    monkeypatch.setattr(CylinderPartition, "label_prefix", counted("label_prefix", label_prefix))
+    monkeypatch.setattr(boundary, "_trie", counted("trie", trie))
     for rank, expression, n in [
         (2, " * ".join(["W2[a; b:RIGHT]"] * 6), 6),
         (3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab] * perm[a->C,c->b,b->a]", 12),
@@ -1044,8 +1022,8 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
         assert len(phi.factors) == n
         calls.update(dict.fromkeys(calls, 0))
         length_exact(phi, cache=PartitionCache())
-        # only the last atom's family is built, and nothing canonicalizes
-        assert calls == {"atom": 1, "canonical": 0, "label_prefix": 0}, expression
+        # only the last atom's family is built, and no words are canonicalized
+        assert calls == {"atom": 1, "trie": 0}, expression
     # a signed permutation relabels the rest's partitions, spending nothing
     rest = parse_generator_expression(3, "W2[a; c:CONJ] * W2[b; a:RIGHT]")
     sigma = parse_generator_expression(3, "perm[a->C,c->b,b->a]")

@@ -138,6 +138,35 @@ def test_selftest_passes():
     assert "selftest passed" in out
 
 
+_SELFTEST_STDOUT = {
+    (2, 3): """\
+ok disintegration identity on 2484 non-comparable pairs
+ok additivity and shift invariance of the uniform measure to depth 3
+ok translation lower bound on 100 random cylinder unions, |f| <= 3
+ok separation witness: 1/12 >= 1/16
+ok preimage partitions for 4 maps: exact masses and refinement
+ok uniform-as-markov criterion constants
+selftest passed
+""",
+    (3, 2): """\
+ok disintegration identity on 1200 non-comparable pairs
+ok additivity and shift invariance of the uniform measure to depth 2
+ok translation lower bound on 100 random cylinder unions, |f| <= 3
+ok separation witness: 1/30 >= 1/36
+ok preimage partitions for 3 maps: exact masses and refinement
+ok uniform-as-markov criterion constants
+selftest passed
+""",
+}
+
+
+@pytest.mark.parametrize("rank, depth", sorted(_SELFTEST_STDOUT))
+def test_selftest_stdout_is_pinned(rank, depth):
+    code, out = invoke(["selftest", "--rank", str(rank), "--depth", str(depth)])
+    assert code == 0
+    assert out == _SELFTEST_STDOUT[rank, depth]
+
+
 _SELFTEST_WITH_FAULT = """
 import sys
 from fractions import Fraction

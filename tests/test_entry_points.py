@@ -28,14 +28,8 @@ REJECTS = {
     "inner": lambda: sf.inner(2, BAD),
     "conj": lambda: sf.conj(PHI, BAD),
     "CylinderPartition.from_words": lambda: sf.CylinderPartition.from_words(2, [BAD]),
-    "CylinderPartition.contains_cylinder": lambda: sf.preimage_partition(
-        PHI, (1,)
-    ).contains_cylinder(BAD),
     "preimage_partition": lambda: sf.preimage_partition(PHI, BAD),
     "pushforward_current_value": lambda: sf.pushforward_current_value(PHI, MU, BAD),
-    "stable_prefix": lambda: sf.stable_prefix(PHI, BAD),
-    "translate_cylinder": lambda: sf.translate_cylinder((2,), BAD, 2),
-    "translate_union": lambda: sf.translate_union((2,), [BAD], 2),
     "FrequencyMeasure.eval": lambda: MU.eval(BAD),
     "uniform_eval": lambda: sf.uniform_eval(2, BAD),
     "rational_measure": lambda: sf.rational_measure(2, BAD),
@@ -52,18 +46,13 @@ REJECTS = {
 # Deliberate exceptions: name -> (call, expected result).  A homomorphism
 # is defined on every letter sequence and free_reduce and
 # parse_word(reduce=True) exist to reduce; format_word must print the
-# word an error message names; label_prefix is the engine's prefix query
-# on raw image lists.
+# word an error message names.
 REDUCES = {
     "Automorphism.apply": (lambda: PHI.apply(BAD), Word((2, 1))),
     "Automorphism.apply_inverse": (lambda: PHI.apply_inverse(BAD), Word((2, -1))),
     "free_reduce": (lambda: sf.free_reduce(BAD), Word((2,))),
     "parse_word(reduce=True)": (lambda: sf.parse_word("aAb", reduce=True), Word((2,))),
     "format_word": (lambda: sf.format_word(BAD), "aAb"),
-    "CylinderPartition.label_prefix": (
-        lambda: sf.preimage_partition(PHI, (1,)).label_prefix(BAD),
-        0,
-    ),
 }
 
 TAKES_NO_WORD = {

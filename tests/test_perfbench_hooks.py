@@ -43,10 +43,18 @@ def _trace(script):
     return json.loads(result.stdout)
 
 
+# Hook targets that perfbench still names but the engine no longer has.
+_ABSENT = [
+    "stretchfactor.boundary:_frontier_depth",
+    "stretchfactor.boundary:translate_cylinder",
+    "stretchfactor.boundary:canonical_words",
+]
+
+
 def test_benchmark_hooks_find_every_layer():
     doc = _trace(_TRACE_ONE_OP_PER_KIND)
-    # the frontier sweep left the engine; every other hook target is found
-    assert doc["absent"] == ["stretchfactor.boundary:_frontier_depth"]
+    # every hook target but those is found
+    assert doc["absent"] == _ABSENT
     calls = doc["calls"]
     # one coloured pair-sum walk per eta_length, spans labelled by mu.kind
     assert calls["boundary.pair_mass.uniform"] == 1
@@ -55,11 +63,7 @@ def test_benchmark_hooks_find_every_layer():
     # pair sums read the measure's automaton, not eval
     assert "measures.eval" not in calls
     # every engine layer the trace hooks is still on the path, so a
-    # refactor that routes around a hook fails here instead of reading 0;
-    # `boundary.translate` is not, as the engine no longer translates, and
-    # neither is `boundary.canonical`, as atom families are literal tries
-    # and assembly builds no atom family
-    assert "boundary.canonical" not in calls
+    # refactor that routes around a hook fails here instead of reading 0
     for layer in (
         "boundary.preimage",
         "boundary.family",
@@ -89,7 +93,7 @@ def test_benchmark_hook_sees_one_walk_per_table():
     # a table of any depth is one pair-sum walk, its sources and targets
     # passed positionally, so the hook labels and counts it
     doc = _trace(_TRACE_TABLES)
-    assert doc["absent"] == ["stretchfactor.boundary:_frontier_depth"]
+    assert doc["absent"] == _ABSENT
     assert doc["calls"]["boundary.pair_mass.uniform"] == 1
     assert doc["calls"]["boundary.pair_mass.generic"] == 1
     # the 12 depth-2 preimages, each a source and a target
