@@ -48,17 +48,19 @@ Five facts drive the computation:
   c y v splitting after a common prefix c has mass (init and steps of
   (x u)^-1) (steps of y v) 1 / (E D^(|u|+|v|+1)) over mu's automaton,
   so each edge carries a row and a column, each summed over the cells
-  below it.  The cells of several disjoint partitions are
-  coloured by partition and the colours put in groups, each its own
-  group unless told otherwise; one joint walk of all their prefix trees
-  sums, for every target colour, the pairs whose source lies in another
-  group: at a node, the pairs splitting between children x != y add
-  (rows of x) (columns of y), rows summed per group.  A length is one
-  such walk over the 2k families of the map, each colour both source
-  and target.  A pushforward table to depth n is one walk over the
-  preimages of all length-n cylinders, each colour both source and
-  target and grouped by its cylinder's first letter, so the value of v
-  counts the pairs in Cyl[1, v]; a shorter cylinder sums its children.
+  below it.  The cells of several disjoint partitions are coloured by
+  partition and each colour put in a group; every partition is both a
+  source and a target.  One joint walk of all their prefix trees sums,
+  for every colour, the pairs whose source lies in another group: at a
+  node, the pairs splitting between children x != y add (rows of x)
+  (columns of y), rows summed per group.  A length is one such walk
+  over the 2k families of the map, each its own group.  A pushforward
+  value at u is one walk over the families of the letters other than
+  u's first and the preimage of Cyl(u), put in the group of u's first
+  letter.  A pushforward table to depth n is one walk over the
+  preimages of all length-n cylinders, grouped by their cylinder's
+  first letter, so the value of v counts the pairs in Cyl[1, v]; a
+  shorter cylinder sums its children.
 
 * Canonical partitions are shared, immutable tries.  A partition is
   stored as its canonical prefix tree (complete sibling sets coalesced;
@@ -87,9 +89,11 @@ from .words import (
     Word,
     alphabet,
     all_words,
+    as_word,
     extension_letters,
     format_word,
     inverse,
+    validate_rank,
     word_key,
 )
 
@@ -161,11 +165,11 @@ class CylinderPartition:
     def from_words(cls, rank: int, words: Iterable[Sequence[int]]) -> "CylinderPartition":
         """The canonical partition of a disjoint family of nonempty labels.
 
-        Labels are checked for overlaps and complete sibling sets
-        coalesced; a family that coalesces to the whole boundary is
-        refused.
+        Labels are checked for reduction, rank and overlaps, and complete
+        sibling sets coalesced; a family that coalesces to the whole
+        boundary is refused.
         """
-        root = _trie(w if isinstance(w, Word) else Word(w) for w in words)
+        root = _trie(rank, words)
         size = _collapse(root, rank)
         if _complete(root, 2 * rank):
             raise InputError("partition coalesces to the full boundary")
@@ -217,16 +221,18 @@ class CylinderPartition:
         return f"CylinderPartition(rank={self.rank}, words={self.words!r})"
 
 
-def _trie(words: Iterable[Word]) -> dict:
-    """Prefix tree of disjoint nonempty labels.
+def _trie(rank: int, words: Iterable[Sequence[int]]) -> dict:
+    """Prefix tree of disjoint nonempty reduced labels in the rank-k alphabet.
 
     Nested dicts keyed by letter, `_LEAF` at the leaves.  Raises
     InputError naming a word whose cylinder overlaps an earlier one.
     """
     root: dict = {}
     for w in words:
+        w = as_word(w)
         if not w:
             raise InputError("partition labels must be nonempty")
+        validate_rank(w, rank)
         node = root
         for c in w[:-1]:
             nxt = node.get(c)
@@ -619,134 +625,110 @@ def preimage_partition(
     cache: Optional[PartitionCache] = None,
 ) -> CylinderPartition:
     """Exact canonical partition of {xi : phi(xi) in Cyl(u)}."""
-    u = Word(u)
-    if not u:
-        raise InputError("target cylinder label must be nonempty")
+    u = _target(auto, u)
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
     return _preimage(auto.bwd, fam, u, budget, cache)
 
 
+def _target(auto: Automorphism, u: Sequence[int]) -> Word:
+    """u as a target cylinder label: nonempty, reduced and in the map's rank."""
+    u = Word(u)
+    if not u:
+        raise InputError("target cylinder label must be nonempty")
+    validate_rank(u, auto.rank)
+    return u
+
+
 def partition_mass(mu: FrequencyMeasure, part: CylinderPartition) -> Fraction:
+    if mu.rank != part.rank:
+        raise InputError("measure and partition ranks differ")
     return sum((mu.eval(w) for w in part.leaves), ZERO)
 
 
 # -- current values under pushforward ---------------------------------------
 
 
-# The row key of the sources in no target's group.
-_REST = object()
+def _pair_mass(mu: FrequencyMeasure, parts: dict, groups: dict) -> tuple[int, dict]:
+    """(D, {c: D times the sum of mu(w1^-1 w2) over w2 in parts[c] and w1
+    in parts[s], for every colour s in another group than c}).
 
-
-def _pair_mass(
-    mu: FrequencyMeasure,
-    sources: dict,
-    targets: dict,
-    groups: Optional[dict] = None,
-) -> tuple[int, dict]:
-    """(D, {t: D times the sum of mu(w1^-1 w2) over w2 in targets[t] and
-    w1 in sources[s], for every source colour s in another group than t}).
-
-    `groups` maps a colour to its group; a colour it does not name, or
-    every colour when it is None, is its own group.  D is one common
-    denominator for all targets.  The partitions are pairwise disjoint,
-    and a colour in both dicts names one partition.  One joint walk of
-    all their prefix trees (module docstring): below a node it carries a
-    row per source group and a column per target colour present there;
-    the sources in no target's group share one row.  Pairs are counted
-    only where two groups meet.  Partitions that fill the boundary, like
-    the 2k families of a map, meet at every node that is not a leaf, so
-    their walk recurses only there.  Rows carry D^(hr-|w1|) and columns
-    D^(hc-|w2|), hr and hc the longest source and target words, so a
-    pair splitting at depth d counts E D^(hr+hc-2d-1) times its mass,
-    and D^(2d) brings it to the denominator E D^(hr+hc-1).
+    `parts` maps each colour to a partition, and the partitions are
+    pairwise disjoint; `groups` maps every colour to its group.  Every
+    partition is both a source and a target.  D is one common
+    denominator for all colours.  One joint walk of all the prefix trees
+    (module docstring): below a node it carries a row per group and a
+    column per colour present there, and pairs are counted only where
+    two groups meet.  Partitions that fill the boundary, like the 2k
+    families of a map, meet at every node that is not a leaf, so the
+    walk recurses only there.  Rows carry D^(h-|w1|) and columns
+    D^(h-|w2|), h the longest word, so a pair splitting at depth d counts
+    E D^(2h-2d-1) times its mass, and D^(2d) brings it to the
+    denominator E D^(2h-1).  A measure of another rank than the
+    partitions raises InputError.
     """
-    total = dict.fromkeys(targets, 0)
-    groups = groups or {}
-    group = {t: groups.get(t, t) for t in targets}
-    live = set(group.values())
-    # each part walks as (row key or None, target colour or None, trie)
-    parts = []
-    for c, p in sources.items():
-        if p.size:
-            g = groups.get(c, c)
-            parts.append((g if g in live else _REST, c if c in targets else None, p))
-    for c, p in targets.items():
-        if c in sources:
-            if sources[c] is not p:
-                raise AssertionError("a colour names two partitions")
-        elif p.size:
-            parts.append((None, c, p))
-    hr = max((p.height for r, _, p in parts if r is not None), default=0)
-    hc = max((p.height for _, t, p in parts if t is not None), default=0)
-    if not hr or not hc:
+    if any(p.rank != mu.rank for p in parts.values()):
+        raise InputError("measure and partition ranks differ")
+    total = dict.fromkeys(parts, 0)
+    h = max((p.height for p in parts.values()), default=0)
+    if not h:
         return 1, total
     e, d, init, step = mu.chain
-    power = [d**i for i in range(hr + hc)]
+    power = [d**i for i in range(2 * h)]
     # the column of a cell's last letter: step[x] times the all-ones column
     ends = {x: {} for x in step}
     for x, mat in step.items():
         for (s, _), q in mat.items():
             ends[x][s] = ends[x].get(s, 0) + q
 
-    def apart(rows: dict, cols: dict) -> bool:
-        # whether some row and some column lie in different groups
-        return len(rows) > 1 or any(group[t] not in rows for t in cols)
-
     def walk(entries: list, depth: int) -> tuple[dict, dict]:
-        # Count the pairs splitting at this node; return, per row key and
-        # target colour, the summed rows and columns of the edges below it.
+        # Count the pairs splitting at this node; return, per group and
+        # colour, the summed rows and columns of the edges below it.
         by_letter: dict = {}
-        for r, t, node in entries:
+        for c, node in entries:
             for x, child in node.items():
-                by_letter.setdefault(x, []).append((r, t, child))
+                by_letter.setdefault(x, []).append((c, child))
         rows: dict = {}
         cols: dict = {}
         same: dict = {}
-        # read only for a source (target) cell here, so depth < hr (hc)
-        leaf_row = power[hr - depth - 1]
-        leaf_col = power[hc - depth - 1]
+        # read only for a cell here, so depth < h
+        leaf = power[h - depth - 1]
         for x, below in by_letter.items():
-            if len(below) == 1 and type(below[0][2]) is not dict:
-                r, t, _ = below[0]
-                if r is not None:
-                    _add_scaled(rows.setdefault(r, {}), init[-x], leaf_row)
-                if t is not None:
-                    _add_scaled(cols.setdefault(t, {}), ends[x], leaf_col)
+            if len(below) == 1 and type(below[0][1]) is not dict:
+                c = below[0][0]
+                _add_scaled(rows.setdefault(groups[c], {}), init[-x], leaf)
+                _add_scaled(cols.setdefault(c, {}), ends[x], leaf)
                 continue
-            if len(below) > 1 and any(type(child) is not dict for _, _, child in below):
+            if len(below) > 1 and any(type(child) is not dict for _, child in below):
                 raise AssertionError("comparable cylinders across disjoint partitions")
             below_rows, below_cols = walk(below, depth + 1)
-            row = {c: _row_times(v, step[-x]) for c, v in below_rows.items()}
+            row = {g: _row_times(v, step[-x]) for g, v in below_rows.items()}
             col = {c: _times_column(step[x], v) for c, v in below_cols.items()}
-            if row and col and apart(row, col):
+            if len(row) > 1:
                 # pairs inside one child split deeper: take them out here
                 every = _total(row)
-                for t, v in col.items():
-                    g = group[t]
-                    q = _dot(every, v) - (_dot(row[g], v) if g in row else 0)
-                    same[t] = same.get(t, 0) + q
-            for c, v in row.items():
-                if c in rows:
-                    _add(rows[c], v)
+                for c, v in col.items():
+                    same[c] = same.get(c, 0) + _dot(every, v) - _dot(row[groups[c]], v)
+            for g, v in row.items():
+                if g in rows:
+                    _add(rows[g], v)
                 else:
-                    rows[c] = v
+                    rows[g] = v
             for c, v in col.items():
                 if c in cols:
                     _add(cols[c], v)
                 else:
                     cols[c] = v
-        if rows and cols and apart(rows, cols):
+        if len(rows) > 1:
             every = _total(rows)
             scale = power[2 * depth]
-            for t, v in cols.items():
-                g = group[t]
-                q = _dot(every, v) - (_dot(rows[g], v) if g in rows else 0) - same.get(t, 0)
-                total[t] += q * scale
+            for c, v in cols.items():
+                q = _dot(every, v) - _dot(rows[groups[c]], v) - same.get(c, 0)
+                total[c] += q * scale
         return rows, cols
 
-    walk([(r, t, p.root()) for r, t, p in parts], 0)
-    return e * power[hr + hc - 1], total
+    walk([(c, p.root()) for c, p in parts.items() if p.size], 0)
+    return e * power[2 * h - 1], total
 
 
 # Vectors are dicts state -> int, matrices dicts (from, to) -> int.
@@ -804,19 +786,21 @@ def pushforward_current_value(
     """Value of the pushed-forward current on the geodesic cylinder at u.
 
     Cyl[1,u] splits into products Cyl(a) x Cyl(u) over letters a other
-    than the first letter of u.  Their preimage families are disjoint, so
-    the value is one coloured pair-sum walk of those families, as
-    sources, against the preimage of Cyl(u).
+    than the first letter of u.  Their preimage families and that of
+    Cyl(u) are disjoint, so the value is one pair-sum walk of them all:
+    each family its own colour and group, and the preimage of Cyl(u)
+    the colour u in the group of u's first letter, so that only the
+    other letters' families count against it.
     """
-    u = Word(u)
-    if not u:
-        raise InputError("target label must be nonempty")
+    u = _target(auto, u)
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
-    p_u = _preimage(auto.bwd, fam, u, budget, cache)
-    others = {a: p for a, p in fam.items() if a != u[0]}
-    den, num = _pair_mass(mu, others, {u[0]: p_u})
-    return Fraction(num[u[0]], den)
+    parts = {a: p for a, p in fam.items() if a != u[0]}
+    parts[u] = _preimage(auto.bwd, fam, u, budget, cache)
+    groups = {c: c for c in parts}
+    groups[u] = u[0]
+    den, num = _pair_mass(mu, parts, groups)
+    return Fraction(num[u], den)
 
 
 def pushforward_table(
@@ -849,8 +833,7 @@ def _table(
     """(D, {v: D nu(v)}) for every cylinder v of length 1 to depth, nu = phi_* mu.
 
     The preimages of the cylinders of length `depth` are disjoint and
-    cover the boundary, so one walk takes them all as sources and as
-    targets.  Grouped by the first letter of their cylinder, the pairs
+    cover the boundary, so one walk takes them all.  Grouped by the first letter of their cylinder, the pairs
     counted for v are those whose source lies under another first
     letter, which is Cyl[1, v].  A shorter v sums its children in
     integers, nu(v) = sum of nu(vc), as they share its first letter.
@@ -859,7 +842,7 @@ def _table(
     rank = auto.rank
     fam = _depth1_family(auto, budget, cache)
     parts = {v: _preimage(auto.bwd, fam, v, budget, cache) for v in all_words(depth, rank)}
-    den, deep = _pair_mass(mu, parts, parts, {v: v[0] for v in parts})
+    den, deep = _pair_mass(mu, parts, {v: v[0] for v in parts})
     levels = [deep]
     for n in range(depth - 1, 0, -1):
         below = levels[-1]

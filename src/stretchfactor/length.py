@@ -63,13 +63,12 @@ def eta_length(
     """Length of the pushforward of the current attached to mu.
 
     The term of letter x is the pushed-forward current of Cyl[1, x]: the
-    pair sum of the families of the other letters against that of x.
+    pair sum of the families of the other letters against that of x.  A
+    measure of another rank than the map raises InputError.
     """
-    if mu.rank != auto.rank:
-        raise InputError("measure and automorphism ranks differ")
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
-    den, num = _pair_mass(mu, fam, fam)
+    den, num = _pair_mass(mu, fam, {x: x for x in fam})
     breakdown = {x: Fraction(num[x], den) for x in alphabet(auto.rank)}
     return LengthReport(
         value=sum(breakdown.values(), ZERO),

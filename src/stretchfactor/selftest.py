@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .automorphisms import identity, inner, make_automorphism
 from .boundary import CylinderPartition, _graft, depth1_profile, preimage_partition
+from .errors import InputError
 from .measures import (
     criterion_check,
     current_pair_value,
@@ -50,6 +51,8 @@ def _random_prefix_free(k: int, rng: random.Random, max_depth: int = 3) -> list[
 
 
 def run_selftest(rank: int, depth: int) -> int:
+    if depth < 1:
+        raise InputError("depth must be at least 1")
     k = rank
     mu = uniform_measure(k)
     words = [w for n in range(1, depth + 1) for w in all_words(n, k)]

@@ -98,10 +98,9 @@ def format_word(w: Sequence[int]) -> str:
 
 def validate_rank(w: Sequence[int], k: int) -> None:
     for x in w:
-        if abs(x) > k:
-            raise InputError(
-                f"letter {format_letter(x)!r} is outside the rank-{k} alphabet"
-            )
+        if not 0 < abs(x) <= k:
+            name = repr(format_letter(x)) if x else "0"
+            raise InputError(f"letter {name} is outside the rank-{k} alphabet")
 
 
 def free_reduce(seq: Iterable[int]) -> Word:

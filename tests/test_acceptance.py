@@ -226,17 +226,19 @@ def test_criterion_8_criterion_checker():
     assert report.passes
     assert all(q == F(1, 3) for q in report.c1.values())
     assert all(q == F(1, 3) for q in report.c2.values())
-    # a self-reinforcing letter: per-letter ratio above one (needs
-    # non-stationary data, since stationarity forces every ratio <= 1)
+    # a stationary spec that never follows a by B: P(a, B) = 0, so C1(a) = 0
     letters = alphabet(2)
-    p = {1: F(3, 4), 2: F(1, 12), -1: F(1, 12), -2: F(1, 12)}
-    rows = {x: {y: (F(0) if y == -x else F(1, 3)) for y in letters} for x in letters}
-    bad = MarkovSpec(rank=2, mass=F(1), initial=p, transitions=rows)
-    report = criterion_check(bad, validate=False)
+    nxt = {1: 2, 2: -1, -1: -2, -2: 1}  # a -> b -> A -> B -> a
+    rows = {
+        x: {y: (F(1, 2) if y in (x, nxt[x]) else F(0)) for y in letters} for x in letters
+    }
+    bad = MarkovSpec(rank=2, mass=F(1), initial={x: F(1, 4) for x in letters}, transitions=rows)
+    report = criterion_check(bad)
     assert not report.passes
     assert report.witness == 1
-    assert report.c2[1] == 3 > 1
-    _report(8, "uniform passes with C = 1/3; skewed spec fails with witness a", t0)
+    assert report.c1[1] == 0
+    assert report.reason == "C1(a) = 0"
+    _report(8, "uniform passes with C = 1/3; a spec with P(a, B) = 0 fails with witness a", t0)
 
 
 def test_criterion_9_recentering():

@@ -572,33 +572,39 @@ def test_pair_sum_fast_path_matches_generic(nielsen_map):
         assert fast == slow
 
 
-def _assert_coloured_pair_masses(mu, sources, targets):
-    """_pair_mass against the sum of pairwise oracle sums over other colours."""
-    got = _masses(mu, sources, targets)
-    assert list(got) == list(targets)
-    for t, p2 in targets.items():
+def _assert_coloured_pair_masses(mu, parts, groups):
+    """_pair_mass against the sum of pairwise oracle sums over other groups."""
+    got = _masses(mu, parts, groups)
+    assert list(got) == list(parts)
+    for t, p2 in parts.items():
         expected = sum(
-            (pair_mass_by_pairs(mu, p1, p2) for s, p1 in sources.items() if s != t), F(0)
+            (pair_mass_by_pairs(mu, p1, p2) for s, p1 in parts.items() if groups[s] != groups[t]),
+            F(0),
         )
         assert got[t] == expected, (mu.label, t)
 
 
-def _masses(mu, sources, targets, groups=None):
+def _masses(mu, parts, groups):
     """_pair_mass as fractions: its numerators over its common denominator."""
-    den, num = _pair_mass(mu, sources, targets, groups)
+    den, num = _pair_mass(mu, parts, groups)
     return {t: F(q, den) for t, q in num.items()}
 
 
 def _assert_pair_masses(auto, targets, measures):
-    """All 2k families against each other, and each target's pushforward form."""
+    """All 2k families against each other, and each target's pushforward form:
+    the families of the other letters and the target's preimage in the group
+    of its first letter."""
     cache = PartitionCache()
     fam = {a: preimage_partition(auto, (a,), cache=cache) for a in alphabet(auto.rank)}
     preimages = {u: preimage_partition(auto, u, cache=cache) for u in targets}
     for mu in measures:
-        _assert_coloured_pair_masses(mu, fam, fam)
+        _assert_coloured_pair_masses(mu, fam, {a: a for a in fam})
         for u, p_u in preimages.items():
-            others = {a: p for a, p in fam.items() if a != u[0]}
-            _assert_coloured_pair_masses(mu, others, {u[0]: p_u})
+            parts = {a: p for a, p in fam.items() if a != u[0]}
+            parts[u] = p_u
+            groups = {c: c for c in parts}
+            groups[u] = u[0]
+            _assert_coloured_pair_masses(mu, parts, groups)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -620,7 +626,7 @@ def test_pair_mass_matches_pairwise_sum_on_depth2_preimages():
     cache = PartitionCache()
     parts = {u: preimage_partition(auto, u, cache=cache) for u in all_words(2, 2)}
     for mu in measures:
-        _assert_coloured_pair_masses(mu, parts, parts)
+        _assert_coloured_pair_masses(mu, parts, {u: u for u in parts})
 
 
 @settings(max_examples=25, deadline=None)
@@ -645,39 +651,34 @@ def test_pair_mass_matches_pairwise_sum_property(rank, n_factors, target_len, se
     seed=st.integers(0, 2**32 - 1),
 )
 def test_grouped_pair_mass_matches_pairwise_sum(rank, depth, n_factors, seed):
-    # colours of disjoint preimages in random groups, some colours left to
-    # their own group, some only sources and some only targets
+    # some of the disjoint preimages, in random groups, some colours left
+    # to their own group, checked at a few colours
     rng = random.Random(seed)
     auto = random_composition(rank, n_factors if rank < 4 else min(n_factors, 2), rng)
     cache = PartitionCache()
-    parts = {v: preimage_partition(auto, v, cache=cache) for v in all_words(depth, rank)}
-    colours = list(parts)
-    groups = {v: rng.randrange(3) for v in colours if rng.random() < 0.8}
-    sources = {v: parts[v] for v in colours if rng.random() < 0.7}
-    targets = {v: parts[v] for v in rng.sample(colours, min(4, len(colours)))}
+    preimages = {v: preimage_partition(auto, v, cache=cache) for v in all_words(depth, rank)}
+    parts = {v: p for v, p in preimages.items() if rng.random() < 0.7}
+    groups = {v: rng.randrange(3) if rng.random() < 0.8 else v for v in parts}
+    checked = rng.sample(list(parts), min(4, len(parts)))
     for mu in sample_measures(rank, rng)[::2]:
-        got = _masses(mu, sources, targets, groups)
-        assert list(got) == list(targets)
-        for t, p2 in targets.items():
+        got = _masses(mu, parts, groups)
+        assert list(got) == list(parts)
+        for t in checked:
             expected = sum(
-                (
-                    pair_mass_by_pairs(mu, p1, p2)
-                    for s, p1 in sources.items()
-                    if groups.get(s, s) != groups.get(t, t)
-                ),
+                (pair_mass_by_pairs(mu, p1, parts[t]) for s, p1 in parts.items() if groups[s] != groups[t]),
                 F(0),
             )
             assert got[t] == expected, (mu.label, t)
 
 
 def test_grouped_pair_mass_rejects_comparable_cells():
-    # a cell under another first letter's cell raises, as without groups
+    # a cell under another first letter's cell raises, whatever the groups
     auto = parse_generator_expression(2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]")
     cache = PartitionCache()
     parts = {v: preimage_partition(auto, v, cache=cache) for v in all_words(2, 2)}
     groups = {v: v[0] for v in parts}
     mu = uniform_measure(2)
-    _pair_mass(mu, parts, parts, groups)
+    _pair_mass(mu, parts, groups)
     first, other = w("ab"), w("ba")
     label = parts[first].leaves[0]
     inside = CylinderPartition.from_words(2, [label + (extension_letters(label, 2)[0],)])
@@ -685,9 +686,11 @@ def test_grouped_pair_mass_rejects_comparable_cells():
     broken = dict(parts)
     broken[other] = inside
     with pytest.raises(AssertionError):
-        _pair_mass(mu, broken, broken, groups)
+        _pair_mass(mu, broken, groups)
     with pytest.raises(AssertionError):
-        _pair_mass(mu, {first: parts[first]}, {other: inside}, groups)
+        _pair_mass(mu, {first: parts[first], other: inside}, groups)
+    with pytest.raises(AssertionError):
+        _pair_mass(mu, {first: parts[first], other: inside}, {first: 0, other: 0})
 
 
 def test_pair_mass_of_empty_or_comparable_families():
@@ -695,20 +698,15 @@ def test_pair_mass_of_empty_or_comparable_families():
     p1 = CylinderPartition.from_words(2, words("a"))
     p2 = CylinderPartition.from_words(2, words("ab", "b"))
     p3 = CylinderPartition.from_words(2, words("B"))
+    own = {1: 1, 2: 2, 3: 3}
     for mu in sample_measures(2, random.Random(3)):
-        assert _masses(mu, {1: empty}, {2: p1}) == _masses(mu, {1: p1}, {2: empty}) == {2: 0}
-        assert _masses(mu, {1: p1, 2: empty}, {1: p1, 2: empty}) == {1: 0, 2: 0}
-        with pytest.raises(AssertionError):
-            _pair_mass(mu, {1: p1}, {2: p2})
-        with pytest.raises(AssertionError):
-            _pair_mass(mu, {1: p2}, {2: p1})
-        # two parts of any colours, both sources or both targets
-        with pytest.raises(AssertionError):
-            _pair_mass(mu, {1: p1, 2: p2}, {3: p3})
-        with pytest.raises(AssertionError):
-            _pair_mass(mu, {3: p3}, {1: p1, 2: p2})
-        with pytest.raises(AssertionError):
-            _pair_mass(mu, {1: p2, 3: p3}, {1: p2, 3: p3, 2: p1})
+        assert _masses(mu, {1: empty, 2: p1}, own) == _masses(mu, {1: p1, 2: empty}, own) == {1: 0, 2: 0}
+        assert _masses(mu, {1: empty, 2: empty}, own) == {1: 0, 2: 0}
+        # colours in one group count no pairs against each other
+        assert _masses(mu, {1: p1, 3: p3}, {1: 0, 3: 0}) == {1: 0, 3: 0}
+        for parts in ({1: p1, 2: p2}, {2: p2, 1: p1}, {1: p1, 2: p2, 3: p3}, {3: p3, 2: p2, 1: p1}):
+            with pytest.raises(AssertionError):
+                _pair_mass(mu, parts, own)
 
 
 @settings(max_examples=30, deadline=None)
@@ -762,15 +760,45 @@ def test_coloured_pair_mass_property(rank, n_factors, target_len, seed):
                 (pair_mass_by_pairs(mu, fam[a], fam[x]) for a in alphabet(rank) if a != x), F(0)
             )
             assert report.breakdown[x] == expected, (mu.label, x)
-    # a cell that overlaps two colours' parts raises, whichever role it has
+    # a cell inside a colour's part raises, in its group or in its own
     x, y = rng.sample(alphabet(rank), 2)
     label = rng.choice(fam[x].leaves)
     overlap = CylinderPartition.from_words(rank, [label + (rng.choice(extension_letters(label, rank)),)])
+    parts = {x: fam[x], y: fam[y], "overlap": overlap}
     for mu in measures[:1]:
         with pytest.raises(AssertionError):
-            _pair_mass(mu, {x: fam[x], y: fam[y]}, {"overlap": overlap})
+            _pair_mass(mu, parts, {x: x, y: y, "overlap": "overlap"})
         with pytest.raises(AssertionError):
-            _pair_mass(mu, {"overlap": overlap}, {x: fam[x], y: fam[y]})
+            _pair_mass(mu, parts, {x: x, y: y, "overlap": x})
+
+
+def test_a_measure_of_another_rank_is_an_input_error():
+    # checked where the measure meets the partitions: the pair walk, and
+    # the mass of one partition
+    from stretchfactor import eta_length
+
+    auto = parse_generator_expression(2, "W2[a; b:RIGHT]")
+    mu = uniform_measure(3)
+    with pytest.raises(InputError, match="ranks differ"):
+        eta_length(auto, mu)
+    with pytest.raises(InputError, match="ranks differ"):
+        pushforward_current_value(auto, mu, (1,))
+    with pytest.raises(InputError, match="ranks differ"):
+        pushforward_table(auto, mu, 1)
+    with pytest.raises(InputError, match="ranks differ"):
+        partition_mass(mu, preimage_partition(auto, (1,)))
+
+
+@pytest.mark.parametrize("label", [(3,), (1, 3), (-3, 1), (0,)])
+def test_a_label_outside_the_rank_is_an_input_error(label):
+    # as a target of either entry point, or as a cell of a partition
+    auto = parse_generator_expression(2, "W2[a; b:RIGHT]")
+    with pytest.raises(InputError, match="outside the rank-2 alphabet"):
+        preimage_partition(auto, label)
+    with pytest.raises(InputError, match="outside the rank-2 alphabet"):
+        pushforward_current_value(auto, uniform_measure(2), label)
+    with pytest.raises(InputError, match="outside the rank-2 alphabet"):
+        CylinderPartition.from_words(2, [(2,), label])
 
 
 def test_recenter_examples(nielsen_map):

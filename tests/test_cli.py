@@ -240,6 +240,21 @@ def test_word_parse_error():
     assert code == 2
 
 
+def test_target_outside_the_rank_is_an_input_error():
+    code, out = invoke(
+        ["preimage", "--rank", "2", "--map", "W2[a; b:RIGHT]", "--target", "c"]
+    )
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_selftest_refuses_depth_below_one(depth):
+    code, out = invoke(["selftest", "--rank", "2", "--depth", depth])
+    assert code == 2
+    assert out == ""
+
+
 def test_estimate_deterministic():
     argv = [
         "estimate", "--rank", "2", "--map", "W2[a; b:RIGHT]",

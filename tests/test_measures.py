@@ -203,20 +203,16 @@ def test_criterion_failure_with_witness():
 
 def test_criterion_ratio_above_one_needs_nonstationary_data():
     # A self-reinforcing letter pushes p(a)P(a,b)/p(b) above 1, which is
-    # impossible for stationary specs; checked on unvalidated data.
+    # impossible for stationary specs, and criterion_check validates first.
     letters = alphabet(2)
     p = {1: F(3, 4), 2: F(1, 12), -1: F(1, 12), -2: F(1, 12)}
     rows = {
         x: {y: (F(0) if y == -x else F(1, 3)) for y in letters} for x in letters
     }
     spec = MarkovSpec(rank=2, mass=F(1), initial=p, transitions=rows)
+    assert p[1] * rows[1][2] / p[2] == 3
     with pytest.raises(NotStationaryError):
-        spec.validate()
-    report = criterion_check(spec, validate=False)
-    assert not report.passes
-    assert report.witness == 1
-    assert report.c2[1] == F(3, 4) * F(1, 3) / F(1, 12) == 3
-    assert report.reason == "C2(a) > 1"
+        criterion_check(spec)
 
 
 def test_markov_spec_file_round_trip(tmp_path):

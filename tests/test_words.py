@@ -26,6 +26,7 @@ from stretchfactor.words import (
     count_reduced_words,
     is_proper_power,
     letter_key,
+    validate_rank,
 )
 
 letters = st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0)
@@ -53,6 +54,13 @@ def test_alphabet_is_built_once_per_rank_and_rejects_every_bad_rank():
     for rank in (1, 27, 1, 0, 27):
         with pytest.raises(InputError):
             alphabet(rank)
+
+
+def test_validate_rank_accepts_only_letters_of_the_rank():
+    validate_rank((1, -1, 2, -2), 2)
+    for bad in [(0,), (3,), (-3,), (1, 0, 2)]:
+        with pytest.raises(InputError, match="outside the rank-2 alphabet"):
+            validate_rank(bad, 2)
 
 
 def test_free_reduce_examples():
