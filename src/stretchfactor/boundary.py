@@ -48,38 +48,31 @@ Five facts drive the computation:
   c y v splitting after a common prefix c has mass (init and steps of
   (x u)^-1) (steps of y v) 1 / (E D^(|u|+|v|+1)) over mu's automaton,
   so each edge carries a row and a column, each summed over the cells
-  below it.  The cells of several disjoint partitions are coloured by
-  partition and each colour put in a group; every partition is both a
-  source and a target.  One joint walk of all their prefix trees sums,
-  for every colour, the pairs whose source lies in another group: at a
-  node, the pairs splitting between children x != y add (rows of x)
-  (columns of y), rows summed per group.  A length is one such walk
-  over the 2k families of the map, each its own group.  A pushforward
-  value at u is one walk over the families of the letters other than
-  u's first and the preimage of Cyl(u), put in the group of u's first
-  letter.  A pushforward table to depth n is one walk over the
-  preimages of all length-n cylinders, grouped by their cylinder's
-  first letter, so the value of v counts the pairs in Cyl[1, v]; a
-  shorter cylinder sums its children.
+  below it.  For a cell w = x1...xn of a partition of the boundary, the
+  pairs (w', w) over the other cells sum to mu(xn): the cells below
+  x1...xd y tile Cyl(x1...xd y), so by shift invariance the pairs
+  splitting after depth d add mu(x(d+1)...xn) - mu(xd...xn), or mu(w)
+  for d = 0, and the sum telescopes.  So the pairs into w from outside
+  a group of cells holding w are mu(xn) less those from the group's
+  other cells, and each group's tries are walked alone (`_pair_mass`):
+  a length walks each of the 2k families of the map on its own.
 
 * Canonical partitions are shared, immutable tries.  A partition is
   stored as its canonical prefix tree (complete sibling sets coalesced;
   the path every label shares kept as a tuple, not one dict per letter),
   and a leaf is a marker whose label is its path.  No trie changes once
-  built, so partitions share subtrees.  Translation grafts: g moves the
-  subtree hanging off the path along g^-1 at depth c, unchanged, under
-  g[:|g|-c], so a preimage builds only the new path along g (a label on
-  the old path is cancelled whole and splits first).  Unions merge:
-  assembly copies only the nodes two inputs share, and only there can
-  siblings coalesce.  Differences copy only the paths to the cells
-  they cut, and nothing coalesces.  The pair-sum walk reads the tries
-  directly.  Label words are built from paths on first request, and the
-  shortlex-sorted tuple only for output, keys and tests.
+  built, so partitions share subtrees: a translation grafts, building
+  only the new path along g (`_graft`); a union copies only the nodes
+  two inputs share, where alone siblings can coalesce (`_merge`); a
+  difference copies only the paths to the cells it cuts (`_subtract`).
+  The pair-sum walk reads the tries directly.  Label words are built
+  from paths on first request, and sorted only for output, keys and tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from os.path import commonprefix
 from typing import Iterable, Optional, Sequence
 
 from .automorphisms import Automorphism, _substitute, conj
@@ -175,10 +168,10 @@ class CylinderPartition:
             raise InputError("partition coalesces to the full boundary")
         return _partition(rank, (), root, size)
 
-    def root(self) -> dict:
-        """The whole canonical trie, the stem expanded to one dict per letter."""
+    def root(self, start: int = 0) -> dict:
+        """The trie below stem[:start], the rest of the stem one dict per letter."""
         node = self.trie
-        for c in reversed(self.stem):
+        for c in reversed(self.stem[start:]):
             node = {c: node}
         return node
 
@@ -275,7 +268,11 @@ def _collect(node: dict, prefix: tuple, out: list[Word]) -> None:
 
 
 def _depth(node: dict) -> int:
-    return max((_depth(v) if type(v) is dict else 0 for v in node.values()), default=-1) + 1
+    depth, level = 0, [node]
+    while any(level):
+        depth += 1
+        level = [v for n in level for v in n.values() if type(v) is dict]
+    return depth
 
 
 def _partition(
@@ -318,12 +315,7 @@ def _merge(
     parts = [p for p in parts if p.size]
     if len(parts) <= 1:
         return parts[0] if parts else CylinderPartition(rank, (), {}, 0)
-    # the common prefix of all stems is that of the least and the greatest
-    lo = min(p.stem for p in parts)
-    hi = max(p.stem for p in parts)
-    m = 0
-    while m < len(lo) and m < len(hi) and lo[m] == hi[m]:
-        m += 1
+    m = len(commonprefix([p.stem for p in parts]))
     # spelled[id(d)]: the dicts from d down, for each dict spelling a stem
     spelled: dict = {}
     nodes = []
@@ -361,7 +353,7 @@ def _merge(
 
     node = merge(nodes, full + 1 if m == 0 else full)
     size = sum(p.size for p in parts) - lost
-    return _partition(rank, lo[:m], node, size, built, budget)
+    return _partition(rank, parts[0].stem[:m], node, size, built, budget)
 
 
 def _subtract(
@@ -649,86 +641,113 @@ def partition_mass(mu: FrequencyMeasure, part: CylinderPartition) -> Fraction:
 # -- current values under pushforward ---------------------------------------
 
 
-def _pair_mass(mu: FrequencyMeasure, parts: dict, groups: dict) -> tuple[int, dict]:
+def _pair_mass(
+    mu: FrequencyMeasure, parts: dict, groups: dict, tiles: bool = False
+) -> tuple[int, dict]:
     """(D, {c: D times the sum of mu(w1^-1 w2) over w2 in parts[c] and w1
-    in parts[s], for every colour s in another group than c}).
+    outside the cells of c's group}), D one common denominator.
 
-    `parts` maps each colour to a partition, and the partitions are
-    pairwise disjoint; `groups` maps every colour to its group.  Every
-    partition is both a source and a target.  D is one common
-    denominator for all colours.  One joint walk of all the prefix trees
-    (module docstring): below a node it carries a row per group and a
-    column per colour present there, and pairs are counted only where
-    two groups meet.  Partitions that fill the boundary, like the 2k
-    families of a map, meet at every node that is not a leaf, so the
-    walk recurses only there.  Rows carry D^(h-|w1|) and columns
-    D^(h-|w2|), h the longest word, so a pair splitting at depth d counts
-    E D^(2h-2d-1) times its mass, and D^(2d) brings it to the
-    denominator E D^(2h-1).  A measure of another rank than the
-    partitions raises InputError.
+    `parts` maps colours to partitions and `groups` colours to groups.
+    By the pair-sum identity (module docstring) each group's tries are
+    walked alone, with one row for the group and a column per colour.
+    Rows carry D^(h-|w1|) and columns D^(h-|w2|), h the longest word, so
+    a pair splitting at depth d counts E D^(2h-2d-1) times its mass, and
+    D^(2d) brings it to the denominator E D^(2h-1).  Comparable cells in
+    one group raise AssertionError, and with `tiles` so do cells whose
+    uniform masses do not sum to one (a lost or a doubled cell).  A
+    measure of another rank raises InputError.
     """
-    if any(p.rank != mu.rank for p in parts.values()):
+    k = mu.rank
+    if any(p.rank != k for p in parts.values()):
         raise InputError("measure and partition ranks differ")
-    total = dict.fromkeys(parts, 0)
+    num = dict.fromkeys(parts, 0)
     h = max((p.height for p in parts.values()), default=0)
-    if not h:
-        return 1, total
     e, d, init, step = mu.chain
-    power = [d**i for i in range(2 * h)]
+    power = [d**i for i in range(2 * h + 1)]
+    # uniform masses of cells in units of 1 / (2k (2k-1)^(h-1))
+    weigh = [(2 * k - 1) ** i for i in range(h)]
+    weight = 0
     # the column of a cell's last letter: step[x] times the all-ones column
-    ends = {x: {} for x in step}
-    for x, mat in step.items():
-        for (s, _), q in mat.items():
-            ends[x][s] = ends[x].get(s, 0) + q
+    ones = dict.fromkeys([t for mat in step.values() for _, t in mat], 1)
+    ends = {x: _times_column(mat, ones) for x, mat in step.items()}
+    # a cell ending in x counts D^(2h-1) E mu(x), and D^(2h-2) init[-x]
+    # ends[x] back for its pair with itself, which the walk takes out
+    last = {x: (sum(init[x].values()) * d + _dot(init[-x], ends[x])) * power[2 * h - 2]
+            for x in step if h}
 
-    def walk(entries: list, depth: int) -> tuple[dict, dict]:
-        # Count the pairs splitting at this node; return, per group and
-        # colour, the summed rows and columns of the edges below it.
+    def one(node: dict, depth: int) -> tuple[dict, dict, int]:
+        # One colour's cells below a node: the summed row and column of
+        # its edges, and their numerator less the pairs split here.
+        nonlocal weight
+        leaf = power[h - depth - 1]
+        row, col = {}, {}
+        q = same = 0
+        for x, child in node.items():
+            if type(child) is not dict:
+                _add(row, init[-x], leaf)
+                _add(col, ends[x], leaf)
+                q += last[x]
+                weight += weigh[h - depth - 1]
+                continue
+            r, c, below = one(child, depth + 1)
+            r = _row_times(r, step[-x])
+            c = _times_column(step[x], c)
+            q += below
+            if len(node) == 1:  # no pair splits here
+                return r, c, q
+            same += _dot(r, c)
+            _add(row, r)
+            _add(col, c)
+        return row, col, q - (_dot(row, col) - same) * power[2 * depth]
+
+    def joint(entries: list, depth: int) -> tuple[dict, dict]:
+        # Several colours' cells below a node: the group's row and each
+        # colour's column; the pairs split here go into num.
+        nonlocal weight
+        leaf = power[h - depth - 1]
         by_letter: dict = {}
         for c, node in entries:
             for x, child in node.items():
                 by_letter.setdefault(x, []).append((c, child))
-        rows: dict = {}
-        cols: dict = {}
-        same: dict = {}
-        # read only for a cell here, so depth < h
-        leaf = power[h - depth - 1]
+        row, cols, same = {}, {}, {}
         for x, below in by_letter.items():
-            if len(below) == 1 and type(below[0][1]) is not dict:
+            if len(below) > 1:
+                if any(type(child) is not dict for _, child in below):
+                    raise AssertionError("comparable cylinders in one group")
+                r, vs = joint(below, depth + 1)
+            elif type(below[0][1]) is dict:
+                ((c, child),) = below
+                r, v, q = one(child, depth + 1)
+                num[c] += q
+                vs = {c: v}
+            else:
                 c = below[0][0]
-                _add_scaled(rows.setdefault(groups[c], {}), init[-x], leaf)
-                _add_scaled(cols.setdefault(c, {}), ends[x], leaf)
+                _add(row, init[-x], leaf)
+                _add(cols.setdefault(c, {}), ends[x], leaf)
+                num[c] += last[x]
+                weight += weigh[h - depth - 1]
                 continue
-            if len(below) > 1 and any(type(child) is not dict for _, child in below):
-                raise AssertionError("comparable cylinders across disjoint partitions")
-            below_rows, below_cols = walk(below, depth + 1)
-            row = {g: _row_times(v, step[-x]) for g, v in below_rows.items()}
-            col = {c: _times_column(step[x], v) for c, v in below_cols.items()}
-            if len(row) > 1:
-                # pairs inside one child split deeper: take them out here
-                every = _total(row)
-                for c, v in col.items():
-                    same[c] = same.get(c, 0) + _dot(every, v) - _dot(row[groups[c]], v)
-            for g, v in row.items():
-                if g in rows:
-                    _add(rows[g], v)
-                else:
-                    rows[g] = v
-            for c, v in col.items():
-                if c in cols:
-                    _add(cols[c], v)
-                else:
-                    cols[c] = v
-        if len(rows) > 1:
-            every = _total(rows)
-            scale = power[2 * depth]
-            for c, v in cols.items():
-                q = _dot(every, v) - _dot(rows[groups[c]], v) - same.get(c, 0)
-                total[c] += q * scale
-        return rows, cols
+            r = _row_times(r, step[-x])
+            _add(row, r)
+            for c, v in vs.items():
+                v = _times_column(step[x], v)
+                same[c] = same.get(c, 0) + _dot(r, v)
+                _add(cols.setdefault(c, {}), v)
+        for c, v in cols.items():
+            num[c] -= (_dot(row, v) - same.get(c, 0)) * power[2 * depth]
+        return row, cols
 
-    walk([(c, p.root()) for c, p in parts.items() if p.size], 0)
-    return e * power[2 * h - 1], total
+    by_group: dict = {}
+    for c, p in parts.items():
+        if p.size:
+            by_group.setdefault(groups[c], []).append((c, p))
+    for group in by_group.values():
+        # no pair splits on the stem that all the group's cells share
+        m = len(commonprefix([p.stem for _, p in group]))
+        joint([(c, p.root(m)) for c, p in group], m)
+    if tiles and weight * (2 * k - 1) != 2 * k * (2 * k - 1) ** h:
+        raise AssertionError("the parts do not tile the boundary")
+    return e * power[2 * h - 1], num
 
 
 # Vectors are dicts state -> int, matrices dicts (from, to) -> int.
@@ -750,23 +769,7 @@ def _times_column(mat: dict, vec: dict) -> dict:
     return out
 
 
-def _add(into: dict, vec: dict) -> None:
-    for s, q in vec.items():
-        into[s] = into.get(s, 0) + q
-
-
-def _total(vecs: dict) -> dict:
-    """The sum of the vectors in a dict of vectors; the lone one itself."""
-    if len(vecs) == 1:
-        (out,) = vecs.values()
-        return out
-    out = {}
-    for vec in vecs.values():
-        _add(out, vec)
-    return out
-
-
-def _add_scaled(into: dict, vec: dict, scale: int) -> None:
+def _add(into: dict, vec: dict, scale: int = 1) -> None:
     for s, q in vec.items():
         into[s] = into.get(s, 0) + q * scale
 
@@ -786,20 +789,16 @@ def pushforward_current_value(
     """Value of the pushed-forward current on the geodesic cylinder at u.
 
     Cyl[1,u] splits into products Cyl(a) x Cyl(u) over letters a other
-    than the first letter of u.  Their preimage families and that of
-    Cyl(u) are disjoint, so the value is one pair-sum walk of them all:
-    each family its own colour and group, and the preimage of Cyl(u)
-    the colour u in the group of u's first letter, so that only the
-    other letters' families count against it.
+    than the first letter u0 of u, so the value counts the pairs from
+    outside phi^-1(Cyl u0) into phi^-1(Cyl u): one pair-sum walk of the
+    latter and the rest of the former (a difference), as one group.
     """
     u = _target(auto, u)
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
-    parts = {a: p for a, p in fam.items() if a != u[0]}
-    parts[u] = _preimage(auto.bwd, fam, u, budget, cache)
-    groups = {c: c for c in parts}
-    groups[u] = u[0]
-    den, num = _pair_mass(mu, parts, groups)
+    part = _preimage(auto.bwd, fam, u, budget, cache)
+    rest = _subtract(fam[u[0]], part, budget)
+    den, num = _pair_mass(mu, {u: part, u[0]: rest}, {u: u[0], u[0]: u[0]})
     return Fraction(num[u], den)
 
 
@@ -832,17 +831,17 @@ def _table(
 ) -> tuple[int, dict[Word, int]]:
     """(D, {v: D nu(v)}) for every cylinder v of length 1 to depth, nu = phi_* mu.
 
-    The preimages of the cylinders of length `depth` are disjoint and
-    cover the boundary, so one walk takes them all.  Grouped by the first letter of their cylinder, the pairs
-    counted for v are those whose source lies under another first
-    letter, which is Cyl[1, v].  A shorter v sums its children in
-    integers, nu(v) = sum of nu(vc), as they share its first letter.
-    Keys run by length, then in `all_words` order.
+    The preimages of the cylinders of length `depth` tile the boundary,
+    so one walk takes them all and checks that they do.  Grouped by the
+    first letter of their cylinder, the pairs counted for v come from
+    under another first letter: that is Cyl[1, v].  A shorter v sums
+    its children in integers, nu(v) = sum of nu(vc).  Keys run by
+    length, then in `all_words` order.
     """
     rank = auto.rank
     fam = _depth1_family(auto, budget, cache)
     parts = {v: _preimage(auto.bwd, fam, v, budget, cache) for v in all_words(depth, rank)}
-    den, deep = _pair_mass(mu, parts, {v: v[0] for v in parts})
+    den, deep = _pair_mass(mu, parts, {v: v[0] for v in parts}, tiles=True)
     levels = [deep]
     for n in range(depth - 1, 0, -1):
         below = levels[-1]

@@ -3,10 +3,12 @@
 The length of an automorphism is the mass the pushed-forward uniform
 current gives to the set of geodesics through the base vertex; it is
 computed exactly as a sum of pair masses over the depth-1 preimage
-families, one term per oriented letter, all in one coloured walk.  The
-Monte Carlo estimator divides the cyclically reduced image length of a
-uniform random reduced word by the word length; the two agree up to
-sampling error plus an O(1/n) seam bias.
+families, one term per oriented letter: the pairs from outside the
+letter's family into it, which by shift invariance is a walk of that
+family alone (`boundary` module docstring).  The Monte Carlo estimator
+divides the cyclically reduced image length of a uniform random reduced
+word by the word length; the two agree up to sampling error plus an
+O(1/n) seam bias.
 """
 
 from __future__ import annotations
@@ -63,15 +65,17 @@ def eta_length(
     """Length of the pushforward of the current attached to mu.
 
     The term of letter x is the pushed-forward current of Cyl[1, x]: the
-    pair sum of the families of the other letters against that of x.  A
-    measure of another rank than the map raises InputError.
+    pair sum of the families of the other letters against that of x.
+    The 2k terms share one denominator, so the value is their summed
+    numerators over it; the walk checks that the families tile the
+    boundary.  A measure of another rank than the map raises InputError.
     """
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
-    den, num = _pair_mass(mu, fam, {x: x for x in fam})
+    den, num = _pair_mass(mu, fam, {x: x for x in fam}, tiles=True)
     breakdown = {x: Fraction(num[x], den) for x in alphabet(auto.rank)}
     return LengthReport(
-        value=sum(breakdown.values(), ZERO),
+        value=Fraction(sum(num.values()), den),
         breakdown=breakdown,
         measure=mu.label or mu.kind,
         nodes=budget.spent,

@@ -443,6 +443,13 @@ def test_pushforward_values(nielsen_map):
     assert pushforward_current_value(nielsen_map, mu, w("a")) == F(1, 3)
 
 
+def test_pushforward_value_of_a_deep_cylinder():
+    # the difference of a's family and Cyl((ab)^300) is a 600-letter spine
+    # of cells, whose height is found without recursing level by level
+    u = Word((1, 2) * 300)
+    assert pushforward_current_value(identity(2), uniform_measure(2), u) == uniform_measure(2).eval(u)
+
+
 def test_pushforward_table_consistency(nielsen_map):
     mu = uniform_measure(2)
     table = pushforward_table(nielsen_map, mu, 3)
@@ -489,9 +496,9 @@ def test_pushforward_table_builds_no_union(monkeypatch):
         preimage_partition(auto, v, cache=cache)
     pair_mass, walks = boundary._pair_mass, []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         walks.append(len(args[1]))
-        return pair_mass(*args)
+        return pair_mass(*args, **kwargs)
 
     monkeypatch.setattr(boundary, "_pair_mass", counted)
     table = pushforward_table(auto, mu, 3, cache=cache)
@@ -572,39 +579,50 @@ def test_pair_sum_fast_path_matches_generic(nielsen_map):
         assert fast == slow
 
 
-def _assert_coloured_pair_masses(mu, parts, groups):
-    """_pair_mass against the sum of pairwise oracle sums over other groups."""
-    got = _masses(mu, parts, groups)
+def _complement(rank, parts):
+    """The cells outside the union of some partitions, as one partition."""
+    cells = [x for p in parts for x in p.words]
+    letters = [Word((x,)) for x in alphabet(rank)]
+    return CylinderPartition.from_words(rank, subtract_by_leaves(rank, letters, cells))
+
+
+def _expected(mu, parts, groups, t):
+    """The oracle's pair mass of the cells outside t's group against parts[t]."""
+    if not parts[t].size:
+        return F(0)
+    group = [p for c, p in parts.items() if groups[c] == groups[t]]
+    return pair_mass_by_pairs(mu, _complement(mu.rank, group), parts[t])
+
+
+def _assert_coloured_pair_masses(mu, parts, groups, tiles=False):
+    """_pair_mass against the oracle at every colour; returns its masses."""
+    got = _masses(mu, parts, groups, tiles=tiles)
     assert list(got) == list(parts)
-    for t, p2 in parts.items():
-        expected = sum(
-            (pair_mass_by_pairs(mu, p1, p2) for s, p1 in parts.items() if groups[s] != groups[t]),
-            F(0),
-        )
-        assert got[t] == expected, (mu.label, t)
+    for t in parts:
+        assert got[t] == _expected(mu, parts, groups, t), (mu.label, t)
+    return got
 
 
-def _masses(mu, parts, groups):
+def _masses(mu, parts, groups, tiles=False):
     """_pair_mass as fractions: its numerators over its common denominator."""
-    den, num = _pair_mass(mu, parts, groups)
+    den, num = _pair_mass(mu, parts, groups, tiles=tiles)
     return {t: F(q, den) for t, q in num.items()}
 
 
 def _assert_pair_masses(auto, targets, measures):
-    """All 2k families against each other, and each target's pushforward form:
-    the families of the other letters and the target's preimage in the group
-    of its first letter."""
-    cache = PartitionCache()
-    fam = {a: preimage_partition(auto, (a,), cache=cache) for a in alphabet(auto.rank)}
+    """The 2k families, which tile the boundary, each its own group, and each
+    target's pushforward form: its preimage and the rest of its first
+    letter's family in one group, whose complement is the other families."""
+    rank, cache = auto.rank, PartitionCache()
+    fam = {a: preimage_partition(auto, (a,), cache=cache) for a in alphabet(rank)}
     preimages = {u: preimage_partition(auto, u, cache=cache) for u in targets}
     for mu in measures:
-        _assert_coloured_pair_masses(mu, fam, {a: a for a in fam})
+        _assert_coloured_pair_masses(mu, fam, {a: a for a in fam}, tiles=True)
         for u, p_u in preimages.items():
-            parts = {a: p for a, p in fam.items() if a != u[0]}
-            parts[u] = p_u
-            groups = {c: c for c in parts}
-            groups[u] = u[0]
-            _assert_coloured_pair_masses(mu, parts, groups)
+            rest = subtract_by_leaves(rank, fam[u[0]].words, p_u.words)
+            parts = {u: p_u, u[0]: CylinderPartition.from_words(rank, rest)}
+            got = _assert_coloured_pair_masses(mu, parts, {u: u[0], u[0]: u[0]})
+            assert pushforward_current_value(auto, mu, u, cache=cache) == got[u]
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -626,7 +644,7 @@ def test_pair_mass_matches_pairwise_sum_on_depth2_preimages():
     cache = PartitionCache()
     parts = {u: preimage_partition(auto, u, cache=cache) for u in all_words(2, 2)}
     for mu in measures:
-        _assert_coloured_pair_masses(mu, parts, {u: u for u in parts})
+        _assert_coloured_pair_masses(mu, parts, {u: u for u in parts}, tiles=True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -652,7 +670,8 @@ def test_pair_mass_matches_pairwise_sum_property(rank, n_factors, target_len, se
 )
 def test_grouped_pair_mass_matches_pairwise_sum(rank, depth, n_factors, seed):
     # some of the disjoint preimages, in random groups, some colours left
-    # to their own group, checked at a few colours
+    # to their own group, checked at a few colours against the cells
+    # outside each one's group
     rng = random.Random(seed)
     auto = random_composition(rank, n_factors if rank < 4 else min(n_factors, 2), rng)
     cache = PartitionCache()
@@ -661,36 +680,60 @@ def test_grouped_pair_mass_matches_pairwise_sum(rank, depth, n_factors, seed):
     groups = {v: rng.randrange(3) if rng.random() < 0.8 else v for v in parts}
     checked = rng.sample(list(parts), min(4, len(parts)))
     for mu in sample_measures(rank, rng)[::2]:
-        got = _masses(mu, parts, groups)
+        got = _masses(mu, parts, groups, tiles=len(parts) == len(preimages))
         assert list(got) == list(parts)
         for t in checked:
-            expected = sum(
-                (pair_mass_by_pairs(mu, p1, parts[t]) for s, p1 in parts.items() if groups[s] != groups[t]),
-                F(0),
-            )
-            assert got[t] == expected, (mu.label, t)
+            assert got[t] == _expected(mu, parts, groups, t), (mu.label, t)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_sum_identity(rank, n_factors, seed):
+    # for a shift-invariant mu and a cell w of a partition of the
+    # boundary, the pairs (w', w) over all the other cells sum to mu of
+    # w's last letter; the 2k families of a map are such a partition
+    rng = random.Random(seed)
+    auto = random_composition(rank, n_factors if rank < 4 else min(n_factors, 2), rng)
+    cache = PartitionCache()
+    cells = [x for a in alphabet(rank) for x in preimage_partition(auto, (a,), cache=cache).words]
+    for mu in sample_measures(rank, rng):
+        for cell in rng.sample(cells, min(3, len(cells))):
+            others = CylinderPartition.from_words(rank, [x for x in cells if x != cell])
+            alone = CylinderPartition.from_words(rank, [cell])
+            assert pair_mass_by_pairs(mu, others, alone) == mu.eval(cell[-1:]), (mu.label, cell)
 
 
 def test_grouped_pair_mass_rejects_comparable_cells():
-    # a cell under another first letter's cell raises, whatever the groups
+    # comparable cells in one group raise; across groups, a cell lost or
+    # doubled breaks the tiling that a table's walk checks
     auto = parse_generator_expression(2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]")
     cache = PartitionCache()
     parts = {v: preimage_partition(auto, v, cache=cache) for v in all_words(2, 2)}
     groups = {v: v[0] for v in parts}
     mu = uniform_measure(2)
-    _pair_mass(mu, parts, groups)
+    _pair_mass(mu, parts, groups, tiles=True)
     first, other = w("ab"), w("ba")
     label = parts[first].leaves[0]
     inside = CylinderPartition.from_words(2, [label + (extension_letters(label, 2)[0],)])
     # ba's preimage replaced by a cell inside one of ab's
     broken = dict(parts)
     broken[other] = inside
+    assert partition_mass(mu, inside) != partition_mass(mu, parts[other])
     with pytest.raises(AssertionError):
-        _pair_mass(mu, broken, groups)
+        _pair_mass(mu, broken, groups, tiles=True)
     with pytest.raises(AssertionError):
-        _pair_mass(mu, {first: parts[first], other: inside}, groups)
+        _pair_mass(mu, {first: parts[first], other: inside}, groups, tiles=True)
     with pytest.raises(AssertionError):
         _pair_mass(mu, {first: parts[first], other: inside}, {first: 0, other: 0})
+    # that cell doubled in a group of its own, and ba's preimage lost
+    with pytest.raises(AssertionError):
+        _pair_mass(mu, dict(parts, extra=inside), dict(groups, extra="extra"), tiles=True)
+    with pytest.raises(AssertionError):
+        _pair_mass(mu, {v: p for v, p in parts.items() if v != other}, groups, tiles=True)
 
 
 def test_pair_mass_of_empty_or_comparable_families():
@@ -700,13 +743,25 @@ def test_pair_mass_of_empty_or_comparable_families():
     p3 = CylinderPartition.from_words(2, words("B"))
     own = {1: 1, 2: 2, 3: 3}
     for mu in sample_measures(2, random.Random(3)):
-        assert _masses(mu, {1: empty, 2: p1}, own) == _masses(mu, {1: p1, 2: empty}, own) == {1: 0, 2: 0}
+        # an empty part counts nothing, and a lone cell meets its complement
+        alone = pair_mass_by_pairs(mu, CylinderPartition.from_words(2, words("A", "b", "B")), p1)
+        assert _masses(mu, {1: empty, 2: p1}, own) == {1: 0, 2: alone}
+        assert _masses(mu, {1: p1, 2: empty}, own) == {1: alone, 2: 0}
         assert _masses(mu, {1: empty, 2: empty}, own) == {1: 0, 2: 0}
+        with pytest.raises(AssertionError):
+            _pair_mass(mu, {1: empty, 2: empty}, own, tiles=True)
         # colours in one group count no pairs against each other
-        assert _masses(mu, {1: p1, 3: p3}, {1: 0, 3: 0}) == {1: 0, 3: 0}
+        rest = CylinderPartition.from_words(2, words("A", "b"))
+        assert _masses(mu, {1: p1, 3: p3}, {1: 0, 3: 0}) == {
+            1: pair_mass_by_pairs(mu, rest, p1),
+            3: pair_mass_by_pairs(mu, rest, p3),
+        }
         for parts in ({1: p1, 2: p2}, {2: p2, 1: p1}, {1: p1, 2: p2, 3: p3}, {3: p3, 2: p2, 1: p1}):
+            # comparable cells raise in one group, and break a tiling across groups
             with pytest.raises(AssertionError):
-                _pair_mass(mu, parts, own)
+                _pair_mass(mu, parts, {1: 0, 2: 0, 3: 0})
+            with pytest.raises(AssertionError):
+                _pair_mass(mu, parts, own, tiles=True)
 
 
 @settings(max_examples=30, deadline=None)
@@ -760,16 +815,17 @@ def test_coloured_pair_mass_property(rank, n_factors, target_len, seed):
                 (pair_mass_by_pairs(mu, fam[a], fam[x]) for a in alphabet(rank) if a != x), F(0)
             )
             assert report.breakdown[x] == expected, (mu.label, x)
-    # a cell inside a colour's part raises, in its group or in its own
+    # a cell inside a colour's part raises: in its own group as a doubled
+    # cell of the families' tiling, in that colour's group as comparable
     x, y = rng.sample(alphabet(rank), 2)
     label = rng.choice(fam[x].leaves)
     overlap = CylinderPartition.from_words(rank, [label + (rng.choice(extension_letters(label, rank)),)])
-    parts = {x: fam[x], y: fam[y], "overlap": overlap}
+    own = {a: a for a in fam}
     for mu in measures[:1]:
         with pytest.raises(AssertionError):
-            _pair_mass(mu, parts, {x: x, y: y, "overlap": "overlap"})
+            _pair_mass(mu, dict(fam, overlap=overlap), dict(own, overlap="overlap"), tiles=True)
         with pytest.raises(AssertionError):
-            _pair_mass(mu, parts, {x: x, y: y, "overlap": x})
+            _pair_mass(mu, {x: fam[x], y: fam[y], "overlap": overlap}, {x: x, y: y, "overlap": x})
 
 
 def test_a_measure_of_another_rank_is_an_input_error():
@@ -890,11 +946,11 @@ def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
         calls["trie_in_pair_mass"] += bool(in_pair_mass)
         return trie(*args)
 
-    def flagged_pair_mass(*args):
+    def flagged_pair_mass(*args, **kwargs):
         calls["pair_mass"] += 1
         in_pair_mass.append(True)
         try:
-            return pair_mass(*args)
+            return pair_mass(*args, **kwargs)
         finally:
             in_pair_mass.pop()
 
