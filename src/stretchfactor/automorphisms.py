@@ -623,6 +623,8 @@ def _parse_expr_atom(rank: int, text: str) -> Automorphism:
             if x < 0:
                 raise InputError("perm entries must be keyed by basis letters")
             validate_rank((x,), rank)
+            if images[x - 1]:
+                raise InputError(f"duplicate perm entry for {left.strip()!r}")
             images[x - 1] = y
         for x in range(1, rank + 1):
             if images[x - 1] == 0:
@@ -635,7 +637,7 @@ def _parse_expr_atom(rank: int, text: str) -> Automorphism:
         head, rest = body, ""
     a = parse_letter(head.strip())
     others = [x for x in range(1, rank + 1) if x != abs(a)]
-    types = {x: FIX for x in others}
+    types: dict[int, str] = {}
     for part in rest.split(","):
         part = part.strip()
         if not part:
@@ -647,8 +649,11 @@ def _parse_expr_atom(rank: int, text: str) -> Automorphism:
         t = right.strip().upper()
         if x < 0 or abs(x) == abs(a):
             raise InputError(f"bad W2 entry {part!r}")
+        validate_rank((x,), rank)
+        if x in types:
+            raise InputError(f"duplicate W2 entry for {left.strip()!r}")
         if t not in _W2_TYPES:
             raise InputError(f"unknown W2 type {right.strip()!r}")
         types[x] = t
-    move = WhiteheadSecondKind(rank, a, tuple(types[x] for x in others))
+    move = WhiteheadSecondKind(rank, a, tuple(types.get(x, FIX) for x in others))
     return move.automorphism()

@@ -32,10 +32,12 @@ Five facts drive the computation:
 * Compositionality.  (phi o psi)^-1(Cyl u) is the disjoint union of
   psi^-1(Cyl w) over the pieces w of phi^-1(Cyl u), so partitions of a
   composition assemble from the partitions of its factors.  A chain's
-  family is assembled from its atoms in one right-to-left pass that
-  builds each suffix of the chain once.  A preimage reads only the map's
-  inverse images, so a suffix is its tuple of inverse images, each got
-  from the next longer one by substituting into a peeled atom's images.
+  family is assembled from the identity's families {z: Cyl(z)} in one
+  right-to-left pass, one atom step per distinct suffix of the chain, the
+  last atom's included.  A preimage reads only the map's inverse images,
+  so a suffix is its tuple of inverse images, each got from the next
+  longer one by substituting into a peeled atom's images, and a suffix
+  met twice is built once.
   A step builds no atom family but reads the atom's closed form: a
   signed permutation relabels the families, and a transvection changes
   only those of s^-1, a and a^-1, with one graft (the preimage of
@@ -71,6 +73,7 @@ Five facts drive the computation:
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from os.path import commonprefix
 from typing import Iterable, Optional, Sequence
@@ -99,13 +102,17 @@ HALF = Fraction(1, 2)
 class Budget:
     """Node counter shared across one public computation; never approximate.
 
-    One node is spent per cylinder of an atom family and per trie node
-    a graft, a merge or a difference builds, as it is made, and the
-    computation stops with a ResourceLimitError as soon as the total
-    passes the limit, so no work that fits is refused in advance.
+    One node is spent per trie dict that a graft, a merge or a difference
+    builds and keeps, as it is made; families start from the identity's,
+    on which nothing is spent, so a signed permutation spends nothing.
+    The computation stops with a ResourceLimitError as soon as the total
+    passes the limit, so no work that fits is refused in advance.  A
+    negative limit raises InputError.
     """
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
+        if limit < 0:
+            raise InputError(f"node budget must be nonnegative, got {limit}")
         self.limit = limit
         self.spent = 0
 
@@ -374,9 +381,6 @@ def _subtract(
     rank, m = part.rank, len(part.stem)
     if sub.stem[:m] != part.stem:
         raise AssertionError("subtracted cells lie outside the partition")
-    gone = sub.trie
-    for c in reversed(sub.stem[m:]):
-        gone = {c: gone}
     size, built = part.size, 0
 
     def cut(node: dict, gone: dict) -> dict:
@@ -402,7 +406,7 @@ def _subtract(
             built += 1
         return out
 
-    node = cut(part.trie, gone)
+    node = cut(part.trie, sub.root(m))
     if not node:
         return CylinderPartition(rank, (), {}, 0)
     return _partition(rank, part.stem, node, size, built, budget)
@@ -471,19 +475,18 @@ def _graft(
 
 
 class PartitionCache:
-    """In-memory partitions, owned by the caller and keyed by the map.
+    """In-memory depth-1 families, owned by the caller and keyed by the map.
 
     A map is keyed by its inverse images, one per basis letter, which
     keeps ranks apart; Words compare and hash as tuples, so a chain
-    suffix, known by its images alone, finds an equal map's entries.
-    `families` maps a key to the depth-1 preimage families, which every
-    preimage and pair sum reads, and `partitions` maps (key, target word)
-    to a preimage partition.
+    suffix, known by its images alone, finds an equal map's entry.
+    `families` maps a key to the map's depth-1 preimage families, which
+    every preimage and pair sum reads; a preimage of a longer cylinder is
+    one graft of them and is not kept.
     """
 
     def __init__(self):
         self.families: dict[tuple, dict[int, CylinderPartition]] = {}
-        self.partitions: dict[tuple[tuple, Word], CylinderPartition] = {}
 
 
 def _resolve(budget: Optional[int | Budget], cache: Optional[PartitionCache]):
@@ -498,27 +501,10 @@ def _resolve(budget: Optional[int | Budget], cache: Optional[PartitionCache]):
 # -- depth-1 partitions ----------------------------------------------------
 
 
-def _atom_depth1(atom: Automorphism, budget: Budget) -> dict[int, CylinderPartition]:
-    """Depth-1 preimage partitions of a single atom, in closed form.
-
-    Spends one node per cylinder: 2k for a signed permutation, 4k - 2
-    for a transvection.  Anything else is an engine bug and raises.
-    """
-    k = atom.rank
-    if all(len(img) == 1 for img in atom.fwd):
-        budget.spend(2 * k)
-        return {
-            y: CylinderPartition(k, (), {atom.inverse_letter_image(y)[0]: _LEAF}, 1)
-            for y in alphabet(k)
-        }
-    s, a = _transvection_letters(atom)
-    budget.spend(4 * k - 2)
-    fam = {z: CylinderPartition(k, (), {z: _LEAF}, 1) for z in alphabet(k)}
-    fam[-s] = CylinderPartition(k, (a,), {-s: _LEAF}, 1)
-    rest = dict.fromkeys([c for c in alphabet(k) if c not in (-a, -s)], _LEAF)
-    fam[a] = CylinderPartition(k, (a,), rest, 2 * k - 2)
-    fam[-a] = CylinderPartition(k, (), {-s: _LEAF, -a: _LEAF}, 2)
-    return fam
+@functools.cache
+def _identity_family(rank: int) -> dict[int, CylinderPartition]:
+    """The identity's depth-1 families {z: Cyl(z)}, built once per rank."""
+    return {z: CylinderPartition(rank, (), {z: _LEAF}, 1) for z in alphabet(rank)}
 
 
 def _transvection_letters(atom: Automorphism) -> tuple[int, int]:
@@ -542,35 +528,34 @@ def _depth1_family(
     """Depth-1 preimage partitions of a map, cached by its inverse images.
 
     Leading atoms are peeled off until a suffix of the chain is cached or
-    is the last atom, whose family is closed-form; the longer suffixes are
-    then assembled right to left, so each suffix is built once.  A suffix
-    is known by its inverse images alone: peeling the atom a off a o rest
-    gives rest^-1(x) = (a o rest)^-1(a(x)), where a(x) has at most two
-    letters.  At the last atom these must be the atom's own inverse
-    images, which proves that the chain composes to the map.
+    every atom is peeled.  A suffix is known by its inverse images alone:
+    peeling the atom a off a o rest gives rest^-1(x) = (a o rest)^-1(a(x)),
+    where a(x) has at most two letters.  With every atom peeled, these
+    must be the basis letters, which proves that the chain composes to
+    the map, and the families start from the identity's.  The longer
+    suffixes are then assembled right to left, one atom step per suffix
+    not yet cached, so a chain that returns to a map builds it once.
     """
-    fam = cache.families.get(auto.bwd)
-    if fam is not None:
-        return fam
-    factors = auto.factors
+    families, factors = cache.families, auto.factors
     suffixes = [auto.bwd]
-    while fam is None and len(suffixes) < len(factors):
+    while suffixes[-1] not in families and len(suffixes) <= len(factors):
         prev, atom = suffixes[-1], factors[len(suffixes) - 1]
         suffixes.append(tuple(tuple(_substitute(prev, w)) for w in atom.fwd))
-        fam = cache.families.get(suffixes[-1])
-    if len(suffixes) == len(factors) and suffixes[-1] != factors[-1].bwd:
-        raise AssertionError(f"the factors of {auto.key()} do not compose to it")
+    fam = families.get(suffixes[-1])
     if fam is None:
-        fam = _atom_depth1(factors[-1], budget)
-        cache.families[suffixes[-1]] = fam
+        if suffixes[-1] != tuple((x,) for x in range(1, auto.rank + 1)):
+            raise AssertionError(f"the factors of {auto.key()} do not compose to it")
+        fam = _identity_family(auto.rank)
     for i in range(len(suffixes) - 2, -1, -1):
-        fam = _family_from_factors(factors[i], suffixes[i + 1], fam, budget, cache)
-        cache.families[suffixes[i]] = fam
+        fam = families.get(suffixes[i]) or _family_from_factors(
+            factors[i], suffixes[i + 1], fam, budget
+        )
+        families[suffixes[i]] = fam
     return fam
 
 
 def _family_from_factors(
-    head: Automorphism, bwd: tuple, fam: dict, budget: Budget, cache: PartitionCache
+    head: Automorphism, bwd: tuple, fam: dict, budget: Budget
 ) -> dict[int, CylinderPartition]:
     """Family of head o rest, rest given by its inverse images and family:
     rest^-1 of head's closed-form preimages (module docstring), which are
@@ -582,28 +567,19 @@ def _family_from_factors(
         return {y: fam[head.inverse_letter_image(y)[0]] for y in alphabet(k)}
     s, a = _transvection_letters(head)
     out = dict(fam)
-    out[-s] = _preimage(bwd, fam, Word((a, -s)), budget, cache)
+    out[-s] = _preimage(bwd, fam, Word((a, -s)), budget)
     out[a] = _subtract(fam[a], out[-s], budget)
     out[-a] = _merge(k, [fam[-s], fam[-a]], budget)
     return out
 
 
-def _preimage(
-    bwd: tuple, fam: dict, u: Word, budget: Budget, cache: PartitionCache
-) -> CylinderPartition:
+def _preimage(bwd: tuple, fam: dict, u: Word, budget: Budget) -> CylinderPartition:
     """Preimage of Cyl(u) under the map with inverse images bwd and depth-1
-    families fam, cached by (bwd, u)."""
-    key = (bwd, u)
-    part = cache.partitions.get(key)
-    if part is not None:
-        return part
+    families fam."""
     if len(u) == 1:
-        part = fam[u[0]]
-    else:
-        # the translation identity: phi^-1(u' x) = phi^-1(u') * phi^-1(Cyl x)
-        part = _graft(fam[u[-1]], _substitute(bwd, u[:-1]), budget)
-    cache.partitions[key] = part
-    return part
+        return fam[u[0]]
+    # the translation identity: phi^-1(u' x) = phi^-1(u') * phi^-1(Cyl x)
+    return _graft(fam[u[-1]], _substitute(bwd, u[:-1]), budget)
 
 
 # -- public operations -------------------------------------------------------
@@ -620,7 +596,7 @@ def preimage_partition(
     u = _target(auto, u)
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
-    return _preimage(auto.bwd, fam, u, budget, cache)
+    return _preimage(auto.bwd, fam, u, budget)
 
 
 def _target(auto: Automorphism, u: Sequence[int]) -> Word:
@@ -796,7 +772,7 @@ def pushforward_current_value(
     u = _target(auto, u)
     budget, cache = _resolve(budget, cache)
     fam = _depth1_family(auto, budget, cache)
-    part = _preimage(auto.bwd, fam, u, budget, cache)
+    part = _preimage(auto.bwd, fam, u, budget)
     rest = _subtract(fam[u[0]], part, budget)
     den, num = _pair_mass(mu, {u: part, u[0]: rest}, {u: u[0], u[0]: u[0]})
     return Fraction(num[u], den)
@@ -840,7 +816,7 @@ def _table(
     """
     rank = auto.rank
     fam = _depth1_family(auto, budget, cache)
-    parts = {v: _preimage(auto.bwd, fam, v, budget, cache) for v in all_words(depth, rank)}
+    parts = {v: _preimage(auto.bwd, fam, v, budget) for v in all_words(depth, rank)}
     den, deep = _pair_mass(mu, parts, {v: v[0] for v in parts}, tiles=True)
     levels = [deep]
     for n in range(depth - 1, 0, -1):
@@ -883,7 +859,7 @@ def recenter(
     while True:
         step = None
         for c in extension_letters(v, auto.rank):
-            part = _preimage(auto.bwd, fam, Word(v + (c,)), budget, cache)
+            part = _preimage(auto.bwd, fam, Word(v + (c,)), budget)
             if partition_mass(mu, part) >= HALF:
                 step = c
                 break

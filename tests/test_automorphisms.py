@@ -267,8 +267,8 @@ def test_certificate_catches_a_wrong_image_through_either_factor(nielsen_map, si
 @pytest.mark.parametrize(
     "rank, expression, value, spent",
     [
-        (2, " * ".join(["W2[a; b:RIGHT]"] * 24), Fraction(2471258444209, 282429536481), 581),
-        (3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]", Fraction(42, 25), 44),
+        (2, " * ".join(["W2[a; b:RIGHT]"] * 24), Fraction(2471258444209, 282429536481), 578),
+        (3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]", Fraction(42, 25), 37),
     ],
     ids=["nielsen-power-24", "rank3-chain"],
 )
@@ -300,7 +300,7 @@ def test_cold_length_builds_each_suffix_once_without_brute_force(
 @pytest.mark.parametrize("wrong", ["nielsen-squared", "one-atom"])
 def test_factors_that_do_not_compose_to_the_map_are_an_engine_bug(nielsen_map, wrong):
     # an inverse pair whose factor chain is another map's: peeling the
-    # chain ends on inverse images that are not its last atom's
+    # chain ends on inverse images that are not the basis letters
     factors = {
         "nielsen-squared": compose(nielsen_map, nielsen_map).factors,
         "one-atom": parse_generator_expression(2, "W2[b; a:RIGHT]").factors,

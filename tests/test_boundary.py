@@ -14,6 +14,7 @@ from stretchfactor import (
     enumerate_signed_permutations,
     identity,
     inner,
+    length_exact,
     make_automorphism,
     parse_generator_expression,
     parse_word,
@@ -28,7 +29,6 @@ from stretchfactor.automorphisms import LEFT, RIGHT, _transvection
 from stretchfactor.boundary import (
     Budget,
     CylinderPartition,
-    _atom_depth1,
     _depth1_family,
     _family_from_factors,
     _graft,
@@ -515,23 +515,34 @@ def test_pushforward_table_builds_no_union(monkeypatch):
 
 def test_pushforward_table_builds_each_preimage_once():
     # The chain equals its last atom as a map, so assembling its families
-    # caches preimages under the chain's own keys; building the families
-    # first lets the table find them instead of building them again.
+    # meets that map twice and builds it once; the table then grafts each
+    # depth-2 preimage once from those families.
     auto = parse_generator_expression(2, "W2[A; b:LEFT] * W2[a; b:LEFT] * W2[A; b:LEFT]")
     assert auto == auto.factors[-1]
+    cache = PartitionCache()
+    families = Budget()
+    fam = _depth1_family(auto, families, cache)
+    assert families.spent == 6
     budget = Budget()
-    pushforward_table(auto, uniform_measure(2), 2, budget=budget)
-    assert budget.spent == 19
+    pushforward_table(auto, uniform_measure(2), 2, budget=budget, cache=cache)
+    grafts = sum(
+        _built_nodes(preimage_partition(auto, v, cache=cache), [fam[v[-1]]])
+        for v in all_words(2, 2)
+    )
+    assert budget.spent == grafts == 8
+    cold = Budget()
+    pushforward_table(auto, uniform_measure(2), 2, budget=cold)
+    assert cold.spent == families.spent + budget.spent
 
 
 def test_preimages_are_built_once_after_the_families():
-    # The same chain: assembling its families caches the preimage of ab
-    # under the map's own key, so a cold preimage finds it instead of
-    # building and spending it a second time (13 nodes when it did).
+    # The same chain: a cold preimage of ab builds the families, the
+    # repeated map once, and then one graft; with the families cached, a
+    # preimage or a recentering spends only what it grafts.
     auto = parse_generator_expression(2, "W2[A; b:LEFT] * W2[a; b:LEFT] * W2[A; b:LEFT]")
     budget = Budget()
     preimage_partition(auto, w("ab"), budget=budget)
-    assert budget.spent == 12
+    assert budget.spent == 7
     calls = {
         "preimage": lambda b, c: preimage_partition(auto, w("ab"), budget=b, cache=c),
         "recenter": lambda b, c: recenter(auto, budget=b, cache=c),
@@ -780,8 +791,6 @@ def test_preimage_is_the_translated_union_of_the_other_families(rank, n_factors,
     fam = {a: preimage_partition(auto, (a,), cache=cache) for a in alphabet(rank)}
     g = auto.apply_inverse(u)
     leaves = [w for a, p in fam.items() if a != -u[-1] for w in p.leaves]
-    # cold, though assembling the families may have cached it
-    cache.partitions.pop((auto.bwd, u), None)
     budget = Budget()
     got = preimage_partition(auto, u, budget=budget, cache=cache)
     pieces = [p for x in leaves for p in translate_cylinder(g, x, rank)]
@@ -899,16 +908,18 @@ def test_recenter_ignores_inner_twist(nielsen_map):
 
 
 def test_sweep_receives_only_small_atoms(monkeypatch):
-    from stretchfactor import boundary, length_exact, parse_map_text
+    # every atom step reads the closed form of an atom that the sweep
+    # oracle checks (test_atom_families_match_sweep)
+    from stretchfactor import boundary, parse_map_text
 
     swept = []
-    closed_form = boundary._atom_depth1
+    step = boundary._family_from_factors
 
-    def recording(atom, budget):
-        swept.append(atom)
-        return closed_form(atom, budget)
+    def recording(head, *args):
+        swept.append(head)
+        return step(head, *args)
 
-    monkeypatch.setattr(boundary, "_atom_depth1", recording)
+    monkeypatch.setattr(boundary, "_family_from_factors", recording)
     maps = [
         parse_generator_expression(
             3, "W2[a; b:CONJ, c:LEFT] * inner[cA] * perm[a->C,c->b,b->a]"
@@ -924,9 +935,10 @@ def test_sweep_receives_only_small_atoms(monkeypatch):
         length_exact(auto, cache=PartitionCache())
     assert swept
     assert all(is_atom(f) for f in swept)
-    # A map that is not an atom has no closed-form family.
+    # A map that is not an atom has no closed-form step.
+    identity_family = _depth1_family(identity(2), Budget(), PartitionCache())
     with pytest.raises(AssertionError):
-        closed_form(inner(2, w("a")), Budget())
+        step(inner(2, w("a")), identity(2).bwd, identity_family, Budget())
 
 
 def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
@@ -934,7 +946,7 @@ def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
     # sorted while a length is computed: shortlex order is for output.
     import sys
 
-    from stretchfactor import boundary, eta_length, length_exact, markov_measure
+    from stretchfactor import boundary, eta_length, markov_measure
     from stretchfactor import rational_measure, words as words_module
 
     calls = {"trie": 0, "trie_in_pair_mass": 0, "word_key": 0, "pair_mass": 0}
@@ -1005,9 +1017,11 @@ def _atoms(rank):
 def test_atom_families_match_sweep(rank):
     for atom in _atoms(rank):
         budget = Budget()
-        assert _atom_depth1(atom, budget) == sweep_depth1(atom), atom.key()
-        # one node per emitted cylinder
-        expected = 2 * rank if atom.lipschitz() == (1, 1) else 4 * rank - 2
+        assert _depth1_family(atom, budget, PartitionCache()) == sweep_depth1(atom), atom.key()
+        # one step from the identity's families, which cost nothing: a
+        # signed permutation relabels them, and a transvection builds one
+        # dict each in its graft, its difference and its merge
+        expected = 0 if atom.lipschitz() == (1, 1) else 3
         assert budget.spent == expected, atom.key()
 
 
@@ -1015,7 +1029,7 @@ def test_atom_families_match_brute_force_rank2():
     # An atom's images lose at most one letter to cancellation, so five
     # letters below each cell decide every 3-letter image prefix.
     for atom in _atoms(2):
-        fam = _atom_depth1(atom, Budget())
+        fam = _depth1_family(atom, Budget(), PartitionCache())
         brute = brute_depth1(atom, frontier=9)
         assert brute is not None, atom.key()
         for c in alphabet(2):
@@ -1030,9 +1044,13 @@ def test_budget_limits_are_honest(nielsen_map):
 def test_partition_cache_hit_equals_recomputation(nielsen_map):
     cache = PartitionCache()
     part = preimage_partition(nielsen_map, w("ab"), cache=cache)
-    # an equal map built separately finds the entry: keys are inverse images, not objects
-    assert cache.partitions[(nielsen().bwd, w("ab"))] is part
-    assert preimage_partition(nielsen(), w("ab"), cache=cache) is part
+    # an equal map built separately finds the families: keys are inverse
+    # images, not objects, so only the graft of fam[b] is built again
+    fam = cache.families[nielsen().bwd]
+    budget = Budget()
+    assert preimage_partition(nielsen(), w("ab"), budget=budget, cache=cache) == part
+    assert budget.spent == _built_nodes(part, [fam[2]])
+    assert preimage_partition(nielsen(), w("a"), budget=budget, cache=cache) is fam[1]
     again = preimage_partition(nielsen_map, w("ab"), cache=PartitionCache())
     assert again == part
 
@@ -1046,8 +1064,8 @@ def test_partition_cache_keeps_each_rank():
     part2 = preimage_partition(nielsen(), w("ab"), cache=cache)
     assert part3.words == words("aa", "ab", "aB")
     assert part2 == preimage_partition(nielsen(), w("ab"), cache=PartitionCache())
-    assert cache.partitions[(rank3.bwd, w("a"))] == part3
-    assert cache.partitions[(nielsen().bwd, w("ab"))] == part2
+    assert set(cache.families) == {rank3.bwd, rank3.factors[-1].bwd, nielsen().bwd}
+    assert cache.families[rank3.bwd][1] is part3
     assert preimage_partition(rank3, w("a"), cache=cache) is part3
 
 
@@ -1075,7 +1093,7 @@ def test_atom_steps_match_leaf_by_leaf_assembly(rank, n_atoms, seed):
     for head in reversed(chain[:-1]):
         cache = PartitionCache()
         fam = _depth1_family(rest, Budget(), cache)
-        step = _family_from_factors(head, rest.bwd, fam, Budget(), cache)
+        step = _family_from_factors(head, rest.bwd, fam, Budget())
         expected = family_by_leaf_preimages(head, rest)
         assert {y: p.words for y, p in step.items()} == expected
         rest = compose(head, rest)
@@ -1084,10 +1102,10 @@ def test_atom_steps_match_leaf_by_leaf_assembly(rank, n_atoms, seed):
 
 
 def test_an_atom_step_builds_no_atom_family(monkeypatch):
-    from stretchfactor import boundary, length_exact
+    from stretchfactor import boundary
 
-    calls = {"atom": 0, "trie": 0}
-    atom_depth1, trie = boundary._atom_depth1, boundary._trie
+    calls = {"step": 0, "trie": 0}
+    step_fn, trie = boundary._family_from_factors, boundary._trie
 
     def counted(name, fn):
         def call(*args):
@@ -1095,7 +1113,7 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(boundary, "_atom_depth1", counted("atom", atom_depth1))
+    monkeypatch.setattr(boundary, "_family_from_factors", counted("step", step_fn))
     monkeypatch.setattr(boundary, "_trie", counted("trie", trie))
     for rank, expression, n in [
         (2, " * ".join(["W2[a; b:RIGHT]"] * 6), 6),
@@ -1106,8 +1124,9 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
         assert len(phi.factors) == n
         calls.update(dict.fromkeys(calls, 0))
         length_exact(phi, cache=PartitionCache())
-        # only the last atom's family is built, and no words are canonicalized
-        assert calls == {"atom": 1, "trie": 0}, expression
+        # every atom, the last one included, is one step from the
+        # identity's families, and no words are canonicalized
+        assert calls == {"step": n, "trie": 0}, expression
     # a signed permutation relabels the rest's partitions, spending nothing
     rest = parse_generator_expression(3, "W2[a; c:CONJ] * W2[b; a:RIGHT]")
     sigma = parse_generator_expression(3, "perm[a->C,c->b,b->a]")
@@ -1120,13 +1139,31 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
     assert budget.spent == 0
     # the transvection a -> ab (s = a, multiplier b) changes only the
     # families of s^-1 = A, b and B, and keeps every other one; it builds
-    # one preimage, that of bA, and new[b] = fam[b] minus it, so it adds
-    # one key to the cache and makes one merge, new[B] = fam[A] + fam[B]
+    # one preimage, that of bA, and new[b] = fam[b] minus it, and makes
+    # one merge, new[B] = fam[A] + fam[B]
     tau = _transvection(3, 1, 2, RIGHT)
-    keys = set(cache.partitions)
-    merged = []
+    grafted, merged = [], []
+    preimage = boundary._preimage
+
+    def recorded(bwd, fam, u, budget):
+        grafted.append((bwd, u))
+        return preimage(bwd, fam, u, budget)
+
+    monkeypatch.setattr(boundary, "_preimage", recorded)
     monkeypatch.setattr(boundary, "_merge", lambda *args: merged.append(args) or _merge(*args))
     step = _depth1_family(compose(tau, rest), Budget(), cache)
     assert {y for y in alphabet(3) if step[y] is not fam[y]} == {-1, 2, -2}
-    assert set(cache.partitions) - keys == {(rest.bwd, Word((2, -1)))}
+    assert grafted == [(rest.bwd, Word((2, -1)))]
     assert [parts for _, parts, _ in merged] == [[fam[-1], fam[-2]]]
+
+
+def test_a_chain_builds_a_map_it_meets_twice_once():
+    # t o t^-1 o psi is psi: assembling it from the identity meets psi
+    # twice, finds it cached the second time, and so spends what
+    # t^-1 o psi spends
+    psi = "W2[b; a:CONJ] * inner[ab]"
+    back = parse_generator_expression(2, "W2[a; b:RIGHT] * W2[A; b:RIGHT] * " + psi)
+    once = parse_generator_expression(2, "W2[A; b:RIGHT] * " + psi)
+    assert back == parse_generator_expression(2, psi)
+    nodes = [length_exact(phi, cache=PartitionCache()).nodes for phi in (back, once)]
+    assert nodes == [24, 24]

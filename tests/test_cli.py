@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from stretchfactor import InputError, parse_generator_expression
+from stretchfactor.boundary import Budget
 from stretchfactor.cli import run
 from stretchfactor.measures import dump_markov_spec, uniform_as_markov
 
@@ -320,6 +322,35 @@ def test_w2_entry_without_colon_is_input_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "expression",
+    [
+        "W2[a; c:RIGHT]",
+        "W2[a; b:RIGHT, c:LEFT]",
+        "W2[a; b:RIGHT, b:CONJ]",
+        "perm[a->b, a->b, b->a]",
+    ],
+)
+def test_entry_outside_the_rank_or_named_twice_is_input_error(expression):
+    # at rank 2 there is no letter c, and no letter may be named twice
+    with pytest.raises(InputError):
+        parse_generator_expression(2, expression)
+    code, _ = invoke(["length", "--rank", "2", "--map", expression])
+    assert code == 2
+
+
+def test_negative_budget_is_input_error():
+    # a signed permutation spends nothing, so a budget of 0 admits it and
+    # only the sign check refuses -1
+    argv = ["length", "--rank", "2", "--map", "perm[a->b,b->a]", "--budget"]
+    code, out = invoke(argv + ["0"])
+    assert code == 0 and out.splitlines()[-1] == "nodes = 0"
+    code, _ = invoke(argv + ["-1"])
+    assert code == 2
+    with pytest.raises(InputError):
+        Budget(-1)
+
+
+@pytest.mark.parametrize(
     "good, bad", [('"1/4"', '"1/x"'), ('"rank": 2', '"rank": "two"')]
 )
 def test_malformed_markov_entry_is_input_error(tmp_path, capsys, good, bad):
@@ -356,15 +387,16 @@ def test_engine_value_error_is_not_an_input_error(monkeypatch):
 
 
 def test_budget_admits_feasible_rank8_move():
-    # one transvection: 4k - 2 = 30 nodes, and a budget of exactly that
-    # much suffices; nothing refuses it up front from a whole-tree estimate
+    # one transvection: one dict each for its graft, its difference and
+    # its merge, 3 nodes at any rank, and a budget of exactly that much
+    # suffices; nothing refuses it up front from a whole-tree estimate
     argv = ["length", "--rank", "8", "--map", "W2[a; b:RIGHT]"]
     code, out = invoke(argv)
     assert code == 0
     assert out.splitlines()[0].startswith("length = 133/120 ")
-    assert out.splitlines()[-1] == "nodes = 30"
-    assert invoke(argv + ["--budget", "30"]) == (code, out)
-    code, _ = invoke(argv + ["--budget", "29"])
+    assert out.splitlines()[-1] == "nodes = 3"
+    assert invoke(argv + ["--budget", "3"]) == (code, out)
+    code, _ = invoke(argv + ["--budget", "2"])
     assert code == 3
 
 
@@ -374,9 +406,9 @@ def test_budget_admits_feasible_rank8_move():
         pytest.param(rank, expression, nodes, id=f"{rank}-{expression}")
         # the id names the input only, so re-pinning a count keeps the name
         for rank, expression, nodes in [
-            (3, "W2[a; c:CONJ]", 13),
-            (4, "inner[a]", 29),
-            (2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]", 22),
+            (3, "W2[a; c:CONJ]", 6),
+            (4, "inner[a]", 18),
+            (2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]", 16),
         ]
     ],
 )

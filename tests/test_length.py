@@ -177,7 +177,7 @@ def test_repeated_calls_share_no_cache():
     # Without a caller's cache each call starts empty: the same node count
     # every time, and a budget that is too small fails every time.
     phi = parse_generator_expression(3, "W2[a; c:CONJ]")
-    assert [length_exact(phi).nodes for _ in range(2)] == [13, 13]
+    assert [length_exact(phi).nodes for _ in range(2)] == [6, 6]
     for _ in range(2):
         with pytest.raises(ResourceLimitError):
             length_exact(phi, budget=5)

@@ -31,45 +31,45 @@ POOLS = PERFBENCH / "pools"
 
 # Budget.spent of each sampled input, as the engine spends it.
 SPENT = {
-    "chain2-0010": 4, "chain2-0019": 4, "chain2-0034": 10, "chain2-0060": 11,
-    "chain2-0068": 11, "chain2-0095": 23, "chain2-0096": 16, "chain2-0113": 41,
-    "chain2-0128": 52, "chain2-0144": 42, "chain2-0175": 36, "chain2-0184": 34,
-    "chain2-0198": 74, "chain2-0221": 42, "chain2-0237": 63, "chain2-0247": 54,
-    "chain2-0258": 87, "chain2-0284": 88, "chain2-0295": 173, "chain2-0318": 96,
-    "chain2-0324": 115, "chain2-0345": 141, "chain2-0361": 210, "chain2-0374": 89,
-    "chain3-0006": 6, "chain3-0015": 6, "chain3-0025": 17, "chain3-0039": 13,
-    "chain4-0011": 8, "chain4-0014": 17, "chain4-0025": 29, "chain4-0044": 20,
-    "nielsen-0000": 6, "nielsen-0001": 9, "nielsen-0002": 14, "nielsen-0003": 21,
-    "nielsen-0004": 30, "nielsen-0005": 41, "nielsen-0006": 54, "nielsen-0007": 69,
-    "nielsen-0008": 86, "nielsen-0009": 105, "nielsen-0010": 126, "nielsen-0011": 149,
-    "nielsen-0012": 174, "nielsen-0013": 201, "nielsen-0014": 230,
-    "nielsen-0015": 261, "nielsen-0016": 294, "nielsen-0017": 329,
-    "nielsen-0018": 366, "nielsen-0019": 405, "nielsen-0020": 446,
-    "nielsen-0021": 489, "nielsen-0022": 534, "nielsen-0023": 581,
-    "nielsen-0024": 630, "nielsen-0025": 681, "nielsen-0026": 734,
-    "nielsen-0027": 789, "nielsen-0028": 846, "nielsen-0029": 905,
-    "nielsen-0030": 966, "raw2-0017": 4, "raw2-0023": 6, "raw2-0055": 4,
-    "markov-0004": 4, "markov-0015": 10, "markov-0018": 4, "markov-0027": 10,
-    "markov-0035": 18, "markov-0046": 12, "markov-0052": 16, "markov-0058": 39,
-    "markov-0068": 23, "markov-0074": 33, "markov-0087": 58, "markov-0095": 53,
-    "rational-0005": 6, "rational-0008": 4, "rational-0017": 10, "rational-0026": 21,
-    "rational-0038": 15, "rational-0042": 20, "rational-0054": 18,
-    "rational-0058": 20, "rational-0068": 31, "rational-0074": 36,
-    "rational-0084": 46, "rational-0094": 64, "uniform_as_markov-0003": 4,
-    "uniform_as_markov-0011": 9, "uniform_as_markov-0017": 10,
-    "uniform_as_markov-0028": 18, "uniform_as_markov-0037": 15,
-    "uniform_as_markov-0046": 30, "uniform_as_markov-0048": 27,
-    "uniform_as_markov-0057": 34, "uniform_as_markov-0070": 35,
-    "uniform_as_markov-0072": 33, "uniform_as_markov-0083": 24,
-    "uniform_as_markov-0090": 64,
+    "chain2-0010": 0, "chain2-0019": 0, "chain2-0034": 6, "chain2-0060": 7,
+    "chain2-0068": 7, "chain2-0095": 20, "chain2-0096": 9, "chain2-0113": 32,
+    "chain2-0128": 49, "chain2-0144": 29, "chain2-0175": 32, "chain2-0184": 31,
+    "chain2-0198": 62, "chain2-0221": 35, "chain2-0237": 60, "chain2-0247": 42,
+    "chain2-0258": 79, "chain2-0284": 82, "chain2-0295": 141, "chain2-0318": 82,
+    "chain2-0324": 101, "chain2-0345": 127, "chain2-0361": 191, "chain2-0374": 69,
+    "chain3-0006": 0, "chain3-0015": 0, "chain3-0025": 11, "chain3-0039": 6,
+    "chain4-0011": 0, "chain4-0014": 6, "chain4-0025": 21, "chain4-0044": 12,
+    "nielsen-0000": 3, "nielsen-0001": 6, "nielsen-0002": 11, "nielsen-0003": 18,
+    "nielsen-0004": 27, "nielsen-0005": 38, "nielsen-0006": 51, "nielsen-0007": 66,
+    "nielsen-0008": 83, "nielsen-0009": 102, "nielsen-0010": 123, "nielsen-0011": 146,
+    "nielsen-0012": 171, "nielsen-0013": 198, "nielsen-0014": 227,
+    "nielsen-0015": 258, "nielsen-0016": 291, "nielsen-0017": 326,
+    "nielsen-0018": 363, "nielsen-0019": 402, "nielsen-0020": 443,
+    "nielsen-0021": 486, "nielsen-0022": 531, "nielsen-0023": 578,
+    "nielsen-0024": 627, "nielsen-0025": 678, "nielsen-0026": 731,
+    "nielsen-0027": 786, "nielsen-0028": 843, "nielsen-0029": 902,
+    "nielsen-0030": 963, "raw2-0017": 0, "raw2-0023": 3, "raw2-0055": 0,
+    "markov-0004": 0, "markov-0015": 6, "markov-0018": 0, "markov-0027": 6,
+    "markov-0035": 13, "markov-0046": 8, "markov-0052": 12, "markov-0058": 32,
+    "markov-0068": 20, "markov-0074": 27, "markov-0087": 43, "markov-0095": 38,
+    "rational-0005": 3, "rational-0008": 0, "rational-0017": 7, "rational-0026": 18,
+    "rational-0038": 12, "rational-0042": 10, "rational-0054": 15,
+    "rational-0058": 17, "rational-0068": 25, "rational-0074": 28,
+    "rational-0084": 40, "rational-0094": 51, "uniform_as_markov-0003": 0,
+    "uniform_as_markov-0011": 6, "uniform_as_markov-0017": 6,
+    "uniform_as_markov-0028": 15, "uniform_as_markov-0037": 11,
+    "uniform_as_markov-0046": 26, "uniform_as_markov-0048": 24,
+    "uniform_as_markov-0057": 31, "uniform_as_markov-0070": 27,
+    "uniform_as_markov-0072": 27, "uniform_as_markov-0083": 20,
+    "uniform_as_markov-0090": 58,
 }
 
 # Budget.spent of each sampled whitehead input.
 WHITEHEAD_SPENT = {
-    "factorize2-0002": 9, "factorize2-0046": 9, "factorize2-0075": 21,
-    "factorize2-0094": 21, "factorize2-0135": 33, "factorize3-0004": 19,
-    "factorize3-0035": 31, "spectrum-0000": 16, "spectrum-0001": 48,
-    "spectrum-0002": 164,
+    "factorize2-0002": 6, "factorize2-0046": 6, "factorize2-0075": 18,
+    "factorize2-0094": 18, "factorize2-0135": 27, "factorize3-0004": 12,
+    "factorize3-0035": 24, "spectrum-0000": 12, "spectrum-0001": 44,
+    "spectrum-0002": 160,
 }
 
 

@@ -307,7 +307,7 @@ def test_factorize_builds_no_candidate_map(monkeypatch):
     # table, which is one pair-sum walk, and composes only the chosen
     # move; recomposing the report composes twice more.  Measuring each
     # of the 90 candidate maps instead would take 184 compositions, 185
-    # walks and, with one shared cache, 635 nodes (two steps of
+    # walks and, with one shared cache, 628 nodes (two steps of
     # oracles.descent_step_by_lengths).
     with open(POOLS / "whitehead.json", encoding="utf-8") as fh:
         entry = next(e for e in json.load(fh)["entries"] if e["id"] == "factorize3-0020")
@@ -331,4 +331,4 @@ def test_factorize_builds_no_candidate_map(monkeypatch):
     assert rep.lengths == (1, F(6, 5), F(7, 5))
     assert len(rep.taus) == 2
     assert counts == {"compose": 2 * 2, "walks": 2 * 1}
-    assert budget.spent == 61
+    assert budget.spent == 55
