@@ -309,58 +309,48 @@ def _partition(
 
 
 def _merge(
-    rank: int, parts: Sequence[CylinderPartition], budget: Optional[Budget] = None
+    a: CylinderPartition, b: CylinderPartition, budget: Optional[Budget] = None
 ) -> CylinderPartition:
-    """Union of disjoint partitions, sharing their subtrees.
+    """Union of two disjoint partitions, sharing their subtrees.
 
-    A node that two inputs both reach is copied, and only there are
-    complete sibling sets coalesced; every other subtree is reused.
-    Spends one node per dict it builds that the union keeps: the copies,
-    and an input's stem below the common one, spelled out one dict per
-    letter.  Overlapping labels raise AssertionError.
+    Both stems are spelled below their common prefix m by `root`, and the
+    two tries are walked together.  A node both reach is copied, and only
+    there are complete sibling sets coalesced; every other subtree is
+    reused.  Spends one node per dict it builds that the union keeps: the
+    copies, and the spelled stem dicts the walk does not enter, which
+    hang whole.  Overlapping labels raise AssertionError.
     """
-    parts = [p for p in parts if p.size]
-    if len(parts) <= 1:
-        return parts[0] if parts else CylinderPartition(rank, (), {}, 0)
-    m = len(commonprefix([p.stem for p in parts]))
-    # spelled[id(d)]: the dicts from d down, for each dict spelling a stem
-    spelled: dict = {}
-    nodes = []
-    for p in parts:
-        node = p.trie
-        for i, c in enumerate(reversed(p.stem[m:])):
-            node = {c: node}
-            spelled[id(node)] = i + 1
-        nodes.append(node)
+    if not b.size:
+        return a
+    if not a.size:
+        return b
+    rank, m = a.rank, len(commonprefix([a.stem, b.stem]))
+    la, lb = len(a.stem) - m, len(b.stem) - m
     full = 2 * rank - 1
-    lost = built = 0
+    size, built = a.size + b.size, la + lb
 
-    def merge(nodes: list, needed: int):
-        nonlocal lost, built
-        out = dict(nodes[0])
-        shared: dict = {}
-        for node in nodes[1:]:
-            for c, child in node.items():
-                first = out.get(c)
-                if first is None:
-                    out[c] = child
-                elif c in shared:
-                    shared[c].append(child)
-                else:
-                    shared[c] = [first, child]
-        for c, kids in shared.items():
-            if any(type(kid) is not dict for kid in kids):
+    def merge(x: dict, y: dict, depth: int):
+        nonlocal size, built
+        # the spelled dicts at this depth are copied, not kept
+        built -= (depth < la) + (depth < lb)
+        out = dict(x)
+        for c, child in y.items():
+            have = out.get(c)
+            if have is None:
+                out[c] = child
+            elif type(have) is not dict or type(child) is not dict:
                 raise AssertionError("overlapping cylinders across disjoint partitions")
-            out[c] = merge(kids, full)
+            else:
+                out[c] = merge(have, child, depth + 1)
+        needed = full + (m + depth == 0)
         if _complete(out, needed):
-            lost += needed - 1
+            size -= needed - 1
             return _LEAF
-        built += 1 + sum(spelled.get(id(child), 0) for child in out.values())
+        built += 1
         return out
 
-    node = merge(nodes, full + 1 if m == 0 else full)
-    size = sum(p.size for p in parts) - lost
-    return _partition(rank, parts[0].stem[:m], node, size, built, budget)
+    node = merge(a.root(m), b.root(m), 0)
+    return _partition(rank, a.stem[:m], node, size, built, budget)
 
 
 def _subtract(
@@ -569,7 +559,7 @@ def _family_from_factors(
     out = dict(fam)
     out[-s] = _preimage(bwd, fam, Word((a, -s)), budget)
     out[a] = _subtract(fam[a], out[-s], budget)
-    out[-a] = _merge(k, [fam[-s], fam[-a]], budget)
+    out[-a] = _merge(fam[-s], fam[-a], budget)
     return out
 
 

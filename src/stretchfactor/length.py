@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .automorphisms import Automorphism
-from .boundary import Budget, PartitionCache, _depth1_family, _pair_mass, _resolve
+from .boundary import Budget, PartitionCache, _resolve, _table
 from .errors import InputError
 from .measures import FrequencyMeasure, uniform_measure
 from .words import alphabet, cyclic_length, random_reduced
@@ -66,14 +66,13 @@ def eta_length(
 
     The term of letter x is the pushed-forward current of Cyl[1, x]: the
     pair sum of the families of the other letters against that of x.
-    The 2k terms share one denominator, so the value is their summed
-    numerators over it; the walk checks that the families tile the
-    boundary.  A measure of another rank than the map raises InputError.
+    The 2k terms are the depth-1 pushforward table, over one common
+    denominator, so the value is their summed numerators over it; the
+    table's walk checks that the families tile the boundary.  A measure of another rank than the map raises InputError.
     """
     budget, cache = _resolve(budget, cache)
-    fam = _depth1_family(auto, budget, cache)
-    den, num = _pair_mass(mu, fam, {x: x for x in fam}, tiles=True)
-    breakdown = {x: Fraction(num[x], den) for x in alphabet(auto.rank)}
+    den, num = _table(auto, mu, 1, budget, cache)
+    breakdown = {x: Fraction(num[(x,)], den) for x in alphabet(auto.rank)}
     return LengthReport(
         value=Fraction(sum(num.values()), den),
         breakdown=breakdown,

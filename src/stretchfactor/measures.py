@@ -207,13 +207,17 @@ def load_markov_spec(text: str) -> MarkovSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"markov spec is not valid JSON: {e}") from e
+    doc = _object(doc, "document")
     try:
         rank = _parse_rank(doc["rank"])
         mass = parse_frac(str(doc["mass"]))
-        p = {parse_letter(x): parse_frac(str(q)) for x, q in doc["p"].items()}
+        p = {parse_letter(x): parse_frac(str(q)) for x, q in _object(doc["p"], "p").items()}
         rows = {
-            parse_letter(x): {parse_letter(y): parse_frac(str(q)) for y, q in row.items()}
-            for x, row in doc["P"].items()
+            parse_letter(x): {
+                parse_letter(y): parse_frac(str(q))
+                for y, q in _object(row, f"row {x} of P").items()
+            }
+            for x, row in _object(doc["P"], "P").items()
         }
     except (KeyError, TypeError) as e:
         raise InputError(f"markov spec is missing field {e}") from e
@@ -221,10 +225,15 @@ def load_markov_spec(text: str) -> MarkovSpec:
 
 
 def _parse_rank(value) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise InputError(f"markov spec rank {value!r} is not an integer") from None
+    if type(value) is not int:
+        raise InputError(f"markov spec rank {json.dumps(value)} is not an integer")
+    return value
+
+
+def _object(value, name: str) -> dict:
+    if type(value) is not dict:
+        raise InputError(f"markov spec {name} must be a JSON object, not {json.dumps(value)}")
+    return value
 
 
 def read_markov_file(path: str) -> MarkovSpec:

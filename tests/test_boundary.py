@@ -182,7 +182,8 @@ def test_merge_of_a_family_cut_in_two(rank, seed):
     rng.shuffle(family)
     cut = rng.randint(0, len(family))
     halves = [CylinderPartition.from_words(rank, ws) for ws in (family[:cut], family[cut:])]
-    _assert_same_partition(_merge(rank, halves), CylinderPartition.from_words(rank, family))
+    whole = _merge(*halves)
+    _assert_same_partition(whole, CylinderPartition.from_words(rank, family))
     # a proper prefix or an extension of a member overlaps it
     member = rng.choice(family)
     if len(member) > 1 and rng.random() < 0.5:
@@ -190,17 +191,30 @@ def test_merge_of_a_family_cut_in_two(rank, seed):
     else:
         extra = Word(member + (rng.choice(extension_letters(member, rank)),))
     with pytest.raises(AssertionError, match="overlapping"):
-        _merge(rank, [halves[0], CylinderPartition.from_words(rank, [extra]), halves[1]])
+        _merge(whole, CylinderPartition.from_words(rank, [extra]))
 
 
 def test_merge_coalesces_and_shares_subtrees():
     deep = CylinderPartition.from_words(2, words("bab", "baB"))
     left = CylinderPartition.from_words(2, words("ab", "aB"))
-    merged = _merge(2, [left, CylinderPartition.from_words(2, words("aa")), deep])
+    merged = _merge(_merge(left, CylinderPartition.from_words(2, words("aa"))), deep)
     assert merged.words == words("a", "bab", "baB") and len(merged) == 3
     # a subtree only one input reaches is the input's own
     assert merged.trie[2][1] is deep.trie
-    assert _merge(2, [left]) is left
+    assert _merge(left, CylinderPartition.from_words(2, ())) is left
+    # each stem is spelled below the common prefix, one dict per letter;
+    # the union keeps those the walk does not enter
+    for a, b, spent in [
+        (("aba", "abb"), ("aBa", "aBB"), 1),
+        (("abab", "abaB"), ("aBa", "aBB"), 2),
+        # the second stem is walked twice, then hung
+        (("aa", "abA", "abb"), ("ababa", "ababb"), 3),
+    ]:
+        parts = [CylinderPartition.from_words(2, words(*ws)) for ws in (a, b)]
+        budget = Budget()
+        union = _merge(*parts, budget)
+        _assert_same_partition(union, CylinderPartition.from_words(2, words(*a, *b)))
+        assert budget.spent == _built_nodes(union, parts) == spent
 
 
 def _translated_family(rank, rng):
@@ -291,21 +305,25 @@ def test_graft_and_merge_spend_the_nodes_they_build(rank, seed):
     budget = Budget()
     grafted = _graft(part, g, budget)
     assert budget.spent == _built_nodes(grafted, [part])
-    # a translated family cut into up to four pieces, merged back
+    # a translated family cut in two, merged back
     family = list(grafted.leaves)
     rng.shuffle(family)
-    cuts = sorted(rng.randint(0, len(family)) for _ in range(3))
-    bounds = [0, *cuts, len(family)]
-    pieces = [CylinderPartition.from_words(rank, family[i:j]) for i, j in zip(bounds, bounds[1:])]
+    cut = rng.randint(0, len(family))
+    pieces = [CylinderPartition.from_words(rank, ws) for ws in (family[:cut], family[cut:])]
     budget = Budget()
-    merged = _merge(rank, pieces, budget)
+    merged = _merge(*pieces, budget)
     _assert_same_partition(merged, grafted)
     assert budget.spent == _built_nodes(merged, pieces)
     # a union that coalesces to one label builds the dict that holds it
     label = rng.choice(family)
     children = [label + (c,) for c in extension_letters(label, rank)]
+    half = len(children) // 2
     budget = Budget()
-    whole = _merge(rank, [CylinderPartition.from_words(rank, [c]) for c in children], budget)
+    whole = _merge(
+        CylinderPartition.from_words(rank, children[:half]),
+        CylinderPartition.from_words(rank, children[half:]),
+        budget,
+    )
     assert whole.words == (label,) and budget.spent == 1
     # a difference builds only the dicts on the removed cells' paths, and
     # an empty one holds none
@@ -484,9 +502,9 @@ def test_pushforward_table_builds_no_union(monkeypatch):
     merge = boundary._merge
     built = []
 
-    def counting(rank, parts, *budget):
-        built.append(rank)
-        return merge(rank, parts, *budget)
+    def counting(*args):
+        built.append(args)
+        return merge(*args)
 
     # with the families built, a preimage grafts one family and a pair
     # sum walks the deepest preimages side by side: nothing merges
@@ -974,7 +992,6 @@ def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "stretchfactor":
             continue
-        # eta_length binds _pair_mass in its own module
         if getattr(module, "_pair_mass", None) is pair_mass:
             monkeypatch.setattr(module, "_pair_mass", flagged_pair_mass)
         if getattr(module, "word_key", None) is word_key:
@@ -1154,7 +1171,7 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
     step = _depth1_family(compose(tau, rest), Budget(), cache)
     assert {y for y in alphabet(3) if step[y] is not fam[y]} == {-1, 2, -2}
     assert grafted == [(rest.bwd, Word((2, -1)))]
-    assert [parts for _, parts, _ in merged] == [[fam[-1], fam[-2]]]
+    assert [(a, b) for a, b, _ in merged] == [(fam[-1], fam[-2])]
 
 
 def test_a_chain_builds_a_map_it_meets_twice_once():

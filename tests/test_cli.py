@@ -11,7 +11,7 @@ import pytest
 from stretchfactor import InputError, parse_generator_expression
 from stretchfactor.boundary import Budget
 from stretchfactor.cli import run
-from stretchfactor.measures import dump_markov_spec, uniform_as_markov
+from stretchfactor.measures import dump_markov_spec, load_markov_spec, uniform_as_markov
 
 
 def invoke(argv):
@@ -363,6 +363,28 @@ def test_malformed_markov_entry_is_input_error(tmp_path, capsys, good, bad):
     )
     assert code == 2
     assert bad.split(": ")[-1].strip('"') in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(None, []), ("p", []), ("P", []), ("P", {"a": 3}), ("rank", 2.9), ("rank", True)],
+)
+def test_markov_field_of_the_wrong_json_type_is_input_error(tmp_path, capsys, field, value):
+    # field None replaces the whole document
+    doc = json.loads(dump_markov_spec(uniform_as_markov(2)))
+    text = json.dumps(value if field is None else dict(doc, **{field: value}))
+    with pytest.raises(InputError):
+        load_markov_spec(text)
+    path = tmp_path / "markov.json"
+    path.write_text(text)
+    for argv in (
+        ["check-current", "--rank", "2", "--measure", f"markov:{path}", "--depth", "2"],
+        ["length", "--rank", "2", "--map", "W2[a; b:RIGHT]", "--measure", f"markov:{path}"],
+    ):
+        code, _ = invoke(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: markov spec") and "Traceback" not in err
 
 
 def test_missing_markov_file_is_input_error(tmp_path, capsys):

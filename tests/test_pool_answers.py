@@ -174,18 +174,23 @@ def test_pooled_whitehead_answer_and_nodes(entry):
 @pytest.mark.parametrize("workload", ["length-cold", "currents", "whitehead"])
 def test_every_pooled_answer(monkeypatch, workload):
     # the benchmark's own prepare, execute and check, one fresh budget and
-    # cache per input; importing writes no bytecode under perfbench/
+    # cache per input; importing writes no bytecode under perfbench/.  The
+    # pool's total spend pins the node counts of the inputs SPENT omits.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     workloads = importlib.import_module("workloads")
     wrong = []
+    spent = 0
     entries = workloads.load_pool(workload)
     for entry in entries:
         prepared = workloads.prepare(sf, entry)
-        answer = workloads.execute(sf, entry, prepared, sf.Budget(), sf.PartitionCache())
+        budget = sf.Budget()
+        answer = workloads.execute(sf, entry, prepared, budget, sf.PartitionCache())
+        spent += budget.spent
         try:
             workloads.check(entry, answer)
         except workloads.WrongAnswer as e:
             wrong.append(str(e))
     assert wrong == []
     assert len(entries) == {"length-cold": 571, "currents": 288, "whitehead": 194}[workload]
+    assert spent == {"length-cold": 57893, "currents": 10815, "whitehead": 5356}[workload]

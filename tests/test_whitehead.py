@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stretchfactor.boundary as boundary_module
-import stretchfactor.length as length_module
 import stretchfactor.whitehead as whitehead_module
 from stretchfactor import (
     Budget,
@@ -325,7 +324,6 @@ def test_factorize_builds_no_candidate_map(monkeypatch):
 
     monkeypatch.setattr(whitehead_module, "compose", counted_compose)
     monkeypatch.setattr(boundary_module, "_pair_mass", counted_pair_mass)
-    monkeypatch.setattr(length_module, "_pair_mass", counted_pair_mass)
     budget = Budget()
     rep = factorize(phi, budget=budget)
     assert rep.lengths == (1, F(6, 5), F(7, 5))
