@@ -13,6 +13,15 @@ always has a certified inverse available.  Every map also factors into
 atoms of two kinds, elementary transvections and signed permutations,
 whose preimage families the boundary engine knows in closed form; it
 reads each suffix of that chain as inverse images alone, not as a map.
+
+Maps are read from text in one entry grammar.  A raw map is a list of
+`x->w` entries, one per basis letter (`parse_map_text`); a generator
+expression multiplies `W2[m; x:TYPE, ...]`, `perm[x->y, ...]` and
+`inner[w]` with `*`, the left factor applied last.  Every entry list is
+split on commas and empty entries are skipped.  Each key is a lowercase
+basis letter of the rank, named at most once (in W2, not the
+multiplier's), and an error names the offending entry.  A raw map needs
+every letter; perm and W2 fix the letters they omit.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ from .words import (
     alphabet,
     cancellation,
     concat,
-    cyclic_reduce,
     format_letter,
     format_word,
     free_reduce,
@@ -40,6 +48,7 @@ from .words import (
     parse_letter,
     parse_word,
     validate_rank,
+    word_key,
 )
 
 FIX, RIGHT, LEFT, CONJ = "FIX", "RIGHT", "LEFT", "CONJ"
@@ -201,15 +210,19 @@ def make_automorphism(
 
     def as_tuple(maps) -> tuple[Word, ...]:
         if isinstance(maps, dict):
-            missing = [x for x in range(1, rank + 1) if x not in maps]
-            if missing:
-                raise InputError(
-                    f"missing image for {', '.join(format_letter(x) for x in missing)}"
-                )
+            _require_every_letter(rank, maps)
             return tuple(Word(maps[x]) for x in range(1, rank + 1))
         return tuple(Word(w) for w in maps)
 
     return Automorphism(rank, as_tuple(fwd), as_tuple(bwd))
+
+
+def _require_every_letter(rank: int, images: dict) -> None:
+    missing = [x for x in range(1, rank + 1) if x not in images]
+    if missing:
+        raise InputError(
+            f"missing image for {', '.join(format_letter(x) for x in missing)}"
+        )
 
 
 def identity(rank: int) -> Automorphism:
@@ -517,70 +530,130 @@ def _nielsen_moves(k: int, images: tuple, total: int):
                     yield (x, a, side), size, images[: x - 1] + (new,) + images[x:]
 
 
-# -- simplicity test -----------------------------------------------------
+# -- conjugation ------------------------------------------------------------
+
+
+def _tuple_sort_key(images: tuple[Word, ...]) -> tuple:
+    return tuple(word_key(w) for w in images)
+
+
+def _conjugate(c: int, images: tuple) -> tuple:
+    """Images of x -> c phi(x) c^-1, given the reduced images of phi."""
+    out = []
+    for w in images:
+        w = w[1:] if w and w[0] == -c else (c,) + w
+        out.append(w[:-1] if w and w[-1] == c else w + (-c,))
+    return tuple(out)
+
+
+def _deltas(images: tuple) -> dict[int, int]:
+    """The change of the total image length under conjugation by each letter.
+
+    Conjugating a reduced nonempty image by c drops its first letter if
+    that is c^-1 and its last if that is c, and adds a letter at each
+    other end, so the total changes by 2k - 2(F(c^-1) + E(c)), where
+    F(c^-1) counts the images that start with c^-1 and E(c) those that
+    end with c.
+    """
+    deltas = dict.fromkeys(alphabet(len(images)), 2 * len(images))
+    for w in images:
+        deltas[-w[0]] -= 2
+        deltas[w[-1]] -= 2
+    return deltas
+
+
+def _shortest_conjugate(images) -> tuple[tuple, list[int]]:
+    """(psi, v) with psi of least total length and phi(x) = v psi(x) v^-1.
+
+    The cost u -> sum of |u phi(x) u^-1| is convex on the Cayley tree, so
+    single-letter conjugations that shrink it reach a global minimum.  At
+    rank >= 2 a minimum of total length k, every image one letter, is the
+    only minimum, since conjugating it by any letter adds at least 2k - 2.
+    """
+    current = tuple(tuple(w) for w in images)
+    v: list[int] = []
+    deltas = _deltas(current)
+    improved = True
+    while improved:
+        improved = False
+        for c in alphabet(len(current)):
+            if deltas[c] < 0:
+                current = _conjugate(c, current)
+                v.append(-c)
+                deltas = _deltas(current)
+                improved = True
+    return current, v
+
+
+def _normalize(images) -> tuple[Word, ...]:
+    """Conjugation normal form: the least tuple among the shortest conjugates.
+
+    The minimizers of the cost form a finite subtree, the equal-cost
+    plateau around `_shortest_conjugate`'s, which is walked whole.
+    """
+    current = _shortest_conjugate(images)[0]
+    seen = {current}
+    queue = [current]
+    while queue:
+        phi = queue.pop()
+        for c, delta in _deltas(phi).items():
+            if delta == 0:
+                psi = _conjugate(c, phi)
+                if psi not in seen:
+                    seen.add(psi)
+                    queue.append(psi)
+    return tuple(Word(w) for w in min(seen, key=_tuple_sort_key))
 
 
 def is_simple(phi: Automorphism) -> Optional[tuple[Word, SignedPermutation]]:
     """Find (v, pi) with phi(x) = v pi(x) v^-1 for all x, if they exist.
 
-    Each image must cyclically reduce to a single letter; writing
-    phi(x) = u_x p_x u_x^-1 exactly, any valid conjugator lies in
-    u_x <p_x> for every x, so candidates are enumerated from one letter
-    and verified on all.  The search is complete for |v| <= max |phi(x)|
-    and some witness is always that short.
+    phi is simple exactly when its shortest conjugate sends every basis
+    letter to one letter; v is then unique.
     """
-    cores: list[int] = []
-    conjs: list[Word] = []
-    for x in range(1, phi.rank + 1):
-        core, u = cyclic_reduce(phi.fwd[x - 1])
-        if len(core) != 1:
-            return None
-        cores.append(core[0])
-        conjs.append(u)
-    if sorted(abs(c) for c in cores) != list(range(1, phi.rank + 1)):
+    images, v = _shortest_conjugate(phi.fwd)
+    if any(len(w) != 1 for w in images):
         return None
-    pi = SignedPermutation(phi.rank, tuple(cores))
-    bound = max(len(w) for w in phi.fwd)
-    x0 = min(range(phi.rank), key=lambda i: len(conjs[i]))
-    u0, p0 = conjs[x0], Word((cores[x0],))
-    for m in range(-(bound - len(u0)), bound - len(u0) + 1):
-        power = Word(tuple(p0) * m if m >= 0 else tuple(inverse(p0)) * (-m))
-        v = concat(u0, power)
-        vi = inverse(v)
-        if all(
-            concat(v, concat(Word((cores[i],)), vi)) == phi.fwd[i]
-            for i in range(phi.rank)
-        ):
-            return v, pi
-    return None
+    return Word(v), SignedPermutation(phi.rank, tuple(w[0] for w in images))
 
 
 # -- text formats ---------------------------------------------------------
 
 
+def _entries(text: str, sep: str, keys: Sequence[int]) -> dict[int, str]:
+    """{key: value text} of the comma-separated `x<sep>value` entries of text.
+
+    Empty entries are skipped; each key must be one of `keys`, named once.
+    """
+    letters = {format_letter(x): x for x in keys}
+    out: dict[int, str] = {}
+    for entry in text.split(","):
+        entry = entry.strip()
+        if not entry:
+            continue
+        key, found, value = entry.partition(sep)
+        if not found:
+            raise InputError(f"expected 'x{sep}...' entries, got {entry!r}")
+        key = key.strip()
+        x = letters.get(key)
+        if x is None:
+            raise InputError(
+                f"entry {entry!r}: key {key!r} is not one of the letters "
+                f"{', '.join(letters)}"
+            )
+        if x in out:
+            raise InputError(f"entry {entry!r}: key {key!r} is named twice")
+        out[x] = value.strip()
+    return out
+
+
 def parse_map_text(rank: int, text: str) -> dict[int, Word]:
     """Parse 'a->a, b->ba' into basis-letter images."""
-    images: dict[int, Word] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "->" not in part:
-            raise InputError(f"expected 'x->word' entries, got {part!r}")
-        left, right = part.split("->", 1)
-        x = parse_letter(left.strip())
-        if x < 0:
-            raise InputError("map entries must be keyed by basis (lowercase) letters")
-        if x in images:
-            raise InputError(f"duplicate image for {left.strip()!r}")
-        w = parse_word(right.strip())
+    images = {}
+    for x, value in _entries(text, "->", range(1, rank + 1)).items():
+        images[x] = w = parse_word(value)
         validate_rank(w, rank)
-        images[x] = w
-    missing = [x for x in range(1, rank + 1) if x not in images]
-    if missing:
-        raise InputError(
-            f"missing image for {', '.join(format_letter(x) for x in missing)}"
-        )
+    _require_every_letter(rank, images)
     return images
 
 
@@ -613,47 +686,17 @@ def _parse_expr_atom(rank: int, text: str) -> Automorphism:
     if kind == "inner":
         return inner(rank, parse_word(body))
     if kind == "perm":
-        images = [0] * rank
-        for part in body.split(","):
-            if "->" not in part:
-                raise InputError(f"expected 'x->y' perm entries, got {part.strip()!r}")
-            left, right = part.split("->", 1)
-            x = parse_letter(left.strip())
-            y = parse_letter(right.strip())
-            if x < 0:
-                raise InputError("perm entries must be keyed by basis letters")
-            validate_rank((x,), rank)
-            if images[x - 1]:
-                raise InputError(f"duplicate perm entry for {left.strip()!r}")
-            images[x - 1] = y
-        for x in range(1, rank + 1):
-            if images[x - 1] == 0:
-                images[x - 1] = x
+        images = list(range(1, rank + 1))
+        for x, value in _entries(body, "->", range(1, rank + 1)).items():
+            images[x - 1] = y = parse_letter(value)
+            validate_rank((y,), rank)
         return SignedPermutation(rank, tuple(images)).automorphism()
     # W2[a; x:TYPE, ...] with unlisted basis letters fixed
-    if ";" in body:
-        head, rest = body.split(";", 1)
-    else:
-        head, rest = body, ""
+    head, _, rest = body.partition(";")
     a = parse_letter(head.strip())
     others = [x for x in range(1, rank + 1) if x != abs(a)]
-    types: dict[int, str] = {}
-    for part in rest.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" not in part:
-            raise InputError(f"expected 'x:TYPE' W2 entries, got {part!r}")
-        left, right = part.split(":", 1)
-        x = parse_letter(left.strip())
-        t = right.strip().upper()
-        if x < 0 or abs(x) == abs(a):
-            raise InputError(f"bad W2 entry {part!r}")
-        validate_rank((x,), rank)
-        if x in types:
-            raise InputError(f"duplicate W2 entry for {left.strip()!r}")
-        if t not in _W2_TYPES:
-            raise InputError(f"unknown W2 type {right.strip()!r}")
-        types[x] = t
-    move = WhiteheadSecondKind(rank, a, tuple(types.get(x, FIX) for x in others))
+    types = _entries(rest, ":", others)
+    move = WhiteheadSecondKind(
+        rank, a, tuple(types.get(x, FIX).upper() for x in others)
+    )
     return move.automorphism()

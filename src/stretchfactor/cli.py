@@ -252,12 +252,16 @@ def _dispatch(args) -> int:
             lines.append(f"min gap = {gap}")
             _emit(lines)
     elif args.command == "check-current":
-        if not measures.consistency_check(_measure(args), args.depth):
+        # a Markov spec is read once, for the measure and the criterion both
+        spec = None
+        if args.measure.startswith("markov:"):
+            spec = measures._markov_spec(args.rank, args.measure.split(":", 1)[1])
+        mu = _measure(args) if spec is None else measures.markov_measure(spec)
+        if not measures.consistency_check(mu, args.depth):
             raise InputError("measure failed the cylinder consistency identities")
         doc = {"consistency": True}
         lines = [f"consistency depth {args.depth} = pass"]
-        if args.measure.startswith("markov:"):
-            spec = measures.read_markov_file(args.measure.split(":", 1)[1])
+        if spec is not None:
             crit = measures.criterion_check(spec)
             doc.update(crit.as_dict())
             lines.append(f"criterion passes = {crit.passes}")

@@ -40,6 +40,7 @@ from .words import (
     as_word,
     comparable,
     concat,
+    count_reduced_words,
     extension_letters,
     format_letter,
     format_word,
@@ -101,10 +102,7 @@ def uniform_eval(k: int, v: Sequence[int]) -> Fraction:
     is not reduced or leaves the rank-k alphabet raises.
     """
     validate_rank(as_word(v), k)
-    n = len(v)
-    if n == 0:
-        return ONE
-    return Fraction(1, 2 * k * (2 * k - 1) ** (n - 1))
+    return Fraction(1, count_reduced_words(len(v), k))
 
 
 def uniform_measure(k: int) -> FrequencyMeasure:
@@ -113,7 +111,7 @@ def uniform_measure(k: int) -> FrequencyMeasure:
         rank=k,
         kind="uniform",
         mass=ONE,
-        _eval=lambda w: uniform_eval(k, w),
+        _eval=lambda w: Fraction(1, count_reduced_words(len(w), k)),
         chain=(2 * k, 2 * k - 1, {x: {0: 1} for x in letters}, {x: {(0, 0): 1} for x in letters}),
         label="uniform",
     )
@@ -418,10 +416,15 @@ def parse_measure_selector(
     if text == "uniform":
         return uniform_measure(k)
     if text.startswith("markov:"):
-        spec = read_markov_file(text.split(":", 1)[1])
-        if spec.rank != k:
-            raise InputError(f"markov spec has rank {spec.rank}, expected {k}")
-        return markov_measure(spec)
+        return markov_measure(_markov_spec(k, text.split(":", 1)[1]))
     if text.startswith("rational:"):
         return rational_measure(k, parse_word(text.split(":", 1)[1], reduce=reduce))
     raise InputError(f"unknown measure selector {text!r}")
+
+
+def _markov_spec(k: int, path: str) -> MarkovSpec:
+    """The Markov spec in the file at path, which must have rank k."""
+    spec = read_markov_file(path)
+    if spec.rank != k:
+        raise InputError(f"markov spec has rank {spec.rank}, expected {k}")
+    return spec

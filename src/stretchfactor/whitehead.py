@@ -40,7 +40,9 @@ from typing import Optional
 from .automorphisms import (
     Automorphism,
     WhiteheadSecondKind,
+    _normalize,
     _substitute,
+    _tuple_sort_key,
     compose,
     enumerate_second_kind,
     enumerate_signed_permutations,
@@ -51,7 +53,7 @@ from .boundary import Budget, PartitionCache, _resolve, _table
 from .errors import DescentStuckError, InputError
 from .length import length_exact
 from .measures import frac_str, uniform_measure
-from .words import Word, alphabet, cancellation, format_word, word_key
+from .words import Word, alphabet, cancellation, format_word
 
 ONE = Fraction(1)
 
@@ -250,61 +252,6 @@ def canonical_out_key(auto: Automorphism) -> tuple[Word, ...]:
     they differ by an inner automorphism.
     """
     return _normalize(auto.fwd)
-
-
-def _tuple_sort_key(images: tuple[Word, ...]) -> tuple:
-    return tuple(word_key(w) for w in images)
-
-
-def _conjugate(c: int, images: tuple) -> tuple:
-    """Images of x -> c phi(x) c^-1, given the reduced images of phi."""
-    out = []
-    for w in images:
-        w = w[1:] if w and w[0] == -c else (c,) + w
-        out.append(w[:-1] if w and w[-1] == c else w + (-c,))
-    return tuple(out)
-
-
-def _deltas(images: tuple) -> dict[int, int]:
-    """The change of the total image length under conjugation by each letter.
-
-    Conjugating a reduced nonempty image by c drops its first letter if
-    that is c^-1 and its last if that is c, and adds a letter at each
-    other end, so the total changes by 2k - 2(F(c^-1) + E(c)), where
-    F(c^-1) counts the images that start with c^-1 and E(c) those that
-    end with c.
-    """
-    deltas = dict.fromkeys(alphabet(len(images)), 2 * len(images))
-    for w in images:
-        deltas[-w[0]] -= 2
-        deltas[w[-1]] -= 2
-    return deltas
-
-
-def _normalize(images) -> tuple[Word, ...]:
-    current = tuple(tuple(w) for w in images)
-    # strict descent reaches a global minimum (canonical_out_key)
-    deltas = _deltas(current)
-    improved = True
-    while improved:
-        improved = False
-        for c in alphabet(len(current)):
-            if deltas[c] < 0:
-                current = _conjugate(c, current)
-                deltas = _deltas(current)
-                improved = True
-    # the minimizers are the equal-cost plateau around it
-    seen = {current}
-    queue = [current]
-    while queue:
-        phi = queue.pop()
-        for c, delta in _deltas(phi).items():
-            if delta == 0:
-                psi = _conjugate(c, phi)
-                if psi not in seen:
-                    seen.add(psi)
-                    queue.append(psi)
-    return tuple(Word(w) for w in min(seen, key=_tuple_sort_key))
 
 
 def spectrum(

@@ -33,6 +33,9 @@ candidate move's composite and measures it; it is the reference for the
 cut-formula scoring.  `normalize_by_costs` is the former conjugation
 normal form, which rebuilds and re-measures the image tuple for every
 letter at every step; it is the reference for the tally-driven one.
+`simple_witness` is the former simplicity test, which cyclically reduces
+every image and searches the conjugators u<p> of one image; it is the
+reference for the shortest-conjugate descent.
 """
 
 from fractions import Fraction
@@ -42,6 +45,7 @@ from stretchfactor import (
     DescentStuckError,
     InputError,
     PartitionCache,
+    SignedPermutation,
     Word,
     compose,
     enumerate_second_kind,
@@ -57,6 +61,7 @@ from stretchfactor.words import (
     alphabet,
     cancellation,
     concat,
+    cyclic_reduce,
     extension_letters,
     format_word,
     inverse,
@@ -426,3 +431,38 @@ def normalize_by_costs(images):
                 seen.add(psi)
                 queue.append(psi)
     return tuple(Word(w) for w in min(seen, key=_tuple_sort_key))
+
+
+def simple_witness(phi):
+    """Find (v, pi) with phi(x) = v pi(x) v^-1 for all x, if they exist.
+
+    Each image must cyclically reduce to a single letter; writing
+    phi(x) = u_x p_x u_x^-1 exactly, any valid conjugator lies in
+    u_x <p_x> for every x, so candidates are enumerated from one letter
+    and verified on all.  The search is complete for |v| <= max |phi(x)|
+    and some witness is always that short.
+    """
+    cores = []
+    conjs = []
+    for x in range(1, phi.rank + 1):
+        core, u = cyclic_reduce(phi.fwd[x - 1])
+        if len(core) != 1:
+            return None
+        cores.append(core[0])
+        conjs.append(u)
+    if sorted(abs(c) for c in cores) != list(range(1, phi.rank + 1)):
+        return None
+    pi = SignedPermutation(phi.rank, tuple(cores))
+    bound = max(len(w) for w in phi.fwd)
+    x0 = min(range(phi.rank), key=lambda i: len(conjs[i]))
+    u0, p0 = conjs[x0], Word((cores[x0],))
+    for m in range(-(bound - len(u0)), bound - len(u0) + 1):
+        power = Word(tuple(p0) * m if m >= 0 else tuple(inverse(p0)) * (-m))
+        v = concat(u0, power)
+        vi = inverse(v)
+        if all(
+            concat(v, concat(Word((cores[i],)), vi)) == phi.fwd[i]
+            for i in range(phi.rank)
+        ):
+            return v, pi
+    return None

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stretchfactor import (
     Automorphism,
     Budget,
     NotInverseError,
     PartitionCache,
+    SignedPermutation,
     WhiteheadSecondKind,
     compose,
     conj,
@@ -29,6 +30,7 @@ from stretchfactor.automorphisms import _certify
 from stretchfactor.words import free_reduce, inverse
 
 from conftest import is_atom, nielsen, random_composition
+from oracles import simple_witness
 
 
 def w(text):
@@ -118,6 +120,36 @@ def test_is_simple_examples():
     v, pi = is_simple(swap_conj)
     assert pi.images == (-2, 1)
     assert v == w("ba")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    v_len=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_is_simple_finds_the_oracle_witness(rank, v_len, seed):
+    rng = random.Random(seed)
+    perms = enumerate_signed_permutations(rank)
+    sigma = perms[rng.randrange(len(perms))]
+    v = random_reduced(v_len, rank, rng)
+    phi = conj(sigma, v)
+    pi = SignedPermutation(rank, tuple(img[0] for img in sigma.fwd))
+    assert is_simple(phi) == simple_witness(phi) == (v, pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 5),
+    v_len=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_is_simple_is_none_where_the_oracle_finds_no_witness(rank, n_factors, v_len, seed):
+    rng = random.Random(seed)
+    phi = conj(random_composition(rank, n_factors, rng), random_reduced(v_len, rank, rng))
+    assume(simple_witness(phi) is None)
+    assert is_simple(phi) is None
 
 
 def test_enumerations():

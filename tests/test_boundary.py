@@ -468,6 +468,14 @@ def test_pushforward_value_of_a_deep_cylinder():
     assert pushforward_current_value(identity(2), uniform_measure(2), u) == uniform_measure(2).eval(u)
 
 
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="the trie walkers recurse per level")
+def test_pushforward_value_of_a_1000_letter_cylinder():
+    # a's family less Cyl((ab)^500) is a 1 000-letter spine; once every
+    # walker iterates, this becomes an exact-value test
+    u = Word((1, 2) * 500)
+    assert pushforward_current_value(identity(2), uniform_measure(2), u) == uniform_measure(2).eval(u)
+
+
 def test_pushforward_table_consistency(nielsen_map):
     mu = uniform_measure(2)
     table = pushforward_table(nielsen_map, mu, 3)

@@ -8,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from stretchfactor import InputError, parse_generator_expression
+from stretchfactor import (
+    InputError,
+    make_automorphism,
+    parse_generator_expression,
+    parse_map_text,
+)
 from stretchfactor.boundary import Budget
 from stretchfactor.cli import run
 from stretchfactor.measures import dump_markov_spec, load_markov_spec, uniform_as_markov
@@ -116,6 +121,28 @@ def test_check_current_markov(tmp_path):
     assert "C1(a) = 1/3" in out
 
 
+def test_check_current_reads_the_markov_spec_once(tmp_path, monkeypatch, capsys):
+    from stretchfactor import measures
+
+    read = measures.read_markov_file
+    paths = []
+
+    def counting(path):
+        paths.append(path)
+        return read(path)
+
+    monkeypatch.setattr(measures, "read_markov_file", counting)
+    path = tmp_path / "markov.json"
+    path.write_text(dump_markov_spec(uniform_as_markov(2)))
+    argv = ["check-current", "--measure", f"markov:{path}", "--depth", "3"]
+    code, out = invoke(argv + ["--rank", "2"])
+    assert code == 0 and "criterion passes = True" in out
+    assert paths == [str(path)]
+    code, _ = invoke(argv + ["--rank", "3"])
+    assert code == 2
+    assert "markov spec has rank 2, expected 3" in capsys.readouterr().err
+
+
 def test_check_current_rational():
     code, out = invoke(
         ["check-current", "--rank", "2", "--measure", "rational:aab", "--depth", "3"]
@@ -171,12 +198,11 @@ def test_selftest_stdout_is_pinned(rank, depth):
 
 _SELFTEST_WITH_FAULT = """
 import sys
-from fractions import Fraction
 import stretchfactor.measures as m
 
-exact = m.uniform_eval
+exact = m.count_reduced_words
 if sys.argv[1] == "fault":
-    m.uniform_eval = lambda k, v: exact(k, v) + (Fraction(1, 1000) if len(v) == 3 else 0)
+    m.count_reduced_words = lambda n, k: exact(n, k) + (n == 3)
 from stretchfactor.cli import run
 sys.exit(run(["selftest", "--rank", "2", "--depth", "3"]))
 """
@@ -302,8 +328,6 @@ def test_descent_stuck_exit_code(monkeypatch):
 def test_emitted_map_reparses():
     code, out = invoke(["recenter", "--rank", "2", "--map", "W2[a; b:RIGHT]"])
     assert code == 0
-    from stretchfactor import parse_map_text
-
     text = out.splitlines()[1].split("= ", 1)[1]
     parse_map_text(2, text)
 
@@ -336,6 +360,68 @@ def test_entry_outside_the_rank_or_named_twice_is_input_error(expression):
         parse_generator_expression(2, expression)
     code, _ = invoke(["length", "--rank", "2", "--map", expression])
     assert code == 2
+
+
+def _parse_map(rank, text):
+    """A map from `--map` text at the API: an expression or a raw map."""
+    if "[" in text:
+        return parse_generator_expression(rank, text)
+    return make_automorphism(rank, parse_map_text(rank, text), parse_map_text(rank, _INVERSE))
+
+
+_INVERSE = "a->a,b->bA"
+
+
+@pytest.mark.parametrize(
+    "text, same_as",
+    [
+        ("perm[]", "perm[a->a]"),
+        ("perm[a->b,b->a,]", "perm[a->b,b->a]"),
+        ("inner[]", "perm[a->a]"),
+        ("W2[a]", "perm[a->a]"),
+        ("W2[a; b:RIGHT,]", "W2[a; b:RIGHT]"),
+        ("a->a,,b->ba", "W2[a; b:RIGHT]"),
+    ],
+)
+def test_empty_entries_are_skipped_in_every_syntax(text, same_as):
+    assert _parse_map(2, text) == parse_generator_expression(2, same_as)
+    code, out = invoke(["length", "--rank", "2", "--map", text, "--inverse", _INVERSE])
+    assert code == 0
+    assert out == invoke(["length", "--rank", "2", "--map", same_as])[1]
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        # an uppercase key
+        ("A->a,b->b", "'A->a'"),
+        ("perm[A->b]", "'A->b'"),
+        ("W2[a; B:RIGHT]", "'B:RIGHT'"),
+        # a key outside the rank
+        ("a->a,b->ba,c->a", "'c->a'"),
+        ("perm[c->a]", "'c'"),
+        ("W2[a; c:RIGHT]", "'c:RIGHT'"),
+        # a key named twice
+        ("a->a,a->a,b->ba", "'a->a'"),
+        ("perm[a->b,a->b,b->a]", "'a->b'"),
+        ("W2[a; b:RIGHT, b:CONJ]", "'b:CONJ'"),
+        # a missing separator
+        ("a->a,b ba", "'b ba'"),
+        ("perm[a b]", "'a b'"),
+        ("W2[a; b]", "'b'"),
+        # a W2 key equal to the multiplier
+        ("W2[a; a:RIGHT]", "'a:RIGHT'"),
+        ("W2[A; a:LEFT]", "'a:LEFT'"),
+        # a perm image outside the rank
+        ("perm[a->c]", "'c'"),
+    ],
+)
+def test_bad_entry_is_named_in_every_syntax(capsys, text, named):
+    with pytest.raises(InputError, match=named):
+        _parse_map(2, text)
+    code, _ = invoke(["length", "--rank", "2", "--map", text, "--inverse", _INVERSE])
+    assert code == 2
+    assert named in capsys.readouterr().err
 
 
 def test_negative_budget_is_input_error():

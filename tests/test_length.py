@@ -190,6 +190,15 @@ def test_raw_nielsen_cube():
     assert length_exact(cube).value == F(95, 54)
 
 
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="the trie walkers recurse per level")
+def test_eight_rounds_of_two_transvections():
+    # feasible (about 10 000 nodes, L near 1088) but its tries are
+    # thousands of levels deep; once every walker iterates, this becomes
+    # an exact-value test checked against length_mc
+    phi = parse_generator_expression(2, " * ".join(["W2[a; b:RIGHT] * W2[b; a:RIGHT]"] * 8))
+    length_exact(phi)
+
+
 def test_raw_rank3_map_against_monte_carlo():
     # No single transvection shortens this image tuple, so factoring it
     # needs the search over equal-length tuples.
