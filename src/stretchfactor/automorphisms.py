@@ -20,8 +20,10 @@ expression multiplies `W2[m; x:TYPE, ...]`, `perm[x->y, ...]` and
 `inner[w]` with `*`, the left factor applied last.  Every entry list is
 split on commas and empty entries are skipped.  Each key is a lowercase
 basis letter of the rank, named at most once (in W2, not the
-multiplier's), and an error names the offending entry.  A raw map needs
-every letter; perm and W2 fix the letters they omit.
+multiplier's), and an error names the offending entry.  A perm image and
+the W2 multiplier are letters of the rank of either sign, checked the
+same way.  A raw map needs every letter; perm and W2 fix the letters
+they omit.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .words import (
     free_reduce,
     inverse,
     letter_key,
-    parse_letter,
     parse_word,
     validate_rank,
     word_key,
@@ -210,15 +211,23 @@ def make_automorphism(
 
     def as_tuple(maps) -> tuple[Word, ...]:
         if isinstance(maps, dict):
-            _require_every_letter(rank, maps)
+            _require_basis_keys(rank, maps)
             return tuple(Word(maps[x]) for x in range(1, rank + 1))
         return tuple(Word(w) for w in maps)
 
     return Automorphism(rank, as_tuple(fwd), as_tuple(bwd))
 
 
-def _require_every_letter(rank: int, images: dict) -> None:
-    missing = [x for x in range(1, rank + 1) if x not in images]
+def _require_basis_keys(rank: int, images: dict) -> None:
+    """Refuse images keyed by anything but the basis letters 1..rank, or missing one."""
+    basis = range(1, rank + 1)
+    for x in images:
+        if x not in basis:
+            raise InputError(
+                f"image keyed by {x!r}: the basis letters of rank {rank} "
+                f"are 1 to {rank}"
+            )
+    missing = [x for x in basis if x not in images]
     if missing:
         raise InputError(
             f"missing image for {', '.join(format_letter(x) for x in missing)}"
@@ -585,11 +594,13 @@ def _shortest_conjugate(images) -> tuple[tuple, list[int]]:
     return current, v
 
 
-def _normalize(images) -> tuple[Word, ...]:
-    """Conjugation normal form: the least tuple among the shortest conjugates.
+def _plateau(images) -> set[tuple]:
+    """The shortest conjugates of phi, as tuples of letter tuples.
 
     The minimizers of the cost form a finite subtree, the equal-cost
-    plateau around `_shortest_conjugate`'s, which is walked whole.
+    plateau around `_shortest_conjugate`'s, which is walked whole.  Maps
+    that differ by an inner automorphism have the same plateau, so any
+    rule that picks one of its tuples is a class key.
     """
     current = _shortest_conjugate(images)[0]
     seen = {current}
@@ -602,7 +613,12 @@ def _normalize(images) -> tuple[Word, ...]:
                 if psi not in seen:
                     seen.add(psi)
                     queue.append(psi)
-    return tuple(Word(w) for w in min(seen, key=_tuple_sort_key))
+    return seen
+
+
+def _normalize(images) -> tuple[Word, ...]:
+    """Conjugation normal form: the shortlex-least tuple of the plateau."""
+    return tuple(Word(w) for w in min(_plateau(images), key=_tuple_sort_key))
 
 
 def is_simple(phi: Automorphism) -> Optional[tuple[Word, SignedPermutation]]:
@@ -625,7 +641,6 @@ def _entries(text: str, sep: str, keys: Sequence[int]) -> dict[int, str]:
 
     Empty entries are skipped; each key must be one of `keys`, named once.
     """
-    letters = {format_letter(x): x for x in keys}
     out: dict[int, str] = {}
     for entry in text.split(","):
         entry = entry.strip()
@@ -635,16 +650,22 @@ def _entries(text: str, sep: str, keys: Sequence[int]) -> dict[int, str]:
         if not found:
             raise InputError(f"expected 'x{sep}...' entries, got {entry!r}")
         key = key.strip()
-        x = letters.get(key)
-        if x is None:
-            raise InputError(
-                f"entry {entry!r}: key {key!r} is not one of the letters "
-                f"{', '.join(letters)}"
-            )
+        x = _letter(key, keys, f"entry {entry!r}: key")
         if x in out:
             raise InputError(f"entry {entry!r}: key {key!r} is named twice")
         out[x] = value.strip()
     return out
+
+
+def _letter(text: str, letters: Sequence[int], what: str) -> int:
+    """The one of `letters` that text spells; an error names `what` it is."""
+    for x in letters:
+        if format_letter(x) == text:
+            return x
+    raise InputError(
+        f"{what} {text!r} is not one of the letters "
+        f"{', '.join(map(format_letter, letters))}"
+    )
 
 
 def parse_map_text(rank: int, text: str) -> dict[int, Word]:
@@ -653,7 +674,7 @@ def parse_map_text(rank: int, text: str) -> dict[int, Word]:
     for x, value in _entries(text, "->", range(1, rank + 1)).items():
         images[x] = w = parse_word(value)
         validate_rank(w, rank)
-    _require_every_letter(rank, images)
+    _require_basis_keys(rank, images)
     return images
 
 
@@ -688,12 +709,14 @@ def _parse_expr_atom(rank: int, text: str) -> Automorphism:
     if kind == "perm":
         images = list(range(1, rank + 1))
         for x, value in _entries(body, "->", range(1, rank + 1)).items():
-            images[x - 1] = y = parse_letter(value)
-            validate_rank((y,), rank)
+            images[x - 1] = _letter(
+                value, alphabet(rank), f"perm entry for {format_letter(x)!r}: image"
+            )
         return SignedPermutation(rank, tuple(images)).automorphism()
     # W2[a; x:TYPE, ...] with unlisted basis letters fixed
     head, _, rest = body.partition(";")
-    a = parse_letter(head.strip())
+    head = head.strip()
+    a = _letter(head, alphabet(rank), "W2 multiplier")
     others = [x for x in range(1, rank + 1) if x != abs(a)]
     types = _entries(rest, ":", others)
     move = WhiteheadSecondKind(

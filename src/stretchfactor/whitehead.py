@@ -4,8 +4,8 @@ A non-simple automorphism always admits a second-kind move that strictly
 decreases its length; greedily composing the steepest such move yields a
 factorization into second-kind moves times a simple map with strictly
 increasing lengths.  Enumerating bounded compositions of the generating
-moves and deduplicating by a conjugation-normal form exhibits the
-discreteness of the length spectrum at small scale.
+moves up to conjugacy exhibits the discreteness of the length spectrum
+at small scale.
 
 Every candidate move is scored by Whitehead's cut formula instead of
 being built and measured.  A second-kind move tau with multiplier a
@@ -27,6 +27,14 @@ the last sum over the turns xy whose images cancel.  With nu = phi_* mu,
 ||nu|| = sum_x nu(x) = L(phi), so the lengths of all tau o phi are read
 off one depth-2 pushforward table of phi (J. H. C. Whitehead, Ann. of
 Math. 37 (1936); Lyndon-Schupp, Combinatorial Group Theory, I.4).
+
+The spectrum reads its lengths the same way.  A signed permutation sigma
+sends letters to letters, so nothing cancels and L(sigma o phi) = L(phi);
+inner automorphisms act trivially on currents, so L is constant on a
+conjugacy class.  Each class the enumeration expands therefore gets one
+depth-2 table, and the classes one generator away get their lengths from
+it; no class is measured alone.  A class's own table, when it is
+expanded in turn, must sum to the value its parent's cut gave it.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .automorphisms import (
     Automorphism,
     WhiteheadSecondKind,
     _normalize,
+    _plateau,
     _substitute,
     _tuple_sort_key,
     compose,
@@ -138,13 +147,10 @@ def factorize(
     current = auto
     while is_simple(current) is None:
         length, best = _steepest(current, budget, cache)
-        if not lengths:
+        if lengths:
+            _check_cut(current, lengths[-1], length)
+        else:
             lengths.append(length)
-        elif length != lengths[-1]:
-            raise AssertionError(
-                f"the cut formula gave L = {frac_str(lengths[-1])} but the "
-                f"table of {current.key()!r} sums to {frac_str(length)}"
-            )
         if best is None:
             raise _stuck(current, length)
         moves.append(best[0])
@@ -169,6 +175,15 @@ def factorize(
     if any(a >= b for a, b in zip(report.lengths, report.lengths[1:])):
         raise AssertionError("factorization lengths are not strictly increasing")
     return report
+
+
+def _check_cut(auto: Automorphism, cut: Fraction, length: Fraction) -> None:
+    """An engine bug unless phi's own table sums to the value a cut gave it."""
+    if length != cut:
+        raise AssertionError(
+            f"the cut formula gave L = {frac_str(cut)} but the "
+            f"table of {auto.key()!r} sums to {frac_str(length)}"
+        )
 
 
 def _stuck(auto: Automorphism, length: Fraction) -> DescentStuckError:
@@ -264,35 +279,51 @@ def spectrum(
     """Exact lengths of all compositions of up to max_factors generators.
 
     Generators are the signed permutations plus all second-kind moves.
-    Maps are merged by the conjugation normal form, a class invariant, so
-    multiplicities count maps up to inner automorphisms.
+    Maps are merged by conjugacy class, so multiplicities count maps up to
+    inner automorphisms.  Classes are found level by level from the
+    identity's.  Each class below the last level is built with `compose`
+    and expanded: one depth-2 table of it gives L(tau o phi) for every
+    move tau by the cut formula, and L(sigma o phi) = L(phi) for every
+    signed permutation sigma (module docstring).  A class's key is the
+    least tuple of its plateau of shortest conjugates, and its name the
+    shortlex-least, as in `canonical_out_key`.  A class's own table must
+    sum to the value its parent's cut gave it, or AssertionError is
+    raised: the engine is at fault.
     """
     if max_factors < 1:
         raise InputError("max_factors must be at least 1")
     budget, cache = _resolve(budget, cache)
-    gens = [t.automorphism() for t in enumerate_second_kind(rank)]
-    gens += enumerate_signed_permutations(rank)
-    # Each class is measured on the composition that found it: L is a
-    # conjugacy invariant, and compositions carry their factors.
-    seen: dict[tuple[Word, ...], Automorphism] = {}
-    frontier: dict[tuple[Word, ...], Automorphism] = {}
+    mu = uniform_measure(rank)
+    perms = enumerate_signed_permutations(rank)
+    root = identity(rank)
+    # class key -> (L, name); the identity's class is level 0
+    basis = min(_plateau(root.fwd))
+    classes = {basis: (ONE, basis)}
+    frontier = [(root, ONE)]
     for level in range(1, max_factors + 1):
-        sources = [identity(rank)] if level == 1 else list(frontier.values())
-        frontier = {}
-        for base in sources:
-            for g in gens:
-                # the key needs only the forward images; a new class's
-                # map is certified once, by compose
-                key = _normalize([_substitute(g.fwd, w) for w in base.fwd])
-                if key not in seen:
-                    seen[key] = frontier[key] = compose(g, base)
-    by_value: dict[Fraction, list[tuple[Word, ...]]] = {}
-    for key in sorted(seen, key=_tuple_sort_key):
-        value = length_exact(seen[key], budget=budget, cache=cache).value
-        by_value.setdefault(value, []).append(key)
+        sources, frontier = frontier, []
+        for base, value in sources:
+            den, num = _table(base, mu, 2, budget, cache)
+            total, scores = _cut_scores(rank, num)
+            _check_cut(base, value, Fraction(total, den))
+            # identity-typed moves are the identity map and are not scored;
+            # the identity permutation already stands for them
+            moves = [(tau.automorphism(), score) for score, tau in scores]
+            for g, score in moves + [(sigma, total) for sigma in perms]:
+                plateau = _plateau([_substitute(g.fwd, w) for w in base.fwd])
+                key = min(plateau)
+                if key in classes:
+                    continue
+                found = Fraction(score, den)
+                classes[key] = found, min(plateau, key=_tuple_sort_key)
+                if level < max_factors:
+                    frontier.append((compose(g, base), found))
+    by_value: dict[Fraction, list[tuple]] = {}
+    for value, name in classes.values():
+        by_value.setdefault(value, []).append(name)
     entries = tuple(
-        (value, len(keys), _key_text(keys[0]))
-        for value, keys in sorted(by_value.items())
+        (value, len(names), _key_text(min(names, key=_tuple_sort_key)))
+        for value, names in sorted(by_value.items())
     )
     values = [e[0] for e in entries]
     min_gap = min(
@@ -303,5 +334,5 @@ def spectrum(
     )
 
 
-def _key_text(key: tuple[Word, ...]) -> str:
+def _key_text(key: tuple[tuple[int, ...], ...]) -> str:
     return ",".join(format_word(w) for w in key)

@@ -36,6 +36,9 @@ letter at every step; it is the reference for the tally-driven one.
 `simple_witness` is the former simplicity test, which cyclically reduces
 every image and searches the conjugators u<p> of one image; it is the
 reference for the shortest-conjugate descent.
+`spectrum_by_lengths` is the former spectrum: it builds every map of the
+ball with `compose` and measures each class with `length_exact`; it is
+the reference for the spectrum read off its parents' depth-2 tables.
 """
 
 from fractions import Fraction
@@ -46,9 +49,13 @@ from stretchfactor import (
     InputError,
     PartitionCache,
     SignedPermutation,
+    SpectrumReport,
     Word,
+    canonical_out_key,
     compose,
     enumerate_second_kind,
+    enumerate_signed_permutations,
+    identity,
     is_simple,
     length_exact,
     preimage_partition,
@@ -466,3 +473,39 @@ def simple_witness(phi):
         ):
             return v, pi
     return None
+
+
+def spectrum_by_lengths(rank, max_factors, *, cache=None):
+    """Exact lengths of all compositions of up to max_factors generators.
+
+    Every composition of the ball is built with `compose` and merged by
+    `canonical_out_key`; each class is measured on the first map that
+    reached it, by `length_exact`, and named by its least key in shortlex
+    order.
+    """
+    gens = [t.automorphism() for t in enumerate_second_kind(rank)]
+    gens += enumerate_signed_permutations(rank)
+    seen = {}
+    frontier = [identity(rank)]
+    for _ in range(max_factors):
+        sources, frontier = frontier, []
+        for base in sources:
+            for g in gens:
+                phi = compose(g, base)
+                key = canonical_out_key(phi)
+                if key not in seen:
+                    seen[key] = phi
+                    frontier.append(phi)
+    by_value = {}
+    for key in sorted(seen, key=_tuple_sort_key):
+        value = length_exact(seen[key], cache=cache).value
+        by_value.setdefault(value, []).append(key)
+    entries = tuple(
+        (value, len(keys), ",".join(format_word(w) for w in keys[0]))
+        for value, keys in sorted(by_value.items())
+    )
+    values = [e[0] for e in entries]
+    min_gap = min((b - a for a, b in zip(values, values[1:])), default=None)
+    return SpectrumReport(
+        rank=rank, max_factors=max_factors, entries=entries, min_gap=min_gap
+    )

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from stretchfactor import (
     Automorphism,
     Budget,
+    InputError,
     NotInverseError,
     PartitionCache,
     SignedPermutation,
@@ -47,6 +48,20 @@ def test_make_automorphism_verified():
     # the constructor checks pairs from outside by brute force too
     with pytest.raises(NotInverseError):
         Automorphism(2, (w("a"), w("ba")), (w("A"), w("bA")))
+
+
+@pytest.mark.parametrize(
+    "fwd, bwd, key",
+    [
+        # the keys 3, 0 and -1 name no basis letter at rank 2
+        ({1: (1,), 2: (2, 1), 3: (1,)}, {1: (1,), 2: (2, -1), 3: (5,)}, "3"),
+        ({1: (1,), 2: (2, 1)}, {1: (1,), 2: (2, -1), 0: (1,)}, "0"),
+        ({1: (1,), 2: (2, 1), -1: (-1,)}, {1: (1,), 2: (2, -1)}, "-1"),
+    ],
+)
+def test_make_automorphism_refuses_a_key_outside_the_rank(fwd, bwd, key):
+    with pytest.raises(InputError, match=f"image keyed by {key}:"):
+        make_automorphism(2, fwd, bwd)
 
 
 def test_apply_examples(nielsen_map):

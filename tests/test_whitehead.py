@@ -31,7 +31,7 @@ from stretchfactor.whitehead import _cut_scores, _move_data, _normalize
 from stretchfactor.words import alphabet, random_reduced
 
 from conftest import random_composition, sample_measures
-from oracles import descent_step_by_lengths, normalize_by_costs
+from oracles import descent_step_by_lengths, normalize_by_costs, spectrum_by_lengths
 
 POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "pools"
 
@@ -189,6 +189,27 @@ def test_spectrum_value_set_stable_under_extra_conjugation_dedup():
             seen_keys.add(key)
             merged_values.add(length_exact(phi).value)
     assert merged_values == values
+
+
+@pytest.mark.parametrize("rank, max_factors", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_spectrum_matches_every_class_measured_alone(rank, max_factors):
+    # values, multiplicities, representatives and min_gap all agree
+    expected = spectrum_by_lengths(rank, max_factors, cache=PartitionCache())
+    assert spectrum(rank, max_factors) == expected
+
+
+def test_spectrum_checks_each_class_against_its_parents_cut(monkeypatch):
+    # every move's score off by 1/D: the first class reached by a move and
+    # expanded at level 1 sums its own table to a different value
+    cut_scores = whitehead_module._cut_scores
+
+    def perturbed(rank, num):
+        total, scores = cut_scores(rank, num)
+        return total, [(value + 1, tau) for value, tau in scores]
+
+    monkeypatch.setattr(whitehead_module, "_cut_scores", perturbed)
+    with pytest.raises(AssertionError, match="the cut formula gave L = "):
+        spectrum(2, 2)
 
 
 def test_rank3_spectrum_of_single_generators():
