@@ -379,6 +379,36 @@ def test_emitted_map_reparses():
     parse_map_text(2, text)
 
 
+@pytest.mark.parametrize("entry, named", [("a b", "'a b'"), ("c->a", "'c'")])
+def test_bad_perm_entry_is_input_error(capsys, entry, named):
+    code, _ = invoke(["length", "--rank", "2", "--map", f"perm[{entry}]"])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_w2_entry_without_colon_is_input_error(capsys):
+    code, _ = invoke(["length", "--rank", "2", "--map", "W2[a; b]"])
+    assert code == 2
+    assert "'b'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "expression",
+    [
+        "W2[a; c:RIGHT]",
+        "W2[a; b:RIGHT, c:LEFT]",
+        "W2[a; b:RIGHT, b:CONJ]",
+        "perm[a->b, a->b, b->a]",
+    ],
+)
+def test_entry_outside_the_rank_or_named_twice_is_input_error(expression):
+    # at rank 2 there is no letter c, and no letter may be named twice
+    with pytest.raises(InputError):
+        parse_generator_expression(2, expression)
+    code, _ = invoke(["length", "--rank", "2", "--map", expression])
+    assert code == 2
+
+
 def _parse_map(rank, text):
     """A map from `--map` text at the API: an expression or a raw map."""
     if "[" in text:
