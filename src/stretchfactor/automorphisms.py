@@ -33,7 +33,7 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
-from operator import neg
+from operator import itemgetter, neg
 from typing import Optional, Sequence
 
 from .errors import InputError, NotInverseError
@@ -498,45 +498,71 @@ def _nielsen_factors(auto: Automorphism) -> tuple:
 
 
 def _shortening_path(k: int, start: tuple) -> tuple[list, tuple]:
-    """Moves through equal-length tuples ending in one shortening move."""
-    total = sum(map(len, start))
+    """Moves through equal-length tuples ending in one shortening move.
+
+    Moves are scored by their cancellation alone, and only the tuples
+    taken are built: the first best shortening move's, or, when no move
+    shortens, those of the moves that keep the total length.
+    """
     parent: dict[tuple, Optional[tuple]] = {start: None}
     queue = deque([start])
     while queue:
         images = queue.popleft()
-        best: Optional[tuple[int, tuple, tuple]] = None
-        for move, size, new in _nielsen_moves(k, images, total):
-            if size < total:
-                if best is None or size < best[0]:
-                    best = (size, move, new)
-            elif new not in parent:
-                parent[new] = (images, move)
-                queue.append(new)
-        if best is not None:
-            path = [best[1]]
+        moves = _nielsen_moves(k, images)
+        gain, move, c = max(moves, key=itemgetter(0), default=(0, None, 0))
+        if gain > 0:
+            shorter = _nielsen_move(images, move, c)
+            path = [move]
             step = parent[images]
             while step is not None:
                 images, move = step
                 path.append(move)
                 step = parent[images]
-            return path[::-1], best[2]
+            return path[::-1], shorter
+        for gain, move, c in moves:
+            if gain == 0:
+                new = _nielsen_move(images, move, c)
+                if new not in parent:
+                    parent[new] = (images, move)
+                    queue.append(new)
     raise AssertionError("Nielsen reduction stalled on a basis image tuple")
 
 
-def _nielsen_moves(k: int, images: tuple, total: int):
-    """(move, new total length, new tuple) for each move that does not lengthen."""
+def _nielsen_moves(k: int, images: tuple) -> list[tuple[int, tuple, int]]:
+    """(gain, move, c) for every move that cancels, in a fixed order.
+
+    The move x -> xa makes w_x img and x -> a^-1 x makes img^-1 w_x, img
+    the image of a; cancelling c letters at the seam, either shortens the
+    tuple by gain = 2c - |img|.  A move that cancels nothing lengthens it,
+    so it is left out.
+    """
+    inverses = [tuple(-y for y in reversed(w)) for w in images]
+    out = []
     for x in range(1, k + 1):
         w = images[x - 1]
         for a in alphabet(k):
             if abs(a) == x:
                 continue
-            img = images[a - 1] if a > 0 else inverse(images[-a - 1])
-            for side, u, v in ((RIGHT, w, img), (LEFT, inverse(img), w)):
-                c = cancellation(u, v)
-                size = total - len(w) + len(u) + len(v) - 2 * c
-                if size <= total:
-                    new = u[: len(u) - c] + v[c:]
-                    yield (x, a, side), size, images[: x - 1] + (new,) + images[x:]
+            if a > 0:
+                img, img_inv = images[a - 1], inverses[a - 1]
+            else:
+                img, img_inv = inverses[-a - 1], images[-a - 1]
+            if w[-1] == -img[0]:
+                c = cancellation(w, img)
+                out.append((2 * c - len(img), (x, a, RIGHT), c))
+            if w[0] == img[0]:
+                c = cancellation(img_inv, w)
+                out.append((2 * c - len(img), (x, a, LEFT), c))
+    return out
+
+
+def _nielsen_move(images: tuple, move: tuple, c: int) -> tuple:
+    """The tuple a move gives, cancelling c letters at its seam."""
+    x, a, side = move
+    w = images[x - 1]
+    img = images[a - 1] if a > 0 else tuple(-y for y in reversed(images[-a - 1]))
+    u, v = (w, img) if side == RIGHT else (tuple(-y for y in reversed(img)), w)
+    return images[: x - 1] + (u[: len(u) - c] + v[c:],) + images[x:]
 
 
 # -- conjugation ------------------------------------------------------------
@@ -708,10 +734,20 @@ def _parse_expr_atom(rank: int, text: str) -> Automorphism:
         return inner(rank, parse_word(body))
     if kind == "perm":
         images = list(range(1, rank + 1))
-        for x, value in _entries(body, "->", range(1, rank + 1)).items():
-            images[x - 1] = _letter(
+        entries = _entries(body, "->", range(1, rank + 1))
+        # the basis letter each image hits, and the first letter mapped to it
+        hit = {z: z for z in images if z not in entries}
+        for x, value in entries.items():
+            images[x - 1] = y = _letter(
                 value, alphabet(rank), f"perm entry for {format_letter(x)!r}: image"
             )
+            z = hit.setdefault(abs(y), x)
+            if z != x:
+                raise InputError(
+                    f"entry '{format_letter(x)}->{value}': image {value!r} is given "
+                    f"twice, up to sign: {format_letter(z)!r} maps to "
+                    f"{format_letter(images[z - 1])!r}"
+                )
         return SignedPermutation(rank, tuple(images)).automorphism()
     # W2[a; x:TYPE, ...] with unlisted basis letters fixed
     head, _, rest = body.partition(";")
@@ -719,6 +755,12 @@ def _parse_expr_atom(rank: int, text: str) -> Automorphism:
     a = _letter(head, alphabet(rank), "W2 multiplier")
     others = [x for x in range(1, rank + 1) if x != abs(a)]
     types = _entries(rest, ":", others)
+    for x, t in types.items():
+        if t.upper() not in _W2_TYPES:
+            raise InputError(
+                f"entry '{format_letter(x)}:{t}': type {t!r} is not one of "
+                f"{', '.join(_W2_TYPES)}"
+            )
     move = WhiteheadSecondKind(
         rank, a, tuple(types.get(x, FIX).upper() for x in others)
     )

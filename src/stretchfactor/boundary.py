@@ -6,7 +6,7 @@ finite prefix-free family of cylinders whose union is exactly
 values, exact lengths, recentering) reduces to these partitions plus
 exact rational arithmetic.
 
-Five facts drive the computation:
+Six facts drive the computation:
 
 * Closed-form atom families.  Every map factors into atoms, whose
   depth-1 preimage families are explicit.  A signed permutation sigma
@@ -59,6 +59,15 @@ Five facts drive the computation:
   other cells, and each group's tries are walked alone (`_pair_mass`):
   a length walks each of the 2k families of the map on its own.
 
+* Class invariance.  Inner automorphisms act trivially on currents
+  (Kapovich, as above), so pushforward tables and current values, and
+  lengths with them, are the same for every map of an outer class.  They
+  are computed on the map's shortest conjugate psi, from psi's Nielsen
+  chain (`_class_rep`), and a budget counts the nodes of psi's chain: an
+  inner factor of the given chain would cost 2(k - 1) transvection steps
+  that cannot change the answer.  Preimages, profiles and recentering
+  are not class invariants and read the chain they are given.
+
 * Canonical partitions are shared, immutable tries.  A partition is
   stored as its canonical prefix tree (complete sibling sets coalesced;
   the path every label shares kept as a tuple, not one dict per letter),
@@ -78,7 +87,7 @@ from fractions import Fraction
 from os.path import commonprefix
 from typing import Iterable, Optional, Sequence
 
-from .automorphisms import Automorphism, _substitute, conj
+from .automorphisms import Automorphism, _shortest_conjugate, _substitute, conj
 from .errors import InputError, ResourceLimitError
 from .measures import FrequencyMeasure, uniform_measure
 from .words import (
@@ -86,6 +95,7 @@ from .words import (
     alphabet,
     all_words,
     as_word,
+    concat,
     extension_letters,
     format_word,
     inverse,
@@ -497,6 +507,34 @@ def _identity_family(rank: int) -> dict[int, CylinderPartition]:
     return {z: CylinderPartition(rank, (), {z: _LEAF}, 1) for z in alphabet(rank)}
 
 
+@functools.cache
+def _words(n: int, rank: int) -> tuple[Word, ...]:
+    """The reduced words of length n in `all_words` order, built once per (n, rank)."""
+    return tuple(all_words(n, rank))
+
+
+def _class_rep(auto: Automorphism) -> Automorphism:
+    """psi, the shortest conjugate of a map: class-level answers are psi's.
+
+    With phi(x) = v psi(x) v^-1, psi is phi followed by conjugation by
+    v^-1.  Inner automorphisms act trivially on currents, so psi pushes
+    every current where phi does, and its inverse images are
+    psi^-1(y) = phi^-1(v y v^-1) = g phi^-1(y) g^-1 with g = phi^-1(v).
+    psi is Nielsen-factored on first use.  Nothing else certifies it:
+    `_depth1_family` peels that chain off psi's inverse images and must
+    reach the basis letters, so a wrong psi or a wrong chain raises
+    AssertionError.  A map that is its own shortest conjugate is
+    returned as it is.
+    """
+    images, v = _shortest_conjugate(auto.fwd)
+    if not v:
+        return auto
+    g = Word(_substitute(auto.bwd, v))
+    g_inv = inverse(g)
+    bwd = [concat(concat(g, w), g_inv) for w in auto.bwd]
+    return Automorphism(auto.rank, images, bwd, factors=None, verify=False)
+
+
 def _transvection_letters(atom: Automorphism) -> tuple[int, int]:
     """(s, a) with atom(s) = s a, for x -> xa (s = x) or x -> a^-1 x (s = x^-1)."""
     moved = [x for x in range(1, atom.rank + 1) if atom.fwd[x - 1] != (x,)]
@@ -757,10 +795,13 @@ def pushforward_current_value(
     Cyl[1,u] splits into products Cyl(a) x Cyl(u) over letters a other
     than the first letter u0 of u, so the value counts the pairs from
     outside phi^-1(Cyl u0) into phi^-1(Cyl u): one pair-sum walk of the
-    latter and the rest of the former (a difference), as one group.
+    latter and the rest of the former (a difference), as one group.  The
+    preimages are those of the map's shortest conjugate, which pushes mu
+    to the same current.
     """
     u = _target(auto, u)
     budget, cache = _resolve(budget, cache)
+    auto = _class_rep(auto)
     fam = _depth1_family(auto, budget, cache)
     part = _preimage(auto.bwd, fam, u, budget)
     rest = _subtract(fam[u[0]], part, budget)
@@ -779,12 +820,13 @@ def pushforward_table(
     """Pushforward measure of every cylinder up to the given depth.
 
     One coloured pair-sum walk gives every value of the deepest length,
-    and each shorter cylinder adds up its children (`_table`).
+    and each shorter cylinder adds up its children (`_table`), on the
+    map's shortest conjugate, which pushes mu to the same measure.
     """
     if depth < 1:
         raise InputError("depth must be at least 1")
     budget, cache = _resolve(budget, cache)
-    den, num = _table(auto, mu, depth, budget, cache)
+    den, num = _table(_class_rep(auto), mu, depth, budget, cache)
     return {v: Fraction(q, den) for v, q in num.items()}
 
 
@@ -806,14 +848,14 @@ def _table(
     """
     rank = auto.rank
     fam = _depth1_family(auto, budget, cache)
-    parts = {v: _preimage(auto.bwd, fam, v, budget) for v in all_words(depth, rank)}
+    parts = {v: _preimage(auto.bwd, fam, v, budget) for v in _words(depth, rank)}
     den, deep = _pair_mass(mu, parts, {v: v[0] for v in parts}, tiles=True)
     levels = [deep]
     for n in range(depth - 1, 0, -1):
         below = levels[-1]
         levels.append({
             v: sum(below[v + (c,)] for c in extension_letters(v, rank))
-            for v in all_words(n, rank)
+            for v in _words(n, rank)
         })
     return den, {v: q for level in reversed(levels) for v, q in level.items()}
 

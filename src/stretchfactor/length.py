@@ -5,7 +5,11 @@ current gives to the set of geodesics through the base vertex; it is
 computed exactly as a sum of pair masses over the depth-1 preimage
 families, one term per oriented letter: the pairs from outside the
 letter's family into it, which by shift invariance is a walk of that
-family alone (`boundary` module docstring).  The Monte Carlo estimator
+family alone (`boundary` module docstring).  Inner automorphisms act
+trivially on currents, so the length and its breakdown are the same for
+every map of an outer class; they are computed on the shortest conjugate
+psi of the map, from psi's Nielsen chain, whatever chain the map was
+built from (`boundary._class_rep`).  The Monte Carlo estimator
 divides the cyclically reduced image length of a uniform random reduced
 word by the word length; the two agree up to sampling error plus an
 O(1/n) seam bias.
@@ -20,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .automorphisms import Automorphism
-from .boundary import Budget, PartitionCache, _resolve, _table
+from .boundary import Budget, PartitionCache, _class_rep, _resolve, _table
 from .errors import InputError
 from .measures import FrequencyMeasure, uniform_measure
 from .words import alphabet, cyclic_length, random_reduced
@@ -30,7 +34,11 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class LengthReport:
-    """Exact length with its per-letter decomposition."""
+    """Exact length with its per-letter decomposition.
+
+    Value and breakdown are computed on the map's shortest conjugate psi
+    and equal the map's; `nodes` counts the nodes spent on psi's chain.
+    """
 
     value: Fraction
     breakdown: dict[int, Fraction]
@@ -68,10 +76,14 @@ def eta_length(
     pair sum of the families of the other letters against that of x.
     The 2k terms are the depth-1 pushforward table, over one common
     denominator, so the value is their summed numerators over it; the
-    table's walk checks that the families tile the boundary.  A measure of another rank than the map raises InputError.
+    table's walk checks that the families tile the boundary.  The table
+    is that of the shortest conjugate psi of the map, which pushes mu to
+    the same current, so the report's `nodes` counts psi's chain, not the
+    one the map was built from.  A measure of another rank than the map
+    raises InputError.
     """
     budget, cache = _resolve(budget, cache)
-    den, num = _table(auto, mu, 1, budget, cache)
+    den, num = _table(_class_rep(auto), mu, 1, budget, cache)
     breakdown = {x: Fraction(num[(x,)], den) for x in alphabet(auto.rank)}
     return LengthReport(
         value=Fraction(sum(num.values()), den),

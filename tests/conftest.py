@@ -37,6 +37,14 @@ def random_composition(rank, n_factors, rng: random.Random):
     return phi
 
 
+def conjugated_composition(rank, n_factors, v_len, rng: random.Random):
+    """random_composition, conjugated by a random reduced word of length v_len."""
+    from stretchfactor import conj
+
+    phi = random_composition(rank, n_factors, rng)
+    return conj(phi, random_reduced(v_len, rank, rng))
+
+
 def is_atom(f):
     """True for an elementary transvection or a signed permutation."""
     if all(len(img) == 1 for img in f.fwd):
@@ -68,13 +76,40 @@ def reversible_markov(rank, rng: random.Random, mass=Fraction(1)):
     )
 
 
-def sample_measures(rank, rng: random.Random):
-    """One measure of each construction: uniform, uniform as Markov, a biased
-    Markov measure of mass 3/2, a one-letter rational word and a longer one."""
+def doubly_stochastic_markov(rank, rng: random.Random):
+    """A Markov spec whose P is a random positive mix of three permutations of
+    the letters, none sending a letter to its inverse; so p is uniform."""
+    letters = alphabet(rank)
+    perms = []
+    while len(perms) < 3:
+        image = rng.sample(letters, len(letters))
+        if all(y != -x for x, y in zip(letters, image)):
+            perms.append(image)
+    weights = [rng.randint(1, 6) for _ in perms]
+    rows = {x: dict.fromkeys(letters, Fraction(0)) for x in letters}
+    for image, weight in zip(perms, weights):
+        for x, y in zip(letters, image):
+            rows[x][y] += Fraction(weight, sum(weights))
+    return MarkovSpec(
+        rank=rank,
+        mass=Fraction(1),
+        initial=dict.fromkeys(letters, Fraction(1, 2 * rank)),
+        transitions=rows,
+    )
+
+
+def primitive_cyclic_word(rank, rng: random.Random):
+    """A random cyclically reduced word of 2 to 7 letters that is no proper power."""
     while True:
         word = random_reduced(rng.randint(2, 7), rank, rng)
         if is_cyclically_reduced(word) and not is_proper_power(word):
-            break
+            return word
+
+
+def sample_measures(rank, rng: random.Random):
+    """One measure of each construction: uniform, uniform as Markov, a biased
+    Markov measure of mass 3/2, a one-letter rational word and a longer one."""
+    word = primitive_cyclic_word(rank, rng)
     return [
         uniform_measure(rank),
         markov_measure(uniform_as_markov(rank)),

@@ -28,6 +28,8 @@ from stretchfactor import (
     random_reduced,
 )
 from stretchfactor.automorphisms import _certify
+from stretchfactor.boundary import _table
+from stretchfactor.measures import uniform_measure
 from stretchfactor.words import free_reduce, inverse
 
 from conftest import is_atom, nielsen, random_composition
@@ -282,7 +284,7 @@ def test_products_and_suffixes_are_certified(rank, m, n, seed):
         assert (product.fwd, product.bwd) == letter_by_letter(rank, product.factors)
         # the engine keys every suffix of the chain by its inverse images
         cache = PartitionCache()
-        length_exact(product, cache=cache)
+        _table(product, uniform_measure(rank), 1, Budget(), cache)
         for i in range(len(product.factors)):
             assert letter_by_letter(rank, product.factors[i:])[1] in cache.families
         pairs = ((left.fwd, left.bwd), (right.fwd, right.bwd))
@@ -336,9 +338,11 @@ def test_cold_length_builds_each_suffix_once_without_brute_force(
 
     monkeypatch.setattr(Automorphism, "__init__", counted_init)
     monkeypatch.setattr(Automorphism, "_verify", counted_verify)
+    # the table of the chain phi was built from; length_exact would read
+    # its shortest conjugate's
     budget = Budget()
-    report = length_exact(phi, budget=budget)
-    assert (report.value, budget.spent) == (value, spent)
+    den, num = _table(phi, uniform_measure(rank), 1, budget, PartitionCache())
+    assert (Fraction(sum(num.values()), den), budget.spent) == (value, spent)
     assert counts["verified"] == 0
     # suffixes of the chain are inverse-image tuples, not maps
     assert counts["built"] == 0

@@ -35,7 +35,9 @@ from stretchfactor.boundary import (
     _merge,
     _pair_mass,
     _subtract,
+    _table,
 )
+from stretchfactor.measures import markov_measure
 from stretchfactor.selftest import _random_prefix_free
 from stretchfactor.words import (
     all_words,
@@ -47,7 +49,15 @@ from stretchfactor.words import (
     random_reduced,
 )
 
-from conftest import is_atom, nielsen, random_composition, reversible_markov, sample_measures
+from conftest import (
+    conjugated_composition,
+    doubly_stochastic_markov,
+    is_atom,
+    nielsen,
+    random_composition,
+    reversible_markov,
+    sample_measures,
+)
 from oracles import (
     brute_depth1,
     brute_preimage_mass,
@@ -505,8 +515,10 @@ def test_pushforward_table_builds_no_union(monkeypatch):
     auto = parse_generator_expression(3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]")
     mu = uniform_measure(3)
     cache = PartitionCache()
-    # the families of the map and of its suffixes are merged first
+    # the families of the map, of its shortest conjugate (which the table
+    # reads) and of their suffixes are merged first
     depth1_profile(auto, cache=cache)
+    depth1_profile(boundary._class_rep(auto), cache=cache)
     merge = boundary._merge
     built = []
 
@@ -1148,7 +1160,7 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
         phi = parse_generator_expression(rank, expression)
         assert len(phi.factors) == n
         calls.update(dict.fromkeys(calls, 0))
-        length_exact(phi, cache=PartitionCache())
+        boundary._table(phi, uniform_measure(rank), 1, Budget(), PartitionCache())
         # every atom, the last one included, is one step from the
         # identity's families, and no words are canonicalized
         assert calls == {"step": n, "trie": 0}, expression
@@ -1190,5 +1202,53 @@ def test_a_chain_builds_a_map_it_meets_twice_once():
     back = parse_generator_expression(2, "W2[a; b:RIGHT] * W2[A; b:RIGHT] * " + psi)
     once = parse_generator_expression(2, "W2[A; b:RIGHT] * " + psi)
     assert back == parse_generator_expression(2, psi)
-    nodes = [length_exact(phi, cache=PartitionCache()).nodes for phi in (back, once)]
+    nodes = []
+    for phi in (back, once):
+        budget = Budget()
+        _table(phi, uniform_measure(2), 1, budget, PartitionCache())
+        nodes.append(budget.spent)
     assert nodes == [24, 24]
+
+
+@settings(max_examples=30, deadline=None)
+@given(rank=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_pushforward_of_the_shortest_conjugate_equals_the_given_chains(rank, seed):
+    # pushforward_table and pushforward_current_value assemble the shortest
+    # conjugate's Nielsen chain; _table assembles the chain phi was built from
+    rng = random.Random(seed)
+    phi = conjugated_composition(rank, rng.randint(1, 2), rng.randint(0, 4), rng)
+    measures = sample_measures(rank, rng) + [markov_measure(doubly_stochastic_markov(rank, rng))]
+    mu = rng.choice(measures)
+    den, num = _table(phi, mu, 2, Budget(), PartitionCache())
+    assert pushforward_table(phi, mu, 2) == {v: F(q, den) for v, q in num.items()}
+    u = random_reduced(rng.randint(1, 3), rank, rng)
+    den, num = _table(phi, mu, len(u), Budget(), PartitionCache())
+    assert pushforward_current_value(phi, mu, u) == F(num[u], den)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rank=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_a_wrong_conjugator_is_an_engine_bug(rank, seed):
+    # psi's inverse images are derived from phi's and the conjugator v;
+    # with v wrong they do not invert psi, so peeling psi's chain off them
+    # misses the basis letters
+    from stretchfactor import boundary
+
+    rng = random.Random(seed)
+    phi = conjugated_composition(rank, rng.randint(1, 2), rng.randint(0, 4), rng)
+    shortest = boundary._shortest_conjugate
+
+    def wrong(images):
+        psi, v = shortest(images)
+        return psi, v + [rng.choice([c for c in alphabet(rank) if not v or c != -v[-1]])]
+
+    mu = uniform_measure(rank)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boundary, "_shortest_conjugate", wrong)
+        for run in (
+            lambda: length_exact(phi),
+            lambda: pushforward_table(phi, mu, 2),
+            lambda: pushforward_current_value(phi, mu, (1, 2)),
+        ):
+            with pytest.raises(AssertionError, match="do not compose"):
+                run()

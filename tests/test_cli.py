@@ -465,6 +465,9 @@ def test_empty_entries_are_skipped_in_every_syntax(text, same_as):
         ("perm[a->c]", "'c'"),
         ("W2[c; b:RIGHT]", "'c' is not one of the letters a, A, b, B"),
         ("W2[ab; b:RIGHT]", "'ab' is not one of the letters a, A, b, B"),
+        # a W2 type that is no type, and a perm image given twice
+        ("W2[a; b:BOGUS]", "'b:BOGUS': type 'BOGUS' is not one of FIX, RIGHT, LEFT, CONJ"),
+        ("perm[a->a,b->a]", "'b->a': image 'a' is given twice"),
     ],
 )
 def test_bad_entry_is_named_in_every_syntax(capsys, text, named):
@@ -566,7 +569,7 @@ def test_budget_admits_feasible_rank8_move():
         # the id names the input only, so re-pinning a count keeps the name
         for rank, expression, nodes in [
             (3, "W2[a; c:CONJ]", 6),
-            (4, "inner[a]", 18),
+            (4, "inner[a]", 0),
             (2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]", 16),
         ]
     ],

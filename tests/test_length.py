@@ -24,10 +24,18 @@ from stretchfactor import (
     random_reduced,
     rational_measure,
     uniform_as_markov,
+    uniform_measure,
 )
+from stretchfactor.boundary import Budget, PartitionCache, _table
 from stretchfactor.words import alphabet, cyclic_reduce, is_proper_power
 
-from conftest import random_composition, sample_measures
+from conftest import (
+    conjugated_composition,
+    doubly_stochastic_markov,
+    primitive_cyclic_word,
+    random_composition,
+    sample_measures,
+)
 from oracles import length_by_cancellation
 
 
@@ -126,6 +134,43 @@ def test_conjugation_and_signed_permutation_invariance(rank, n_factors, v_len, s
     pi = rng.choice(enumerate_signed_permutations(rank))
     assert length_exact(compose(pi, phi)).value == base
     assert length_exact(compose(phi, pi)).value == base
+
+
+def _length_of_the_given_chain(phi, mu):
+    """(value, breakdown) from the table of phi's own chain."""
+    den, num = _table(phi, mu, 1, Budget(), PartitionCache())
+    breakdown = {x: F(num[(x,)], den) for x in alphabet(phi.rank)}
+    return F(sum(num.values()), den), breakdown
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 3),
+    v_len=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_length_of_the_shortest_conjugate_equals_the_given_chains(rank, n_factors, v_len, seed):
+    # eta_length assembles the shortest conjugate's Nielsen chain; _table
+    # assembles the chain phi was built from
+    rng = random.Random(seed)
+    phi = conjugated_composition(rank, n_factors if rank < 4 else min(n_factors, 2), v_len, rng)
+    for mu in (
+        uniform_measure(rank),
+        markov_measure(doubly_stochastic_markov(rank, rng)),
+        rational_measure(rank, primitive_cyclic_word(rank, rng)),
+    ):
+        rep = eta_length(phi, mu)
+        assert (rep.value, rep.breakdown) == _length_of_the_given_chain(phi, mu), mu.kind
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_factors=st.integers(1, 3), v_len=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_rank3_length_of_the_shortest_conjugate_against_cancellation(n_factors, v_len, seed):
+    rng = random.Random(seed)
+    phi = conjugated_composition(3, n_factors, v_len, rng)
+    for mu in (uniform_measure(3), markov_measure(doubly_stochastic_markov(3, rng))):
+        assert eta_length(phi, mu).value == length_by_cancellation(phi, mu), mu.kind
 
 
 def test_length_at_least_one():
