@@ -11,8 +11,11 @@ transvections are inverse pairs by construction, and each second-kind
 move is built and verified once per process, so the boundary engine
 always has a certified inverse available.  Every map also factors into
 atoms of two kinds, elementary transvections and signed permutations,
-whose preimage families the boundary engine knows in closed form; it
-reads each suffix of that chain as inverse images alone, not as a map.
+whose preimage families the boundary engine knows in closed form.  The
+chain is found one way only, by Nielsen reduction of the map's image
+tuple on first use, so it depends on the map and not on how the map was
+spelled; the engine reads each suffix of the chain as inverse images
+alone, not as a map.
 
 Maps are read from text in one entry grammar.  A raw map is a list of
 `x->w` entries, one per basis letter (`parse_map_text`); a generator
@@ -41,6 +44,7 @@ from .words import (
     Word,
     alphabet,
     cancellation,
+    check_rank,
     concat,
     format_letter,
     format_word,
@@ -87,17 +91,15 @@ class Automorphism:
     `factors` writes the map as a composition of atoms, leftmost factor
     applied last.  Every atom is an elementary transvection (x -> xa or
     x -> a^-1 x with every other basis letter fixed) or a signed
-    permutation.  An atom's factors are (self,).  Second-kind moves, inner
-    automorphisms and their compositions carry factors from construction;
-    any other map is factored by Nielsen reduction of its image tuple on
-    first use.
+    permutation.  The chain is the Nielsen reduction of the image tuple,
+    found on first use, so equal maps have equal chains; a signed
+    permutation's is (self,).
 
-    The `factors` argument takes the atoms, () to mark the map itself as
-    an atom, or None to factor on demand.  With verify=True (the default)
-    the constructor checks by brute force that `bwd` inverts `fwd` and
-    raises NotInverseError otherwise.  verify=False is for callers whose
-    pair is inverse by construction or already certified; nothing checks
-    it then.
+    A rank outside 2..26 raises InputError.  With verify=True (the
+    default) the constructor checks by brute force that `bwd` inverts
+    `fwd` and raises NotInverseError otherwise.  verify=False is for
+    callers whose pair is inverse by construction or already certified;
+    nothing checks it then.
     """
 
     __slots__ = ("rank", "fwd", "bwd", "_factors", "_hash")
@@ -108,9 +110,9 @@ class Automorphism:
         fwd: Sequence[Word],
         bwd: Sequence[Word],
         *,
-        factors: Optional[tuple] = None,
         verify: bool = True,
     ):
+        check_rank(rank)
         if len(fwd) != rank or len(bwd) != rank:
             raise InputError("need exactly one image per basis letter")
         self.rank = rank
@@ -120,7 +122,7 @@ class Automorphism:
             if not w:
                 raise InputError("automorphism images must be nonempty")
             validate_rank(w, rank)
-        self._factors = factors
+        self._factors: Optional[tuple] = None
         self._hash = hash((rank, self.fwd))
         if verify:
             self._verify()
@@ -154,20 +156,14 @@ class Automorphism:
         return Word(_substitute(self.bwd, w))
 
     def inverse(self) -> "Automorphism":
-        factors = self._factors
-        if factors:
-            factors = tuple(f.inverse() for f in reversed(factors))
-        return Automorphism(
-            self.rank, self.bwd, self.fwd, factors=factors, verify=False
-        )
+        return Automorphism(self.rank, self.bwd, self.fwd, verify=False)
 
     @property
     def factors(self) -> tuple:
         """Atoms whose composition (left applied last) equals this map."""
         if self._factors is None:
             self._factors = _nielsen_factors(self)
-        # An atom keeps () rather than a reference to itself, which
-        # inverse() would otherwise follow without end.
+        # A signed permutation keeps () rather than a reference to itself.
         return self._factors or (self,)
 
     # -- metrics --------------------------------------------------------
@@ -208,6 +204,7 @@ def make_automorphism(
     bwd: dict[int, Sequence[int]] | Sequence[Sequence[int]],
 ) -> Automorphism:
     """Build a verified automorphism from basis images of phi and phi^-1."""
+    check_rank(rank)
 
     def as_tuple(maps) -> tuple[Word, ...]:
         if isinstance(maps, dict):
@@ -236,25 +233,19 @@ def _require_basis_keys(rank: int, images: dict) -> None:
 
 def identity(rank: int) -> Automorphism:
     basis = [Word((x,)) for x in range(1, rank + 1)]
-    return Automorphism(rank, basis, basis, factors=(), verify=False)
+    return Automorphism(rank, basis, basis, verify=False)
 
 
 def inner(rank: int, v: Sequence[int]) -> Automorphism:
-    """x -> v x v^-1, factored letter by letter.
-
-    Conjugation by the letter c is the second-kind move with multiplier
-    c^-1 and every other basis letter of type CONJ.
-    """
+    """x -> v x v^-1."""
     v = Word(v)
     validate_rank(v, rank)
     if not v:
         return identity(rank)
-    conj_all = (CONJ,) * (rank - 1)
-    factors = tuple(t for c in v for t in _w2_factors(rank, -c, conj_all))
     fwd = [concat(v, concat(Word((x,)), inverse(v))) for x in range(1, rank + 1)]
     vi = inverse(v)
     bwd = [concat(vi, concat(Word((x,)), v)) for x in range(1, rank + 1)]
-    return Automorphism(rank, fwd, bwd, factors=factors, verify=False)
+    return Automorphism(rank, fwd, bwd, verify=False)
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
@@ -268,9 +259,7 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     fwd = [Word(_substitute(phi.fwd, w)) for w in psi.fwd]
     bwd = [Word(_substitute(psi.bwd, w)) for w in phi.bwd]
     _certify((phi.fwd, phi.bwd), (psi.fwd, psi.bwd), fwd, bwd)
-    return Automorphism(
-        phi.rank, fwd, bwd, factors=phi.factors + psi.factors, verify=False
-    )
+    return Automorphism(phi.rank, fwd, bwd, verify=False)
 
 
 # An inverse pair (forward images, backward images) of basis letters.
@@ -342,7 +331,6 @@ class SignedPermutation:
             self.rank,
             [Word((y,)) for y in self.images],
             [Word((y,)) for y in inv_images],
-            factors=(),
             verify=False,
         )
 
@@ -418,31 +406,12 @@ def _w2_image(x: int, a: int, t: str) -> Word:
 @functools.cache
 def _second_kind(rank: int, a: int, types: tuple[str, ...]) -> Automorphism:
     """The map of the second-kind move with multiplier a and these types."""
-    factors = _w2_factors(rank, a, types)
-    if len(factors) <= 1:
-        return factors[0] if factors else identity(rank)
     others = [x for x in range(1, rank + 1) if x != abs(a)]
     type_of = dict(zip(others, types))  # the multiplier's letter is fixed
     letters = [(x, type_of.get(x, FIX)) for x in range(1, rank + 1)]
     fwd = [_w2_image(x, a, t) for x, t in letters]
     bwd = [_w2_image(x, -a, t) for x, t in letters]
-    return Automorphism(rank, fwd, bwd, factors=factors, verify=True)
-
-
-def _w2_factors(rank: int, a: int, types: Sequence[str]) -> tuple:
-    """Elementary factors of the second-kind move with multiplier a.
-
-    All of them fix a, so they commute; a CONJ letter x -> a^-1 x a
-    contributes LEFT o RIGHT.
-    """
-    others = [x for x in range(1, rank + 1) if x != abs(a)]
-    out = []
-    for x, t in zip(others, types):
-        if t in (LEFT, CONJ):
-            out.append(_transvection(rank, x, a, LEFT))
-        if t in (RIGHT, CONJ):
-            out.append(_transvection(rank, x, a, RIGHT))
-    return tuple(out)
+    return Automorphism(rank, fwd, bwd, verify=True)
 
 
 # At most 4k(k-1) transvections per rank, each built once and shared by
@@ -454,7 +423,7 @@ def _transvection(rank: int, x: int, a: int, side: str) -> Automorphism:
     bwd = list(fwd)
     fwd[x - 1] = _w2_image(x, a, side)
     bwd[x - 1] = _w2_image(x, -a, side)
-    return Automorphism(rank, fwd, bwd, factors=(), verify=False)
+    return Automorphism(rank, fwd, bwd, verify=False)
 
 
 def enumerate_second_kind(rank: int) -> list[WhiteheadSecondKind]:
@@ -491,10 +460,18 @@ def _nielsen_factors(auto: Automorphism) -> tuple:
     if not moves:
         return ()
     factors = tuple(_transvection(k, x, -a, side) for x, a, side in reversed(moves))
-    sigma = SignedPermutation(k, tuple(w[0] for w in current))
-    if sigma.images == tuple(range(1, k + 1)):
+    images = tuple(w[0] for w in current)
+    if images == tuple(range(1, k + 1)):
         return factors
-    return (sigma.automorphism(),) + factors
+    return (_signed_permutation(k, images),) + factors
+
+
+# At most 2^k k! signed permutations per rank, each built once and shared
+# by every chain that ends in it.
+@functools.cache
+def _signed_permutation(rank: int, images: tuple[int, ...]) -> Automorphism:
+    """The signed permutation sending basis letter i to images[i - 1]."""
+    return SignedPermutation(rank, images).automorphism()
 
 
 def _shortening_path(k: int, start: tuple) -> tuple[list, tuple]:
@@ -534,26 +511,42 @@ def _nielsen_moves(k: int, images: tuple) -> list[tuple[int, tuple, int]]:
     The move x -> xa makes w_x img and x -> a^-1 x makes img^-1 w_x, img
     the image of a; cancelling c letters at the seam, either shortens the
     tuple by gain = 2c - |img|.  A move that cancels nothing lengthens it,
-    so it is left out.
+    so it is left out.  With u the image of y, img is u for a = y and
+    u^-1 for a = y^-1, so every seam is read off u without inverting it:
+    a move is kept when the two letters at its seam cancel, and against
+    u^-1 the cancelling pairs are the letters w and u share at one end.
+    Moves run by x, then by a in `alphabet` order, x -> xa before
+    x -> a^-1 x.
     """
-    inverses = [tuple(-y for y in reversed(w)) for w in images]
     out = []
-    for x in range(1, k + 1):
-        w = images[x - 1]
-        for a in alphabet(k):
-            if abs(a) == x:
+    for x, w in enumerate(images, 1):
+        first, last = w[0], w[-1]
+        for y, u in enumerate(images, 1):
+            if y == x:
                 continue
-            if a > 0:
-                img, img_inv = images[a - 1], inverses[a - 1]
-            else:
-                img, img_inv = inverses[-a - 1], images[-a - 1]
-            if w[-1] == -img[0]:
-                c = cancellation(w, img)
-                out.append((2 * c - len(img), (x, a, RIGHT), c))
-            if w[0] == img[0]:
-                c = cancellation(img_inv, w)
-                out.append((2 * c - len(img), (x, a, LEFT), c))
+            n = len(u)
+            if last == -u[0]:  # w u
+                c = cancellation(w, u)
+                out.append((2 * c - n, (x, y, RIGHT), c))
+            if first == u[0]:  # u^-1 w
+                c = _shared(w, u, 0, 1)
+                out.append((2 * c - n, (x, y, LEFT), c))
+            if last == u[-1]:  # w u^-1
+                c = _shared(w, u, -1, -1)
+                out.append((2 * c - n, (x, -y, RIGHT), c))
+            if first == -u[-1]:  # u w
+                c = cancellation(u, w)
+                out.append((2 * c - n, (x, -y, LEFT), c))
     return out
+
+
+def _shared(w: tuple, u: tuple, i: int, step: int) -> int:
+    """Letters w and u share, read from index i (0 or -1) by step (1 or -1)."""
+    c, n = 0, min(len(w), len(u))
+    while c < n and w[i] == u[i]:
+        c += 1
+        i += step
+    return c
 
 
 def _nielsen_move(images: tuple, move: tuple, c: int) -> tuple:
@@ -696,6 +689,7 @@ def _letter(text: str, letters: Sequence[int], what: str) -> int:
 
 def parse_map_text(rank: int, text: str) -> dict[int, Word]:
     """Parse 'a->a, b->ba' into basis-letter images."""
+    check_rank(rank)
     images = {}
     for x, value in _entries(text, "->", range(1, rank + 1)).items():
         images[x] = w = parse_word(value)
@@ -713,6 +707,7 @@ def parse_generator_expression(rank: int, text: str) -> Automorphism:
     `*` composes left-to-right with the left factor applied last.  Every
     named generator carries its inverse, so no `--inverse` text is needed.
     """
+    check_rank(rank)
     factors = [t.strip() for t in text.split("*")]
     result: Optional[Automorphism] = None
     for t in factors:

@@ -31,13 +31,15 @@ Six facts drive the computation:
 
 * Compositionality.  (phi o psi)^-1(Cyl u) is the disjoint union of
   psi^-1(Cyl w) over the pieces w of phi^-1(Cyl u), so partitions of a
-  composition assemble from the partitions of its factors.  A chain's
-  family is assembled from the identity's families {z: Cyl(z)} in one
-  right-to-left pass, one atom step per distinct suffix of the chain, the
-  last atom's included.  A preimage reads only the map's inverse images,
-  so a suffix is its tuple of inverse images, each got from the next
-  longer one by substituting into a peeled atom's images, and a suffix
-  met twice is built once.
+  composition assemble from the partitions of its factors.  A map's
+  family is assembled along its Nielsen chain (`Automorphism.factors`)
+  from the identity's families {z: Cyl(z)} in one right-to-left pass,
+  one atom step per suffix of the chain, the last atom's included.  A
+  preimage reads only the map's inverse images, so a suffix is its tuple
+  of inverse images, each got from the next longer one by substituting
+  into a peeled atom's images.  Nielsen reduction never returns to an
+  image tuple, so no suffix of one chain repeats, and the chain and every
+  node count depend on the map alone, not on how it was spelled.
   A step builds no atom family but reads the atom's closed form: a
   signed permutation relabels the families, and a transvection changes
   only those of s^-1, a and a^-1, with one graft (the preimage of
@@ -63,10 +65,10 @@ Six facts drive the computation:
   (Kapovich, as above), so pushforward tables and current values, and
   lengths with them, are the same for every map of an outer class.  They
   are computed on the map's shortest conjugate psi, from psi's Nielsen
-  chain (`_class_rep`), and a budget counts the nodes of psi's chain: an
-  inner factor of the given chain would cost 2(k - 1) transvection steps
-  that cannot change the answer.  Preimages, profiles and recentering
-  are not class invariants and read the chain they are given.
+  chain (`_class_rep`), and a budget counts the nodes of psi's chain:
+  the chain of a conjugate of psi pays for steps that cannot change the
+  answer.  Preimages, profiles and recentering are not class invariants
+  and read the map's own chain.
 
 * Canonical partitions are shared, immutable tries.  A partition is
   stored as its canonical prefix tree (complete sibling sets coalesced;
@@ -532,7 +534,7 @@ def _class_rep(auto: Automorphism) -> Automorphism:
     g = Word(_substitute(auto.bwd, v))
     g_inv = inverse(g)
     bwd = [concat(concat(g, w), g_inv) for w in auto.bwd]
-    return Automorphism(auto.rank, images, bwd, factors=None, verify=False)
+    return Automorphism(auto.rank, images, bwd, verify=False)
 
 
 def _transvection_letters(atom: Automorphism) -> tuple[int, int]:
@@ -555,14 +557,15 @@ def _depth1_family(
 ) -> dict[int, CylinderPartition]:
     """Depth-1 preimage partitions of a map, cached by its inverse images.
 
-    Leading atoms are peeled off until a suffix of the chain is cached or
-    every atom is peeled.  A suffix is known by its inverse images alone:
-    peeling the atom a off a o rest gives rest^-1(x) = (a o rest)^-1(a(x)),
-    where a(x) has at most two letters.  With every atom peeled, these
-    must be the basis letters, which proves that the chain composes to
-    the map, and the families start from the identity's.  The longer
-    suffixes are then assembled right to left, one atom step per suffix
-    not yet cached, so a chain that returns to a map builds it once.
+    Leading atoms of the map's Nielsen chain are peeled off until a
+    suffix of the chain is cached or every atom is peeled.  A suffix is
+    known by its inverse images alone: peeling the atom a off a o rest
+    gives rest^-1(x) = (a o rest)^-1(a(x)), where a(x) has at most two
+    letters.  With every atom peeled, these must be the basis letters,
+    which proves that the chain composes to the map, and the families
+    start from the identity's.  The longer suffixes are then assembled
+    right to left, one atom step each; none of them repeats, since
+    Nielsen reduction never returns to an image tuple.
     """
     families, factors = cache.families, auto.factors
     suffixes = [auto.bwd]
@@ -575,9 +578,7 @@ def _depth1_family(
             raise AssertionError(f"the factors of {auto.key()} do not compose to it")
         fam = _identity_family(auto.rank)
     for i in range(len(suffixes) - 2, -1, -1):
-        fam = families.get(suffixes[i]) or _family_from_factors(
-            factors[i], suffixes[i + 1], fam, budget
-        )
+        fam = _family_from_factors(factors[i], suffixes[i + 1], fam, budget)
         families[suffixes[i]] = fam
     return fam
 

@@ -8,11 +8,10 @@ letter's family into it, which by shift invariance is a walk of that
 family alone (`boundary` module docstring).  Inner automorphisms act
 trivially on currents, so the length and its breakdown are the same for
 every map of an outer class; they are computed on the shortest conjugate
-psi of the map, from psi's Nielsen chain, whatever chain the map was
-built from (`boundary._class_rep`).  The Monte Carlo estimator
-divides the cyclically reduced image length of a uniform random reduced
-word by the word length; the two agree up to sampling error plus an
-O(1/n) seam bias.
+psi of the map, from psi's Nielsen chain (`boundary._class_rep`).  The
+Monte Carlo estimator divides the cyclically reduced image length of a
+uniform random reduced word by the word length; the two agree up to
+sampling error plus an O(1/n) seam bias.
 """
 
 from __future__ import annotations
@@ -79,8 +78,7 @@ def eta_length(
     table's walk checks that the families tile the boundary.  The table
     is that of the shortest conjugate psi of the map, which pushes mu to
     the same current, so the report's `nodes` counts psi's chain, not the
-    one the map was built from.  A measure of another rank than the map
-    raises InputError.
+    map's own.  A measure of another rank than the map raises InputError.
     """
     budget, cache = _resolve(budget, cache)
     den, num = _table(_class_rep(auto), mu, 1, budget, cache)

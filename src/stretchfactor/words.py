@@ -55,6 +55,12 @@ def word_key(w: Sequence[int]) -> tuple:
     return (len(w), tuple(letter_key(x) for x in w))
 
 
+def check_rank(k: int) -> None:
+    """Refuse a rank outside 2..MAX_RANK, the ranks letters can spell."""
+    if not 2 <= k <= MAX_RANK:
+        raise InputError(f"rank must be between 2 and {MAX_RANK}, got {k}")
+
+
 @functools.cache
 def alphabet(k: int) -> tuple[int, ...]:
     """All 2k letters in canonical order a, A, b, B, ...
@@ -62,8 +68,7 @@ def alphabet(k: int) -> tuple[int, ...]:
     Built once per rank; an invalid rank raises InputError on every
     call, since the cache keeps only results.
     """
-    if not 2 <= k <= MAX_RANK:
-        raise InputError(f"rank must be between 2 and {MAX_RANK}, got {k}")
+    check_rank(k)
     out = []
     for i in range(1, k + 1):
         out.extend((i, -i))

@@ -254,6 +254,52 @@ def test_factors_are_atoms_and_recompose(rank, seed):
         assert recomposed == phi and recomposed.bwd == phi.bwd
 
 
+@given(st.integers(2, 4), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_the_chain_is_a_function_of_the_map(rank, seed):
+    # however a map is spelled, it is Nielsen-factored from its images,
+    # so its chain and the nodes its families cost are the same
+    text = random_expression(rank, random.Random(seed))
+    phi = parse_generator_expression(rank, text)
+    regrouped = None
+    for part in reversed(text.split(" * ")):
+        atom = parse_generator_expression(rank, part)
+        regrouped = atom if regrouped is None else compose(atom, regrouped)
+    spellings = [
+        phi,
+        make_automorphism(rank, phi.fwd, phi.bwd),
+        phi.inverse().inverse(),
+        regrouped,
+    ]
+    chains, nodes = set(), set()
+    for auto in spellings:
+        assert auto == phi and auto.bwd == phi.bwd
+        chains.add(tuple((f.fwd, f.bwd) for f in auto.factors))
+        budget = Budget()
+        length_exact(auto, budget=budget)
+        nodes.add(budget.spent)
+    assert len(chains) == 1
+    assert len(nodes) == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rank: Automorphism(rank, [(1,)] * rank, [(1,)] * rank),
+        lambda rank: make_automorphism(rank, [(1,)] * rank, [(1,)] * rank),
+        lambda rank: make_automorphism(rank, {1: (1,)}, {1: (1,)}),
+        lambda rank: parse_map_text(rank, "a->a"),
+        lambda rank: parse_generator_expression(rank, "W2[a; b:RIGHT]"),
+        lambda rank: parse_generator_expression(rank, "inner[a]"),
+    ],
+    ids=["constructor", "make-list", "make-dict", "map-text", "w2", "inner"],
+)
+@pytest.mark.parametrize("rank", [1, 27, 0])
+def test_a_rank_outside_the_alphabet_is_refused(build, rank):
+    with pytest.raises(InputError, match=f"^rank must be between 2 and 26, got {rank}$"):
+        build(rank)
+
+
 def letter_by_letter(rank, factors):
     """Forward and backward images of the composition of `factors`, one
     factor at a time by concatenating letter images and freely reducing."""
@@ -317,7 +363,7 @@ def test_certificate_catches_a_wrong_image_through_either_factor(nielsen_map, si
     "rank, expression, value, spent",
     [
         (2, " * ".join(["W2[a; b:RIGHT]"] * 24), Fraction(2471258444209, 282429536481), 578),
-        (3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]", Fraction(42, 25), 37),
+        (3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab]", Fraction(42, 25), 29),
     ],
     ids=["nielsen-power-24", "rank3-chain"],
 )
@@ -325,6 +371,7 @@ def test_cold_length_builds_each_suffix_once_without_brute_force(
     monkeypatch, rank, expression, value, spent
 ):
     phi = parse_generator_expression(rank, expression)
+    phi.factors  # the Nielsen chain, factored before counting starts
     counts = {"built": 0, "verified": 0}
     init, verify = Automorphism.__init__, Automorphism._verify
 
@@ -338,8 +385,8 @@ def test_cold_length_builds_each_suffix_once_without_brute_force(
 
     monkeypatch.setattr(Automorphism, "__init__", counted_init)
     monkeypatch.setattr(Automorphism, "_verify", counted_verify)
-    # the table of the chain phi was built from; length_exact would read
-    # its shortest conjugate's
+    # the table of phi's own chain; length_exact would read its shortest
+    # conjugate's
     budget = Budget()
     den, num = _table(phi, uniform_measure(rank), 1, budget, PartitionCache())
     assert (Fraction(sum(num.values()), den), budget.spent) == (value, spent)
@@ -350,14 +397,15 @@ def test_cold_length_builds_each_suffix_once_without_brute_force(
 
 @pytest.mark.parametrize("wrong", ["nielsen-squared", "one-atom"])
 def test_factors_that_do_not_compose_to_the_map_are_an_engine_bug(nielsen_map, wrong):
-    # an inverse pair whose factor chain is another map's: peeling the
-    # chain ends on inverse images that are not the basis letters
+    # an inverse pair given another map's chain: peeling the chain ends
+    # on inverse images that are not the basis letters
     factors = {
         "nielsen-squared": compose(nielsen_map, nielsen_map).factors,
         "one-atom": parse_generator_expression(2, "W2[b; a:RIGHT]").factors,
     }[wrong]
     n = nielsen_map
-    phi = Automorphism(2, n.fwd, n.bwd, factors=factors, verify=False)
+    phi = Automorphism(2, n.fwd, n.bwd, verify=False)
+    phi._factors = factors
     with pytest.raises(AssertionError, match="do not compose"):
         length_exact(phi)
 

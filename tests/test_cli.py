@@ -308,6 +308,26 @@ def test_engine_bugs_and_input_errors_exit_apart(mode, argv, code, message):
     assert message in result.stderr
 
 
+@pytest.mark.parametrize("rank", ["27", "1"])
+def test_a_rank_outside_the_alphabet_is_an_input_error(rank, capsys):
+    code, out = invoke(["length", "--rank", rank, "--map", "a->a", "--inverse", "a->a"])
+    assert (code, out) == (2, "")
+    assert f"rank must be between 2 and 26, got {rank}" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package runs from a source checkout without installing
+    root = Path(__file__).resolve().parent.parent
+    argv = ["length", "--rank", "2", "--map", "W2[a; b:RIGHT]"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "stretchfactor", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == invoke(argv)[1]
+
+
 def test_word_parse_error():
     code, _ = invoke(
         ["preimage", "--rank", "2", "--map", "W2[a; b:RIGHT]", "--target", "a1"]
@@ -570,7 +590,7 @@ def test_budget_admits_feasible_rank8_move():
         for rank, expression, nodes in [
             (3, "W2[a; c:CONJ]", 6),
             (4, "inner[a]", 0),
-            (2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]", 16),
+            (2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]", 3),
         ]
     ],
 )

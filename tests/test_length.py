@@ -152,7 +152,7 @@ def _length_of_the_given_chain(phi, mu):
 )
 def test_length_of_the_shortest_conjugate_equals_the_given_chains(rank, n_factors, v_len, seed):
     # eta_length assembles the shortest conjugate's Nielsen chain; _table
-    # assembles the chain phi was built from
+    # assembles phi's own
     rng = random.Random(seed)
     phi = conjugated_composition(rank, n_factors if rank < 4 else min(n_factors, 2), v_len, rng)
     for mu in (

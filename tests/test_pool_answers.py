@@ -32,12 +32,12 @@ POOLS = PERFBENCH / "pools"
 # Budget.spent of each sampled input, as the engine spends it.
 SPENT = {
     "chain2-0010": 0, "chain2-0019": 0, "chain2-0034": 0, "chain2-0060": 7,
-    "chain2-0068": 7, "chain2-0095": 7, "chain2-0096": 9, "chain2-0113": 7,
-    "chain2-0128": 3, "chain2-0144": 29, "chain2-0175": 3, "chain2-0184": 7,
-    "chain2-0198": 0, "chain2-0221": 35, "chain2-0237": 7, "chain2-0247": 42,
+    "chain2-0068": 7, "chain2-0095": 7, "chain2-0096": 6, "chain2-0113": 7,
+    "chain2-0128": 3, "chain2-0144": 12, "chain2-0175": 3, "chain2-0184": 7,
+    "chain2-0198": 0, "chain2-0221": 20, "chain2-0237": 7, "chain2-0247": 6,
     "chain2-0258": 0, "chain2-0284": 21, "chain2-0295": 13, "chain2-0318": 7,
     "chain2-0324": 3, "chain2-0345": 7, "chain2-0361": 45, "chain2-0374": 13,
-    "chain3-0006": 0, "chain3-0015": 0, "chain3-0025": 11, "chain3-0039": 6,
+    "chain3-0006": 0, "chain3-0015": 0, "chain3-0025": 10, "chain3-0039": 6,
     "chain4-0011": 0, "chain4-0014": 6, "chain4-0025": 12, "chain4-0044": 12,
     "nielsen-0000": 3, "nielsen-0001": 6, "nielsen-0002": 11, "nielsen-0003": 18,
     "nielsen-0004": 27, "nielsen-0005": 38, "nielsen-0006": 51, "nielsen-0007": 66,
@@ -50,26 +50,26 @@ SPENT = {
     "nielsen-0027": 786, "nielsen-0028": 843, "nielsen-0029": 902,
     "nielsen-0030": 963, "raw2-0017": 0, "raw2-0023": 3, "raw2-0055": 0,
     "markov-0004": 0, "markov-0015": 0, "markov-0018": 0, "markov-0027": 6,
-    "markov-0035": 3, "markov-0046": 8, "markov-0052": 12, "markov-0058": 0,
-    "markov-0068": 6, "markov-0074": 27, "markov-0087": 3, "markov-0095": 3,
+    "markov-0035": 3, "markov-0046": 3, "markov-0052": 3, "markov-0058": 0,
+    "markov-0068": 6, "markov-0074": 3, "markov-0087": 3, "markov-0095": 3,
     "rational-0005": 3, "rational-0008": 0, "rational-0017": 7, "rational-0026": 0,
-    "rational-0038": 12, "rational-0042": 10, "rational-0054": 15,
-    "rational-0058": 3, "rational-0068": 25, "rational-0074": 6,
+    "rational-0038": 0, "rational-0042": 7, "rational-0054": 3,
+    "rational-0058": 3, "rational-0068": 0, "rational-0074": 6,
     "rational-0084": 7, "rational-0094": 3, "uniform_as_markov-0003": 0,
     "uniform_as_markov-0011": 6, "uniform_as_markov-0017": 0,
-    "uniform_as_markov-0028": 0, "uniform_as_markov-0037": 11,
+    "uniform_as_markov-0028": 0, "uniform_as_markov-0037": 6,
     "uniform_as_markov-0046": 3, "uniform_as_markov-0048": 7,
-    "uniform_as_markov-0057": 0, "uniform_as_markov-0070": 27,
+    "uniform_as_markov-0057": 0, "uniform_as_markov-0070": 3,
     "uniform_as_markov-0072": 3, "uniform_as_markov-0083": 6,
     "uniform_as_markov-0090": 10,
 }
 
 # Budget.spent of each sampled whitehead input.
 WHITEHEAD_SPENT = {
-    "factorize2-0002": 0, "factorize2-0046": 6, "factorize2-0075": 0,
+    "factorize2-0002": 0, "factorize2-0046": 0, "factorize2-0075": 0,
     "factorize2-0094": 0, "factorize2-0135": 0, "factorize3-0004": 0,
     "factorize3-0035": 0, "spectrum-0000": 12, "spectrum-0001": 140,
-    "spectrum-0002": 471,
+    "spectrum-0002": 468,
 }
 
 
@@ -193,4 +193,4 @@ def test_every_pooled_answer(monkeypatch, workload):
             wrong.append(str(e))
     assert wrong == []
     assert len(entries) == {"length-cold": 571, "currents": 288, "whitehead": 194}[workload]
-    assert spent == {"length-cold": 16837, "currents": 2181, "whitehead": 5302}[workload]
+    assert spent == {"length-cold": 16044, "currents": 1662, "whitehead": 5038}[workload]
