@@ -6,12 +6,13 @@ map and under its inverse.  Pairs that come from outside the engine
 brute force: both substitutions must send every generator to itself.
 Products of two such pairs (`compose`) are certified instead, by round
 trips through the factor with the shorter images, in time linear in the
-product's images.  Inner automorphisms, signed permutations and
-transvections are inverse pairs by construction, and each second-kind
-move is built and verified once per process, so the boundary engine
-always has a certified inverse available.  Every map also factors into
-atoms of two kinds, elementary transvections and signed permutations,
-whose preimage families the boundary engine knows in closed form.  The
+product's images.  Inner automorphisms and signed permutations are
+inverse pairs by construction, each signed permutation is built once per
+process, and each second-kind move once and verified, so the boundary
+engine always has a certified inverse available.  Every map also factors
+into atoms of two kinds, elementary transvections (the second-kind moves
+that move one letter on one side) and signed permutations, whose
+preimage families the boundary engine knows in closed form.  The
 chain is found one way only, by Nielsen reduction of the map's image
 tuple on first use, so it depends on the map and not on how the map was
 spelled; the engine reads each suffix of the chain as inverse images
@@ -323,16 +324,7 @@ class SignedPermutation:
         return self.images[x - 1] if x > 0 else -self.images[-x - 1]
 
     def automorphism(self) -> Automorphism:
-        inv_images = [0] * self.rank
-        for x in range(1, self.rank + 1):
-            y = self.images[x - 1]
-            inv_images[abs(y) - 1] = x if y > 0 else -x
-        return Automorphism(
-            self.rank,
-            [Word((y,)) for y in self.images],
-            [Word((y,)) for y in inv_images],
-            verify=False,
-        )
+        return _signed_permutation(self.rank, self.images)
 
 
 def enumerate_signed_permutations(rank: int) -> list[Automorphism]:
@@ -414,18 +406,6 @@ def _second_kind(rank: int, a: int, types: tuple[str, ...]) -> Automorphism:
     return Automorphism(rank, fwd, bwd, verify=True)
 
 
-# At most 4k(k-1) transvections per rank, each built once and shared by
-# every map that uses it.
-@functools.cache
-def _transvection(rank: int, x: int, a: int, side: str) -> Automorphism:
-    """The atom x -> xa (RIGHT) or x -> a^-1 x (LEFT), other letters fixed."""
-    fwd = [Word((y,)) for y in range(1, rank + 1)]
-    bwd = list(fwd)
-    fwd[x - 1] = _w2_image(x, a, side)
-    bwd[x - 1] = _w2_image(x, -a, side)
-    return Automorphism(rank, fwd, bwd, verify=False)
-
-
 def enumerate_second_kind(rank: int) -> list[WhiteheadSecondKind]:
     """All 2k * 4^(k-1) second-kind moves, identity-typed ones included."""
     out = []
@@ -459,7 +439,11 @@ def _nielsen_factors(auto: Automorphism) -> tuple:
         moves += path
     if not moves:
         return ()
-    factors = tuple(_transvection(k, x, -a, side) for x, a, side in reversed(moves))
+    # x -> xa or x -> a^-1 x: the second-kind move with multiplier a, side at x
+    factors = tuple(
+        _second_kind(k, -a, tuple(side if y == x else FIX for y in range(1, k + 1) if y != abs(a)))
+        for x, a, side in reversed(moves)
+    )
     images = tuple(w[0] for w in current)
     if images == tuple(range(1, k + 1)):
         return factors
@@ -467,11 +451,14 @@ def _nielsen_factors(auto: Automorphism) -> tuple:
 
 
 # At most 2^k k! signed permutations per rank, each built once and shared
-# by every chain that ends in it.
+# by every chain that ends in it and every caller that names it.
 @functools.cache
 def _signed_permutation(rank: int, images: tuple[int, ...]) -> Automorphism:
     """The signed permutation sending basis letter i to images[i - 1]."""
-    return SignedPermutation(rank, images).automorphism()
+    bwd: list = [None] * rank
+    for x, y in enumerate(images, 1):
+        bwd[abs(y) - 1] = Word((x if y > 0 else -x,))
+    return Automorphism(rank, [Word((y,)) for y in images], bwd, verify=False)
 
 
 def _shortening_path(k: int, start: tuple) -> tuple[list, tuple]:

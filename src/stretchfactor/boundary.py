@@ -63,12 +63,13 @@ Six facts drive the computation:
 
 * Class invariance.  Inner automorphisms act trivially on currents
   (Kapovich, as above), so pushforward tables and current values, and
-  lengths with them, are the same for every map of an outer class.  They
-  are computed on the map's shortest conjugate psi, from psi's Nielsen
-  chain (`_class_rep`), and a budget counts the nodes of psi's chain:
-  the chain of a conjugate of psi pays for steps that cannot change the
-  answer.  Preimages, profiles and recentering are not class invariants
-  and read the map's own chain.
+  the lengths and descent scores read off them, are the same for every
+  map of an outer class.  Every table (`_table`) and current value is
+  computed on the map's shortest conjugate psi, from psi's Nielsen chain
+  (`_class_rep`), and a budget counts the nodes of psi's chain: the chain
+  of a conjugate of psi pays for steps that cannot change the answer.
+  Preimages, profiles and recentering are not class invariants and read
+  the map's own chain.
 
 * Canonical partitions are shared, immutable tries.  A partition is
   stored as its canonical prefix tree (complete sibling sets coalesced;
@@ -659,12 +660,9 @@ def _pair_mass(
     a pair splitting at depth d counts E D^(2h-2d-1) times its mass, and
     D^(2d) brings it to the denominator E D^(2h-1).  Comparable cells in
     one group raise AssertionError, and with `tiles` so do cells whose
-    uniform masses do not sum to one (a lost or a doubled cell).  A
-    measure of another rank raises InputError.
+    uniform masses do not sum to one (a lost or a doubled cell).
     """
     k = mu.rank
-    if any(p.rank != k for p in parts.values()):
-        raise InputError("measure and partition ranks differ")
     num = dict.fromkeys(parts, 0)
     h = max((p.height for p in parts.values()), default=0)
     e, d, init, step = mu.chain
@@ -798,8 +796,10 @@ def pushforward_current_value(
     outside phi^-1(Cyl u0) into phi^-1(Cyl u): one pair-sum walk of the
     latter and the rest of the former (a difference), as one group.  The
     preimages are those of the map's shortest conjugate, which pushes mu
-    to the same current.
+    to the same current.  A measure of another rank raises InputError.
     """
+    if mu.rank != auto.rank:
+        raise InputError("measure and map ranks differ")
     u = _target(auto, u)
     budget, cache = _resolve(budget, cache)
     auto = _class_rep(auto)
@@ -821,13 +821,12 @@ def pushforward_table(
     """Pushforward measure of every cylinder up to the given depth.
 
     One coloured pair-sum walk gives every value of the deepest length,
-    and each shorter cylinder adds up its children (`_table`), on the
-    map's shortest conjugate, which pushes mu to the same measure.
+    and each shorter cylinder adds up its children (`_table`).
     """
     if depth < 1:
         raise InputError("depth must be at least 1")
     budget, cache = _resolve(budget, cache)
-    den, num = _table(_class_rep(auto), mu, depth, budget, cache)
+    den, num = _table(auto, mu, depth, budget, cache)
     return {v: Fraction(q, den) for v, q in num.items()}
 
 
@@ -845,8 +844,13 @@ def _table(
     first letter of their cylinder, the pairs counted for v come from
     under another first letter: that is Cyl[1, v].  A shorter v sums
     its children in integers, nu(v) = sum of nu(vc).  Keys run by
-    length, then in `all_words` order.
+    length, then in `all_words` order.  The table is a class invariant,
+    read off the map's shortest conjugate psi (`_class_rep`), whose chain
+    the budget counts; a measure of another rank raises InputError first.
     """
+    if mu.rank != auto.rank:
+        raise InputError("measure and map ranks differ")
+    auto = _class_rep(auto)
     rank = auto.rank
     fam = _depth1_family(auto, budget, cache)
     parts = {v: _preimage(auto.bwd, fam, v, budget) for v in _words(depth, rank)}

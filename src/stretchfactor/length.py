@@ -7,11 +7,11 @@ families, one term per oriented letter: the pairs from outside the
 letter's family into it, which by shift invariance is a walk of that
 family alone (`boundary` module docstring).  Inner automorphisms act
 trivially on currents, so the length and its breakdown are the same for
-every map of an outer class; they are computed on the shortest conjugate
-psi of the map, from psi's Nielsen chain (`boundary._class_rep`).  The
-Monte Carlo estimator divides the cyclically reduced image length of a
-uniform random reduced word by the word length; the two agree up to
-sampling error plus an O(1/n) seam bias.
+every map of an outer class; they are read off the depth-1 table of the
+map's shortest conjugate psi (`boundary._table`).  The Monte Carlo
+estimator divides the cyclically reduced image length of a uniform
+random reduced word by the word length; the two agree up to sampling
+error plus an O(1/n) seam bias.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .automorphisms import Automorphism
-from .boundary import Budget, PartitionCache, _class_rep, _resolve, _table
+from .boundary import Budget, PartitionCache, _resolve, _table
 from .errors import InputError
 from .measures import FrequencyMeasure, uniform_measure
 from .words import alphabet, cyclic_length, random_reduced
@@ -35,8 +35,8 @@ ZERO = Fraction(0)
 class LengthReport:
     """Exact length with its per-letter decomposition.
 
-    Value and breakdown are computed on the map's shortest conjugate psi
-    and equal the map's; `nodes` counts the nodes spent on psi's chain.
+    Value and breakdown are read off the table of the map's shortest
+    conjugate psi and equal the map's; `nodes` counts psi's chain.
     """
 
     value: Fraction
@@ -81,7 +81,7 @@ def eta_length(
     map's own.  A measure of another rank than the map raises InputError.
     """
     budget, cache = _resolve(budget, cache)
-    den, num = _table(_class_rep(auto), mu, 1, budget, cache)
+    den, num = _table(auto, mu, 1, budget, cache)
     breakdown = {x: Fraction(num[(x,)], den) for x in alphabet(auto.rank)}
     return LengthReport(
         value=Fraction(sum(num.values()), den),

@@ -28,6 +28,11 @@ the last sum over the turns xy whose images cancel.  With nu = phi_* mu,
 off one depth-2 pushforward table of phi (J. H. C. Whitehead, Ann. of
 Math. 37 (1936); Lyndon-Schupp, Combinatorial Group Theory, I.4).
 
+That table is a class invariant, read off the shortest conjugate psi
+of phi (`boundary._table`): every conjugate of phi gets the same move,
+a budget (`--budget`) counts psi's chain, and the moves are still
+composed with phi, so a factorization recomposes to its input.
+
 The spectrum reads its lengths the same way.  A signed permutation sigma
 sends letters to letters, so nothing cancels and L(sigma o phi) = L(phi);
 inner automorphisms act trivially on currents, so L is constant on a
@@ -133,13 +138,14 @@ def factorize(
 ) -> FactorizationReport:
     """Greedy steepest-descent factorization into second-kind moves.
 
-    Each step reads one depth-2 pushforward table of the current map:
-    its length is the sum of the depth-1 values, and the chosen move's
-    cut-formula value is the next map's length, so lengths are not
-    measured one by one.  `length_exact` runs only on an input that is
-    already simple.  Each table's own length must equal the value the
-    cut formula gave it one step earlier, and the simple map reached
-    must have length 1; either failing is an engine bug (AssertionError).
+    Each step reads one depth-2 pushforward table of the current map (its
+    shortest conjugate's, whose chain the budget counts): its length is
+    the sum of the depth-1 values, and the chosen move's cut-formula
+    value is the next map's length, so lengths are not measured one by
+    one.  `length_exact` runs only on an input that is already simple.
+    Each table's own length must equal the value the cut formula gave it
+    one step earlier, and the simple map reached must have length 1;
+    either failing is an engine bug (AssertionError).
     """
     budget, cache = _resolve(budget, cache)
     lengths: list[Fraction] = []
@@ -198,9 +204,9 @@ def _steepest(
 ) -> tuple[Fraction, Optional[tuple[WhiteheadSecondKind, Fraction]]]:
     """L(phi), and the least (L(tau o phi), move) below it if there is one.
 
-    Reads the integer numerators of phi's depth-2 table over their common
-    denominator D, so every move is compared in integers and only the
-    two values returned become fractions.
+    Reads the integer numerators of the depth-2 table (psi's, whose chain
+    the budget counts) over their common denominator D, so every move is
+    compared in integers and only the two values returned become fractions.
     """
     den, num = _table(auto, uniform_measure(auto.rank), 2, budget, cache)
     total, scores = _cut_scores(auto.rank, num)
@@ -282,9 +288,10 @@ def spectrum(
     Maps are merged by conjugacy class, so multiplicities count maps up to
     inner automorphisms.  Classes are found level by level from the
     identity's.  Each class below the last level is built with `compose`
-    and expanded: one depth-2 table of it gives L(tau o phi) for every
-    move tau by the cut formula, and L(sigma o phi) = L(phi) for every
-    signed permutation sigma (module docstring).  A class's key is the
+    and expanded: one depth-2 table of it, its shortest conjugate's,
+    gives L(tau o phi) for every move tau by the cut formula and
+    L(sigma o phi) = L(phi) for every signed permutation sigma (module
+    docstring); the budget counts those chains.  A class's key is the
     least tuple of its plateau of shortest conjugates, and its name the
     shortlex-least, as in `canonical_out_key`.  A class's own table must
     sum to the value its parent's cut gave it, or AssertionError is

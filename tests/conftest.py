@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stretchfactor import Word, make_automorphism
+from stretchfactor.boundary import _depth1_family, _pair_mass, _preimage, _words
 from stretchfactor.measures import (
     MarkovSpec,
     markov_measure,
@@ -11,7 +12,13 @@ from stretchfactor.measures import (
     uniform_as_markov,
     uniform_measure,
 )
-from stretchfactor.words import alphabet, is_cyclically_reduced, is_proper_power, random_reduced
+from stretchfactor.words import (
+    alphabet,
+    extension_letters,
+    is_cyclically_reduced,
+    is_proper_power,
+    random_reduced,
+)
 
 
 def nielsen():
@@ -43,6 +50,27 @@ def conjugated_composition(rank, n_factors, v_len, rng: random.Random):
 
     phi = random_composition(rank, n_factors, rng)
     return conj(phi, random_reduced(v_len, rank, rng))
+
+
+def given_chain_table(auto, mu, depth, budget, cache):
+    """`boundary._table` read off the map's own Nielsen chain.
+
+    The engine's table reads the chain of the map's shortest conjugate;
+    this one assembles the given map's families, so comparing the two
+    checks that a conjugate pushes mu to the same current.
+    """
+    rank = auto.rank
+    fam = _depth1_family(auto, budget, cache)
+    parts = {v: _preimage(auto.bwd, fam, v, budget) for v in _words(depth, rank)}
+    den, deep = _pair_mass(mu, parts, {v: v[0] for v in parts}, tiles=True)
+    levels = [deep]
+    for n in range(depth - 1, 0, -1):
+        below = levels[-1]
+        levels.append({
+            v: sum(below[v + (c,)] for c in extension_letters(v, rank))
+            for v in _words(n, rank)
+        })
+    return den, {v: q for level in reversed(levels) for v, q in level.items()}
 
 
 def is_atom(f):

@@ -28,7 +28,7 @@ from stretchfactor import (
     random_reduced,
 )
 from stretchfactor.automorphisms import _certify
-from stretchfactor.boundary import _table
+from stretchfactor.boundary import _depth1_family, _pair_mass
 from stretchfactor.measures import uniform_measure
 from stretchfactor.words import free_reduce, inverse
 
@@ -330,7 +330,7 @@ def test_products_and_suffixes_are_certified(rank, m, n, seed):
         assert (product.fwd, product.bwd) == letter_by_letter(rank, product.factors)
         # the engine keys every suffix of the chain by its inverse images
         cache = PartitionCache()
-        _table(product, uniform_measure(rank), 1, Budget(), cache)
+        _depth1_family(product, Budget(), cache)
         for i in range(len(product.factors)):
             assert letter_by_letter(rank, product.factors[i:])[1] in cache.families
         pairs = ((left.fwd, left.bwd), (right.fwd, right.bwd))
@@ -385,10 +385,11 @@ def test_cold_length_builds_each_suffix_once_without_brute_force(
 
     monkeypatch.setattr(Automorphism, "__init__", counted_init)
     monkeypatch.setattr(Automorphism, "_verify", counted_verify)
-    # the table of phi's own chain; length_exact would read its shortest
-    # conjugate's
+    # the families of phi's own chain, and their pair walk, the length;
+    # length_exact would read its shortest conjugate's
     budget = Budget()
-    den, num = _table(phi, uniform_measure(rank), 1, budget, PartitionCache())
+    fam = _depth1_family(phi, budget, PartitionCache())
+    den, num = _pair_mass(uniform_measure(rank), fam, {x: x for x in fam}, tiles=True)
     assert (Fraction(sum(num.values()), den), budget.spent) == (value, spent)
     assert counts["verified"] == 0
     # suffixes of the chain are inverse-image tuples, not maps
@@ -414,3 +415,11 @@ def test_second_kind_maps_are_built_once():
     for tau in enumerate_second_kind(3):
         assert tau.automorphism() is tau.automorphism()
         assert WhiteheadSecondKind(3, tau.multiplier, tau.types).automorphism() is tau.automorphism()
+    # so is every signed permutation, and every atom of a Nielsen chain
+    # is one of these cached maps
+    cached = {f: f for f in enumerate_signed_permutations(3)}
+    assert all(f is g for f, g in zip(cached, enumerate_signed_permutations(3)))
+    cached.update((t.automorphism(), t.automorphism()) for t in enumerate_second_kind(3))
+    phi = parse_generator_expression(3, "W2[a; b:RIGHT, c:LEFT] * perm[a->C,c->b,b->a]")
+    assert len(phi.factors) == 3
+    assert all(cached[f] is f for f in phi.factors)

@@ -25,7 +25,7 @@ from stretchfactor import (
     recenter,
     uniform_measure,
 )
-from stretchfactor.automorphisms import LEFT, RIGHT, _transvection
+from stretchfactor.automorphisms import FIX, LEFT, RIGHT, WhiteheadSecondKind
 from stretchfactor.boundary import (
     Budget,
     CylinderPartition,
@@ -52,6 +52,7 @@ from stretchfactor.words import (
 from conftest import (
     conjugated_composition,
     doubly_stochastic_markov,
+    given_chain_table,
     is_atom,
     nielsen,
     random_composition,
@@ -875,18 +876,20 @@ def test_coloured_pair_mass_property(rank, n_factors, target_len, seed):
 
 
 def test_a_measure_of_another_rank_is_an_input_error():
-    # checked where the measure meets the partitions: the pair walk, and
-    # the mass of one partition
+    # checked before any family is built, so a budget of 0 still sees the
+    # input error, not its own exhaustion; and where the measure meets
+    # one partition's cells
     from stretchfactor import eta_length
 
     auto = parse_generator_expression(2, "W2[a; b:RIGHT]")
     mu = uniform_measure(3)
-    with pytest.raises(InputError, match="ranks differ"):
-        eta_length(auto, mu)
-    with pytest.raises(InputError, match="ranks differ"):
-        pushforward_current_value(auto, mu, (1,))
-    with pytest.raises(InputError, match="ranks differ"):
-        pushforward_table(auto, mu, 1)
+    for budget in (None, 0):
+        with pytest.raises(InputError, match="ranks differ"):
+            eta_length(auto, mu, budget=budget)
+        with pytest.raises(InputError, match="ranks differ"):
+            pushforward_current_value(auto, mu, (1,), budget=budget)
+        with pytest.raises(InputError, match="ranks differ"):
+            pushforward_table(auto, mu, 1, budget=budget)
     with pytest.raises(InputError, match="ranks differ"):
         partition_mass(mu, preimage_partition(auto, (1,)))
 
@@ -1037,10 +1040,17 @@ def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
     assert calls["trie"] > 0
 
 
+def transvection(rank, x, a, side):
+    """The atom x -> xa (RIGHT) or x -> a^-1 x (LEFT): the second-kind move
+    with multiplier a, that side at x and every other letter fixed."""
+    types = tuple(side if y == x else FIX for y in range(1, rank + 1) if y != abs(a))
+    return WhiteheadSecondKind(rank, a, types).automorphism()
+
+
 def _atoms(rank):
     """Every elementary transvection and every signed permutation."""
     transvections = [
-        _transvection(rank, x, a, side)
+        transvection(rank, x, a, side)
         for x in range(1, rank + 1)
         for a in alphabet(rank)
         if abs(a) != x
@@ -1111,7 +1121,7 @@ def _random_atom(rank, rng):
         return rng.choice(enumerate_signed_permutations(rank))
     x = rng.randint(1, rank)
     a = rng.choice([c for c in alphabet(rank) if abs(c) != x])
-    return _transvection(rank, x, a, rng.choice((LEFT, RIGHT)))
+    return transvection(rank, x, a, rng.choice((LEFT, RIGHT)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1159,7 +1169,7 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
         phi = parse_generator_expression(rank, expression)
         assert len(phi.factors) == n
         calls.update(dict.fromkeys(calls, 0))
-        boundary._table(phi, uniform_measure(rank), 1, Budget(), PartitionCache())
+        _depth1_family(phi, Budget(), PartitionCache())
         # every atom, the last one included, is one step from the
         # identity's families, and no words are canonicalized
         assert calls == {"step": n, "trie": 0}, expression
@@ -1177,7 +1187,7 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
     # families of s^-1 = A, b and B, and keeps every other one; it builds
     # one preimage, that of bA, and new[b] = fam[b] minus it, and makes
     # one merge, new[B] = fam[A] + fam[B]
-    tau = _transvection(3, 1, 2, RIGHT)
+    tau = transvection(3, 1, 2, RIGHT)
     grafted, merged = [], []
     preimage = boundary._preimage
 
@@ -1197,16 +1207,36 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
 @given(rank=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
 def test_pushforward_of_the_shortest_conjugate_equals_the_given_chains(rank, seed):
     # pushforward_table and pushforward_current_value assemble the shortest
-    # conjugate's Nielsen chain; _table assembles phi's own
+    # conjugate's Nielsen chain; given_chain_table assembles phi's own
     rng = random.Random(seed)
     phi = conjugated_composition(rank, rng.randint(1, 2), rng.randint(0, 4), rng)
     measures = sample_measures(rank, rng) + [markov_measure(doubly_stochastic_markov(rank, rng))]
     mu = rng.choice(measures)
-    den, num = _table(phi, mu, 2, Budget(), PartitionCache())
+    den, num = given_chain_table(phi, mu, 2, Budget(), PartitionCache())
     assert pushforward_table(phi, mu, 2) == {v: F(q, den) for v, q in num.items()}
     u = random_reduced(rng.randint(1, 3), rank, rng)
-    den, num = _table(phi, mu, len(u), Budget(), PartitionCache())
+    den, num = given_chain_table(phi, mu, len(u), Budget(), PartitionCache())
     assert pushforward_current_value(phi, mu, u) == F(num[u], den)
+
+
+def test_the_given_chain_reference_reads_the_maps_own_chain():
+    # a map that is not its own shortest conjugate: the engine's table and
+    # the reference agree on every value but spend nodes on different
+    # chains, so the reference above does not compare psi with psi
+    from stretchfactor import boundary
+
+    phi = parse_generator_expression(2, "W2[a; b:RIGHT] * inner[ab]")
+    assert boundary._class_rep(phi) != phi
+    mu = uniform_measure(2)
+    tables, spent = [], []
+    for table in (_table, given_chain_table):
+        budget = Budget()
+        den, num = table(phi, mu, 2, budget, PartitionCache())
+        tables.append({v: F(q, den) for v, q in num.items()})
+        spent.append(budget.spent)
+    assert tables[0] == tables[1]
+    # psi (a -> a, b -> ab) is one atom; phi's chain is longer
+    assert spent == [11, 17]
 
 
 @settings(max_examples=20, deadline=None)

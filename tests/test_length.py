@@ -26,12 +26,13 @@ from stretchfactor import (
     uniform_as_markov,
     uniform_measure,
 )
-from stretchfactor.boundary import Budget, PartitionCache, _table
+from stretchfactor.boundary import Budget, PartitionCache
 from stretchfactor.words import alphabet, cyclic_reduce, is_proper_power
 
 from conftest import (
     conjugated_composition,
     doubly_stochastic_markov,
+    given_chain_table,
     primitive_cyclic_word,
     random_composition,
     sample_measures,
@@ -138,7 +139,7 @@ def test_conjugation_and_signed_permutation_invariance(rank, n_factors, v_len, s
 
 def _length_of_the_given_chain(phi, mu):
     """(value, breakdown) from the table of phi's own chain."""
-    den, num = _table(phi, mu, 1, Budget(), PartitionCache())
+    den, num = given_chain_table(phi, mu, 1, Budget(), PartitionCache())
     breakdown = {x: F(num[(x,)], den) for x in alphabet(phi.rank)}
     return F(sum(num.values()), den), breakdown
 
@@ -151,8 +152,8 @@ def _length_of_the_given_chain(phi, mu):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_length_of_the_shortest_conjugate_equals_the_given_chains(rank, n_factors, v_len, seed):
-    # eta_length assembles the shortest conjugate's Nielsen chain; _table
-    # assembles phi's own
+    # eta_length assembles the shortest conjugate's Nielsen chain;
+    # given_chain_table assembles phi's own
     rng = random.Random(seed)
     phi = conjugated_composition(rank, n_factors if rank < 4 else min(n_factors, 2), v_len, rng)
     for mu in (

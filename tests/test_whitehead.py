@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import stretchfactor.boundary as boundary_module
 import stretchfactor.whitehead as whitehead_module
@@ -26,6 +26,7 @@ from stretchfactor import (
     parse_word,
     spectrum,
 )
+from stretchfactor.automorphisms import _plateau
 from stretchfactor.boundary import _table
 from stretchfactor.whitehead import _cut_scores, _move_data, _normalize
 from stretchfactor.words import alphabet, random_reduced
@@ -327,7 +328,7 @@ def test_factorize_builds_no_candidate_map(monkeypatch):
     # table, which is one pair-sum walk, and composes only the chosen
     # move; recomposing the report composes twice more.  Measuring each
     # of the 90 candidate maps instead would take 184 compositions, 185
-    # walks and, with one shared cache, 628 nodes (two steps of
+    # walks and, with one shared cache, 374 nodes (two steps of
     # oracles.descent_step_by_lengths).
     with open(POOLS / "whitehead.json", encoding="utf-8") as fh:
         entry = next(e for e in json.load(fh)["entries"] if e["id"] == "factorize3-0020")
@@ -350,4 +351,29 @@ def test_factorize_builds_no_candidate_map(monkeypatch):
     assert rep.lengths == (1, F(6, 5), F(7, 5))
     assert len(rep.taus) == 2
     assert counts == {"compose": 2 * 2, "walks": 2 * 1}
-    assert budget.spent == 55
+    assert budget.spent == 50
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rank=st.integers(2, 3),
+    n_factors=st.integers(1, 4),
+    v_len=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_descent_is_class_level(rank, n_factors, v_len, seed):
+    # With one shortest conjugate psi, phi and every conjugate of it read
+    # psi's table, so descent picks the same move for the same nodes, and
+    # a factorization makes the same moves through the same lengths.
+    rng = random.Random(seed)
+    phi = random_composition(rank, n_factors, rng)
+    assume(len(_plateau(phi.fwd)) == 1)
+    other = conj(phi, random_reduced(v_len, rank, rng))
+    steps = []
+    for f in (phi, other):
+        budget = Budget()
+        steps.append((descent_step(f, budget=budget), budget.spent))
+    assert steps[0] == steps[1]
+    reports = [factorize(phi), factorize(other)]
+    assert reports[0].taus == reports[1].taus
+    assert reports[0].lengths == reports[1].lengths
