@@ -59,7 +59,6 @@ from .measures import (
     markov_measure,
     rational_measure,
     uniform_as_markov,
-    uniform_eval,
     uniform_measure,
 )
 from .whitehead import (

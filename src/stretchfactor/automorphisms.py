@@ -317,6 +317,7 @@ class SignedPermutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        check_rank(self.rank)
         if sorted(abs(x) for x in self.images) != list(range(1, self.rank + 1)):
             raise InputError("signed permutation images must hit each basis letter once")
 
@@ -353,6 +354,7 @@ class WhiteheadSecondKind:
     types: tuple[str, ...]  # indexed by basis letters != |multiplier|, ascending
 
     def __post_init__(self):
+        check_rank(self.rank)
         if not (1 <= abs(self.multiplier) <= self.rank):
             raise InputError("multiplier outside alphabet")
         if len(self.types) != self.rank - 1:
@@ -620,11 +622,6 @@ def _plateau(images) -> set[tuple]:
                     seen.add(psi)
                     queue.append(psi)
     return seen
-
-
-def _normalize(images) -> tuple[Word, ...]:
-    """Conjugation normal form: the shortlex-least tuple of the plateau."""
-    return tuple(Word(w) for w in min(_plateau(images), key=_tuple_sort_key))
 
 
 def is_simple(phi: Automorphism) -> Optional[tuple[Word, SignedPermutation]]:

@@ -79,8 +79,9 @@ Six facts drive the computation:
   only the new path along g (`_graft`); a union copies only the nodes
   two inputs share, where alone siblings can coalesce (`_merge`); a
   difference copies only the paths to the cells it cuts (`_subtract`).
-  The pair-sum walk reads the tries directly.  Label words are built
-  from paths on first request, and sorted only for output, keys and tests.
+  Every partition is built by a graft, a merge or a difference.  The
+  pair-sum walk reads the tries directly.  Label words are built from
+  paths on first request, and sorted only for output, keys and tests.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ from .words import (
     alphabet,
     all_words,
     as_word,
+    check_rank,
     concat,
     extension_letters,
     format_word,
@@ -156,9 +158,8 @@ class CylinderPartition:
     copies only the nodes it changes.  `size` is the number of labels,
     set when the partition is built.  Two partitions are equal when their
     label sets are, and comparing stems and tries decides that without
-    sorting.  `from_words` canonicalizes a family given by its labels;
-    the engine builds every other partition by a graft, a merge or a
-    difference.
+    sorting.  Every partition is built by a graft, a merge or a
+    difference; `from_words` merges the one-cell partitions of its labels.
     `height`, `leaves` (trie order) and `words` (shortlex) are built on
     first use and kept; only output, keys and tests read `words`.
     """
@@ -176,17 +177,30 @@ class CylinderPartition:
 
     @classmethod
     def from_words(cls, rank: int, words: Iterable[Sequence[int]]) -> "CylinderPartition":
-        """The canonical partition of a disjoint family of nonempty labels.
+        """The canonical partition of a disjoint family of labels.
 
-        Labels are checked for reduction, rank and overlaps, and complete
-        sibling sets coalesced; a family that coalesces to the whole
-        boundary is refused.
+        Each label must be nonempty, reduced and in the rank.  Sorted, a
+        label that overlaps another is a prefix of the one after it, so
+        neighbours are compared; an overlap names both.  A family whose
+        uniform masses sum to one is the whole boundary and is refused.
+        The rest is the union (`_merge`) of the labels' one-cell partitions.
         """
-        root = _trie(rank, words)
-        size = _collapse(root, rank)
-        if _complete(root, 2 * rank):
+        check_rank(rank)
+        labels = [as_word(w) for w in words]
+        for w in labels:
+            if not w:
+                raise InputError("partition labels must be nonempty")
+            validate_rank(w, rank)
+        labels.sort()
+        for u, v in zip(labels, labels[1:]):
+            if v[: len(u)] == u:
+                raise InputError(
+                    f"overlapping cylinders {format_word(u)!r} and {format_word(v)!r}"
+                )
+        if sum(map(uniform_measure(rank).eval, labels)) == 1:
             raise InputError("partition coalesces to the full boundary")
-        return _partition(rank, (), root, size)
+        cells = (cls(rank, w[:-1], {w[-1]: _LEAF}, 1) for w in labels)
+        return functools.reduce(_merge, cells, cls(rank, (), {}, 0))
 
     def root(self, start: int = 0) -> dict:
         """The trie below stem[:start], the rest of the stem one dict per letter."""
@@ -232,46 +246,6 @@ class CylinderPartition:
 
     def __repr__(self) -> str:
         return f"CylinderPartition(rank={self.rank}, words={self.words!r})"
-
-
-def _trie(rank: int, words: Iterable[Sequence[int]]) -> dict:
-    """Prefix tree of disjoint nonempty reduced labels in the rank-k alphabet.
-
-    Nested dicts keyed by letter, `_LEAF` at the leaves.  Raises
-    InputError naming a word whose cylinder overlaps an earlier one.
-    """
-    root: dict = {}
-    for w in words:
-        w = as_word(w)
-        if not w:
-            raise InputError("partition labels must be nonempty")
-        validate_rank(w, rank)
-        node = root
-        for c in w[:-1]:
-            nxt = node.get(c)
-            if nxt is None:
-                node[c] = nxt = {}
-            elif type(nxt) is not dict:
-                raise InputError(f"overlapping cylinders at {format_word(w)!r}")
-            node = nxt
-        if w[-1] in node:
-            raise InputError(f"overlapping cylinders: {format_word(w)!r} collides")
-        node[w[-1]] = _LEAF
-    return root
-
-
-def _collapse(node: dict, rank: int) -> int:
-    """Coalesce the complete sibling sets below a node; its leaf count after."""
-    count = 0
-    for c, child in node.items():
-        n = 1
-        if type(child) is dict:
-            n = _collapse(child, rank)
-            if _complete(child, 2 * rank - 1):
-                node[c] = _LEAF
-                n = 1
-        count += n
-    return count
 
 
 def _complete(node: dict, needed: int) -> bool:

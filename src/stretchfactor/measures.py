@@ -37,7 +37,6 @@ from .words import (
     Word,
     alphabet,
     all_words,
-    as_word,
     comparable,
     concat,
     count_reduced_words,
@@ -93,16 +92,6 @@ class FrequencyMeasure:
 
     def __call__(self, v: Sequence[int]) -> Fraction:
         return self.eval(v)
-
-
-def uniform_eval(k: int, v: Sequence[int]) -> Fraction:
-    """1 / (2k (2k-1)^(|v|-1)); the empty cylinder label gets mass 1.
-
-    v is validated as `FrequencyMeasure.eval` validates it: a word that
-    is not reduced or leaves the rank-k alphabet raises.
-    """
-    validate_rank(as_word(v), k)
-    return Fraction(1, count_reduced_words(len(v), k))
 
 
 def uniform_measure(k: int) -> FrequencyMeasure:
@@ -242,21 +231,6 @@ def read_markov_file(path: str) -> MarkovSpec:
     except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read markov spec: {e}") from None
     return load_markov_spec(text)
-
-
-def dump_markov_spec(spec: MarkovSpec) -> str:
-    doc = {
-        "rank": spec.rank,
-        "mass": frac_str(spec.mass),
-        "p": {format_letter(x): frac_str(q) for x, q in sorted(spec.initial.items())},
-        "P": {
-            format_letter(x): {
-                format_letter(y): frac_str(q) for y, q in sorted(row.items())
-            }
-            for x, row in sorted(spec.transitions.items())
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 # -- rational currents ------------------------------------------------------

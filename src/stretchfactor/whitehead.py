@@ -53,7 +53,6 @@ from typing import Optional
 from .automorphisms import (
     Automorphism,
     WhiteheadSecondKind,
-    _normalize,
     _plateau,
     _substitute,
     _tuple_sort_key,
@@ -265,14 +264,13 @@ def _move_data(rank: int) -> tuple:
 def canonical_out_key(auto: Automorphism) -> tuple[Word, ...]:
     """Conjugation normal form of the image tuple: a class invariant.
 
-    The cost v -> sum of |v phi(x) v^-1| is convex on the Cayley tree, so
-    single-letter conjugations that shrink the total image length reach
-    a global minimum, and the minimizers form a finite subtree that the
-    equal-cost search walks whole.  The key is the lexicographically
-    least minimizing tuple, so two maps have equal keys exactly when
-    they differ by an inner automorphism.
+    The shortest conjugates of phi form a finite plateau that maps
+    differing by an inner automorphism share (`_plateau`).  The key is
+    its shortlex-least tuple, the rule by which `spectrum` names classes,
+    so two maps have equal keys exactly when they differ by an inner
+    automorphism.
     """
-    return _normalize(auto.fwd)
+    return tuple(Word(w) for w in min(_plateau(auto.fwd), key=_tuple_sort_key))
 
 
 def spectrum(
@@ -293,7 +291,7 @@ def spectrum(
     L(sigma o phi) = L(phi) for every signed permutation sigma (module
     docstring); the budget counts those chains.  A class's key is the
     least tuple of its plateau of shortest conjugates, and its name the
-    shortlex-least, as in `canonical_out_key`.  A class's own table must
+    shortlex-least, its `canonical_out_key`.  A class's own table must
     sum to the value its parent's cut gave it, or AssertionError is
     raised: the engine is at fault.
     """

@@ -181,10 +181,6 @@ def comparable(u: Sequence[int], v: Sequence[int]) -> bool:
     return tuple(u[:n]) == tuple(v[:n])
 
 
-def is_prefix(u: Sequence[int], v: Sequence[int]) -> bool:
-    return len(u) <= len(v) and tuple(v[: len(u)]) == tuple(u)
-
-
 def extension_letters(w: Sequence[int], k: int) -> list[int]:
     last = w[-1] if w else 0
     return [c for c in alphabet(k) if c != -last]

@@ -39,8 +39,11 @@ reference for the shortest-conjugate descent.
 `spectrum_by_lengths` is the former spectrum: it builds every map of the
 ball with `compose` and measures each class with `length_exact`; it is
 the reference for the spectrum read off its parents' depth-2 tables.
+`is_prefix` and `dump_markov_spec` are helpers only tests need: a prefix
+test on words, and the JSON text `load_markov_spec` reads.
 """
 
+import json
 from fractions import Fraction
 from typing import Optional
 
@@ -70,11 +73,32 @@ from stretchfactor.words import (
     concat,
     cyclic_reduce,
     extension_letters,
+    format_letter,
     format_word,
     inverse,
-    is_prefix,
     word_key,
 )
+
+
+
+def is_prefix(u, v):
+    return len(u) <= len(v) and tuple(v[: len(u)]) == tuple(u)
+
+
+def dump_markov_spec(spec):
+    doc = {
+        "rank": spec.rank,
+        "mass": frac_str(spec.mass),
+        "p": {format_letter(x): frac_str(q) for x, q in sorted(spec.initial.items())},
+        "P": {
+            format_letter(x): {
+                format_letter(y): frac_str(q) for y, q in sorted(row.items())
+            }
+            for x, row in sorted(spec.transitions.items())
+        },
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
 
 CELL_DEPTH = 4
 FRONTIER = 12

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from stretchfactor import (
     Automorphism,
     Budget,
+    CylinderPartition,
     InputError,
     NotInverseError,
     PartitionCache,
@@ -291,8 +292,14 @@ def test_the_chain_is_a_function_of_the_map(rank, seed):
         lambda rank: parse_map_text(rank, "a->a"),
         lambda rank: parse_generator_expression(rank, "W2[a; b:RIGHT]"),
         lambda rank: parse_generator_expression(rank, "inner[a]"),
+        lambda rank: CylinderPartition.from_words(rank, [(rank,)]),
+        lambda rank: WhiteheadSecondKind(rank, rank, ("FIX",) * (rank - 1)),
+        lambda rank: SignedPermutation(rank, tuple(range(1, rank + 1))),
     ],
-    ids=["constructor", "make-list", "make-dict", "map-text", "w2", "inner"],
+    ids=[
+        "constructor", "make-list", "make-dict", "map-text", "w2", "inner",
+        "partition", "w2-move", "signed-perm",
+    ],
 )
 @pytest.mark.parametrize("rank", [1, 27, 0])
 def test_a_rank_outside_the_alphabet_is_refused(build, rank):

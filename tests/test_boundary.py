@@ -9,6 +9,7 @@ from stretchfactor import (
     PartitionCache,
     ResourceLimitError,
     Word,
+    comparable,
     compose,
     depth1_profile,
     enumerate_signed_permutations,
@@ -45,7 +46,6 @@ from stretchfactor.words import (
     extension_letters,
     format_word,
     inverse,
-    is_prefix,
     random_reduced,
 )
 
@@ -65,6 +65,7 @@ from oracles import (
     canonical_words_by_sort,
     covers_boundary,
     family_by_leaf_preimages,
+    is_prefix,
     pair_mass_by_pairs,
     subtract_by_leaves,
     sweep_depth1,
@@ -98,6 +99,12 @@ def test_canonical_words_coalesces_and_sorts():
         CylinderPartition.from_words(2, words("a", "ab"))
     with pytest.raises(InputError):
         CylinderPartition.from_words(2, words("a", "b", "A", "B"))
+    # Cyl(b) is filled below the root, and the family is the whole boundary
+    with pytest.raises(InputError, match="full boundary"):
+        CylinderPartition.from_words(2, words("A", "a", "B", "ba", "bb", "bA"))
+    for rank in (2, 3):
+        empty = CylinderPartition.from_words(rank, [])
+        assert (empty.stem, empty.trie, len(empty), empty.words) == ((), {}, 0, ())
 
 
 def test_canonical_trie_coalesces_a_filled_stem():
@@ -134,6 +141,11 @@ def test_canonical_trie_matches_sorted_form(rank, seed):
     for canonical in (CylinderPartition.from_words, canonical_words_by_sort):
         with pytest.raises(InputError, match=f"'{format_word(extra)}'"):
             canonical(rank, family + [extra])
+    # from_words names a member that extra overlaps too
+    with pytest.raises(InputError) as error:
+        CylinderPartition.from_words(rank, family + [extra])
+    named = [x for x in family if f"'{format_word(x)}'" in str(error.value)]
+    assert len(named) == 1 and comparable(named[0], extra)
 
 
 def _recount(node):
@@ -989,14 +1001,15 @@ def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
     from stretchfactor import boundary, eta_length, markov_measure
     from stretchfactor import rational_measure, words as words_module
 
-    calls = {"trie": 0, "trie_in_pair_mass": 0, "word_key": 0, "pair_mass": 0}
+    calls = {"from_words": 0, "from_words_in_pair_mass": 0, "word_key": 0, "pair_mass": 0}
     in_pair_mass = []
-    trie, pair_mass, word_key = boundary._trie, boundary._pair_mass, words_module.word_key
+    from_words = CylinderPartition.from_words
+    pair_mass, word_key = boundary._pair_mass, words_module.word_key
 
-    def counting_trie(*args):
-        calls["trie"] += 1
-        calls["trie_in_pair_mass"] += bool(in_pair_mass)
-        return trie(*args)
+    def counting_from_words(cls, *args):
+        calls["from_words"] += 1
+        calls["from_words_in_pair_mass"] += bool(in_pair_mass)
+        return from_words(*args)
 
     def flagged_pair_mass(*args, **kwargs):
         calls["pair_mass"] += 1
@@ -1010,7 +1023,7 @@ def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
         calls["word_key"] += 1
         return word_key(w)
 
-    monkeypatch.setattr(boundary, "_trie", counting_trie)
+    monkeypatch.setattr(CylinderPartition, "from_words", classmethod(counting_from_words))
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "stretchfactor":
             continue
@@ -1025,19 +1038,19 @@ def test_length_path_neither_rebuilds_tries_nor_sorts(monkeypatch):
         rational_measure(3, w("abC")),
     ):
         eta_length(auto, mu, cache=PartitionCache())
-    # atom families are literal tries, so no trie is built from words,
-    # inside a walk or out of it
-    assert calls["trie"] == 0
+    # atom families are literal tries, so no partition is built from
+    # words, inside a walk or out of it
+    assert calls["from_words"] == 0
     # one walk per length
     assert calls["pair_mass"] == 3
-    assert calls["trie_in_pair_mass"] == 0
+    assert calls["from_words_in_pair_mass"] == 0
     assert calls["word_key"] == 0
     # the counters are live: output order still sorts, and a partition
-    # given by its labels still builds its trie
+    # given by its labels is counted
     assert preimage_partition(auto, w("ab")).words
     assert calls["word_key"] > 0
     assert CylinderPartition.from_words(3, words("ab", "c"))
-    assert calls["trie"] > 0
+    assert calls["from_words"] > 0
 
 
 def transvection(rank, x, a, side):
@@ -1150,8 +1163,8 @@ def test_atom_steps_match_leaf_by_leaf_assembly(rank, n_atoms, seed):
 def test_an_atom_step_builds_no_atom_family(monkeypatch):
     from stretchfactor import boundary
 
-    calls = {"step": 0, "trie": 0}
-    step_fn, trie = boundary._family_from_factors, boundary._trie
+    calls = {"step": 0, "from_words": 0}
+    step_fn, from_words = boundary._family_from_factors, CylinderPartition.from_words
 
     def counted(name, fn):
         def call(*args):
@@ -1160,7 +1173,9 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
         return call
 
     monkeypatch.setattr(boundary, "_family_from_factors", counted("step", step_fn))
-    monkeypatch.setattr(boundary, "_trie", counted("trie", trie))
+    monkeypatch.setattr(
+        CylinderPartition, "from_words", staticmethod(counted("from_words", from_words))
+    )
     for rank, expression, n in [
         (2, " * ".join(["W2[a; b:RIGHT]"] * 6), 6),
         (3, "W2[a; c:CONJ] * W2[b; a:RIGHT] * inner[ab] * perm[a->C,c->b,b->a]", 9),
@@ -1172,7 +1187,7 @@ def test_an_atom_step_builds_no_atom_family(monkeypatch):
         _depth1_family(phi, Budget(), PartitionCache())
         # every atom, the last one included, is one step from the
         # identity's families, and no words are canonicalized
-        assert calls == {"step": n, "trie": 0}, expression
+        assert calls == {"step": n, "from_words": 0}, expression
     # a signed permutation relabels the rest's partitions, spending nothing
     rest = parse_generator_expression(3, "W2[a; c:CONJ] * W2[b; a:RIGHT]")
     sigma = parse_generator_expression(3, "perm[a->C,c->b,b->a]")

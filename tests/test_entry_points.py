@@ -31,7 +31,6 @@ REJECTS = {
     "preimage_partition": lambda: sf.preimage_partition(PHI, BAD),
     "pushforward_current_value": lambda: sf.pushforward_current_value(PHI, MU, BAD),
     "FrequencyMeasure.eval": lambda: MU.eval(BAD),
-    "uniform_eval": lambda: sf.uniform_eval(2, BAD),
     "rational_measure": lambda: sf.rational_measure(2, BAD),
     "current_pair_value": lambda: sf.current_pair_value(MU, (2,), BAD),
     "comparable": lambda: sf.comparable(BAD, (1,)),

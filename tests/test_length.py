@@ -163,6 +163,7 @@ def test_length_of_the_shortest_conjugate_equals_the_given_chains(rank, n_factor
     ):
         rep = eta_length(phi, mu)
         assert (rep.value, rep.breakdown) == _length_of_the_given_chain(phi, mu), mu.kind
+        assert rep.value == sum(rep.breakdown.values()), mu.kind
 
 
 @settings(max_examples=20, deadline=None)

@@ -20,13 +20,13 @@ from stretchfactor import (
     parse_word,
     rational_measure,
     uniform_as_markov,
-    uniform_eval,
     uniform_measure,
 )
-from stretchfactor.measures import dump_markov_spec, frac_str
+from stretchfactor.measures import frac_str
 from stretchfactor.words import all_words, alphabet
 
 from conftest import sample_measures
+from oracles import dump_markov_spec
 
 
 def w(text):
@@ -51,10 +51,9 @@ def test_chain_matches_eval(rank, depth):
 
 
 def test_uniform_values():
-    assert uniform_eval(2, w("a")) == F(1, 4)
-    assert uniform_eval(2, w("ab")) == F(1, 12)
-    assert uniform_eval(2, w("")) == 1
     mu = uniform_measure(2)
+    assert mu.eval(w("a")) == F(1, 4)
+    assert mu.eval(w("ab")) == F(1, 12)
     assert mu.eval(w("")) == 1 and mu.mass == 1
 
 
@@ -152,7 +151,7 @@ def test_corrupted_table_detected():
         rank=2,
         kind="uniform",
         mass=F(1),
-        _eval=lambda v: F(1, 5) if tuple(v) == (1,) else uniform_eval(2, v),
+        _eval=lambda v: F(1, 5) if tuple(v) == (1,) else mu.eval(v),
         chain=mu.chain,
         label="broken",
     )

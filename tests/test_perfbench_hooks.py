@@ -50,6 +50,7 @@ _ABSENT = [
     "stretchfactor.boundary:_frontier_depth",
     "stretchfactor.boundary:translate_cylinder",
     "stretchfactor.boundary:canonical_words",
+    "stretchfactor.whitehead:_normalize",
     "boundary.preimage",
 ]
 
