@@ -60,6 +60,15 @@ Six facts drive the computation:
   a group of cells holding w are mu(xn) less those from the group's
   other cells, and each group's tries are walked alone (`_pair_mass`):
   a length walks each of the 2k families of the map on its own.
+  Seen from the vertex between its letters, the cylinder a^-1 y
+  (a != y) is Cyl(a) x Cyl(y), so nu(a^-1 y) for nu = phi_* mu is the
+  pair mass of the families of a and y: the depth-2 table is the
+  weighted Whitehead graph of nu (J. H. C. Whitehead, Ann. of Math. 37
+  (1936)), and the 2k families, which tile the boundary, give all of it
+  in one walk.  Likewise nu(a^-1 v) is the pair mass of the family of a,
+  the union of the depth-(n-1) preimages of the words that start with
+  a, against phi^-1(Cyl v), so a depth-n table walks the depth-(n-1)
+  preimages once (`_cross_mass`) and builds none of depth n.
 
 * Class invariance.  Inner automorphisms act trivially on currents
   (Kapovich, as above), so pushforward tables and current values, and
@@ -80,7 +89,7 @@ Six facts drive the computation:
   two inputs share, where alone siblings can coalesce (`_merge`); a
   difference copies only the paths to the cells it cuts (`_subtract`).
   Every partition is built by a graft, a merge or a difference.  The
-  pair-sum walk reads the tries directly.  Label words are built from
+  pair-sum walks read the tries directly.  Label words are built from
   paths on first request, and sorted only for output, keys and tests.
 """
 
@@ -88,6 +97,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from os.path import commonprefix
 from typing import Iterable, Optional, Sequence
 
@@ -119,7 +130,8 @@ class Budget:
 
     One node is spent per trie dict that a graft, a merge or a difference
     builds and keeps, as it is made; families start from the identity's,
-    on which nothing is spent, so a signed permutation spends nothing.
+    on which nothing is spent, so a signed permutation spends nothing,
+    nor does its depth-2 table, which walks the families as they are.
     The computation stops with a ResourceLimitError as soon as the total
     passes the limit, so no work that fits is refused in advance.  A
     negative limit raises InputError.
@@ -640,7 +652,7 @@ def _pair_mass(
     num = dict.fromkeys(parts, 0)
     h = max((p.height for p in parts.values()), default=0)
     e, d, init, step = mu.chain
-    power = [d**i for i in range(2 * h + 1)]
+    power = list(accumulate(repeat(d, 2 * h), mul, initial=1))
     # uniform masses of cells in units of 1 / (2k (2k-1)^(h-1))
     weigh = [(2 * k - 1) ** i for i in range(h)]
     weight = 0
@@ -727,6 +739,103 @@ def _pair_mass(
     return e * power[2 * h - 1], num
 
 
+def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
+    """(D, {(a^-1,) + v: D times the sum of mu(w1^-1 w2) over w1 in the
+    cells of the colours that start with a and w2 in parts[v], a != v1}),
+    D one common denominator.
+
+    `parts` maps colours, words of one length, to partitions that tile
+    the boundary, so every pair of cells splits at one node of the tiling
+    and all the pairs are counted in one walk, with a row per group (the
+    colour's first letter) and a column per colour.  At a node, the pairs
+    split there are R[g] C[c] less the products within each child, for
+    g != c1; cells of one group pair with no other.  A single colour's
+    subtree gives only its summed row and column.  Scaling is
+    `_pair_mass`'s.  The walk does not recurse: it lists the nodes
+    top-down, each child after its parent, and sums them bottom-up in
+    reverse.  Comparable cells raise AssertionError, and so do cells
+    whose uniform masses do not sum to one.
+    """
+    k = mu.rank
+    h = max(p.height for p in parts.values())
+    e, d, init, step = mu.chain
+    power = list(accumulate(repeat(d, 2 * h), mul, initial=1))
+    weigh = [(2 * k - 1) ** i for i in range(h)]
+    weight = 0
+    ones = dict.fromkeys([t for mat in step.values() for _, t in mat], 1)
+    ends = {x: _times_column(mat, ones) for x, mat in step.items()}
+    num = {(a, v): 0 for v in parts for a in alphabet(k) if a != v[0]}
+    m = len(commonprefix([p.stem for p in parts.values() if p.size]))
+    # nodes[i] = (parent, letter from it, depth, colour, node): a joint
+    # node has colour None and node a list of (colour, node) below one
+    # path; its sums are [rows, cols, same], a single colour's [row, col]
+    nodes = [(-1, None, m, None, [(v, p.root(m)) for v, p in parts.items() if p.size])]
+    sums: list = []
+    for i, (_, _, depth, colour, node) in enumerate(nodes):
+        leaf, below = power[h - depth - 1], depth + 1
+        if colour is not None:
+            row, col = {}, {}
+            for x, child in node.items():
+                if type(child) is dict:
+                    nodes.append((i, x, below, colour, child))
+                else:
+                    _add(row, init[-x], leaf)
+                    _add(col, ends[x], leaf)
+                    weight += weigh[h - below]
+            sums.append([row, col])
+            continue
+        by_letter: dict = {}
+        for c, child in node:
+            for x, grand in child.items():
+                by_letter.setdefault(x, []).append((c, grand))
+        rows, cols = {}, {}
+        for x, entries in by_letter.items():
+            if len(entries) > 1:
+                if any(type(grand) is not dict for _, grand in entries):
+                    raise AssertionError("comparable cylinders across the parts")
+                nodes.append((i, x, below, None, entries))
+            elif type(entries[0][1]) is dict:
+                nodes.append((i, x, below, *entries[0]))
+            else:
+                c = entries[0][0]
+                _add(rows.setdefault(c[0], {}), init[-x], leaf)
+                _add(cols.setdefault(c, {}), ends[x], leaf)
+                weight += weigh[h - below]
+        sums.append([rows, cols, {}])
+    if weight * (2 * k - 1) != 2 * k * (2 * k - 1) ** h:
+        raise AssertionError("the parts do not tile the boundary")
+    for i in range(len(nodes) - 1, -1, -1):
+        parent, x, depth, colour, _ = nodes[i]
+        if colour is None:
+            rows, cols, same = sums[i]
+            scale = power[2 * depth]
+            for c, col in cols.items():
+                for g, row in rows.items():
+                    if g != c[0]:
+                        num[g, c] += (_dot(row, col) - same.get((g, c), 0)) * scale
+            if parent < 0:
+                continue
+            rows = {g: _row_times(r, step[-x]) for g, r in rows.items()}
+            cols = {c: _times_column(step[x], v) for c, v in cols.items()}
+            prows, pcols, psame = sums[parent]
+            for g, r in rows.items():
+                _add(prows.setdefault(g, {}), r)
+            for c, v in cols.items():
+                _add(pcols.setdefault(c, {}), v)
+                for g, r in rows.items():
+                    if g != c[0]:
+                        psame[g, c] = psame.get((g, c), 0) + _dot(r, v)
+            continue
+        row, col = sums[i]
+        row, col = _row_times(row, step[-x]), _times_column(step[x], col)
+        above = sums[parent]
+        if nodes[parent][3] is None:
+            above = [above[0].setdefault(colour[0], {}), above[1].setdefault(colour, {})]
+        _add(above[0], row)
+        _add(above[1], col)
+    return e * power[2 * h - 1], {Word((-a,) + v): q for (a, v), q in num.items()}
+
+
 # Vectors are dicts state -> int, matrices dicts (from, to) -> int.
 
 
@@ -794,8 +903,10 @@ def pushforward_table(
 ) -> dict[Word, Fraction]:
     """Pushforward measure of every cylinder up to the given depth.
 
-    One coloured pair-sum walk gives every value of the deepest length,
-    and each shorter cylinder adds up its children (`_table`).
+    One pair-sum walk gives every value of the deepest length n, and
+    each shorter cylinder adds up its children (`_table`).  The walk
+    takes the depth-(n-1) preimages, or the depth-1 families for n <= 2,
+    so no preimage of length n is built.
     """
     if depth < 1:
         raise InputError("depth must be at least 1")
@@ -813,22 +924,31 @@ def _table(
 ) -> tuple[int, dict[Word, int]]:
     """(D, {v: D nu(v)}) for every cylinder v of length 1 to depth, nu = phi_* mu.
 
-    The preimages of the cylinders of length `depth` tile the boundary,
-    so one walk takes them all and checks that they do.  Grouped by the
-    first letter of their cylinder, the pairs counted for v come from
-    under another first letter: that is Cyl[1, v].  A shorter v sums
-    its children in integers, nu(v) = sum of nu(vc).  Keys run by
-    length, then in `all_words` order.  The table is a class invariant,
-    read off the map's shortest conjugate psi (`_class_rep`), whose chain
-    the budget counts; a measure of another rank raises InputError first.
+    At depth 1, the 2k families tile the boundary, so one walk takes
+    them all, each its own group, and checks that they do (`_pair_mass`):
+    the pairs counted for a come from the other families, which is
+    Cyl[1, a].  From depth 2 on, nu(a^-1 v) is the pair mass of the
+    family of a against the preimage of v (module docstring), so one
+    walk of the preimages of the words of length depth - 1, grouped by
+    first letter, gives every value of the deepest length and checks that
+    they tile (`_cross_mass`); at depth 2 these are the families, and
+    nothing is grafted.  A shorter v sums its children in integers,
+    nu(v) = sum of nu(vc).  Keys run by length, then in `all_words`
+    order.  The table is a class invariant, read off the map's shortest
+    conjugate psi (`_class_rep`), whose chain the budget counts; a
+    measure of another rank raises InputError first.
     """
     if mu.rank != auto.rank:
         raise InputError("measure and map ranks differ")
     auto = _class_rep(auto)
     rank = auto.rank
     fam = _depth1_family(auto, budget, cache)
-    parts = {v: _preimage(auto.bwd, fam, v, budget) for v in _words(depth, rank)}
-    den, deep = _pair_mass(mu, parts, {v: v[0] for v in parts}, tiles=True)
+    parts = {v: _preimage(auto.bwd, fam, v, budget) for v in _words(max(depth - 1, 1), rank)}
+    if depth == 1:
+        den, deep = _pair_mass(mu, parts, {v: v[0] for v in parts}, tiles=True)
+    else:
+        den, cross = _cross_mass(mu, parts)
+        deep = {v: cross[v] for v in _words(depth, rank)}
     levels = [deep]
     for n in range(depth - 1, 0, -1):
         below = levels[-1]

@@ -26,7 +26,10 @@ many cylinder values, and rational currents are dense (Kapovich,
 the last sum over the turns xy whose images cancel.  With nu = phi_* mu,
 ||nu|| = sum_x nu(x) = L(phi), so the lengths of all tau o phi are read
 off one depth-2 pushforward table of phi (J. H. C. Whitehead, Ann. of
-Math. 37 (1936); Lyndon-Schupp, Combinatorial Group Theory, I.4).
+Math. 37 (1936); Lyndon-Schupp, Combinatorial Group Theory, I.4).  That
+table is the weighted Whitehead graph of nu: nu(x^-1 y) is the pair mass
+of the depth-1 families of x and y, so one walk of the 2k families gives
+it, and no longer preimage is built.
 
 That table is a class invariant, read off the shortest conjugate psi
 of phi (`boundary._table`): every conjugate of phi gets the same move,

@@ -53,11 +53,14 @@ def conjugated_composition(rank, n_factors, v_len, rng: random.Random):
 
 
 def given_chain_table(auto, mu, depth, budget, cache):
-    """`boundary._table` read off the map's own Nielsen chain.
+    """`boundary._table` read off the map's own Nielsen chain, by the grafted walk.
 
     The engine's table reads the chain of the map's shortest conjugate;
     this one assembles the given map's families, so comparing the two
-    checks that a conjugate pushes mu to the same current.
+    checks that a conjugate pushes mu to the same current.  It also grafts
+    every preimage of the given depth and sums their pairs group by group
+    (`_pair_mass`), where the engine walks the preimages one level up
+    (`_cross_mass`) from depth 2 on, so it is the reference for that walk.
     """
     rank = auto.rank
     fam = _depth1_family(auto, budget, cache)

@@ -28,8 +28,10 @@ from stretchfactor import (
 )
 from stretchfactor.automorphisms import FIX, LEFT, RIGHT, WhiteheadSecondKind
 from stretchfactor.boundary import (
+    _LEAF,
     Budget,
     CylinderPartition,
+    _cross_mass,
     _depth1_family,
     _family_from_factors,
     _graft,
@@ -38,14 +40,16 @@ from stretchfactor.boundary import (
     _subtract,
     _table,
 )
-from stretchfactor.measures import markov_measure
+from stretchfactor.measures import markov_measure, rational_measure
 from stretchfactor.selftest import _random_prefix_free
 from stretchfactor.words import (
     all_words,
     alphabet,
+    cyclic_reduce,
     extension_letters,
     format_word,
     inverse,
+    occurrences_in_cyclic,
     random_reduced,
 )
 
@@ -55,6 +59,7 @@ from conftest import (
     given_chain_table,
     is_atom,
     nielsen,
+    primitive_cyclic_word,
     random_composition,
     reversible_markov,
     sample_measures,
@@ -540,49 +545,53 @@ def test_pushforward_table_builds_no_union(monkeypatch):
         return merge(*args)
 
     # with the families built, a preimage grafts one family and a pair
-    # sum walks the deepest preimages side by side: nothing merges
+    # sum walks the preimages one level up side by side: nothing merges
     monkeypatch.setattr(boundary, "_merge", counting)
     targets = [v for n in (1, 2, 3) for v in all_words(n, 3)]
     for v in targets:
         preimage_partition(auto, v, cache=cache)
-    pair_mass, walks = boundary._pair_mass, []
+    cross_mass, walks = boundary._cross_mass, []
 
     def counted(*args, **kwargs):
         walks.append(len(args[1]))
-        return pair_mass(*args, **kwargs)
+        return cross_mass(*args, **kwargs)
 
-    monkeypatch.setattr(boundary, "_pair_mass", counted)
+    monkeypatch.setattr(boundary, "_cross_mass", counted)
     table = pushforward_table(auto, mu, 3, cache=cache)
     assert len(table) == len(targets) == 186
     assert built == []
-    # one walk of the 150 depth-3 preimages, shorter cylinders by additivity
-    assert walks == [150]
+    # one walk of the 30 depth-2 preimages, shorter cylinders by additivity
+    assert walks == [30]
     assert list(table) == targets
     # and each cylinder's own walk gives the same value
-    monkeypatch.setattr(boundary, "_pair_mass", pair_mass)
     fresh = PartitionCache()
     assert table == {v: pushforward_current_value(auto, mu, v, cache=fresh) for v in targets}
 
 
 def test_pushforward_table_builds_each_preimage_once():
-    # The product is one transvection, so its families are one atom step;
-    # the table then grafts each depth-2 preimage once from them.
+    # The product is one transvection, so its families are one atom step.
+    # A depth-2 table walks the families themselves, so a cold one spends
+    # exactly their nodes; a depth-3 table then grafts each depth-2
+    # preimage once from them.
     auto = parse_generator_expression(2, "W2[A; b:LEFT] * W2[a; b:LEFT] * W2[A; b:LEFT]")
     assert len(auto.factors) == 1
     cache = PartitionCache()
     families = Budget()
     fam = _depth1_family(auto, families, cache)
     assert families.spent == 3
+    cold = Budget()
+    pushforward_table(auto, uniform_measure(2), 2, budget=cold)
+    assert cold.spent == families.spent
+    warm = Budget()
+    pushforward_table(auto, uniform_measure(2), 2, budget=warm, cache=cache)
+    assert warm.spent == 0
     budget = Budget()
-    pushforward_table(auto, uniform_measure(2), 2, budget=budget, cache=cache)
+    pushforward_table(auto, uniform_measure(2), 3, budget=budget, cache=cache)
     grafts = sum(
         _built_nodes(preimage_partition(auto, v, cache=cache), [fam[v[-1]]])
         for v in all_words(2, 2)
     )
     assert budget.spent == grafts == 8
-    cold = Budget()
-    pushforward_table(auto, uniform_measure(2), 2, budget=cold)
-    assert cold.spent == families.spent + budget.spent
 
 
 def test_preimages_are_built_once_after_the_families():
@@ -1250,8 +1259,113 @@ def test_the_given_chain_reference_reads_the_maps_own_chain():
         tables.append({v: F(q, den) for v, q in num.items()})
         spent.append(budget.spent)
     assert tables[0] == tables[1]
-    # psi (a -> a, b -> ab) is one atom; phi's chain is longer
-    assert spent == [11, 17]
+    # psi (a -> a, b -> ab) is one atom, and the table walks its families
+    # as they are; the reference assembles phi's longer chain and grafts
+    # every depth-2 preimage
+    assert spent == [3, 17]
+
+
+@settings(max_examples=30, deadline=None)
+@given(rank=st.integers(2, 4), depth=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_deep_tables_equal_the_grafted_reference(rank, depth, seed):
+    # from depth 2 on the engine walks the preimages one level up, and the
+    # reference grafts and walks those of the table's own depth; only the
+    # common denominator may differ.  The maps are mostly conjugated, so
+    # the engine reads the shortest conjugate's chain and the reference
+    # the map's own.
+    rng = random.Random(seed)
+    phi = conjugated_composition(rank, rng.randint(1, 3), rng.randint(0, 4), rng)
+    measures = sample_measures(rank, rng) + [markov_measure(doubly_stochastic_markov(rank, rng))]
+    mu = rng.choice(measures)
+    den, num = _table(phi, mu, depth, Budget(), PartitionCache())
+    ref_den, ref = given_chain_table(phi, mu, depth, Budget(), PartitionCache())
+    assert list(num) == list(ref)
+    assert {v: F(q, den) for v, q in num.items()} == {v: F(q, ref_den) for v, q in ref.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(rank=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_deep_tables_count_the_image_of_a_rational_word(rank, seed):
+    # phi pushes the counting current of w to that of phi(w), so every
+    # entry counts occurrences in the cyclic word phi(w): an oracle that
+    # builds no partition
+    rng = random.Random(seed)
+    phi = conjugated_composition(rank, rng.randint(1, 3), rng.randint(0, 3), rng)
+    word = primitive_cyclic_word(rank, rng)
+    image = cyclic_reduce(phi.apply(word))[0]
+    mu = rational_measure(rank, word)
+    for depth in (2, 3):
+        table = pushforward_table(phi, mu, depth)
+        assert list(table) == [v for n in range(1, depth + 1) for v in all_words(n, rank)]
+        assert table == {v: F(occurrences_in_cyclic(v, image)) for v in table}
+
+
+def test_cross_walk_rejects_a_broken_tiling():
+    # the walk takes the preimages one level below a depth-3 table; a
+    # cell inside another colour's is comparable, and a lost colour
+    # leaves cells whose uniform masses do not sum to one
+    auto = parse_generator_expression(2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]")
+    cache = PartitionCache()
+    parts = {v: preimage_partition(auto, v, cache=cache) for v in all_words(2, 2)}
+    mu = uniform_measure(2)
+    den, num = _cross_mass(mu, parts)
+    assert {v: F(q, den) for v, q in num.items()} == {
+        v: q for v, q in pushforward_table(auto, mu, 3).items() if len(v) == 3
+    }
+    first, other = w("ab"), w("ba")
+    label = parts[first].leaves[0]
+    inside = CylinderPartition.from_words(2, [label + (extension_letters(label, 2)[0],)])
+    broken = dict(parts)
+    broken[other] = inside
+    with pytest.raises(AssertionError, match="comparable"):
+        _cross_mass(mu, broken)
+    with pytest.raises(AssertionError, match="tile"):
+        _cross_mass(mu, {v: p for v, p in parts.items() if v != other})
+
+
+def test_cross_walk_of_a_3000_letter_tiling():
+    # Cyl(a) split into Cyl(a^n b) and the rest, a spine of n dicts, beside
+    # Cyl(A), Cyl(b) and Cyl(B): every colour is one cylinder or the rest
+    # of one, so each value is mu of one word or a difference of two.  The
+    # walk iterates, so a tiling far deeper than the interpreter's
+    # recursion limit is summed.
+    n = 3000
+    spine: dict = {c: _LEAF for c in (1, -2)}
+    for _ in range(n - 1):
+        spine = {c: spine if c == 1 else _LEAF for c in (1, 2, -2)}
+    rest = CylinderPartition(2, (1,), spine, 2 * n)
+    assert rest.height == n + 1
+    deep = w("a") * n + w("b")
+    parts = {
+        w("aa"): rest,
+        w("ab"): CylinderPartition(2, deep[:-1], {2: _LEAF}, 1),
+        w("AA"): CylinderPartition(2, (), {-1: _LEAF}, 1),
+        w("bb"): CylinderPartition(2, (), {2: _LEAF}, 1),
+        w("BB"): CylinderPartition(2, (), {-2: _LEAF}, 1),
+    }
+    for mu in sample_measures(2, random.Random(5)):
+        den, num = _cross_mass(mu, parts)
+        expected = {}
+        for v in parts:
+            for g in alphabet(2):
+                if g != v[0]:
+                    expected[Word((-g,) + v)] = mu.eval((-g, v[0]))
+        for g in (-1, 2, -2):
+            cut = mu.eval((-g,) + deep)
+            expected[Word((-g,) + w("ab"))] = cut
+            expected[Word((-g,) + w("aa"))] -= cut
+        assert {v: F(q, den) for v, q in num.items()} == expected, mu.label
+
+
+def test_cross_walk_does_not_recurse():
+    # the walk keeps its own stack: it does not call itself, and the only
+    # code nested in it is comprehensions, which cannot
+    from types import CodeType
+
+    code = _cross_mass.__code__
+    nested = [c for c in code.co_consts if isinstance(c, CodeType)]
+    assert all(c.co_name.startswith("<") for c in nested)
+    assert all("_cross_mass" not in c.co_names for c in [code, *nested])
 
 
 @settings(max_examples=20, deadline=None)

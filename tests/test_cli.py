@@ -513,6 +513,23 @@ def test_negative_budget_is_input_error():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--rank", "2", "--max-factors", "1"],
+        ["pushforward", "--rank", "3", "--map", "perm[a->b,b->a]", "--depth", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_signed_permutations_depth2_table_spends_nothing(argv):
+    # a depth-2 table walks the depth-1 families as they are, and a
+    # signed permutation's are the identity's, relabelled; so a budget of
+    # 0 admits the table, and the output is the unbudgeted one
+    code, out = invoke(argv)
+    assert code == 0
+    assert invoke(argv + ["--budget", "0"]) == (0, out)
+
+
+@pytest.mark.parametrize(
     "good, bad", [('"1/4"', '"1/x"'), ('"rank": 2', '"rank": "two"')]
 )
 def test_malformed_markov_entry_is_input_error(tmp_path, capsys, good, bad):

@@ -93,12 +93,16 @@ print(json.dumps({"absent": tr.absent, "calls": tr.calls, "counts": tr.counts}))
 """
 
 
-def test_benchmark_hook_sees_one_walk_per_table():
-    # a table of any depth is one pair-sum walk, its sources and targets
-    # passed positionally, so the hook labels and counts it
+def test_benchmark_hook_sees_the_preimages_of_each_table():
+    # a table of depth n >= 2 walks the depth-(n-1) preimages once
+    # (`boundary._cross_mass`), which the pair-mass hook does not wrap, so
+    # the trace reads no pair-mass walk for these tables
     doc = _trace(_TRACE_TABLES)
     assert doc["absent"] == _ABSENT
-    assert doc["calls"]["boundary.pair_mass.uniform"] == 1
-    assert doc["calls"]["boundary.pair_mass.generic"] == 1
-    # the 12 depth-2 preimages, each a source and a target
-    assert doc["counts"]["boundary.pair_mass.generic.pairs"] == 12 * 12
+    calls = doc["calls"]
+    assert not any(layer.startswith("boundary.pair_mass") for layer in calls)
+    assert doc["counts"] == {}
+    # the 12 depth-2 preimages of the depth-3 table and the 4 families of
+    # the depth-2 one, each asked for once
+    assert calls["boundary.preimage"] == 12 + 4
+    assert calls["boundary.family"] == 2

@@ -334,24 +334,24 @@ def test_factorize_builds_no_candidate_map(monkeypatch):
         entry = next(e for e in json.load(fh)["entries"] if e["id"] == "factorize3-0020")
     phi = parse_generator_expression(entry["rank"], entry["map"])
     counts = {"compose": 0, "walks": 0}
-    compose_, pair_mass = whitehead_module.compose, boundary_module._pair_mass
+    compose_, cross_mass = whitehead_module.compose, boundary_module._cross_mass
 
     def counted_compose(*args, **kwargs):
         counts["compose"] += 1
         return compose_(*args, **kwargs)
 
-    def counted_pair_mass(*args, **kwargs):
+    def counted_cross_mass(*args, **kwargs):
         counts["walks"] += 1
-        return pair_mass(*args, **kwargs)
+        return cross_mass(*args, **kwargs)
 
     monkeypatch.setattr(whitehead_module, "compose", counted_compose)
-    monkeypatch.setattr(boundary_module, "_pair_mass", counted_pair_mass)
+    monkeypatch.setattr(boundary_module, "_cross_mass", counted_cross_mass)
     budget = Budget()
     rep = factorize(phi, budget=budget)
     assert rep.lengths == (1, F(6, 5), F(7, 5))
     assert len(rep.taus) == 2
     assert counts == {"compose": 2 * 2, "walks": 2 * 1}
-    assert budget.spent == 50
+    assert budget.spent == 9
 
 
 @settings(max_examples=40, deadline=None)
