@@ -56,19 +56,23 @@ Six facts drive the computation:
   pairs (w', w) over the other cells sum to mu(xn): the cells below
   x1...xd y tile Cyl(x1...xd y), so by shift invariance the pairs
   splitting after depth d add mu(x(d+1)...xn) - mu(xd...xn), or mu(w)
-  for d = 0, and the sum telescopes.  So the pairs into w from outside
-  a group of cells holding w are mu(xn) less those from the group's
-  other cells, and each group's tries are walked alone (`_pair_mass`):
-  a length walks each of the 2k families of the map on its own.
-  Seen from the vertex between its letters, the cylinder a^-1 y
-  (a != y) is Cyl(a) x Cyl(y), so nu(a^-1 y) for nu = phi_* mu is the
-  pair mass of the families of a and y: the depth-2 table is the
-  weighted Whitehead graph of nu (J. H. C. Whitehead, Ann. of Math. 37
-  (1936)), and the 2k families, which tile the boundary, give all of it
-  in one walk.  Likewise nu(a^-1 v) is the pair mass of the family of a,
-  the union of the depth-(n-1) preimages of the words that start with
-  a, against phi^-1(Cyl v), so a depth-n table walks the depth-(n-1)
-  preimages once (`_cross_mass`) and builds none of depth n.
+  for d = 0, and the sum telescopes.  So the pairs into w from the
+  other parts of a tiling are mu(xn) less those from w's own part, and
+  a length, whose table has depth 1, walks each of the 2k families of
+  the map alone (`_pair_mass`).  Seen from the vertex between its
+  letters, the cylinder a^-1 y (a != y) is Cyl(a) x Cyl(y), so
+  nu(a^-1 y) for nu = phi_* mu is the pair mass of the families of a
+  and y: the depth-2 table is the weighted Whitehead graph of nu
+  (J. H. C. Whitehead, Ann. of Math. 37 (1936)), and the 2k families,
+  which tile the boundary, give all of it in one walk.  Likewise
+  nu(a^-1 v) is the pair mass of the family of a, the union of the
+  depth-(n-1) preimages of the words that start with a, against
+  phi^-1(Cyl v), so a depth-n table walks the depth-(n-1) preimages
+  once (`_cross_mass`) and builds none of depth n; a single value
+  nu(u) walks the families once, that of u1 split into phi^-1(Cyl u)
+  and the rest.  The depth picks the walk: at each node the tiling's
+  walk makes one product per pair of first letter and colour, where
+  the telescoped walk makes one per part, so depth 1 keeps the latter.
 
 * Class invariance.  Inner automorphisms act trivially on currents
   (Kapovich, as above), so pushforward tables and current values, and
@@ -633,110 +637,87 @@ def partition_mass(mu: FrequencyMeasure, part: CylinderPartition) -> Fraction:
 # -- current values under pushforward ---------------------------------------
 
 
-def _pair_mass(
-    mu: FrequencyMeasure, parts: dict, groups: dict, tiles: bool = False
-) -> tuple[int, dict]:
-    """(D, {c: D times the sum of mu(w1^-1 w2) over w2 in parts[c] and w1
-    outside the cells of c's group}), D one common denominator.
+def _scaling(mu: FrequencyMeasure, parts: dict) -> tuple:
+    """(den, h, power, ends, weigh, tiled): the scaling both pair walks share.
 
-    `parts` maps colours to partitions and `groups` colours to groups.
-    By the pair-sum identity (module docstring) each group's tries are
-    walked alone, with one row for the group and a column per colour.
-    Rows carry D^(h-|w1|) and columns D^(h-|w2|), h the longest word, so
-    a pair splitting at depth d counts E D^(2h-2d-1) times its mass, and
-    D^(2d) brings it to the denominator E D^(2h-1).  Comparable cells in
-    one group raise AssertionError, and with `tiles` so do cells whose
-    uniform masses do not sum to one (a lost or a doubled cell).
+    h is the longest cell of the parts.  Rows carry D^(h-|w1|) and columns
+    D^(h-|w2|), so a pair splitting at depth d counts E D^(2h-2d-1) times
+    its mass, and power[2d] = D^(2d) brings it to the common denominator
+    den = E D^(2h-1).  ends[x], step[x] times the all-ones column, is the
+    column of a cell's last letter x.  A cell of length n weighs
+    weigh[h-n], its uniform mass in units of 1 / (2k (2k-1)^(h-1)), and
+    tiled(weight) raises AssertionError unless the weights of the cells
+    a walk met sum to one: a lost or a doubled cell.
     """
     k = mu.rank
-    num = dict.fromkeys(parts, 0)
-    h = max((p.height for p in parts.values()), default=0)
-    e, d, init, step = mu.chain
+    h = max(p.height for p in parts.values())
+    e, d, _, step = mu.chain
     power = list(accumulate(repeat(d, 2 * h), mul, initial=1))
-    # uniform masses of cells in units of 1 / (2k (2k-1)^(h-1))
-    weigh = [(2 * k - 1) ** i for i in range(h)]
-    weight = 0
-    # the column of a cell's last letter: step[x] times the all-ones column
     ones = dict.fromkeys([t for mat in step.values() for _, t in mat], 1)
     ends = {x: _times_column(mat, ones) for x, mat in step.items()}
+    weigh = [(2 * k - 1) ** i for i in range(h)]
+
+    def tiled(weight: int) -> None:
+        if weight * (2 * k - 1) != 2 * k * (2 * k - 1) ** h:
+            raise AssertionError("the parts do not tile the boundary")
+
+    return e * power[2 * h - 1], h, power, ends, weigh, tiled
+
+
+def _pair_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
+    """(D, {c: D times the sum of mu(w1^-1 w2) over w2 in parts[c] and w1
+    in the other parts}), D one common denominator.
+
+    `parts` maps colours to partitions that tile the boundary, as a map's
+    2k families do.  By the pair-sum identity (module docstring) the
+    pairs into a cell ending in x from the other parts are mu(x) less
+    those from its own part, so each part's trie is walked alone, with
+    one row and one column, and only the pairs split inside it are
+    counted.  The walk does not recurse: it lists a part's nodes
+    top-down, each child after its parent, and sums them bottom-up in
+    reverse.  Scaling is `_scaling`'s, and cells whose uniform masses do
+    not sum to one raise AssertionError.
+    """
+    den, h, power, ends, weigh, tiled = _scaling(mu, parts)
+    _, d, init, step = mu.chain
     # a cell ending in x counts D^(2h-1) E mu(x), and D^(2h-2) init[-x]
     # ends[x] back for its pair with itself, which the walk takes out
     last = {x: (sum(init[x].values()) * d + _dot(init[-x], ends[x])) * power[2 * h - 2]
             for x in step if h}
-
-    def one(node: dict, depth: int) -> tuple[dict, dict, int]:
-        # One colour's cells below a node: the summed row and column of
-        # its edges, and their numerator less the pairs split here.
-        nonlocal weight
-        leaf = power[h - depth - 1]
-        row, col = {}, {}
-        q = same = 0
-        for x, child in node.items():
-            if type(child) is not dict:
-                _add(row, init[-x], leaf)
-                _add(col, ends[x], leaf)
-                q += last[x]
-                weight += weigh[h - depth - 1]
-                continue
-            r, c, below = one(child, depth + 1)
-            r = _row_times(r, step[-x])
-            c = _times_column(step[x], c)
-            q += below
-            if len(node) == 1:  # no pair splits here
-                return r, c, q
-            same += _dot(r, c)
-            _add(row, r)
-            _add(col, c)
-        return row, col, q - (_dot(row, col) - same) * power[2 * depth]
-
-    def joint(entries: list, depth: int) -> tuple[dict, dict]:
-        # Several colours' cells below a node: the group's row and each
-        # colour's column; the pairs split here go into num.
-        nonlocal weight
-        leaf = power[h - depth - 1]
-        by_letter: dict = {}
-        for c, node in entries:
+    weight, num = 0, {}
+    for c, part in parts.items():
+        # nodes[i] = (parent, letter from it, depth, node); its sums are
+        # [row, col, same]: the summed row and column of the cells below
+        # it, and the products within each child
+        nodes = [(-1, None, len(part.stem), part.trie)]
+        sums: list = []
+        q = 0
+        for i, (_, _, depth, node) in enumerate(nodes):
+            leaf, below = power[h - depth - 1], depth + 1
+            row, col = {}, {}
             for x, child in node.items():
-                by_letter.setdefault(x, []).append((c, child))
-        row, cols, same = {}, {}, {}
-        for x, below in by_letter.items():
-            if len(below) > 1:
-                if any(type(child) is not dict for _, child in below):
-                    raise AssertionError("comparable cylinders in one group")
-                r, vs = joint(below, depth + 1)
-            elif type(below[0][1]) is dict:
-                ((c, child),) = below
-                r, v, q = one(child, depth + 1)
-                num[c] += q
-                vs = {c: v}
-            else:
-                c = below[0][0]
-                _add(row, init[-x], leaf)
-                _add(cols.setdefault(c, {}), ends[x], leaf)
-                num[c] += last[x]
-                weight += weigh[h - depth - 1]
-                continue
-            r = _row_times(r, step[-x])
-            _add(row, r)
-            for c, v in vs.items():
-                v = _times_column(step[x], v)
-                same[c] = same.get(c, 0) + _dot(r, v)
-                _add(cols.setdefault(c, {}), v)
-        for c, v in cols.items():
-            num[c] -= (_dot(row, v) - same.get(c, 0)) * power[2 * depth]
-        return row, cols
-
-    by_group: dict = {}
-    for c, p in parts.items():
-        if p.size:
-            by_group.setdefault(groups[c], []).append((c, p))
-    for group in by_group.values():
-        # no pair splits on the stem that all the group's cells share
-        m = len(commonprefix([p.stem for _, p in group]))
-        joint([(c, p.root(m)) for c, p in group], m)
-    if tiles and weight * (2 * k - 1) != 2 * k * (2 * k - 1) ** h:
-        raise AssertionError("the parts do not tile the boundary")
-    return e * power[2 * h - 1], num
+                if type(child) is dict:
+                    nodes.append((i, x, below, child))
+                else:
+                    _add(row, init[-x], leaf)
+                    _add(col, ends[x], leaf)
+                    q += last[x]
+                    weight += weigh[h - below]
+            sums.append([row, col, 0])
+        for i in range(len(nodes) - 1, -1, -1):
+            parent, x, depth, _ = nodes[i]
+            row, col, same = sums[i]
+            # less the pairs split at this node
+            q -= (_dot(row, col) - same) * power[2 * depth]
+            if parent >= 0:
+                row, col = _row_times(row, step[-x]), _times_column(step[x], col)
+                above = sums[parent]
+                above[2] += _dot(row, col)
+                _add(above[0], row)
+                _add(above[1], col)
+        num[c] = q
+    tiled(weight)
+    return den, num
 
 
 def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
@@ -744,46 +725,30 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
     cells of the colours that start with a and w2 in parts[v], a != v1}),
     D one common denominator.
 
-    `parts` maps colours, words of one length, to partitions that tile
-    the boundary, so every pair of cells splits at one node of the tiling
-    and all the pairs are counted in one walk, with a row per group (the
-    colour's first letter) and a column per colour.  At a node, the pairs
-    split there are R[g] C[c] less the products within each child, for
-    g != c1; cells of one group pair with no other.  A single colour's
-    subtree gives only its summed row and column.  Scaling is
-    `_pair_mass`'s.  The walk does not recurse: it lists the nodes
+    `parts` maps colours, words, to partitions that tile the boundary, so
+    every pair of cells splits at one node of the tiling and all the
+    pairs are counted in one walk, with a row per group (the colour's
+    first letter) and a column per colour.  At a node, the pairs split
+    there are R[g] C[c] less the products within each child, for
+    g != c1; cells of one group pair with no other.  Only nodes that two
+    colours reach are walked: a colour alone below a node covers that
+    node's cylinder, so its canonical trie has one leaf there.  Scaling
+    is `_scaling`'s.  The walk does not recurse: it lists the nodes
     top-down, each child after its parent, and sums them bottom-up in
     reverse.  Comparable cells raise AssertionError, and so do cells
     whose uniform masses do not sum to one.
     """
-    k = mu.rank
-    h = max(p.height for p in parts.values())
-    e, d, init, step = mu.chain
-    power = list(accumulate(repeat(d, 2 * h), mul, initial=1))
-    weigh = [(2 * k - 1) ** i for i in range(h)]
+    den, h, power, ends, weigh, tiled = _scaling(mu, parts)
+    init, step = mu.chain[2:]
     weight = 0
-    ones = dict.fromkeys([t for mat in step.values() for _, t in mat], 1)
-    ends = {x: _times_column(mat, ones) for x, mat in step.items()}
-    num = {(a, v): 0 for v in parts for a in alphabet(k) if a != v[0]}
+    num = {(a, v): 0 for v in parts for a in alphabet(mu.rank) if a != v[0]}
     m = len(commonprefix([p.stem for p in parts.values() if p.size]))
-    # nodes[i] = (parent, letter from it, depth, colour, node): a joint
-    # node has colour None and node a list of (colour, node) below one
-    # path; its sums are [rows, cols, same], a single colour's [row, col]
-    nodes = [(-1, None, m, None, [(v, p.root(m)) for v, p in parts.items() if p.size])]
+    # nodes[i] = (parent, letter from it, depth, [(colour, node) below one
+    # path]); its sums are [rows, cols, same]
+    nodes = [(-1, None, m, [(v, p.root(m)) for v, p in parts.items() if p.size])]
     sums: list = []
-    for i, (_, _, depth, colour, node) in enumerate(nodes):
+    for i, (_, _, depth, node) in enumerate(nodes):
         leaf, below = power[h - depth - 1], depth + 1
-        if colour is not None:
-            row, col = {}, {}
-            for x, child in node.items():
-                if type(child) is dict:
-                    nodes.append((i, x, below, colour, child))
-                else:
-                    _add(row, init[-x], leaf)
-                    _add(col, ends[x], leaf)
-                    weight += weigh[h - below]
-            sums.append([row, col])
-            continue
         by_letter: dict = {}
         for c, child in node:
             for x, grand in child.items():
@@ -793,47 +758,37 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
             if len(entries) > 1:
                 if any(type(grand) is not dict for _, grand in entries):
                     raise AssertionError("comparable cylinders across the parts")
-                nodes.append((i, x, below, None, entries))
-            elif type(entries[0][1]) is dict:
-                nodes.append((i, x, below, *entries[0]))
-            else:
+                nodes.append((i, x, below, entries))
+            elif type(entries[0][1]) is not dict:
                 c = entries[0][0]
                 _add(rows.setdefault(c[0], {}), init[-x], leaf)
                 _add(cols.setdefault(c, {}), ends[x], leaf)
                 weight += weigh[h - below]
+            # a colour alone with a subtree is in no tiling: its cells go
+            # uncounted, and the weights fall short
         sums.append([rows, cols, {}])
-    if weight * (2 * k - 1) != 2 * k * (2 * k - 1) ** h:
-        raise AssertionError("the parts do not tile the boundary")
+    tiled(weight)
     for i in range(len(nodes) - 1, -1, -1):
-        parent, x, depth, colour, _ = nodes[i]
-        if colour is None:
-            rows, cols, same = sums[i]
-            scale = power[2 * depth]
-            for c, col in cols.items():
-                for g, row in rows.items():
-                    if g != c[0]:
-                        num[g, c] += (_dot(row, col) - same.get((g, c), 0)) * scale
-            if parent < 0:
-                continue
-            rows = {g: _row_times(r, step[-x]) for g, r in rows.items()}
-            cols = {c: _times_column(step[x], v) for c, v in cols.items()}
-            prows, pcols, psame = sums[parent]
-            for g, r in rows.items():
-                _add(prows.setdefault(g, {}), r)
-            for c, v in cols.items():
-                _add(pcols.setdefault(c, {}), v)
-                for g, r in rows.items():
-                    if g != c[0]:
-                        psame[g, c] = psame.get((g, c), 0) + _dot(r, v)
+        parent, x, depth, _ = nodes[i]
+        rows, cols, same = sums[i]
+        scale = power[2 * depth]
+        for c, col in cols.items():
+            for g, row in rows.items():
+                if g != c[0]:
+                    num[g, c] += (_dot(row, col) - same.get((g, c), 0)) * scale
+        if parent < 0:
             continue
-        row, col = sums[i]
-        row, col = _row_times(row, step[-x]), _times_column(step[x], col)
-        above = sums[parent]
-        if nodes[parent][3] is None:
-            above = [above[0].setdefault(colour[0], {}), above[1].setdefault(colour, {})]
-        _add(above[0], row)
-        _add(above[1], col)
-    return e * power[2 * h - 1], {Word((-a,) + v): q for (a, v), q in num.items()}
+        rows = {g: _row_times(r, step[-x]) for g, r in rows.items()}
+        cols = {c: _times_column(step[x], v) for c, v in cols.items()}
+        prows, pcols, psame = sums[parent]
+        for g, r in rows.items():
+            _add(prows.setdefault(g, {}), r)
+        for c, v in cols.items():
+            _add(pcols.setdefault(c, {}), v)
+            for g, r in rows.items():
+                if g != c[0]:
+                    psame[g, c] = psame.get((g, c), 0) + _dot(r, v)
+    return den, {Word((-a,) + v): q for (a, v), q in num.items()}
 
 
 # Vectors are dicts state -> int, matrices dicts (from, to) -> int.
@@ -875,11 +830,13 @@ def pushforward_current_value(
     """Value of the pushed-forward current on the geodesic cylinder at u.
 
     Cyl[1,u] splits into products Cyl(a) x Cyl(u) over letters a other
-    than the first letter u0 of u, so the value counts the pairs from
-    outside phi^-1(Cyl u0) into phi^-1(Cyl u): one pair-sum walk of the
-    latter and the rest of the former (a difference), as one group.  The
-    preimages are those of the map's shortest conjugate, which pushes mu
-    to the same current.  A measure of another rank raises InputError.
+    than the first letter u1 of u, so nu(u) is the sum of nu(a^-1 u) over
+    a != u1 (module docstring): the pairs from the families of those
+    letters into phi^-1(Cyl u).  One walk of the 2k families, with the
+    family of u1 split into phi^-1(Cyl u) and the rest (a difference),
+    counts them (`_cross_mass`).  The preimages are those of the map's
+    shortest conjugate, which pushes mu to the same current.  A measure
+    of another rank raises InputError.
     """
     if mu.rank != auto.rank:
         raise InputError("measure and map ranks differ")
@@ -888,9 +845,12 @@ def pushforward_current_value(
     auto = _class_rep(auto)
     fam = _depth1_family(auto, budget, cache)
     part = _preimage(auto.bwd, fam, u, budget)
-    rest = _subtract(fam[u[0]], part, budget)
-    den, num = _pair_mass(mu, {u: part, u[0]: rest}, {u: u[0], u[0]: u[0]})
-    return Fraction(num[u], den)
+    parts = {Word((a,)): fam[a] for a in alphabet(auto.rank)}
+    # for a one-letter u the rest is empty, and the preimage replaces it
+    parts[Word(u[:1])] = _subtract(fam[u[0]], part, budget)
+    parts[u] = part
+    den, num = _cross_mass(mu, parts)
+    return Fraction(sum(num[(-a,) + u] for a in alphabet(auto.rank) if a != u[0]), den)
 
 
 def pushforward_table(
@@ -904,9 +864,10 @@ def pushforward_table(
     """Pushforward measure of every cylinder up to the given depth.
 
     One pair-sum walk gives every value of the deepest length n, and
-    each shorter cylinder adds up its children (`_table`).  The walk
-    takes the depth-(n-1) preimages, or the depth-1 families for n <= 2,
-    so no preimage of length n is built.
+    each shorter cylinder adds up its children (`_table`).  At depth 1
+    it walks each family alone; from depth 2 on it walks the
+    depth-(n-1) preimages, or the depth-1 families for n = 2, as one
+    tiling, so no preimage of length n is built.
     """
     if depth < 1:
         raise InputError("depth must be at least 1")
@@ -924,15 +885,15 @@ def _table(
 ) -> tuple[int, dict[Word, int]]:
     """(D, {v: D nu(v)}) for every cylinder v of length 1 to depth, nu = phi_* mu.
 
-    At depth 1, the 2k families tile the boundary, so one walk takes
-    them all, each its own group, and checks that they do (`_pair_mass`):
-    the pairs counted for a come from the other families, which is
-    Cyl[1, a].  From depth 2 on, nu(a^-1 v) is the pair mass of the
-    family of a against the preimage of v (module docstring), so one
-    walk of the preimages of the words of length depth - 1, grouped by
-    first letter, gives every value of the deepest length and checks that
-    they tile (`_cross_mass`); at depth 2 these are the families, and
-    nothing is grafted.  A shorter v sums its children in integers,
+    At depth 1, the 2k families tile the boundary, and one walk takes
+    each alone and checks that they tile (`_pair_mass`): the pairs
+    counted for a come from the other families, which is Cyl[1, a].
+    From depth 2 on, nu(a^-1 v) is the pair mass of the family of a
+    against the preimage of v (module docstring), so one walk of the
+    preimages of the words of length depth - 1, grouped by first letter,
+    gives every value of the deepest length and checks that they tile
+    (`_cross_mass`); at depth 2 these are the families, and nothing is
+    grafted.  A shorter v sums its children in integers,
     nu(v) = sum of nu(vc).  Keys run by length, then in `all_words`
     order.  The table is a class invariant, read off the map's shortest
     conjugate psi (`_class_rep`), whose chain the budget counts; a
@@ -945,7 +906,7 @@ def _table(
     fam = _depth1_family(auto, budget, cache)
     parts = {v: _preimage(auto.bwd, fam, v, budget) for v in _words(max(depth - 1, 1), rank)}
     if depth == 1:
-        den, deep = _pair_mass(mu, parts, {v: v[0] for v in parts}, tiles=True)
+        den, deep = _pair_mass(mu, parts)
     else:
         den, cross = _cross_mass(mu, parts)
         deep = {v: cross[v] for v in _words(depth, rank)}

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stretchfactor import Word, make_automorphism
-from stretchfactor.boundary import _depth1_family, _pair_mass, _preimage, _words
+from stretchfactor.boundary import _depth1_family, _preimage, _words
 from stretchfactor.measures import (
     MarkovSpec,
     markov_measure,
@@ -19,6 +19,8 @@ from stretchfactor.words import (
     is_proper_power,
     random_reduced,
 )
+
+from oracles import pair_mass_by_pairs
 
 
 def nielsen():
@@ -53,19 +55,27 @@ def conjugated_composition(rank, n_factors, v_len, rng: random.Random):
 
 
 def given_chain_table(auto, mu, depth, budget, cache):
-    """`boundary._table` read off the map's own Nielsen chain, by the grafted walk.
+    """`boundary._table` read off the map's own Nielsen chain, pair by pair.
 
     The engine's table reads the chain of the map's shortest conjugate;
     this one assembles the given map's families, so comparing the two
     checks that a conjugate pushes mu to the same current.  It also grafts
-    every preimage of the given depth and sums their pairs group by group
-    (`_pair_mass`), where the engine walks the preimages one level up
-    (`_cross_mass`) from depth 2 on, so it is the reference for that walk.
+    every preimage of the given depth and sums nu(v) as the pairs from the
+    families of the letters a != v1 into phi^-1(Cyl v), one `mu.eval` per
+    pair (`oracles.pair_mass_by_pairs`), where the engine walks the
+    families (`_pair_mass`) or the preimages one level up (`_cross_mass`),
+    so it is the reference for both walks.  Returns (1, {v: nu(v)}), the
+    values as fractions over the denominator 1.
     """
     rank = auto.rank
     fam = _depth1_family(auto, budget, cache)
-    parts = {v: _preimage(auto.bwd, fam, v, budget) for v in _words(depth, rank)}
-    den, deep = _pair_mass(mu, parts, {v: v[0] for v in parts}, tiles=True)
+    deep = {}
+    for v in _words(depth, rank):
+        part = _preimage(auto.bwd, fam, v, budget)
+        deep[v] = sum(
+            (pair_mass_by_pairs(mu, fam[a], part) for a in alphabet(rank) if a != v[0]),
+            Fraction(0),
+        )
     levels = [deep]
     for n in range(depth - 1, 0, -1):
         below = levels[-1]
@@ -73,7 +83,7 @@ def given_chain_table(auto, mu, depth, budget, cache):
             v: sum(below[v + (c,)] for c in extension_letters(v, rank))
             for v in _words(n, rank)
         })
-    return den, {v: q for level in reversed(levels) for v, q in level.items()}
+    return 1, {v: q for level in reversed(levels) for v, q in level.items()}
 
 
 def is_atom(f):

@@ -396,7 +396,7 @@ def test_cold_length_builds_each_suffix_once_without_brute_force(
     # length_exact would read its shortest conjugate's
     budget = Budget()
     fam = _depth1_family(phi, budget, PartitionCache())
-    den, num = _pair_mass(uniform_measure(rank), fam, {x: x for x in fam}, tiles=True)
+    den, num = _pair_mass(uniform_measure(rank), fam)
     assert (Fraction(sum(num.values()), den), budget.spent) == (value, spent)
     assert counts["verified"] == 0
     # suffixes of the chain are inverse-image tuples, not maps

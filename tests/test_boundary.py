@@ -649,50 +649,33 @@ def test_pair_sum_fast_path_matches_generic(nielsen_map):
         assert fast == slow
 
 
-def _complement(rank, parts):
-    """The cells outside the union of some partitions, as one partition."""
-    cells = [x for p in parts for x in p.words]
-    letters = [Word((x,)) for x in alphabet(rank)]
-    return CylinderPartition.from_words(rank, subtract_by_leaves(rank, letters, cells))
+def _expected(mu, around, part):
+    """The oracle's pair mass of the cells outside `around` against `part`."""
+    letters = [Word((x,)) for x in alphabet(mu.rank)]
+    outside = subtract_by_leaves(mu.rank, letters, around.words)
+    return pair_mass_by_pairs(mu, CylinderPartition.from_words(mu.rank, outside), part)
 
 
-def _expected(mu, parts, groups, t):
-    """The oracle's pair mass of the cells outside t's group against parts[t]."""
-    if not parts[t].size:
-        return F(0)
-    group = [p for c, p in parts.items() if groups[c] == groups[t]]
-    return pair_mass_by_pairs(mu, _complement(mu.rank, group), parts[t])
-
-
-def _assert_coloured_pair_masses(mu, parts, groups, tiles=False):
-    """_pair_mass against the oracle at every colour; returns its masses."""
-    got = _masses(mu, parts, groups, tiles=tiles)
-    assert list(got) == list(parts)
-    for t in parts:
-        assert got[t] == _expected(mu, parts, groups, t), (mu.label, t)
-    return got
-
-
-def _masses(mu, parts, groups, tiles=False):
-    """_pair_mass as fractions: its numerators over its common denominator."""
-    den, num = _pair_mass(mu, parts, groups, tiles=tiles)
-    return {t: F(q, den) for t, q in num.items()}
+def _assert_tiling_masses(mu, parts):
+    """_pair_mass of a tiling against the oracle at every part."""
+    den, num = _pair_mass(mu, parts)
+    assert list(num) == list(parts)
+    for t, p in parts.items():
+        assert F(num[t], den) == _expected(mu, p, p), (mu.label, t)
 
 
 def _assert_pair_masses(auto, targets, measures):
-    """The 2k families, which tile the boundary, each its own group, and each
-    target's pushforward form: its preimage and the rest of its first
-    letter's family in one group, whose complement is the other families."""
+    """The 2k families, which tile the boundary, and each target's
+    pushforward value: the pairs from outside its first letter's family
+    into its preimage."""
     rank, cache = auto.rank, PartitionCache()
     fam = {a: preimage_partition(auto, (a,), cache=cache) for a in alphabet(rank)}
     preimages = {u: preimage_partition(auto, u, cache=cache) for u in targets}
     for mu in measures:
-        _assert_coloured_pair_masses(mu, fam, {a: a for a in fam}, tiles=True)
+        _assert_tiling_masses(mu, fam)
         for u, p_u in preimages.items():
-            rest = subtract_by_leaves(rank, fam[u[0]].words, p_u.words)
-            parts = {u: p_u, u[0]: CylinderPartition.from_words(rank, rest)}
-            got = _assert_coloured_pair_masses(mu, parts, {u: u[0], u[0]: u[0]})
-            assert pushforward_current_value(auto, mu, u, cache=cache) == got[u]
+            got = pushforward_current_value(auto, mu, u, cache=cache)
+            assert got == _expected(mu, fam[u[0]], p_u), (mu.label, u)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -714,7 +697,7 @@ def test_pair_mass_matches_pairwise_sum_on_depth2_preimages():
     cache = PartitionCache()
     parts = {u: preimage_partition(auto, u, cache=cache) for u in all_words(2, 2)}
     for mu in measures:
-        _assert_coloured_pair_masses(mu, parts, {u: u for u in parts}, tiles=True)
+        _assert_tiling_masses(mu, parts)
 
 
 @settings(max_examples=25, deadline=None)
@@ -729,31 +712,6 @@ def test_pair_mass_matches_pairwise_sum_property(rank, n_factors, target_len, se
     auto = random_composition(rank, n_factors, rng)
     target = random_reduced(target_len, rank, rng)
     _assert_pair_masses(auto, [target], sample_measures(rank, rng))
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    rank=st.integers(2, 4),
-    depth=st.integers(1, 2),
-    n_factors=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_grouped_pair_mass_matches_pairwise_sum(rank, depth, n_factors, seed):
-    # some of the disjoint preimages, in random groups, some colours left
-    # to their own group, checked at a few colours against the cells
-    # outside each one's group
-    rng = random.Random(seed)
-    auto = random_composition(rank, n_factors if rank < 4 else min(n_factors, 2), rng)
-    cache = PartitionCache()
-    preimages = {v: preimage_partition(auto, v, cache=cache) for v in all_words(depth, rank)}
-    parts = {v: p for v, p in preimages.items() if rng.random() < 0.7}
-    groups = {v: rng.randrange(3) if rng.random() < 0.8 else v for v in parts}
-    checked = rng.sample(list(parts), min(4, len(parts)))
-    for mu in sample_measures(rank, rng)[::2]:
-        got = _masses(mu, parts, groups, tiles=len(parts) == len(preimages))
-        assert list(got) == list(parts)
-        for t in checked:
-            assert got[t] == _expected(mu, parts, groups, t), (mu.label, t)
 
 
 @settings(max_examples=20, deadline=None)
@@ -777,15 +735,14 @@ def test_pair_sum_identity(rank, n_factors, seed):
             assert pair_mass_by_pairs(mu, others, alone) == mu.eval(cell[-1:]), (mu.label, cell)
 
 
-def test_grouped_pair_mass_rejects_comparable_cells():
-    # comparable cells in one group raise; across groups, a cell lost or
-    # doubled breaks the tiling that a table's walk checks
+def test_pair_mass_rejects_a_broken_tiling():
+    # the twelve depth-2 preimages tile the boundary; a cell lost or
+    # doubled breaks the tiling that the walk checks
     auto = parse_generator_expression(2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]")
     cache = PartitionCache()
     parts = {v: preimage_partition(auto, v, cache=cache) for v in all_words(2, 2)}
-    groups = {v: v[0] for v in parts}
     mu = uniform_measure(2)
-    _pair_mass(mu, parts, groups, tiles=True)
+    _pair_mass(mu, parts)
     first, other = w("ab"), w("ba")
     label = parts[first].leaves[0]
     inside = CylinderPartition.from_words(2, [label + (extension_letters(label, 2)[0],)])
@@ -794,44 +751,28 @@ def test_grouped_pair_mass_rejects_comparable_cells():
     broken[other] = inside
     assert partition_mass(mu, inside) != partition_mass(mu, parts[other])
     with pytest.raises(AssertionError):
-        _pair_mass(mu, broken, groups, tiles=True)
+        _pair_mass(mu, broken)
     with pytest.raises(AssertionError):
-        _pair_mass(mu, {first: parts[first], other: inside}, groups, tiles=True)
+        _pair_mass(mu, {first: parts[first], other: inside})
+    # that cell doubled as a part of its own, and ba's preimage lost
     with pytest.raises(AssertionError):
-        _pair_mass(mu, {first: parts[first], other: inside}, {first: 0, other: 0})
-    # that cell doubled in a group of its own, and ba's preimage lost
+        _pair_mass(mu, dict(parts, extra=inside))
     with pytest.raises(AssertionError):
-        _pair_mass(mu, dict(parts, extra=inside), dict(groups, extra="extra"), tiles=True)
-    with pytest.raises(AssertionError):
-        _pair_mass(mu, {v: p for v, p in parts.items() if v != other}, groups, tiles=True)
+        _pair_mass(mu, {v: p for v, p in parts.items() if v != other})
 
 
 def test_pair_mass_of_empty_or_comparable_families():
+    # empty families, or comparable cells across families, tile nothing
     empty = CylinderPartition.from_words(2, ())
     p1 = CylinderPartition.from_words(2, words("a"))
     p2 = CylinderPartition.from_words(2, words("ab", "b"))
     p3 = CylinderPartition.from_words(2, words("B"))
-    own = {1: 1, 2: 2, 3: 3}
     for mu in sample_measures(2, random.Random(3)):
-        # an empty part counts nothing, and a lone cell meets its complement
-        alone = pair_mass_by_pairs(mu, CylinderPartition.from_words(2, words("A", "b", "B")), p1)
-        assert _masses(mu, {1: empty, 2: p1}, own) == {1: 0, 2: alone}
-        assert _masses(mu, {1: p1, 2: empty}, own) == {1: alone, 2: 0}
-        assert _masses(mu, {1: empty, 2: empty}, own) == {1: 0, 2: 0}
         with pytest.raises(AssertionError):
-            _pair_mass(mu, {1: empty, 2: empty}, own, tiles=True)
-        # colours in one group count no pairs against each other
-        rest = CylinderPartition.from_words(2, words("A", "b"))
-        assert _masses(mu, {1: p1, 3: p3}, {1: 0, 3: 0}) == {
-            1: pair_mass_by_pairs(mu, rest, p1),
-            3: pair_mass_by_pairs(mu, rest, p3),
-        }
+            _pair_mass(mu, {1: empty, 2: empty})
         for parts in ({1: p1, 2: p2}, {2: p2, 1: p1}, {1: p1, 2: p2, 3: p3}, {3: p3, 2: p2, 1: p1}):
-            # comparable cells raise in one group, and break a tiling across groups
             with pytest.raises(AssertionError):
-                _pair_mass(mu, parts, {1: 0, 2: 0, 3: 0})
-            with pytest.raises(AssertionError):
-                _pair_mass(mu, parts, own, tiles=True)
+                _pair_mass(mu, parts)
 
 
 @settings(max_examples=30, deadline=None)
@@ -883,17 +824,13 @@ def test_coloured_pair_mass_property(rank, n_factors, target_len, seed):
                 (pair_mass_by_pairs(mu, fam[a], fam[x]) for a in alphabet(rank) if a != x), F(0)
             )
             assert report.breakdown[x] == expected, (mu.label, x)
-    # a cell inside a colour's part raises: in its own group as a doubled
-    # cell of the families' tiling, in that colour's group as comparable
-    x, y = rng.sample(alphabet(rank), 2)
+    # a cell inside a colour's part, as a part of its own, is a doubled
+    # cell of the families' tiling
+    x = rng.choice(alphabet(rank))
     label = rng.choice(fam[x].leaves)
     overlap = CylinderPartition.from_words(rank, [label + (rng.choice(extension_letters(label, rank)),)])
-    own = {a: a for a in fam}
-    for mu in measures[:1]:
-        with pytest.raises(AssertionError):
-            _pair_mass(mu, dict(fam, overlap=overlap), dict(own, overlap="overlap"), tiles=True)
-        with pytest.raises(AssertionError):
-            _pair_mass(mu, {x: fam[x], y: fam[y], "overlap": overlap}, {x: x, y: y, "overlap": x})
+    with pytest.raises(AssertionError):
+        _pair_mass(measures[0], dict(fam, overlap=overlap))
 
 
 def test_a_measure_of_another_rank_is_an_input_error():
@@ -1323,13 +1260,10 @@ def test_cross_walk_rejects_a_broken_tiling():
         _cross_mass(mu, {v: p for v, p in parts.items() if v != other})
 
 
-def test_cross_walk_of_a_3000_letter_tiling():
-    # Cyl(a) split into Cyl(a^n b) and the rest, a spine of n dicts, beside
-    # Cyl(A), Cyl(b) and Cyl(B): every colour is one cylinder or the rest
-    # of one, so each value is mu of one word or a difference of two.  The
-    # walk iterates, so a tiling far deeper than the interpreter's
-    # recursion limit is summed.
-    n = 3000
+def _spine_tiling(n):
+    """Cyl(a) split into Cyl(a^n b) and the rest, a spine of n dicts, beside
+    Cyl(A), Cyl(b) and Cyl(B), as parts keyed by two-letter colours; and
+    the word a^n b."""
     spine: dict = {c: _LEAF for c in (1, -2)}
     for _ in range(n - 1):
         spine = {c: spine if c == 1 else _LEAF for c in (1, 2, -2)}
@@ -1343,6 +1277,14 @@ def test_cross_walk_of_a_3000_letter_tiling():
         w("bb"): CylinderPartition(2, (), {2: _LEAF}, 1),
         w("BB"): CylinderPartition(2, (), {-2: _LEAF}, 1),
     }
+    return parts, deep
+
+
+def test_cross_walk_of_a_3000_letter_tiling():
+    # every colour is one cylinder or the rest of one, so each value is
+    # mu of one word or a difference of two.  The walk iterates, so a
+    # tiling far deeper than the interpreter's recursion limit is summed.
+    parts, deep = _spine_tiling(3000)
     for mu in sample_measures(2, random.Random(5)):
         den, num = _cross_mass(mu, parts)
         expected = {}
@@ -1357,15 +1299,33 @@ def test_cross_walk_of_a_3000_letter_tiling():
         assert {v: F(q, den) for v, q in num.items()} == expected, mu.label
 
 
-def test_cross_walk_does_not_recurse():
-    # the walk keeps its own stack: it does not call itself, and the only
+def test_pair_mass_of_a_3000_letter_tiling():
+    # the pairs into a one-cell part from every other cell sum to mu of
+    # its last letter, and those out of a^n b to mu(B); so the rest of
+    # Cyl(a) takes what A, b and B send to Cyl(a) but not to a^n b, and
+    # what a^n b sends to no one of them.  The walk iterates, so a tiling
+    # far deeper than the interpreter's recursion limit is summed.
+    parts, deep = _spine_tiling(3000)
+    for mu in sample_measures(2, random.Random(5)):
+        den, num = _pair_mass(mu, parts)
+        expected = {v: mu.eval(p.leaves[0][-1:]) for v, p in parts.items() if p.size == 1}
+        expected[w("aa")] = mu.eval(w("B")) + sum(
+            mu.eval((-g, 1)) - mu.eval((-g,) + deep) - mu.eval(inverse(deep) + (g,))
+            for g in (-1, 2, -2)
+        )
+        assert {v: F(q, den) for v, q in num.items()} == expected, mu.label
+
+
+@pytest.mark.parametrize("walk", [_pair_mass, _cross_mass], ids=lambda walk: walk.__name__)
+def test_pair_walks_do_not_recurse(walk):
+    # each walk keeps its own stack: it does not call itself, and the only
     # code nested in it is comprehensions, which cannot
     from types import CodeType
 
-    code = _cross_mass.__code__
+    code = walk.__code__
     nested = [c for c in code.co_consts if isinstance(c, CodeType)]
     assert all(c.co_name.startswith("<") for c in nested)
-    assert all("_cross_mass" not in c.co_names for c in [code, *nested])
+    assert all(walk.__name__ not in c.co_names for c in [code, *nested])
 
 
 @settings(max_examples=20, deadline=None)
