@@ -608,7 +608,11 @@ def _plateau(images) -> set[tuple]:
     The minimizers of the cost form a finite subtree, the equal-cost
     plateau around `_shortest_conjugate`'s, which is walked whole.  Maps
     that differ by an inner automorphism have the same plateau, so any
-    rule that picks one of its tuples is a class key.
+    rule that picks one of its tuples is a class key.  Walked from any of
+    its own tuples the plateau is the same, so two plateaus are equal or
+    disjoint and one tuple decides the class.  A signed permutation
+    sigma keeps lengths and sends conjugates to conjugates, so the
+    plateau of sigma o phi is sigma applied letter by letter to phi's.
     """
     current = _shortest_conjugate(images)[0]
     seen = {current}

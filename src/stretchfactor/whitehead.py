@@ -43,6 +43,12 @@ conjugacy class.  Each class the enumeration expands therefore gets one
 depth-2 table, and the classes one generator away get their lengths from
 it; no class is measured alone.  A class's own table, when it is
 expanded in turn, must sum to the value its parent's cut gave it.
+
+Nor is a class's plateau of shortest conjugates walked more than once.
+Since tau o iota_v = iota_tau(v) o tau, a move is applied to one shortest
+conjugate of phi, and the plateau is walked only when the conjugate that
+descends from it is new.  A signed permutation needs neither: the
+plateau of sigma o phi is sigma applied letter by letter to phi's.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from .automorphisms import (
     Automorphism,
     WhiteheadSecondKind,
     _plateau,
+    _shortest_conjugate,
     _substitute,
     _tuple_sort_key,
     compose,
@@ -294,38 +301,55 @@ def spectrum(
     L(sigma o phi) = L(phi) for every signed permutation sigma (module
     docstring); the budget counts those chains.  A class's key is the
     least tuple of its plateau of shortest conjugates, and its name the
-    shortlex-least, its `canonical_out_key`.  A class's own table must
-    sum to the value its parent's cut gave it, or AssertionError is
-    raised: the engine is at fault.
+    shortlex-least, its `canonical_out_key`.  Each class's plateau is
+    walked once: every tuple of it is recorded, a move's candidate is
+    one tuple of the base's plateau with the move applied and descended
+    to a shortest conjugate, and only a conjugate not yet recorded is
+    walked.  A signed permutation's candidate is relabelled, not walked.
+    A class's own table must sum to the value its parent's cut gave it,
+    or AssertionError is raised: the engine is at fault.
     """
     if max_factors < 1:
         raise InputError("max_factors must be at least 1")
     budget, cache = _resolve(budget, cache)
     mu = uniform_measure(rank)
-    perms = enumerate_signed_permutations(rank)
+    # each signed permutation with its letter map; its score is the base's
+    perms = [
+        (g, None, {s * x: s * y for x, (y,) in enumerate(g.fwd, 1) for s in (1, -1)})
+        for g in enumerate_signed_permutations(rank)
+    ]
     root = identity(rank)
-    # class key -> (L, name); the identity's class is level 0
-    basis = min(_plateau(root.fwd))
-    classes = {basis: (ONE, basis)}
-    frontier = [(root, ONE)]
+    plateau = _plateau(root.fwd)
+    basis = min(plateau)
+    classes = {basis: (ONE, basis)}  # class key -> (L, name)
+    owner = dict.fromkeys(plateau, basis)  # shortest conjugate met -> class key
+    frontier = [(root, ONE, plateau)]
     for level in range(1, max_factors + 1):
         sources, frontier = frontier, []
-        for base, value in sources:
+        for base, value, plateau in sources:
             den, num = _table(base, mu, 2, budget, cache)
             total, scores = _cut_scores(rank, num)
             _check_cut(base, value, Fraction(total, den))
+            t = min(plateau)  # any shortest conjugate of base stands for it
             # identity-typed moves are the identity map and are not scored;
             # the identity permutation already stands for them
-            moves = [(tau.automorphism(), score) for score, tau in scores]
-            for g, score in moves + [(sigma, total) for sigma in perms]:
-                plateau = _plateau([_substitute(g.fwd, w) for w in base.fwd])
-                key = min(plateau)
-                if key in classes:
-                    continue
+            moves = [(tau.automorphism(), score, None) for score, tau in scores]
+            for g, score, letters in moves + perms:
+                if letters is None:
+                    psi = _shortest_conjugate([_substitute(g.fwd, w) for w in t])[0]
+                    if psi in owner:
+                        continue
+                    new = _plateau(psi)
+                else:
+                    if _relabelled(letters, t) in owner:
+                        continue
+                    new, score = {_relabelled(letters, u) for u in plateau}, total
+                key = min(new)
+                owner.update(dict.fromkeys(new, key))
                 found = Fraction(score, den)
-                classes[key] = found, min(plateau, key=_tuple_sort_key)
+                classes[key] = found, min(new, key=_tuple_sort_key)
                 if level < max_factors:
-                    frontier.append((compose(g, base), found))
+                    frontier.append((compose(g, base), found, new))
     by_value: dict[Fraction, list[tuple]] = {}
     for value, name in classes.values():
         by_value.setdefault(value, []).append(name)
@@ -340,6 +364,10 @@ def spectrum(
     return SpectrumReport(
         rank=rank, max_factors=max_factors, entries=entries, min_gap=min_gap
     )
+
+
+def _relabelled(letters: dict[int, int], images: tuple) -> tuple:
+    return tuple(tuple(map(letters.__getitem__, w)) for w in images)
 
 
 def _key_text(key: tuple[tuple[int, ...], ...]) -> str:

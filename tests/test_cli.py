@@ -147,6 +147,34 @@ def test_spectrum_stdout_is_pinned(fmt):
     assert out == _SPECTRUM_STDOUT[fmt]
 
 
+_RANK3_SPECTRUM_STDOUT = {
+    "text": """\
+1/1 (decimal approx 1) multiplicity 48 rep a,b,c
+6/5 (decimal approx 1.2) multiplicity 24 rep a,b,ac
+19/15 (decimal approx 1.26666666667) multiplicity 18 rep a,b,acA
+min gap = 1/15
+""",
+    "json": (
+        '{"entries": ['
+        '{"length": "1/1", "multiplicity": 48, "representative": "a,b,c"}, '
+        '{"length": "6/5", "multiplicity": 24, "representative": "a,b,ac"}, '
+        '{"length": "19/15", "multiplicity": 18, "representative": "a,b,acA"}'
+        '], "min_gap": "1/15"}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_RANK3_SPECTRUM_STDOUT))
+def test_rank3_spectrum_stdout_is_pinned(fmt):
+    # 48 of the 138 candidates are signed permutations, whose classes are
+    # relabelled from the identity's plateau
+    code, out = invoke(
+        ["spectrum", "--rank", "3", "--max-factors", "1", "--format", fmt]
+    )
+    assert code == 0
+    assert out == _RANK3_SPECTRUM_STDOUT[fmt]
+
+
 def test_spectrum_csv():
     code, out = invoke(
         ["spectrum", "--rank", "2", "--max-factors", "1", "--format", "csv"]

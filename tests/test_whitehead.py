@@ -16,6 +16,7 @@ from stretchfactor import (
     conj,
     descent_step,
     enumerate_second_kind,
+    enumerate_signed_permutations,
     eta_length,
     factorize,
     identity,
@@ -26,7 +27,7 @@ from stretchfactor import (
     parse_word,
     spectrum,
 )
-from stretchfactor.automorphisms import _plateau
+from stretchfactor.automorphisms import SignedPermutation, _plateau
 from stretchfactor.boundary import _table
 from stretchfactor.whitehead import _cut_scores, _move_data
 from stretchfactor.words import alphabet, random_reduced
@@ -192,11 +193,48 @@ def test_spectrum_value_set_stable_under_extra_conjugation_dedup():
     assert merged_values == values
 
 
-@pytest.mark.parametrize("rank, max_factors", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+@pytest.mark.parametrize(
+    "rank, max_factors", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
+)
 def test_spectrum_matches_every_class_measured_alone(rank, max_factors):
     # values, multiplicities, representatives and min_gap all agree
     expected = spectrum_by_lengths(rank, max_factors, cache=PartitionCache())
     assert spectrum(rank, max_factors) == expected
+
+
+@pytest.mark.parametrize(
+    "rank, max_factors, spent",
+    [(2, 1, 0), (2, 2, 12), (2, 3, 41), (2, 4, 149), (3, 1, 0), (3, 2, 126)],
+)
+def test_spectrum_budget_counts_the_chains_of_the_expanded_maps(rank, max_factors, spent):
+    # the first map to reach a class is the one expanded, and the budget
+    # counts the chain of its shortest conjugate
+    budget = Budget()
+    spectrum(rank, max_factors, budget=budget)
+    assert budget.spent == spent
+
+
+@pytest.mark.parametrize(
+    "rank, max_factors, walks",
+    [(2, 1, 5), (2, 2, 15), (2, 3, 37), (2, 4, 83), (3, 1, 43), (3, 2, 1201)],
+)
+def test_spectrum_walks_each_plateau_once(monkeypatch, rank, max_factors, walks):
+    # at most one walk per class, the identity's included; a class first
+    # reached by a signed permutation is relabelled from its base's
+    # plateau.  At one factor those are the classes of L = 1 other than
+    # the identity's, so the walks are the identity's and one per move class.
+    calls = []
+
+    def counted(images):
+        calls.append(images)
+        return _plateau(images)
+
+    monkeypatch.setattr(whitehead_module, "_plateau", counted)
+    rep = spectrum(rank, max_factors)
+    classes = sum(mult for _, mult, _ in rep.entries)
+    assert len(calls) == walks <= classes
+    if max_factors == 1:
+        assert walks == 1 + sum(mult for value, mult, _ in rep.entries if value != 1)
 
 
 def test_spectrum_checks_each_class_against_its_parents_cut(monkeypatch):
@@ -235,6 +273,44 @@ def random_map(rank, n_factors, v_len, rng):
 def test_normalize_matches_the_cost_search(rank, n_factors, v_len, seed):
     phi = random_map(rank, n_factors, v_len, random.Random(seed))
     assert canonical_out_key(phi) == normalize_by_costs(phi.fwd)
+
+
+def _relabelled(sigma, images):
+    return tuple(tuple(map(sigma, w)) for w in images)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 5),
+    v_len=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plateau_after_a_signed_permutation_is_the_relabelled_plateau(
+    rank, n_factors, v_len, seed
+):
+    # spectrum relabels its base's plateau for each signed permutation
+    phi = random_map(rank, n_factors, v_len, random.Random(seed))
+    plateau = _plateau(phi.fwd)
+    for g in enumerate_signed_permutations(rank):
+        sigma = SignedPermutation(rank, tuple(x for (x,) in g.fwd))
+        assert _plateau(compose(g, phi).fwd) == {_relabelled(sigma, t) for t in plateau}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 5),
+    v_len=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plateau_walked_from_any_of_its_tuples_is_the_same(rank, n_factors, v_len, seed):
+    # so two plateaus are equal or disjoint, and spectrum decides a class
+    # by looking up one tuple
+    phi = random_map(rank, n_factors, v_len, random.Random(seed))
+    plateau = _plateau(phi.fwd)
+    for t in plateau:
+        assert _plateau(t) == plateau
 
 
 def test_move_data_seams_cancel_one_letter():
