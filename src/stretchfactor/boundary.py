@@ -93,8 +93,12 @@ Six facts drive the computation:
   two inputs share, where alone siblings can coalesce (`_merge`); a
   difference copies only the paths to the cells it cuts (`_subtract`).
   Every partition is built by a graft, a merge or a difference.  The
-  pair-sum walks read the tries directly.  Label words are built from
-  paths on first request, and sorted only for output, keys and tests.
+  pair-sum walks read the tries directly.  A partition keeps no label
+  count: it is empty when its trie is, and `len()` counts the leaves on
+  first use.  Label words are built from paths on first request, and
+  sorted only for output, keys and tests.  No trie walk recurses: each
+  keeps its own stack or work list, so a trie thousands of letters deep
+  is as good as a shallow one.
 """
 
 from __future__ import annotations
@@ -171,22 +175,23 @@ class CylinderPartition:
     `trie`: translated families share long prefixes, and a dict per
     shared letter would outweigh the rest.  Tries are never changed once
     built, so partitions share subtrees: a graft, a merge or a difference
-    copies only the nodes it changes.  `size` is the number of labels,
-    set when the partition is built.  Two partitions are equal when their
-    label sets are, and comparing stems and tries decides that without
-    sorting.  Every partition is built by a graft, a merge or a
-    difference; `from_words` merges the one-cell partitions of its labels.
-    `height`, `leaves` (trie order) and `words` (shortlex) are built on
-    first use and kept; only output, keys and tests read `words`.
+    copies only the nodes it changes.  The trie is all a partition keeps,
+    with no label count: the family is empty when the trie is, and
+    `len()` counts the leaves on first use.  Two partitions are equal
+    when their label sets are, and comparing stems and tries decides that
+    without sorting.  Every partition is built by a graft, a merge or a
+    difference; `from_words` merges the one-cell partitions of its
+    labels.  `height`, `leaves` (trie order) and `words` (shortlex) are
+    built on first use and kept; only output, keys and tests read
+    `words`.  No walk of the trie, equality included, recurses.
     """
 
-    __slots__ = ("rank", "stem", "trie", "size", "_height", "_leaves", "_words")
+    __slots__ = ("rank", "stem", "trie", "_height", "_leaves", "_words")
 
-    def __init__(self, rank: int, stem: tuple, trie: dict, size: int):
+    def __init__(self, rank: int, stem: tuple, trie: dict):
         self.rank = rank
         self.stem = stem
         self.trie = trie
-        self.size = size
         self._height: Optional[int] = None
         self._leaves: Optional[tuple[Word, ...]] = None
         self._words: Optional[tuple[Word, ...]] = None
@@ -215,8 +220,8 @@ class CylinderPartition:
                 )
         if sum(map(uniform_measure(rank).eval, labels)) == 1:
             raise InputError("partition coalesces to the full boundary")
-        cells = (cls(rank, w[:-1], {w[-1]: _LEAF}, 1) for w in labels)
-        return functools.reduce(_merge, cells, cls(rank, (), {}, 0))
+        cells = (cls(rank, w[:-1], {w[-1]: _LEAF}) for w in labels)
+        return functools.reduce(_merge, cells, cls(rank, (), {}))
 
     def root(self, start: int = 0) -> dict:
         """The trie below stem[:start], the rest of the stem one dict per letter."""
@@ -235,8 +240,15 @@ class CylinderPartition:
     @property
     def leaves(self) -> tuple[Word, ...]:
         if self._leaves is None:
+            # a preorder walk on a stack of (path, child at its end)
             out: list[Word] = []
-            _collect(self.trie, self.stem, out)
+            stack = [(self.stem + (c,), v) for c, v in reversed(self.trie.items())]
+            while stack:
+                path, child = stack.pop()
+                if type(child) is dict:
+                    stack.extend((path + (x,), v) for x, v in reversed(child.items()))
+                else:
+                    out.append(Word(path))
             self._leaves = tuple(out)
         return self._leaves
 
@@ -250,12 +262,21 @@ class CylinderPartition:
         return iter(self.words)
 
     def __len__(self) -> int:
-        return self.size
+        return len(self.leaves)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CylinderPartition):
             return NotImplemented
-        return (self.rank, self.stem, self.trie) == (other.rank, other.stem, other.trie)
+        if (self.rank, self.stem) != (other.rank, other.stem):
+            return False
+        # node by node on a work list, since dict equality recurses; a
+        # leaf is one object, so only dicts are listed or differ
+        pairs = [(self.trie, other.trie)]
+        for x, y in pairs:
+            if type(x) is not dict or type(y) is not dict or x.keys() != y.keys():
+                return False
+            pairs += [(v, y[c]) for c, v in x.items() if v is not y[c]]
+        return True
 
     def __hash__(self) -> int:
         return hash((self.rank, self.words))
@@ -269,14 +290,6 @@ def _complete(node: dict, needed: int) -> bool:
     return len(node) == needed and all(type(v) is not dict for v in node.values())
 
 
-def _collect(node: dict, prefix: tuple, out: list[Word]) -> None:
-    for c, child in node.items():
-        if type(child) is dict:
-            _collect(child, prefix + (c,), out)
-        else:
-            out.append(Word(prefix + (c,)))
-
-
 def _depth(node: dict) -> int:
     depth, level = 0, [node]
     while any(level):
@@ -286,7 +299,7 @@ def _depth(node: dict) -> int:
 
 
 def _partition(
-    rank: int, stem: tuple, node, size: int, built: int = 0, budget: Optional[Budget] = None
+    rank: int, stem: tuple, node, built: int = 0, budget: Optional[Budget] = None
 ) -> CylinderPartition:
     """The partition whose trie is `node` hung under `stem`, in canonical form.
 
@@ -298,7 +311,7 @@ def _partition(
     if type(node) is not dict:
         if not stem:
             raise AssertionError("partition coalesces to the full boundary")
-        stem, node, size, built = stem[:-1], {stem[-1]: _LEAF}, 1, 1
+        stem, node, built = stem[:-1], {stem[-1]: _LEAF}, 1
     top = len(stem)
     while len(node) == 1:
         ((c, child),) = node.items()
@@ -308,7 +321,7 @@ def _partition(
         node = child
     if budget is not None:
         budget.spend(max(built - (len(stem) - top), 0))
-    return CylinderPartition(rank, stem, node, size)
+    return CylinderPartition(rank, stem, node)
 
 
 def _merge(
@@ -319,24 +332,26 @@ def _merge(
     Both stems are spelled below their common prefix m by `root`, and the
     two tries are walked together.  A node both reach is copied, and only
     there are complete sibling sets coalesced; every other subtree is
-    reused.  Spends one node per dict it builds that the union keeps: the
-    copies, and the spelled stem dicts the walk does not enter, which
-    hang whole.  Overlapping labels raise AssertionError.
+    reused.  The walk does not recurse: it lists the nodes both reach
+    top-down, each with the copy of its parent, and hangs each copy from
+    that parent, or coalesces it there, in reverse; a holder dict stands
+    in for the root's parent.  Spends one node per dict it builds that
+    the union keeps: the copies, and the spelled stem dicts the walk does
+    not enter, which hang whole.  Overlapping labels raise AssertionError.
     """
-    if not b.size:
+    if not b.trie:
         return a
-    if not a.size:
+    if not a.trie:
         return b
     rank, m = a.rank, len(commonprefix([a.stem, b.stem]))
     la, lb = len(a.stem) - m, len(b.stem) - m
     full = 2 * rank - 1
-    size, built = a.size + b.size, la + lb
-
-    def merge(x: dict, y: dict, depth: int):
-        nonlocal size, built
-        # the spelled dicts at this depth are copied, not kept
-        built -= (depth < la) + (depth < lb)
-        out = dict(x)
+    # nodes[i] = (copy of the parent, letter from it, depth, copy of x, y);
+    # the spelled dicts at a depth the walk enters are copied, not kept
+    holder: dict = {}
+    nodes = [(holder, None, 0, dict(a.root(m)), b.root(m))]
+    built = la + lb
+    for _, _, depth, out, y in nodes:
         for c, child in y.items():
             have = out.get(c)
             if have is None:
@@ -344,16 +359,15 @@ def _merge(
             elif type(have) is not dict or type(child) is not dict:
                 raise AssertionError("overlapping cylinders across disjoint partitions")
             else:
-                out[c] = merge(have, child, depth + 1)
-        needed = full + (m + depth == 0)
-        if _complete(out, needed):
-            size -= needed - 1
-            return _LEAF
-        built += 1
-        return out
-
-    node = merge(a.root(m), b.root(m), 0)
-    return _partition(rank, a.stem[:m], node, size, built, budget)
+                nodes.append((out, c, depth + 1, dict(have), child))
+    for parent, c, depth, out, _ in reversed(nodes):
+        built -= (depth < la) + (depth < lb)
+        if _complete(out, full + (m + depth == 0)):
+            parent[c] = _LEAF
+        else:
+            parent[c] = out
+            built += 1
+    return _partition(rank, a.stem[:m], holder[None], built, budget)
 
 
 def _subtract(
@@ -366,43 +380,42 @@ def _subtract(
     dropped, and a leaf of part above cells of sub is split into its
     2k - 1 children first, so what stays of it is the complement of
     sub's subtree.  Removing cells completes no sibling set, so nothing
-    coalesces.  Spends one node per copied dict the result keeps.  Cells
-    of sub outside part raise AssertionError.
+    coalesces.  The walk does not recurse: it lists the copies top-down,
+    each with the copy of its parent, and in reverse hangs each one that
+    keeps a cell from that parent and drops the rest; a holder dict
+    stands in for the root's parent.  Spends one node per copied dict the
+    result keeps.  Cells of sub outside part raise AssertionError.
     """
-    if not sub.size:
+    if not sub.trie:
         return part
     rank, m = part.rank, len(part.stem)
     if sub.stem[:m] != part.stem:
         raise AssertionError("subtracted cells lie outside the partition")
-    size, built = part.size, 0
-
-    def cut(node: dict, gone: dict) -> dict:
-        nonlocal size, built
-        out = dict(node)
+    # nodes[i] = (copy of the parent, letter from it, copy of the node,
+    # sub's node there)
+    holder: dict = {None: part.trie}
+    nodes = [(holder, None, dict(part.trie), sub.root(m))]
+    for _, _, out, gone in nodes:
         for c, below in gone.items():
             have = out.get(c)
             if have is None or (type(have) is dict and type(below) is not dict):
                 raise AssertionError("subtracted cells lie outside the partition")
             if type(below) is not dict:
                 del out[c]
-                size -= 1
                 continue
             if type(have) is not dict:
                 have = dict.fromkeys([y for y in alphabet(rank) if y != -c], _LEAF)
-                size += 2 * rank - 2
-            left = cut(have, below)
-            if left:
-                out[c] = left
-            else:
-                del out[c]
+            nodes.append((out, c, dict(have), below))
+    built = 0
+    for parent, c, out, _ in reversed(nodes):
         if out:
+            parent[c] = out
             built += 1
-        return out
-
-    node = cut(part.trie, sub.root(m))
-    if not node:
-        return CylinderPartition(rank, (), {}, 0)
-    return _partition(rank, part.stem, node, size, built, budget)
+        else:
+            del parent[c]
+    if not holder:
+        return CylinderPartition(rank, (), {})
+    return _partition(rank, part.stem, holder[None], built, budget)
 
 
 def _graft(
@@ -419,17 +432,16 @@ def _graft(
     node per dict of that path that the result keeps.
     """
     rank, n = part.rank, len(g)
-    if not part.size or not n:
+    if not part.trie or not n:
         return part
     h = [-x for x in reversed(g)]
     stem, m = part.stem, len(part.stem)
-    size = part.size
     c = 0
     while c < m and c < n and stem[c] == h[c]:
         c += 1
     if c < m:
         # every label agrees with h in exactly c letters: the trie moves whole
-        return CylinderPartition(rank, tuple(g[: n - c]) + stem[c:], part.trie, size)
+        return CylinderPartition(rank, tuple(g[: n - c]) + stem[c:], part.trie)
     # hung[c - m]: the children of the node along h at depth c, but for h[c]
     hung: list[dict] = []
     node = part.trie
@@ -444,7 +456,6 @@ def _graft(
         if type(child) is not dict:
             # the label h[:c+1] is cancelled whole
             child = dict.fromkeys([y for y in alphabet(rank) if y != -x], _LEAF)
-            size += 2 * rank - 2
         node = child
         c += 1
     below = None
@@ -456,12 +467,11 @@ def _graft(
             continue
         needed = 2 * rank - 1 if c < n else 2 * rank
         if _complete(node, needed):
-            size -= needed - 1
             node = _LEAF
         else:
             built += 1
         below = node
-    return _partition(rank, tuple(g[: n - m - len(hung) + 1]), below, size, built, budget)
+    return _partition(rank, tuple(g[: n - m - len(hung) + 1]), below, built, budget)
 
 
 # -- partition cache -------------------------------------------------------
@@ -497,12 +507,17 @@ def _resolve(budget: Optional[int | Budget], cache: Optional[PartitionCache]):
 @functools.cache
 def _identity_family(rank: int) -> dict[int, CylinderPartition]:
     """The identity's depth-1 families {z: Cyl(z)}, built once per rank."""
-    return {z: CylinderPartition(rank, (), {z: _LEAF}, 1) for z in alphabet(rank)}
+    return {z: CylinderPartition(rank, (), {z: _LEAF}) for z in alphabet(rank)}
 
 
 @functools.cache
 def _words(n: int, rank: int) -> tuple[Word, ...]:
-    """The reduced words of length n in `all_words` order, built once per (n, rank)."""
+    """The reduced words of length n in `all_words` order, built once per (n, rank).
+
+    Only the keys of a table that has been summed are read from here; its
+    preimages are built as `all_words` lists them, so that a budget stops
+    a deep table before so many words are held.
+    """
     return tuple(all_words(n, rank))
 
 
@@ -638,16 +653,16 @@ def partition_mass(mu: FrequencyMeasure, part: CylinderPartition) -> Fraction:
 
 
 def _scaling(mu: FrequencyMeasure, parts: dict) -> tuple:
-    """(den, h, power, ends, weigh, tiled): the scaling both pair walks share.
+    """(den, h, power, ends, weigh, whole): the scaling both pair walks share.
 
     h is the longest cell of the parts.  Rows carry D^(h-|w1|) and columns
     D^(h-|w2|), so a pair splitting at depth d counts E D^(2h-2d-1) times
     its mass, and power[2d] = D^(2d) brings it to the common denominator
     den = E D^(2h-1).  ends[x], step[x] times the all-ones column, is the
     column of a cell's last letter x.  A cell of length n weighs
-    weigh[h-n], its uniform mass in units of 1 / (2k (2k-1)^(h-1)), and
-    tiled(weight) raises AssertionError unless the weights of the cells
-    a walk met sum to one: a lost or a doubled cell.
+    weigh[h-n], its uniform mass in units of 1 / (2k (2k-1)^h), and the
+    boundary weighs whole: a walk whose cells weigh otherwise lost or
+    doubled a cell, and raises AssertionError.
     """
     k = mu.rank
     h = max(p.height for p in parts.values())
@@ -655,13 +670,8 @@ def _scaling(mu: FrequencyMeasure, parts: dict) -> tuple:
     power = list(accumulate(repeat(d, 2 * h), mul, initial=1))
     ones = dict.fromkeys([t for mat in step.values() for _, t in mat], 1)
     ends = {x: _times_column(mat, ones) for x, mat in step.items()}
-    weigh = [(2 * k - 1) ** i for i in range(h)]
-
-    def tiled(weight: int) -> None:
-        if weight * (2 * k - 1) != 2 * k * (2 * k - 1) ** h:
-            raise AssertionError("the parts do not tile the boundary")
-
-    return e * power[2 * h - 1], h, power, ends, weigh, tiled
+    weigh = [(2 * k - 1) ** (i + 1) for i in range(h)]
+    return e * power[2 * h - 1], h, power, ends, weigh, 2 * k * (2 * k - 1) ** h
 
 
 def _pair_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
@@ -678,7 +688,7 @@ def _pair_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
     reverse.  Scaling is `_scaling`'s, and cells whose uniform masses do
     not sum to one raise AssertionError.
     """
-    den, h, power, ends, weigh, tiled = _scaling(mu, parts)
+    den, h, power, ends, weigh, whole = _scaling(mu, parts)
     _, d, init, step = mu.chain
     # a cell ending in x counts D^(2h-1) E mu(x), and D^(2h-2) init[-x]
     # ends[x] back for its pair with itself, which the walk takes out
@@ -716,7 +726,8 @@ def _pair_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
                 _add(above[0], row)
                 _add(above[1], col)
         num[c] = q
-    tiled(weight)
+    if weight != whole:
+        raise AssertionError("the parts do not tile the boundary")
     return den, num
 
 
@@ -738,14 +749,14 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
     reverse.  Comparable cells raise AssertionError, and so do cells
     whose uniform masses do not sum to one.
     """
-    den, h, power, ends, weigh, tiled = _scaling(mu, parts)
+    den, h, power, ends, weigh, whole = _scaling(mu, parts)
     init, step = mu.chain[2:]
     weight = 0
     num = {(a, v): 0 for v in parts for a in alphabet(mu.rank) if a != v[0]}
-    m = len(commonprefix([p.stem for p in parts.values() if p.size]))
+    m = len(commonprefix([p.stem for p in parts.values() if p.trie]))
     # nodes[i] = (parent, letter from it, depth, [(colour, node) below one
     # path]); its sums are [rows, cols, same]
-    nodes = [(-1, None, m, [(v, p.root(m)) for v, p in parts.items() if p.size])]
+    nodes = [(-1, None, m, [(v, p.root(m)) for v, p in parts.items() if p.trie])]
     sums: list = []
     for i, (_, _, depth, node) in enumerate(nodes):
         leaf, below = power[h - depth - 1], depth + 1
@@ -767,7 +778,8 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
             # a colour alone with a subtree is in no tiling: its cells go
             # uncounted, and the weights fall short
         sums.append([rows, cols, {}])
-    tiled(weight)
+    if weight != whole:
+        raise AssertionError("the parts do not tile the boundary")
     for i in range(len(nodes) - 1, -1, -1):
         parent, x, depth, _ = nodes[i]
         rows, cols, same = sums[i]
@@ -904,7 +916,7 @@ def _table(
     auto = _class_rep(auto)
     rank = auto.rank
     fam = _depth1_family(auto, budget, cache)
-    parts = {v: _preimage(auto.bwd, fam, v, budget) for v in _words(max(depth - 1, 1), rank)}
+    parts = {v: _preimage(auto.bwd, fam, v, budget) for v in all_words(max(depth - 1, 1), rank)}
     if depth == 1:
         den, deep = _pair_mass(mu, parts)
     else:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from types import CodeType, FunctionType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,7 +316,7 @@ def test_subtract_shares_the_subtrees_off_its_paths():
     # a single-child top left behind moves into the stem
     cut = _subtract(part, CylinderPartition.from_words(2, words("bA", "bb", "ab")))
     assert set(cut.words) == set(words("aab", "aaB")) and cut.stem == (1, 1)
-    assert _subtract(part, part).size == 0
+    assert len(_subtract(part, part)) == 0
     assert _subtract(part, CylinderPartition.from_words(2, ())) is part
 
 
@@ -357,7 +358,7 @@ def test_graft_and_merge_spend_the_nodes_they_build(rank, seed):
     # an empty one holds none
     budget = Budget()
     cut = _subtract(grafted, CylinderPartition.from_words(rank, _cells_inside(grafted, rng)), budget)
-    assert budget.spent == (_built_nodes(cut, [grafted]) if cut.size else 0)
+    assert budget.spent == (_built_nodes(cut, [grafted]) if cut.trie else 0)
 
 
 def test_graft_shares_the_subtrees_off_the_path():
@@ -496,10 +497,9 @@ def test_pushforward_value_of_a_deep_cylinder():
     assert pushforward_current_value(identity(2), uniform_measure(2), u) == uniform_measure(2).eval(u)
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError, reason="the trie walkers recurse per level")
 def test_pushforward_value_of_a_1000_letter_cylinder():
-    # a's family less Cyl((ab)^500) is a 1 000-letter spine; once every
-    # walker iterates, this becomes an exact-value test
+    # a's family less Cyl((ab)^500) is a 1 000-letter spine, which the
+    # difference, the height and the walk cross without recursing
     u = Word((1, 2) * 500)
     assert pushforward_current_value(identity(2), uniform_measure(2), u) == uniform_measure(2).eval(u)
 
@@ -1267,15 +1267,15 @@ def _spine_tiling(n):
     spine: dict = {c: _LEAF for c in (1, -2)}
     for _ in range(n - 1):
         spine = {c: spine if c == 1 else _LEAF for c in (1, 2, -2)}
-    rest = CylinderPartition(2, (1,), spine, 2 * n)
+    rest = CylinderPartition(2, (1,), spine)
     assert rest.height == n + 1
     deep = w("a") * n + w("b")
     parts = {
         w("aa"): rest,
-        w("ab"): CylinderPartition(2, deep[:-1], {2: _LEAF}, 1),
-        w("AA"): CylinderPartition(2, (), {-1: _LEAF}, 1),
-        w("bb"): CylinderPartition(2, (), {2: _LEAF}, 1),
-        w("BB"): CylinderPartition(2, (), {-2: _LEAF}, 1),
+        w("ab"): CylinderPartition(2, deep[:-1], {2: _LEAF}),
+        w("AA"): CylinderPartition(2, (), {-1: _LEAF}),
+        w("bb"): CylinderPartition(2, (), {2: _LEAF}),
+        w("BB"): CylinderPartition(2, (), {-2: _LEAF}),
     }
     return parts, deep
 
@@ -1308,7 +1308,7 @@ def test_pair_mass_of_a_3000_letter_tiling():
     parts, deep = _spine_tiling(3000)
     for mu in sample_measures(2, random.Random(5)):
         den, num = _pair_mass(mu, parts)
-        expected = {v: mu.eval(p.leaves[0][-1:]) for v, p in parts.items() if p.size == 1}
+        expected = {v: mu.eval(p.leaves[0][-1:]) for v, p in parts.items() if len(p) == 1}
         expected[w("aa")] = mu.eval(w("B")) + sum(
             mu.eval((-g, 1)) - mu.eval((-g,) + deep) - mu.eval(inverse(deep) + (g,))
             for g in (-1, 2, -2)
@@ -1326,6 +1326,61 @@ def test_pair_walks_do_not_recurse(walk):
     nested = [c for c in code.co_consts if isinstance(c, CodeType)]
     assert all(c.co_name.startswith("<") for c in nested)
     assert all(walk.__name__ not in c.co_names for c in [code, *nested])
+
+
+def test_no_boundary_function_recurses():
+    # as for the pair walks, for every function of the module, methods,
+    # properties and cached functions included: none calls itself, and the
+    # only code nested in one is comprehensions, so every trie walk, from
+    # the merge to the leaf list and equality, keeps its own stack
+    from stretchfactor import boundary
+
+    functions = {}
+    for obj in vars(boundary).values():
+        for f in vars(obj).values() if isinstance(obj, type) else [obj]:
+            f = getattr(f, "fget", f)
+            f = getattr(f, "__func__", getattr(f, "__wrapped__", f))
+            if isinstance(f, FunctionType) and f.__module__ == boundary.__name__:
+                functions[f.__qualname__] = f
+    walks = {"_merge", "_subtract", "_graft", "CylinderPartition.leaves", "CylinderPartition.__eq__"}
+    assert walks <= set(functions)
+    recursing = []
+    for name, f in functions.items():
+        nested = [c for c in f.__code__.co_consts if isinstance(c, CodeType)]
+        if not all(c.co_name.startswith("<") for c in nested) or any(
+            f.__name__ in c.co_names for c in [f.__code__, *nested]
+        ):
+            recursing.append(name)
+    assert recursing == []
+
+
+def test_merge_and_subtract_cross_a_3000_letter_spine():
+    # the rest of Cyl(a) and Cyl(a^n b) merge back into Cyl(a), and Cyl(a)
+    # less Cyl(a^n b) is the rest: both walks, and the leaf list of the
+    # 6 000 cells, go 3 000 levels deep without recursing
+    parts, deep = _spine_tiling(3000)
+    rest, cell = parts[w("aa")], parts[w("ab")]
+    whole = CylinderPartition.from_words(2, [w("a")])
+    assert _merge(rest, cell) == whole
+    assert _subtract(whole, cell) == rest
+    assert len(rest) == 6000
+
+
+def test_a_budget_stops_a_deep_table_before_it_lists_the_preimages():
+    # the depth-11 preimages are built as the words are listed, so the
+    # budget runs out after a few grafts, long before the 236 196 words
+    # of length 11 would be held at once
+    import tracemalloc
+
+    phi = parse_generator_expression(2, "W2[a; b:RIGHT]")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            pushforward_table(phi, uniform_measure(2), 12, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @settings(max_examples=20, deadline=None)

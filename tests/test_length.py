@@ -21,6 +21,7 @@ from stretchfactor import (
     parse_generator_expression,
     parse_map_text,
     parse_word,
+    pushforward_table,
     random_reduced,
     rational_measure,
     uniform_as_markov,
@@ -237,13 +238,23 @@ def test_raw_nielsen_cube():
     assert length_exact(cube).value == F(95, 54)
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError, reason="the trie walkers recurse per level")
 def test_eight_rounds_of_two_transvections():
-    # feasible (about 10 000 nodes, L near 1088) but its tries are
-    # thousands of levels deep; once every walker iterates, this becomes
-    # an exact-value test checked against length_mc
+    # feasible (9 954 nodes, L near 1088) but its tries are thousands of
+    # levels deep, which the walkers cross without recursing.  L is the
+    # row sum of the depth-2 table, and the image of a rational word's
+    # current counts the cyclic word phi(w), an oracle that builds no
+    # partition.
     phi = parse_generator_expression(2, " * ".join(["W2[a; b:RIGHT] * W2[b; a:RIGHT]"] * 8))
-    length_exact(phi)
+    budget, cache = Budget(), PartitionCache()
+    report = length_exact(phi, budget=budget, cache=cache)
+    assert report.nodes == budget.spent == 9954
+    assert abs(float(report.value) - 1088.0487) < 1e-4
+    table = pushforward_table(phi, uniform_measure(2), 2, cache=cache)
+    assert sum(table[(x,)] for x in alphabet(2)) == report.value
+    for text, image in (("ab", 4181), ("aab", 6765), ("aB", 987)):
+        w = parse_word(text)
+        assert cyclic_length(phi.apply(w)) == image
+        assert eta_length(phi, rational_measure(2, w), cache=cache).value == image
 
 
 def test_raw_rank3_map_against_monte_carlo():
