@@ -59,5 +59,5 @@ class DescentStuckError(RuntimeError):
     """No second-kind move strictly decreases the length of a non-simple map.
 
     This is a reportable finding, never silently worked around; the message
-    carries the offending map and the best candidate found.
+    carries the map's length L and the map itself.
     """

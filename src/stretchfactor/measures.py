@@ -90,9 +90,6 @@ class FrequencyMeasure:
             return self.mass
         return self._eval(w)
 
-    def __call__(self, v: Sequence[int]) -> Fraction:
-        return self.eval(v)
-
 
 def uniform_measure(k: int) -> FrequencyMeasure:
     letters = alphabet(k)  # one state, E = 2k, D = 2k - 1, every weight 1

@@ -3,9 +3,11 @@
 A non-simple automorphism always admits a second-kind move that strictly
 decreases its length; greedily composing the steepest such move yields a
 factorization into second-kind moves times a simple map with strictly
-increasing lengths.  Enumerating bounded compositions of the generating
-moves up to conjugacy exhibits the discreteness of the length spectrum
-at small scale.
+increasing lengths.  It stops at L = 1, which holds exactly for simple
+maps (Kaimanovich-Kapovich-Schupp, math/0504105), and checks simplicity
+once, on the map it reaches.  Enumerating bounded compositions of the
+generating moves up to conjugacy exhibits the discreteness of the length
+spectrum at small scale.
 
 Every candidate move is scored by Whitehead's cut formula instead of
 being built and measured.  A second-kind move tau with multiplier a
@@ -36,19 +38,19 @@ of phi (`boundary._table`): every conjugate of phi gets the same move,
 a budget (`--budget`) counts psi's chain, and the moves are still
 composed with phi, so a factorization recomposes to its input.
 
-The spectrum reads its lengths the same way.  A signed permutation sigma
-sends letters to letters, so nothing cancels and L(sigma o phi) = L(phi);
-inner automorphisms act trivially on currents, so L is constant on a
-conjugacy class.  Each class the enumeration expands therefore gets one
-depth-2 table, and the classes one generator away get their lengths from
-it; no class is measured alone.  A class's own table, when it is
-expanded in turn, must sum to the value its parent's cut gave it.
+Descent and the spectrum read each class through one step, `_expand`.
+A signed permutation sigma sends letters to letters, so nothing cancels
+and L(sigma o phi) = L(phi); inner automorphisms act trivially on
+currents, so L is constant on a conjugacy class.  So each class the
+enumeration expands gets one depth-2 table, which gives the lengths of
+the classes one generator away and must sum to the value its parent's
+cut gave it; no class is measured alone.
 
 Nor is a class's plateau of shortest conjugates walked more than once.
 Since tau o iota_v = iota_tau(v) o tau, a move is applied to one shortest
-conjugate of phi, and the plateau is walked only when the conjugate that
-descends from it is new.  A signed permutation needs neither: the
-plateau of sigma o phi is sigma applied letter by letter to phi's.
+conjugate of phi, its class key, and the plateau is walked only when the
+conjugate that descends from it is new.  A signed permutation needs
+neither: sigma o phi's plateau is sigma applied letterwise to phi's.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from .automorphisms import (
 )
 from .boundary import Budget, PartitionCache, _resolve, _table
 from .errors import DescentStuckError, InputError
-from .length import length_exact
 from .measures import frac_str, uniform_measure
 from .words import Word, alphabet, cancellation, format_word
 
@@ -124,19 +125,18 @@ def descent_step(
 ) -> Optional[WhiteheadSecondKind]:
     """The second-kind move minimizing L(tau o phi), if one goes strictly down.
 
-    Every L(tau o phi) is read off one depth-2 pushforward table of phi
-    by the cut formula (module docstring), so no candidate map is built.
-    Ties break toward the canonically smallest move.  Raises
-    DescentStuckError when phi is non-simple yet no move decreases the
-    length, since the descent theorem promises one exists.
+    Every L(tau o phi) is read off phi's class step (`_expand`), so no
+    candidate map is built; ties break toward the canonically smallest
+    move.  None comes only at L = 1, which holds exactly for simple maps
+    (KKS), so simplicity is checked only then.  Raises DescentStuckError
+    when L > 1 yet no move goes down.
     """
     budget, cache = _resolve(budget, cache)
-    length, best = _steepest(auto, budget, cache)
-    if best is not None:
-        return best[0]
-    if is_simple(auto) is not None:
+    best = _steepest(auto, None, budget, cache)[1]
+    if best is None:
+        _check_simple(auto)
         return None
-    raise _stuck(auto, length)
+    return best[0]
 
 
 def factorize(
@@ -147,37 +147,26 @@ def factorize(
 ) -> FactorizationReport:
     """Greedy steepest-descent factorization into second-kind moves.
 
-    Each step reads one depth-2 pushforward table of the current map (its
-    shortest conjugate's, whose chain the budget counts): its length is
-    the sum of the depth-1 values, and the chosen move's cut-formula
-    value is the next map's length, so lengths are not measured one by
-    one.  `length_exact` runs only on an input that is already simple.
-    Each table's own length must equal the value the cut formula gave it
-    one step earlier, and the simple map reached must have length 1;
-    either failing is an engine bug (AssertionError).
+    Each step is the current map's class step (`_expand`): its table must
+    sum to the value the previous step's cut gave it, and the chosen
+    move's cut value is the next map's length, so no length is measured
+    alone.  The descent stops when that value is 1, which holds exactly
+    for simple maps (KKS), so a simple input reads one table; simplicity
+    is checked once, on the map reached.  A failed check is an engine
+    bug (AssertionError).
     """
     budget, cache = _resolve(budget, cache)
-    lengths: list[Fraction] = []
+    length, best = _steepest(auto, None, budget, cache)
+    lengths = [length]
     moves: list[WhiteheadSecondKind] = []
     current = auto
-    while is_simple(current) is None:
-        length, best = _steepest(current, budget, cache)
-        if lengths:
-            _check_cut(current, lengths[-1], length)
-        else:
-            lengths.append(length)
-        if best is None:
-            raise _stuck(current, length)
-        moves.append(best[0])
-        lengths.append(best[1])
-        current = compose(best[0].automorphism(), current)
-    if not lengths:
-        lengths.append(length_exact(auto, budget=budget, cache=cache).value)
-    if lengths[-1] != ONE:
-        raise AssertionError(
-            f"descent reached the simple map {current.key()!r} at "
-            f"L = {frac_str(lengths[-1])}, not 1"
-        )
+    while best is not None:
+        tau, length = best
+        moves.append(tau)
+        lengths.append(length)
+        current = compose(tau.automorphism(), current)
+        best = None if length == ONE else _steepest(current, length, budget, cache)[1]
+    _check_simple(current)
     taus = tuple(m.inverse() for m in moves)  # phi = w1^-1 o ... o wm^-1 o sigma
     report = FactorizationReport(
         rank=auto.rank,
@@ -192,37 +181,50 @@ def factorize(
     return report
 
 
-def _check_cut(auto: Automorphism, cut: Fraction, length: Fraction) -> None:
-    """An engine bug unless phi's own table sums to the value a cut gave it."""
-    if length != cut:
+def _check_simple(auto: Automorphism) -> None:
+    if is_simple(auto) is None:  # L = 1 exactly for simple maps (KKS)
         raise AssertionError(
-            f"the cut formula gave L = {frac_str(cut)} but the "
-            f"table of {auto.key()!r} sums to {frac_str(length)}"
+            f"descent reached L = 1 at the non-simple map {auto.key()!r}"
         )
 
 
-def _stuck(auto: Automorphism, length: Fraction) -> DescentStuckError:
-    return DescentStuckError(
-        f"no second-kind move decreases L = {frac_str(length)} for the "
-        f"non-simple map {auto.key()!r}"
-    )
+def _expand(
+    auto: Automorphism, expected: Optional[Fraction], budget: Budget, cache: PartitionCache
+) -> tuple[int, int, list[tuple[int, WhiteheadSecondKind]]]:
+    """(D, D L(phi), `_cut_scores`) of phi's depth-2 table: one class step.
 
-
-def _steepest(
-    auto: Automorphism, budget: Budget, cache: PartitionCache
-) -> tuple[Fraction, Optional[tuple[WhiteheadSecondKind, Fraction]]]:
-    """L(phi), and the least (L(tau o phi), move) below it if there is one.
-
-    Reads the integer numerators of the depth-2 table (psi's, whose chain
-    the budget counts) over their common denominator D, so every move is
-    compared in integers and only the two values returned become fractions.
+    The table is psi's, whose chain the budget counts.  One that does not
+    sum to `expected`, the value the parent's cut gave, is an engine bug.
     """
     den, num = _table(auto, uniform_measure(auto.rank), 2, budget, cache)
     total, scores = _cut_scores(auto.rank, num)
+    if expected is not None and Fraction(total, den) != expected:
+        raise AssertionError(
+            f"the cut formula gave L = {frac_str(expected)} but the "
+            f"table of {auto.key()!r} sums to {frac_str(Fraction(total, den))}"
+        )
+    return den, total, scores
+
+
+def _steepest(
+    auto: Automorphism, expected: Optional[Fraction], budget: Budget, cache: PartitionCache
+) -> tuple[Fraction, Optional[tuple[WhiteheadSecondKind, Fraction]]]:
+    """L(phi), and the least (move, L(tau o phi)) below it, None at L = 1.
+
+    Moves are compared in integers; only the values returned are
+    fractions.  Raises DescentStuckError when L > 1 and no move goes down.
+    """
+    den, total, scores = _expand(auto, expected, budget, cache)
     # scores run in canonical move order, and min keeps the first minimum
     value, tau = min(scores, key=itemgetter(0))
-    best = (tau, Fraction(value, den)) if value < total else None
-    return Fraction(total, den), best
+    if value < total:
+        return Fraction(total, den), (tau, Fraction(value, den))
+    if total != den:
+        raise DescentStuckError(
+            f"no second-kind move decreases L = {frac_str(Fraction(total, den))} "
+            f"for the non-simple map {auto.key()!r}"
+        )
+    return ONE, None
 
 
 def _cut_scores(
@@ -276,11 +278,16 @@ def canonical_out_key(auto: Automorphism) -> tuple[Word, ...]:
 
     The shortest conjugates of phi form a finite plateau that maps
     differing by an inner automorphism share (`_plateau`).  The key is
-    its shortlex-least tuple, the rule by which `spectrum` names classes,
-    so two maps have equal keys exactly when they differ by an inner
+    its `_class_key`, by which `spectrum` keys and names classes, so two
+    maps have equal keys exactly when they differ by an inner
     automorphism.
     """
-    return tuple(Word(w) for w in min(_plateau(auto.fwd), key=_tuple_sort_key))
+    return tuple(Word(w) for w in _class_key(_plateau(auto.fwd)))
+
+
+def _class_key(plateau) -> tuple:
+    """The shortlex-least image tuple: of a plateau, its class's key."""
+    return min(plateau, key=_tuple_sort_key)
 
 
 def spectrum(
@@ -296,23 +303,20 @@ def spectrum(
     Maps are merged by conjugacy class, so multiplicities count maps up to
     inner automorphisms.  Classes are found level by level from the
     identity's.  Each class below the last level is built with `compose`
-    and expanded: one depth-2 table of it, its shortest conjugate's,
-    gives L(tau o phi) for every move tau by the cut formula and
-    L(sigma o phi) = L(phi) for every signed permutation sigma (module
-    docstring); the budget counts those chains.  A class's key is the
-    least tuple of its plateau of shortest conjugates, and its name the
-    shortlex-least, its `canonical_out_key`.  Each class's plateau is
+    and expanded by `_expand`: one depth-2 table of it, its shortest
+    conjugate's, gives L(tau o phi) for every move tau by the cut formula
+    and L(sigma o phi) = L(phi) for every signed permutation sigma
+    (module docstring); the budget counts those chains.  One tuple keys,
+    names and expands a class: the shortlex-least of its plateau of
+    shortest conjugates, its `_class_key`.  Each class's plateau is
     walked once: every tuple of it is recorded, a move's candidate is
-    one tuple of the base's plateau with the move applied and descended
-    to a shortest conjugate, and only a conjugate not yet recorded is
-    walked.  A signed permutation's candidate is relabelled, not walked.
-    A class's own table must sum to the value its parent's cut gave it,
-    or AssertionError is raised: the engine is at fault.
+    the key with the move applied and descended to a shortest conjugate,
+    and only a conjugate not yet recorded is walked.  A signed
+    permutation's candidate is relabelled, not walked.
     """
     if max_factors < 1:
         raise InputError("max_factors must be at least 1")
     budget, cache = _resolve(budget, cache)
-    mu = uniform_measure(rank)
     # each signed permutation with its letter map; its score is the base's
     perms = [
         (g, None, {s * x: s * y for x, (y,) in enumerate(g.fwd, 1) for s in (1, -1)})
@@ -320,42 +324,38 @@ def spectrum(
     ]
     root = identity(rank)
     plateau = _plateau(root.fwd)
-    basis = min(plateau)
-    classes = {basis: (ONE, basis)}  # class key -> (L, name)
-    owner = dict.fromkeys(plateau, basis)  # shortest conjugate met -> class key
-    frontier = [(root, ONE, plateau)]
+    key = _class_key(plateau)
+    classes = {key: ONE}  # class key -> L
+    met = set(plateau)  # every shortest conjugate of a class found
+    frontier = [(root, key, plateau)]
     for level in range(1, max_factors + 1):
         sources, frontier = frontier, []
-        for base, value, plateau in sources:
-            den, num = _table(base, mu, 2, budget, cache)
-            total, scores = _cut_scores(rank, num)
-            _check_cut(base, value, Fraction(total, den))
-            t = min(plateau)  # any shortest conjugate of base stands for it
+        for base, t, plateau in sources:
+            den, total, scores = _expand(base, classes[t], budget, cache)
             # identity-typed moves are the identity map and are not scored;
             # the identity permutation already stands for them
             moves = [(tau.automorphism(), score, None) for score, tau in scores]
             for g, score, letters in moves + perms:
                 if letters is None:
                     psi = _shortest_conjugate([_substitute(g.fwd, w) for w in t])[0]
-                    if psi in owner:
+                    if psi in met:
                         continue
                     new = _plateau(psi)
                 else:
-                    if _relabelled(letters, t) in owner:
+                    if _relabelled(letters, t) in met:
                         continue
                     new, score = {_relabelled(letters, u) for u in plateau}, total
-                key = min(new)
-                owner.update(dict.fromkeys(new, key))
-                found = Fraction(score, den)
-                classes[key] = found, min(new, key=_tuple_sort_key)
+                key = _class_key(new)
+                met.update(new)
+                classes[key] = Fraction(score, den)
                 if level < max_factors:
-                    frontier.append((compose(g, base), found, new))
+                    frontier.append((compose(g, base), key, new))
     by_value: dict[Fraction, list[tuple]] = {}
-    for value, name in classes.values():
-        by_value.setdefault(value, []).append(name)
+    for key, value in classes.items():
+        by_value.setdefault(value, []).append(key)
     entries = tuple(
-        (value, len(names), _key_text(min(names, key=_tuple_sort_key)))
-        for value, names in sorted(by_value.items())
+        (value, len(keys), _key_text(_class_key(keys)))
+        for value, keys in sorted(by_value.items())
     )
     values = [e[0] for e in entries]
     min_gap = min(

@@ -24,6 +24,7 @@ from stretchfactor import (
     pushforward_table,
     random_reduced,
     rational_measure,
+    spectrum,
     uniform_as_markov,
     uniform_measure,
 )
@@ -280,3 +281,85 @@ def test_random_compositions_against_monte_carlo(rank, seed):
     exact = length_exact(phi).value
     est = length_mc(phi, 2000, 200, seed=seed)
     assert abs(est.mean - float(exact)) <= 3 * est.stderr + 4 / est.n, exact
+
+
+# -- closed forms ----------------------------------------------------------
+#
+# Two families whose lengths have closed forms, derived by hand from the
+# cancellation formula that `oracles.length_by_cancellation` states:
+# L = sum_x mu(x) (|phi(x)| - 2 E[c | x]), c the cancellation between
+# phi(x) and the reduced image of the rest xi' of a uniform ray x xi'.
+# Given x, the letters of xi' are uniform among the 2k - 1 letters that do
+# not cancel the one before.
+
+
+@pytest.mark.parametrize(
+    "rank, value",
+    zip(range(2, 11), [F(7, 6), F(6, 5), F(33, 28), F(52, 45), F(25, 22),
+                       F(102, 91), F(133, 120), F(56, 51), F(207, 190)]),
+)
+def test_transvection_closed_form(rank, value):
+    """The transvection b -> ba at rank k has L = 1 + (2k - 3)/(k(2k - 1)).
+
+    Write xi' = a^e beta ..., beta its first letter other than a^+-1.  No
+    letter other than a^+-1 is ever cancelled in a reduced image, so the
+    image of xi' starts with the reduced word a^e phi(beta): with A when
+    e < 0, or when beta = B and e = 0 (phi(B) = AB), never with AB, and
+    with a or beta otherwise (B when beta = B and e = 1).  Then
+    - x = a: c = 1 exactly when xi' starts with B, probability 1/(2k - 1);
+    - x = b: phi(b) = ba loses its a exactly when xi' starts with A,
+      probability 1/(2k - 1), and never its b;
+    - x = A, B and the other letters cancel nothing: the image of xi'
+      would have to start with a, b or x^-1, which needs xi' to start
+      with the letter it may not start with.
+    So L = (1/2k) ((2k + 2) - 4/(2k - 1)) = 1 + (2k - 3)/(k(2k - 1)).
+    """
+    phi = parse_generator_expression(rank, "W2[a; b:RIGHT]")
+    assert phi.fwd[1] == (2, 1)
+    assert value == 1 + F(2 * rank - 3, rank * (2 * rank - 1))
+    assert length_exact(phi).value == value
+    if rank <= 6:
+        assert length_by_cancellation(phi, uniform_measure(rank)) == value
+
+
+@pytest.mark.parametrize("n", [*range(1, 31), 60, 120, 240, 500])
+def test_nielsen_power_closed_form(n):
+    """The rank-2 power b -> ba^n has L = n/3 + 3/4 + 3^-n / 4.
+
+    Write xi' = a^e beta ..., beta = b^+-1 its first letter other than
+    a^+-1.  The letters b^+-1 are never cancelled in a reduced image, so
+    the image of xi' starts with a^e b when beta = b and with a^(e-n) B
+    when beta = B.  Given x, P(e >= t) = 3^-t for t >= 1 unless x = A,
+    and P(e <= -t) = 3^-t unless x = a; given e != 0, beta is b or B
+    with probability 1/2 each, and given e = 0 it is the first letter of
+    xi'.  Then
+    - x = a: c = 1 exactly when the image starts with A: beta = B and
+      0 <= e < n, probability (1 - 3^-n)/2;
+    - x = b: phi(b) = ba^n loses n - e letters against A^(n-e) B
+      (0 < e < n, beta = B), min(m, n) against A^m b (e = -m < 0,
+      beta = b) and n against A^(m+n) B (e = -m < 0, beta = B), so
+      E[c | b] = (1/6)(n - (3/2)(1 - 3^-n)) + (1/6)(3/2)(1 - 3^-n) + n/6
+               = n/3;
+    - x = A and x = B cancel nothing: the image of xi' starts with a
+      only if e > 0, and with b only if xi' starts with b.
+    So L = (1/4)(2n + 4 - (1 - 3^-n) - 2n/3) = n/3 + 3/4 + 3^-n / 4.
+    The chain spends n^2 + 2 nodes, a gate that a cheaper assembly of
+    powers may only lower.
+    """
+    phi = make_automorphism(2, [(1,), (2,) + (1,) * n], [(1,), (2,) + (-1,) * n])
+    report = length_exact(phi)
+    assert report.value == F(n, 3) + F(3, 4) + F(1, 4 * 3**n)
+    assert report.nodes <= n * n + 2
+    if n <= 6:
+        assert length_by_cancellation(phi, uniform_measure(2)) == report.value
+
+
+def test_closed_forms_in_the_spectrum():
+    # b -> ba^n for n = 1..4 is a product of n generators, and the least
+    # value above 1 among single generators is the transvection's
+    values = set(spectrum(2, 4).values())
+    assert {F(n, 3) + F(3, 4) + F(1, 4 * 3**n) for n in range(1, 5)} <= values
+    assert {F(7, 6), F(13, 9), F(95, 54), F(169, 81)} <= values
+    for rank in (2, 3, 4):
+        least = min(v for v in spectrum(rank, 1).values() if v > 1)
+        assert least == 1 + F(2 * rank - 3, rank * (2 * rank - 1))

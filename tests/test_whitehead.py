@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import stretchfactor.boundary as boundary_module
 import stretchfactor.whitehead as whitehead_module
 from stretchfactor import (
     Budget,
+    DescentStuckError,
     PartitionCache,
     canonical_out_key,
     compose,
@@ -40,6 +42,12 @@ POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "pools"
 
 def w(text):
     return parse_word(text)
+
+
+def pooled_map(entry_id):
+    with open(POOLS / "whitehead.json", encoding="utf-8") as fh:
+        entry = next(e for e in json.load(fh)["entries"] if e["id"] == entry_id)
+    return parse_generator_expression(entry["rank"], entry["map"])
 
 
 def random_second_kind_composition(rank, n_factors, rng):
@@ -237,16 +245,20 @@ def test_spectrum_walks_each_plateau_once(monkeypatch, rank, max_factors, walks)
         assert walks == 1 + sum(mult for value, mult, _ in rep.entries if value != 1)
 
 
+def _patch_scores(monkeypatch, rescore):
+    cut_scores = whitehead_module._cut_scores
+
+    def patched(rank, num):
+        total, scores = cut_scores(rank, num)
+        return total, [(rescore(value, total), tau) for value, tau in scores]
+
+    monkeypatch.setattr(whitehead_module, "_cut_scores", patched)
+
+
 def test_spectrum_checks_each_class_against_its_parents_cut(monkeypatch):
     # every move's score off by 1/D: the first class reached by a move and
     # expanded at level 1 sums its own table to a different value
-    cut_scores = whitehead_module._cut_scores
-
-    def perturbed(rank, num):
-        total, scores = cut_scores(rank, num)
-        return total, [(value + 1, tau) for value, tau in scores]
-
-    monkeypatch.setattr(whitehead_module, "_cut_scores", perturbed)
+    _patch_scores(monkeypatch, lambda value, total: value + 1)
     with pytest.raises(AssertionError, match="the cut formula gave L = "):
         spectrum(2, 2)
 
@@ -406,9 +418,7 @@ def test_factorize_builds_no_candidate_map(monkeypatch):
     # of the 90 candidate maps instead would take 184 compositions, 185
     # walks and, with one shared cache, 374 nodes (two steps of
     # oracles.descent_step_by_lengths).
-    with open(POOLS / "whitehead.json", encoding="utf-8") as fh:
-        entry = next(e for e in json.load(fh)["entries"] if e["id"] == "factorize3-0020")
-    phi = parse_generator_expression(entry["rank"], entry["map"])
+    phi = pooled_map("factorize3-0020")
     counts = {"compose": 0, "walks": 0}
     compose_, cross_mass = whitehead_module.compose, boundary_module._cross_mass
 
@@ -428,6 +438,57 @@ def test_factorize_builds_no_candidate_map(monkeypatch):
     assert len(rep.taus) == 2
     assert counts == {"compose": 2 * 2, "walks": 2 * 1}
     assert budget.spent == 9
+
+
+def test_factorize_checks_each_table_against_the_previous_cut(monkeypatch):
+    # every move's score off by 1/D: the same moves are chosen, and the
+    # second step's table sums to its true length, not to the first cut
+    _patch_scores(monkeypatch, lambda value, total: value + 1)
+    with pytest.raises(AssertionError, match="the cut formula gave L = "):
+        factorize(pooled_map("factorize3-0020"))
+
+
+def test_no_move_going_down_above_unit_length_is_stuck(monkeypatch, nielsen_map):
+    # the descent theorem promises a move down whenever L > 1
+    _patch_scores(monkeypatch, lambda value, total: total)
+    message = f"L = 7/6 for the non-simple map {nielsen_map.key()!r}"
+    for run in (descent_step, factorize):
+        with pytest.raises(DescentStuckError, match=re.escape(message)):
+            run(nielsen_map)
+
+
+def test_a_non_simple_map_at_unit_length_is_an_engine_bug(monkeypatch, nielsen_map):
+    # L = 1 holds exactly for simple maps (KKS), so descent trusts the cut
+    # and checks simplicity once, where it stops
+    monkeypatch.setattr(whitehead_module, "is_simple", lambda auto: None)
+    for run, phi in ((factorize, nielsen_map), (descent_step, inner(2, w("ab")))):
+        with pytest.raises(AssertionError, match="L = 1 at the non-simple map"):
+            run(phi)
+
+
+@pytest.mark.parametrize(
+    "phi, walks, spent",
+    [(inner(2, w("ab")), 1, 0), (pooled_map("factorize3-0020"), 2, 9)],
+)
+def test_factorize_tests_simplicity_once(monkeypatch, phi, walks, spent):
+    # a simple input takes L = 1 from its one depth-2 table (one
+    # _cross_mass walk, no _pair_mass walk), and a descent stops where
+    # the cut gives L = 1; each checks simplicity once, at the end
+    counts = {"is_simple": 0, "cross": 0, "pair": 0}
+
+    def counted(name, f):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(whitehead_module, "is_simple", counted("is_simple", is_simple))
+    for name, attr in (("cross", "_cross_mass"), ("pair", "_pair_mass")):
+        monkeypatch.setattr(boundary_module, attr, counted(name, getattr(boundary_module, attr)))
+    budget = Budget()
+    factorize(phi, budget=budget)
+    assert counts == {"is_simple": 1, "cross": walks, "pair": 0}
+    assert budget.spent == spent
 
 
 @settings(max_examples=40, deadline=None)
