@@ -73,6 +73,11 @@ Six facts drive the computation:
   and the rest.  The depth picks the walk: at each node the tiling's
   walk makes one product per pair of first letter and colour, where
   the telescoped walk makes one per part, so depth 1 keeps the latter.
+  A chain with one state (the uniform measure, a one-letter rational
+  measure) has rows and columns of one entry, and its depth-1 walk
+  carries them as integers.  The chain selects that walk: every length
+  reads the uniform measure, and few other measures have one state.
+  The walk for several states stays the reference.
 
 * Class invariance.  Inner automorphisms act trivially on currents
   (Kapovich, as above), so pushforward tables and current values, and
@@ -659,19 +664,19 @@ def _scaling(mu: FrequencyMeasure, parts: dict) -> tuple:
     D^(h-|w2|), so a pair splitting at depth d counts E D^(2h-2d-1) times
     its mass, and power[2d] = D^(2d) brings it to the common denominator
     den = E D^(2h-1).  ends[x], step[x] times the all-ones column, is the
-    column of a cell's last letter x.  A cell of length n weighs
-    weigh[h-n], its uniform mass in units of 1 / (2k (2k-1)^h), and the
-    boundary weighs whole: a walk whose cells weigh otherwise lost or
-    doubled a cell, and raises AssertionError.
+    column of a cell's last letter x; the measure read it off its chain
+    once.  A one-state chain's depth-1 walk scales the same way, with
+    rows and columns of one integer (`_pair_mass`).  A cell of length n
+    weighs weigh[h-n], its uniform mass in units of 1 / (2k (2k-1)^h),
+    and the boundary weighs whole: a walk whose cells weigh otherwise
+    lost or doubled a cell, and raises AssertionError.
     """
     k = mu.rank
     h = max(p.height for p in parts.values())
-    e, d, _, step = mu.chain
+    e, d = mu.chain[:2]
     power = list(accumulate(repeat(d, 2 * h), mul, initial=1))
-    ones = dict.fromkeys([t for mat in step.values() for _, t in mat], 1)
-    ends = {x: _times_column(mat, ones) for x, mat in step.items()}
     weigh = [(2 * k - 1) ** (i + 1) for i in range(h)]
-    return e * power[2 * h - 1], h, power, ends, weigh, 2 * k * (2 * k - 1) ** h
+    return e * power[2 * h - 1], h, power, mu.ends, weigh, 2 * k * (2 * k - 1) ** h
 
 
 def _pair_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
@@ -687,48 +692,109 @@ def _pair_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
     top-down, each child after its parent, and sums them bottom-up in
     reverse.  Scaling is `_scaling`'s, and cells whose uniform masses do
     not sum to one raise AssertionError.
+
+    A chain with one state, as the uniform measure's and a one-letter
+    rational measure's, has rows and columns of one entry, so its walk
+    (`_one_state_pair_mass`) carries them as integers.  The chain, not the
+    caller, selects it: every `length` reads the uniform measure (all 606
+    ops of the benchmark's length-cold workload), while the currents
+    workload reaches it only through one-letter rational measures (41 of
+    1 448 ops) and the whitehead workload reads no depth-1 table.  The
+    walk below is the one for every other chain, and the reference the
+    tests hold the integer walk to.
     """
     den, h, power, ends, weigh, whole = _scaling(mu, parts)
-    _, d, init, step = mu.chain
-    # a cell ending in x counts D^(2h-1) E mu(x), and D^(2h-2) init[-x]
-    # ends[x] back for its pair with itself, which the walk takes out
-    last = {x: (sum(init[x].values()) * d + _dot(init[-x], ends[x])) * power[2 * h - 2]
-            for x in step if h}
+    # each cell ending in x adds D^(2h-2) lasts[x] (FrequencyMeasure.lasts)
+    lift = power[2 * h - 2] if h else 0
+    if mu.scalars is not None:
+        weight, num = _one_state_pair_mass(mu, parts, h, power, weigh, lift)
+    else:
+        _, d, init, step = mu.chain
+        lasts = mu.lasts
+        weight, num = 0, {}
+        for c, part in parts.items():
+            # nodes[i] = (parent, letter from it, depth, node); its sums are
+            # [row, col, same]: the summed row and column of the cells below
+            # it, and the products within each child
+            nodes = [(-1, None, len(part.stem), part.trie)]
+            sums: list = []
+            q = top = 0
+            for i, (_, _, depth, node) in enumerate(nodes):
+                leaf, below = power[h - depth - 1], depth + 1
+                row, col = {}, {}
+                for x, child in node.items():
+                    if type(child) is dict:
+                        nodes.append((i, x, below, child))
+                    else:
+                        _add(row, init[-x], leaf)
+                        _add(col, ends[x], leaf)
+                        top += lasts[x]
+                        weight += weigh[h - below]
+                sums.append([row, col, 0])
+            for i in range(len(nodes) - 1, -1, -1):
+                parent, x, depth, _ = nodes[i]
+                row, col, same = sums[i]
+                # less the pairs split at this node
+                q -= (_dot(row, col) - same) * power[2 * depth]
+                if parent >= 0:
+                    row, col = _row_times(row, step[-x]), _times_column(step[x], col)
+                    above = sums[parent]
+                    above[2] += _dot(row, col)
+                    _add(above[0], row)
+                    _add(above[1], col)
+            num[c] = q + top * lift
+    if weight != whole:
+        raise AssertionError("the parts do not tile the boundary")
+    return den, num
+
+
+def _one_state_pair_mass(
+    mu: FrequencyMeasure, parts: dict, h: int, power: list, weigh: list, lift: int
+) -> tuple[int, dict]:
+    """(weight, numerators) of `_pair_mass`'s walk for a one-state chain.
+
+    The same telescoped walk, node list and scaling, with each row and
+    column one integer: a leaf x adds init[x^-1] to its node's row and
+    ends[x] to its column, and an edge x multiplies them by step[x^-1] and
+    step[x] (`FrequencyMeasure.scalars`).  The leaves of a node share its
+    scale and weight, so each is applied once per node.
+    """
+    init, ends, step = mu.scalars
+    lasts = mu.lasts
     weight, num = 0, {}
     for c, part in parts.items():
-        # nodes[i] = (parent, letter from it, depth, node); its sums are
-        # [row, col, same]: the summed row and column of the cells below
-        # it, and the products within each child
-        nodes = [(-1, None, len(part.stem), part.trie)]
+        nodes = [(-1, 0, len(part.stem), part.trie)]
         sums: list = []
-        q = 0
+        q = top = 0
         for i, (_, _, depth, node) in enumerate(nodes):
-            leaf, below = power[h - depth - 1], depth + 1
-            row, col = {}, {}
+            row = col = leaves = 0
             for x, child in node.items():
                 if type(child) is dict:
-                    nodes.append((i, x, below, child))
+                    nodes.append((i, x, depth + 1, child))
                 else:
-                    _add(row, init[-x], leaf)
-                    _add(col, ends[x], leaf)
-                    q += last[x]
-                    weight += weigh[h - below]
+                    row += init[-x]
+                    col += ends[x]
+                    top += lasts[x]
+                    leaves += 1
+            if leaves:
+                leaf = power[h - depth - 1]
+                row *= leaf
+                col *= leaf
+                weight += leaves * weigh[h - depth - 1]
             sums.append([row, col, 0])
         for i in range(len(nodes) - 1, -1, -1):
             parent, x, depth, _ = nodes[i]
             row, col, same = sums[i]
-            # less the pairs split at this node
-            q -= (_dot(row, col) - same) * power[2 * depth]
+            q -= (row * col - same) * power[2 * depth]
             if parent >= 0:
-                row, col = _row_times(row, step[-x]), _times_column(step[x], col)
+                row *= step[-x]
+                col *= step[x]
                 above = sums[parent]
-                above[2] += _dot(row, col)
-                _add(above[0], row)
-                _add(above[1], col)
-        num[c] = q
-    if weight != whole:
-        raise AssertionError("the parts do not tile the boundary")
-    return den, num
+                above[0] += row
+                above[1] += col
+                above[2] += row * col
+        num[c] = q + top * lift
+    return weight, num
 
 
 def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:

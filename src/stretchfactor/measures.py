@@ -14,15 +14,24 @@ step[v_n] 1 for every nonempty reduced word v of length n, with init[x]
 a row {state: weight}, step[x] a matrix {(from, to): weight} and 1 the
 all-ones column.  The boundary engine sums pair masses through `chain`;
 `eval` stays the direct evaluator, and tests check that the two agree.
+
+The chain is read-only: its init rows, step matrices and the maps that
+hold them are `MappingProxyType`s over the dicts each constructor builds,
+so a measure shared between callers cannot be edited.  What the pair walks
+read off the chain alone is read off it once, when the measure is built:
+`ends`, `lasts` and, for a chain with one state, `scalars`.  The uniform
+measure depends on the rank alone and is built once per rank.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
     ComparableCylindersError,
@@ -73,15 +82,61 @@ class FrequencyMeasure:
     """Exact nonnegative cylinder evaluator, shift invariant by construction.
 
     `chain` holds the same measure as an integer weighted automaton (module
-    docstring), with an init row and a step matrix for every letter.
+    docstring), with an init row and a step matrix for every letter; it is
+    stored read-only.  Read off it once, for the pair walks:
+
+    * `ends[x]`, step[x] times the all-ones column: the column of a cell
+      whose last letter is x;
+    * `lasts[x]`, |init[x]| D + init[x^-1] ends[x]: in the telescoped
+      walk at height h, a cell ending in x starts from D^(2h-2) lasts[x],
+      which is E D^(2h-1) mu(x) plus the cell's pair with itself; the walk
+      takes that pair out again;
+    * `scalars`, for a chain with one state, the per-letter (init, end,
+      step) weights of that state as three maps; None for more states.
+
+    These take no constructor argument and stay out of == and repr.
     """
 
     rank: int
     kind: str  # uniform | markov | rational-word
     mass: Fraction
     _eval: Callable[[Word], Fraction]
-    chain: tuple[int, int, dict[int, dict], dict[int, dict]]
+    chain: tuple[int, int, Mapping[int, Mapping], Mapping[int, Mapping]]
     label: str = ""
+    ends: Mapping[int, Mapping] = field(init=False, repr=False, compare=False)
+    lasts: Mapping[int, int] = field(init=False, repr=False, compare=False)
+    scalars: Optional[tuple[Mapping[int, int], ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        e, d, init, step = self.chain
+        init, step = _read_only(init), _read_only(step)
+        ends = {}
+        for x, mat in step.items():
+            col: dict = {}
+            for (s, _), q in mat.items():
+                col[s] = col.get(s, 0) + q
+            ends[x] = col
+        lasts = {
+            x: sum(init[x].values()) * d
+            + sum(q * ends[x].get(s, 0) for s, q in init[-x].items())
+            for x in step
+        }
+        states = {s for row in init.values() for s in row}
+        states.update(s for mat in step.values() for pair in mat for s in pair)
+        scalars = None
+        if len(states) <= 1:
+            s = next(iter(states), 0)
+            scalars = tuple(
+                MappingProxyType({x: m[x].get(key, 0) for x in step})
+                for m, key in ((init, s), (ends, s), (step, (s, s)))
+            )
+        set_field = object.__setattr__
+        set_field(self, "chain", (e, d, init, step))
+        set_field(self, "ends", _read_only(ends))
+        set_field(self, "lasts", MappingProxyType(lasts))
+        set_field(self, "scalars", scalars)
 
     def eval(self, v: Sequence[int]) -> Fraction:
         w = Word(v)
@@ -91,7 +146,14 @@ class FrequencyMeasure:
         return self._eval(w)
 
 
+def _read_only(maps: Mapping[int, Mapping]) -> Mapping[int, Mapping]:
+    """maps and each map in it as read-only views; the maps are not copied."""
+    return MappingProxyType({x: MappingProxyType(m) for x, m in maps.items()})
+
+
+@functools.cache
 def uniform_measure(k: int) -> FrequencyMeasure:
+    """The uniform measure of rank k, built once per rank."""
     letters = alphabet(k)  # one state, E = 2k, D = 2k - 1, every weight 1
     return FrequencyMeasure(
         rank=k,

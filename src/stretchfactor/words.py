@@ -194,7 +194,11 @@ def count_reduced_words(n: int, k: int) -> int:
 
 
 def all_words(n: int, k: int) -> Iterator[Word]:
-    """All reduced words of length exactly n, lexicographic in canonical order."""
+    """All reduced words of length exactly n, lexicographic in canonical order.
+
+    `extension_letters` keeps every word reduced, so the words are built
+    without `Word`'s check.
+    """
     if n == 0:
         yield EMPTY
         return
@@ -202,7 +206,7 @@ def all_words(n: int, k: int) -> Iterator[Word]:
     while stack:
         w = stack.pop()
         if len(w) == n:
-            yield Word(w)
+            yield tuple.__new__(Word, w)
             continue
         for c in reversed(extension_letters(w, k)):
             stack.append(w + (c,))

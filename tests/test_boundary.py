@@ -41,7 +41,7 @@ from stretchfactor.boundary import (
     _subtract,
     _table,
 )
-from stretchfactor.measures import markov_measure, rational_measure
+from stretchfactor.measures import markov_measure, rational_measure, uniform_as_markov
 from stretchfactor.selftest import _random_prefix_free
 from stretchfactor.words import (
     all_words,
@@ -736,12 +736,21 @@ def test_pair_sum_identity(rank, n_factors, seed):
 
 
 def test_pair_mass_rejects_a_broken_tiling():
+    _assert_rejects_broken_tilings(uniform_measure(2))
+
+
+def test_generic_pair_mass_rejects_a_broken_tiling():
+    # the uniform measure takes the one-state walk; uniform-as-Markov
+    # holds the generic walk's tiling check to the same cases
+    _assert_rejects_broken_tilings(markov_measure(uniform_as_markov(2)))
+
+
+def _assert_rejects_broken_tilings(mu):
     # the twelve depth-2 preimages tile the boundary; a cell lost or
     # doubled breaks the tiling that the walk checks
     auto = parse_generator_expression(2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]")
     cache = PartitionCache()
     parts = {v: preimage_partition(auto, v, cache=cache) for v in all_words(2, 2)}
-    mu = uniform_measure(2)
     _pair_mass(mu, parts)
     first, other = w("ab"), w("ba")
     label = parts[first].leaves[0]
@@ -759,6 +768,55 @@ def test_pair_mass_rejects_a_broken_tiling():
         _pair_mass(mu, dict(parts, extra=inside))
     with pytest.raises(AssertionError):
         _pair_mass(mu, {v: p for v, p in parts.items() if v != other})
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_state_walk_matches_the_generic_walk(rank, n_factors, seed):
+    # the uniform measure walks integers, uniform-as-Markov walks one state
+    # per letter through the generic walk; both give the same integers
+    auto = random_composition(rank, n_factors, random.Random(seed))
+    fam = {a: preimage_partition(auto, (a,), cache=PartitionCache()) for a in alphabet(rank)}
+    generic = markov_measure(uniform_as_markov(rank))
+    assert _pair_mass(uniform_measure(rank), fam) == _pair_mass(generic, fam)
+
+
+def test_one_state_walk_matches_the_generic_walk_on_a_3000_letter_tiling():
+    parts, _ = _spine_tiling(3000)
+    generic = markov_measure(uniform_as_markov(2))
+    assert _pair_mass(uniform_measure(2), parts) == _pair_mass(generic, parts)
+
+
+def test_the_chain_selects_the_one_state_walk(monkeypatch):
+    # uniform and one-letter rational measures have one state; the Markov
+    # measures and a longer rational word have one state per letter or
+    # per position, and take the generic walk
+    from stretchfactor import boundary
+
+    calls = []
+    walk = boundary._one_state_pair_mass
+
+    def counted(mu, *args):
+        calls.append(mu.label)
+        return walk(mu, *args)
+
+    monkeypatch.setattr(boundary, "_one_state_pair_mass", counted)
+    rng = random.Random(11)
+    auto = random_composition(3, 3, rng)
+    fam = {a: preimage_partition(auto, (a,), cache=PartitionCache()) for a in alphabet(3)}
+    uniform, as_markov, markov, one_letter, word = sample_measures(3, rng)
+    for mu in (uniform, one_letter):
+        del calls[:]
+        _pair_mass(mu, fam)
+        assert calls == [mu.label]
+    for mu in (as_markov, markov, word):
+        del calls[:]
+        _pair_mass(mu, fam)
+        assert calls == [], mu.label
 
 
 def test_pair_mass_of_empty_or_comparable_families():

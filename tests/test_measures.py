@@ -50,6 +50,65 @@ def test_chain_matches_eval(rank, depth):
                 assert sum(vec.values()) == e * d ** (n - 1) * mu.eval(v), (mu.label, v)
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_uniform_measure_is_built_once_per_rank(rank):
+    assert uniform_measure(rank) is uniform_measure(rank)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [uniform_measure(2), markov_measure(uniform_as_markov(2)), rational_measure(2, w("aab"))],
+    ids=lambda mu: mu.kind,
+)
+def test_chain_rows_are_read_only(mu):
+    # a shared measure, and the constants read off its chain, cannot go stale
+    _, _, init, step = mu.chain
+    row, mat = init[1], step[1]
+    with pytest.raises(TypeError):
+        row[next(iter(row))] = 7
+    with pytest.raises(TypeError):
+        mat[next(iter(mat))] = 7
+    with pytest.raises(TypeError):
+        init[1] = {}
+    with pytest.raises(TypeError):
+        step[1] = {}
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_walk_constants_match_the_chain(rank):
+    # ends, lasts and the one-state scalars, recomputed from the chain
+    for mu in sample_measures(rank, random.Random(rank)):
+        _, d, init, step = mu.chain
+        states = {s for row in init.values() for s in row}
+        states |= {s for mat in step.values() for pair in mat for s in pair}
+        for x in alphabet(rank):
+            ends = {}
+            for (s, t), q in step[x].items():
+                ends[s] = ends.get(s, 0) + q
+            assert mu.ends[x] == ends, (mu.label, x)
+            back = sum(q * ends.get(s, 0) for s, q in init[-x].items())
+            assert mu.lasts[x] == sum(init[x].values()) * d + back, (mu.label, x)
+        if len(states) > 1:
+            assert mu.scalars is None, mu.label
+            continue
+        (s,) = states
+        assert [dict(m) for m in mu.scalars] == [
+            {x: init[x].get(s, 0) for x in alphabet(rank)},
+            {x: mu.ends[x].get(s, 0) for x in alphabet(rank)},
+            {x: step[x].get((s, s), 0) for x in alphabet(rank)},
+        ], mu.label
+
+
+def test_walk_constants_stay_out_of_equality_and_repr():
+    mu = uniform_measure(2)
+    same = type(mu)(
+        rank=2, kind="uniform", mass=mu.mass, _eval=mu._eval, chain=mu.chain, label="uniform"
+    )
+    assert same == mu
+    for name in ("ends", "lasts", "scalars"):
+        assert f"{name}=" not in repr(mu)
+
+
 def test_uniform_values():
     mu = uniform_measure(2)
     assert mu.eval(w("a")) == F(1, 4)

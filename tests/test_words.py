@@ -27,6 +27,7 @@ from stretchfactor.words import (
     is_proper_power,
     letter_key,
     validate_rank,
+    word_key,
 )
 
 letters = st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0)
@@ -192,3 +193,14 @@ def test_proper_power_detection():
 def test_canonical_letter_order():
     ordered = sorted([1, -1, 2, -2], key=letter_key)
     assert [format_word((c,)) for c in ordered] == ["a", "A", "b", "B"]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("n", range(6))
+def test_all_words_lists_each_reduced_word_once_in_canonical_order(n, k):
+    # the words are built without Word's check, so each must pass it
+    items = list(all_words(n, k))
+    assert len(set(items)) == len(items) == count_reduced_words(n, k)
+    for item in items:
+        assert type(item) is Word and Word(item) == item
+    assert items == sorted(items, key=word_key)
