@@ -639,8 +639,6 @@ def test_one_walk_table_matches_each_cylinders_value(rank, depth, n_factors, see
 def test_pair_sum_fast_path_matches_generic(nielsen_map):
     # uniform-as-markov has the uniform values but another automaton for the
     # pair-sum walk: one state per letter instead of a single state
-    from stretchfactor import markov_measure, uniform_as_markov
-
     mu_fast = uniform_measure(2)
     mu_slow = markov_measure(uniform_as_markov(2))
     for u in [w("a"), w("b"), w("Ba")]:
