@@ -51,6 +51,17 @@ Since tau o iota_v = iota_tau(v) o tau, a move is applied to one shortest
 conjugate of phi, its class key, and the plateau is walked only when the
 conjugate that descends from it is new.  A signed permutation needs
 neither: sigma o phi's plateau is sigma applied letterwise to phi's.
+
+A class the spectrum first reaches as sigma o B, B the class being
+expanded, is a relabelled class.  Its step would be B's seen through
+sigma: L(sigma o B) = L(B), and with tau' = sigma^-1 tau sigma, again a
+second-kind move (Lyndon-Schupp, I.4), tau o sigma o B = sigma o tau' o B.
+It would find no new class, so a relabelled class is recorded but never
+expanded.  Its children by signed permutations, sigma' sigma o B, are
+children of B.  Its child by tau is sigma o K, K the class of tau' o B,
+which B's expansion met before sigma o B, since moves are tried first.
+So K was expanded before sigma o B would be, and recorded sigma o K; or
+K is itself relabelled, sigma'' o B'', and sigma o K is a child of B''.
 """
 
 from __future__ import annotations
@@ -302,22 +313,35 @@ def spectrum(
     Generators are the signed permutations plus all second-kind moves.
     Maps are merged by conjugacy class, so multiplicities count maps up to
     inner automorphisms.  Classes are found level by level from the
-    identity's.  Each class below the last level is built with `compose`
-    and expanded by `_expand`: one depth-2 table of it, its shortest
-    conjugate's, gives L(tau o phi) for every move tau by the cut formula
-    and L(sigma o phi) = L(phi) for every signed permutation sigma
-    (module docstring); the budget counts those chains.  One tuple keys,
-    names and expands a class: the shortlex-least of its plateau of
-    shortest conjugates, its `_class_key`.  Each class's plateau is
-    walked once: every tuple of it is recorded, a move's candidate is
-    the key with the move applied and descended to a shortest conjugate,
-    and only a conjugate not yet recorded is walked.  A signed
-    permutation's candidate is relabelled, not walked.
+    identity's.  The identity's class, and each class below the last
+    level first reached by a move, built with `compose`, is expanded by
+    `_expand`: one depth-2 table of it, its shortest conjugate's, gives
+    L(tau o phi) for every move tau by the cut formula and L(sigma o phi)
+    = L(phi) for every signed permutation sigma (module docstring); the
+    budget counts those chains.  One tuple keys, names and expands a class: the
+    shortlex-least of its plateau of shortest conjugates, its
+    `_class_key`.  Each class's plateau is walked once: every tuple of it
+    is recorded, a move's candidate is the key with the move applied and
+    descended to a shortest conjugate, and only a conjugate not yet
+    recorded is walked.  A signed permutation's candidate is relabelled,
+    not walked.
+
+    A class first reached by a signed permutation, sigma o B, is
+    relabelled: every class its expansion would meet is already recorded
+    (module docstring), so it is neither composed nor expanded.  It
+    builds no table, so no check against its parent's cut meets it; the
+    relabelling holds instead (tests).  Skipping it leaves the budget as
+    it was: such a table spent no nodes, its chain being B's
+    transvections under another permutation, whose families were
+    cached.  Tables drop from 12 to 5 at (2, 2), 48 to 15 at (2, 3), 120
+    to 37 at (2, 4) and 90 to 43 at (3, 2); at one factor only the
+    identity's class is expanded.
     """
     if max_factors < 1:
         raise InputError("max_factors must be at least 1")
     budget, cache = _resolve(budget, cache)
-    # each signed permutation with its letter map; its score is the base's
+    # each signed permutation with its letter map; its score is the base's,
+    # and its class is not expanded (docstring)
     perms = [
         (g, None, {s * x: s * y for x, (y,) in enumerate(g.fwd, 1) for s in (1, -1)})
         for g in enumerate_signed_permutations(rank)
@@ -348,7 +372,7 @@ def spectrum(
                 key = _class_key(new)
                 met.update(new)
                 classes[key] = Fraction(score, den)
-                if level < max_factors:
+                if level < max_factors and letters is None:
                     frontier.append((compose(g, base), key, new))
     by_value: dict[Fraction, list[tuple]] = {}
     for key, value in classes.items():

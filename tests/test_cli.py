@@ -175,6 +175,63 @@ def test_rank3_spectrum_stdout_is_pinned(fmt):
     assert out == _RANK3_SPECTRUM_STDOUT[fmt]
 
 
+_DEEP_SPECTRUM_CSV = {
+    (2, 4): """\
+length_num,length_den,multiplicity,representative
+1,1,8,"a,b"
+7,6,32,"a,ab"
+13,9,32,"a,aab"
+29,18,32,"ab,aab"
+95,54,32,"a,aaab"
+169,81,4,"a,aaaab"
+341,162,32,"aab,aaab"
+119,54,32,"ab,aabab"
+193,81,32,"aab,aabab"
+3797,1458,4,"abbb,abbbb"
+461,162,4,"ab,abababb"
+2185,729,4,"abb,abbabbb"
+13895,4374,4,"aaab,aaabaab"
+4829,1458,4,"aab,aabaabab"
+2461,729,4,"aabab,aababab"
+16055,4374,4,"ababb,ababbabb"
+""",
+    (3, 2): """\
+length_num,length_den,multiplicity,representative
+1,1,48,"a,b,c"
+6,5,1152,"a,b,ac"
+19,15,864,"a,b,acA"
+7,5,120,"a,b,acb"
+107,75,36,"a,b,aca"
+22,15,144,"a,ab,abc"
+37,25,24,"a,b,aac"
+113,75,96,"a,b,abc"
+38,25,72,"a,b,aacA"
+118,75,96,"a,b,abcA"
+122,75,72,"a,ab,BAc"
+41,25,18,"a,b,aacAA"
+42,25,96,"a,b,abcB"
+127,75,96,"a,ab,BAcb"
+43,25,96,"a,ab,abac"
+131,75,72,"a,b,abcBA"
+134,75,72,"a,ab,BAcab"
+143,75,24,"ab,abb,abcb"
+""",
+}
+
+
+@pytest.mark.parametrize("rank, max_factors", sorted(_DEEP_SPECTRUM_CSV))
+def test_deeper_spectrum_csv_is_pinned(rank, max_factors):
+    # deeper balls than the pins above: at every level below the last,
+    # the classes first reached by a signed permutation are recorded but
+    # not expanded
+    code, out = invoke([
+        "spectrum", "--rank", str(rank), "--max-factors", str(max_factors),
+        "--format", "csv",
+    ])
+    assert code == 0
+    assert out == _DEEP_SPECTRUM_CSV[rank, max_factors]
+
+
 def test_spectrum_csv():
     code, out = invoke(
         ["spectrum", "--rank", "2", "--max-factors", "1", "--format", "csv"]

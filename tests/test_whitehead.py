@@ -31,10 +31,10 @@ from stretchfactor import (
 )
 from stretchfactor.automorphisms import SignedPermutation, _plateau
 from stretchfactor.boundary import _table
-from stretchfactor.whitehead import _cut_scores, _move_data
+from stretchfactor.whitehead import _cut_scores, _expand, _move_data
 from stretchfactor.words import alphabet, random_reduced
 
-from conftest import random_composition, sample_measures
+from conftest import conjugated_composition, random_composition, sample_measures
 from oracles import descent_step_by_lengths, normalize_by_costs, spectrum_by_lengths
 
 POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "pools"
@@ -245,6 +245,28 @@ def test_spectrum_walks_each_plateau_once(monkeypatch, rank, max_factors, walks)
         assert walks == 1 + sum(mult for value, mult, _ in rep.entries if value != 1)
 
 
+@pytest.mark.parametrize(
+    "rank, max_factors, tables",
+    [(2, 1, 1), (2, 2, 5), (2, 3, 15), (2, 4, 37), (3, 1, 1), (3, 2, 43)],
+)
+def test_spectrum_builds_a_table_only_for_classes_reached_by_a_move(
+    monkeypatch, rank, max_factors, tables
+):
+    # the identity's class and each expanded class first reached by a
+    # move build one table; a class first reached by a signed permutation
+    # is not expanded (12, 48, 120 and 90 tables at (2, 2), (2, 3), (2, 4)
+    # and (3, 2) when every class below the last level was)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return _table(*args, **kwargs)
+
+    monkeypatch.setattr(whitehead_module, "_table", counted)
+    spectrum(rank, max_factors)
+    assert len(calls) == tables
+
+
 def _patch_scores(monkeypatch, rescore):
     cut_scores = whitehead_module._cut_scores
 
@@ -307,6 +329,56 @@ def test_plateau_after_a_signed_permutation_is_the_relabelled_plateau(
     for g in enumerate_signed_permutations(rank):
         sigma = SignedPermutation(rank, tuple(x for (x,) in g.fwd))
         assert _plateau(compose(g, phi).fwd) == {_relabelled(sigma, t) for t in plateau}
+
+
+def _conjugated_moves(rank, g):
+    """j with tau_j = sigma^-1 o tau_i o sigma, for each move i of `_move_data`."""
+    moves = [tau.automorphism() for tau, _, _ in _move_data(rank)]
+    index = {phi: j for j, phi in enumerate(moves)}
+    return [index[compose(g.inverse(), compose(tau, g))] for tau in moves]
+
+
+def test_a_move_conjugated_by_a_signed_permutation_is_a_move():
+    # Lyndon-Schupp I.4, on which spectrum's skipping of relabelled
+    # classes rests: every sigma at ranks 2 and 3 and a seeded sample at
+    # rank 4 permutes the non-identity moves, and the identity fixes each
+    rng = random.Random(4)
+    sigmas = {rank: enumerate_signed_permutations(rank) for rank in (2, 3)}
+    sigmas[4] = [identity(4)] + rng.sample(enumerate_signed_permutations(4), 6)
+    for rank, gs in sigmas.items():
+        for g in gs:
+            index = _conjugated_moves(rank, g)
+            assert sorted(index) == list(range(len(index)))
+            if g.is_identity():
+                assert index == sorted(index)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 4),
+    v_len=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_step_of_sigma_o_b_is_the_step_of_b_relabelled(rank, n_factors, v_len, seed):
+    # tau_i o sigma o B = sigma o tau_j o B: the step built from scratch
+    # for sigma o B, the reference, gives the same L and move scores as
+    # fractions as B's, and each move's class is sigma applied to B's, so
+    # expanding sigma o B finds no class that B's expansion cannot
+    rng = random.Random(seed)
+    base = conjugated_composition(rank, n_factors, v_len, rng)
+    g = rng.choice(enumerate_signed_permutations(rank))
+    sigma = SignedPermutation(rank, tuple(x for (x,) in g.fwd))
+    phi = compose(g, base)
+    cache = PartitionCache()
+    den, total, scores = _expand(base, None, Budget(), cache)
+    ref_den, ref_total, ref_scores = _expand(phi, None, Budget(), cache)
+    assert F(ref_total, ref_den) == F(total, den)
+    moves = [tau.automorphism() for tau, _, _ in _move_data(rank)]
+    for i, j in enumerate(_conjugated_moves(rank, g)):
+        assert F(ref_scores[i][0], ref_den) == F(scores[j][0], den)
+        relabelled = {_relabelled(sigma, t) for t in _plateau(compose(moves[j], base).fwd)}
+        assert _plateau(compose(moves[i], phi).fwd) == relabelled
 
 
 @settings(max_examples=40, deadline=None)
