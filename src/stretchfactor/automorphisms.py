@@ -6,14 +6,17 @@ map and under its inverse.  Pairs that come from outside the engine
 brute force: both substitutions must send every generator to itself.
 Products of two such pairs (`compose`) are certified instead, by round
 trips through the factor with the shorter images, in time linear in the
-product's images.  Inner automorphisms and signed permutations are
-inverse pairs by construction, each signed permutation is built once per
-process, and each second-kind move once and verified, so the boundary
-engine always has a certified inverse available.  Every map also factors
-into atoms of two kinds, elementary transvections (the second-kind moves
-that move one letter on one side) and signed permutations, whose
-preimage families the boundary engine knows in closed form.  The
-chain is found one way only, by Nielsen reduction of the map's image
+product's images.  A chain of atoms (a generator expression, or a
+factorization recomposed) is folded as one product (`_fold`): each atom
+recomputes and round-trips only the images of the letters it moves, and
+one map is built at the end.  Inner automorphisms and signed
+permutations are inverse pairs by construction, each signed permutation
+is built once per process, and each second-kind move once and verified,
+so the boundary engine always has a certified inverse available.
+Every map also factors into atoms of two kinds, elementary
+transvections (the second-kind moves that move one letter on one side)
+and signed permutations, whose preimage families the boundary engine
+knows in closed form.  The chain is found one way only, by Nielsen reduction of the map's image
 tuple on first use, so it depends on the map and not on how the map was
 spelled; the engine reads each suffix of the chain as inverse images
 alone, not as a map.
@@ -42,11 +45,11 @@ from typing import Optional, Sequence
 
 from .errors import InputError, NotInverseError
 from .words import (
+    MAX_RANK,
     Word,
     alphabet,
     cancellation,
     check_rank,
-    concat,
     format_letter,
     format_word,
     free_reduce,
@@ -100,7 +103,10 @@ class Automorphism:
     default) the constructor checks by brute force that `bwd` inverts
     `fwd` and raises NotInverseError otherwise.  verify=False is for
     callers whose pair is inverse by construction or already certified;
-    nothing checks it then.
+    nothing checks it then.  The engine's products are certified from
+    their verified factors: two maps by `compose`'s round trips, and a
+    chain of atoms by `_fold`, whose every step round-trips the images
+    it changed through its atom's other side.
     """
 
     __slots__ = ("rank", "fwd", "bwd", "_factors", "_hash")
@@ -243,9 +249,9 @@ def inner(rank: int, v: Sequence[int]) -> Automorphism:
     validate_rank(v, rank)
     if not v:
         return identity(rank)
-    fwd = [concat(v, concat(Word((x,)), inverse(v))) for x in range(1, rank + 1)]
     vi = inverse(v)
-    bwd = [concat(vi, concat(Word((x,)), v)) for x in range(1, rank + 1)]
+    fwd = [free_reduce(v + (x,) + vi) for x in range(1, rank + 1)]
+    bwd = [free_reduce(vi + (x,) + v) for x in range(1, rank + 1)]
     return Automorphism(rank, fwd, bwd, verify=False)
 
 
@@ -286,16 +292,64 @@ def _certify(phi: _Pair, psi: _Pair, fwd: Sequence[Word], bwd: Sequence[Word]) -
     else:
         trips = ((fwd, psi_b, phi_f), (psi_f, bwd, phi_b))
     for images, words, expected in trips:
-        for x, (w, want) in enumerate(zip(words, expected), 1):
-            if tuple(_substitute(images, w)) != want:
-                raise AssertionError(
-                    f"product certificate failed at {format_letter(x)}: "
-                    "a substitution of two verified maps is wrong"
-                )
+        _round_trip(images, words, expected, range(1, len(words) + 1))
+
+
+def _round_trip(
+    images: Sequence[Sequence[int]],
+    words: Sequence[Word],
+    expected: Sequence[Sequence[int]],
+    letters: Sequence[int],
+) -> None:
+    """Check that images sends words[x - 1] to expected[x - 1] for each x in letters.
+
+    Every caller's maps are inverse pairs already, so a failure is an
+    engine bug: AssertionError, not NotInverseError.
+    """
+    for x in letters:
+        if tuple(_substitute(images, words[x - 1])) != expected[x - 1]:
+            raise AssertionError(
+                f"product certificate failed at {format_letter(x)}: "
+                "a substitution of two verified maps is wrong"
+            )
 
 
 def _size(pair: _Pair) -> int:
     return sum(map(len, pair[0])) + sum(map(len, pair[1]))
+
+
+def _fold(atoms: Sequence[Automorphism]) -> Automorphism:
+    """a_1 o ... o a_n, the left factor applied last, certified step by step.
+
+    Every factor is an inverse pair already.  Forward images are folded
+    left to right and inverse images right to left (`_fold_images`), and
+    one Automorphism is built, at the end; one factor is returned as it is.
+    """
+    if len(atoms) == 1:
+        return atoms[0]
+    fwd = _fold_images([(a.fwd, a.bwd) for a in atoms])
+    bwd = _fold_images([(a.bwd, a.fwd) for a in reversed(atoms)])
+    return Automorphism(atoms[0].rank, fwd, bwd, verify=False)
+
+
+def _fold_images(pairs: Sequence[_Pair]) -> list:
+    """Images of f_1 o ... o f_n, given each f_j as (images, inverse images).
+
+    A step recomputes only the images of the letters f_j moves, P_j(x) =
+    P_(j-1)(f_j(x)), and keeps the others.  It checks each recomputed
+    image through f_j's other side, P_j(f_j^-1(x)) = P_(j-1)(x): that is
+    `_certify`'s round trip through the short factor on the letters that
+    changed, and on the others it holds trivially, so P_j = P_(j-1) o f_j
+    and by induction the fold is the product.
+    """
+    images = list(pairs[0][0])
+    for step, back in pairs[1:]:
+        previous = images[:]
+        moved = [x for x, w in enumerate(step, 1) if len(w) != 1 or w[0] != x]
+        for x in moved:
+            images[x - 1] = tuple(_substitute(previous, step[x - 1]))
+        _round_trip(images, back, previous, moved)
+    return images
 
 
 def conj(phi: Automorphism, v: Sequence[int]) -> Automorphism:
@@ -664,11 +718,15 @@ def _entries(text: str, sep: str, keys: Sequence[int]) -> dict[int, str]:
     return out
 
 
+# Every letter of every rank, by its text.
+_LETTERS = {format_letter(x): x for x in alphabet(MAX_RANK)}
+
+
 def _letter(text: str, letters: Sequence[int], what: str) -> int:
     """The one of `letters` that text spells; an error names `what` it is."""
-    for x in letters:
-        if format_letter(x) == text:
-            return x
+    x = _LETTERS.get(text)
+    if x is not None and x in letters:
+        return x
     raise InputError(
         f"{what} {text!r} is not one of the letters "
         f"{', '.join(map(format_letter, letters))}"
@@ -694,16 +752,17 @@ def parse_generator_expression(rank: int, text: str) -> Automorphism:
 
     `*` composes left-to-right with the left factor applied last.  Every
     named generator carries its inverse, so no `--inverse` text is needed.
+    Every atom is parsed first; W2 and perm atoms are the cached maps of
+    `_second_kind` and `_signed_permutation`.  The chain is then one fold
+    (`_fold`): forward images left to right, P_j = P_(j-1) o a_j, inverse
+    images right to left, Q_j = Q_(j+1) o a_j^-1, each step recomputing
+    only the letters a_j moves and checking each new image through a_j's
+    other side, P_j(a_j^-1(x)) = P_(j-1)(x).  By induction the pair is
+    a_1 o ... o a_n and its inverse, with no intermediate map built.  A
+    one-atom expression returns the shared atom itself.
     """
     check_rank(rank)
-    factors = [t.strip() for t in text.split("*")]
-    result: Optional[Automorphism] = None
-    for t in factors:
-        atom = _parse_expr_atom(rank, t)
-        result = atom if result is None else compose(result, atom)
-    if result is None:
-        raise InputError("empty expression")
-    return result
+    return _fold([_parse_expr_atom(rank, t.strip()) for t in text.split("*")])
 
 
 def _parse_expr_atom(rank: int, text: str) -> Automorphism:
@@ -731,7 +790,7 @@ def _parse_expr_atom(rank: int, text: str) -> Automorphism:
                     f"twice, up to sign: {format_letter(z)!r} maps to "
                     f"{format_letter(images[z - 1])!r}"
                 )
-        return SignedPermutation(rank, tuple(images)).automorphism()
+        return _signed_permutation(rank, tuple(images))
     # W2[a; x:TYPE, ...] with unlisted basis letters fixed
     head, _, rest = body.partition(";")
     head = head.strip()
@@ -744,7 +803,4 @@ def _parse_expr_atom(rank: int, text: str) -> Automorphism:
                 f"entry '{format_letter(x)}:{t}': type {t!r} is not one of "
                 f"{', '.join(_W2_TYPES)}"
             )
-    move = WhiteheadSecondKind(
-        rank, a, tuple(types.get(x, FIX).upper() for x in others)
-    )
-    return move.automorphism()
+    return _second_kind(rank, a, tuple(types.get(x, FIX).upper() for x in others))

@@ -75,6 +75,7 @@ from typing import Optional
 from .automorphisms import (
     Automorphism,
     WhiteheadSecondKind,
+    _fold,
     _plateau,
     _shortest_conjugate,
     _substitute,
@@ -103,10 +104,8 @@ class FactorizationReport:
     lengths: tuple[Fraction, ...]  # L(sigma), L(tau_1 sigma), ..., L(phi)
 
     def recomposed(self) -> Automorphism:
-        result = self.sigma
-        for tau in reversed(self.taus):
-            result = compose(tau.automorphism(), result)
-        return result
+        """taus[0] o ... o taus[-1] o sigma, folded as one certified chain."""
+        return _fold([tau.automorphism() for tau in self.taus] + [self.sigma])
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,13 @@ def letter_key(x: int) -> tuple[int, int]:
     return (abs(x), 0 if x > 0 else 1)
 
 
+# The place of each of the 52 letters in the canonical order a < A < b < B < ...
+_LETTER_ORDER = {x: 2 * abs(x) - (x > 0) for x in range(-MAX_RANK, MAX_RANK + 1) if x}
+
+
 def word_key(w: Sequence[int]) -> tuple:
-    # Shortlex with the canonical letter order.
-    return (len(w), tuple(letter_key(x) for x in w))
+    # Shortlex with the canonical letter order, each letter read as its place.
+    return (len(w), tuple(map(_LETTER_ORDER.__getitem__, w)))
 
 
 def check_rank(k: int) -> None:

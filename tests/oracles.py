@@ -39,6 +39,9 @@ reference for the shortest-conjugate descent.
 `spectrum_by_lengths` is the former spectrum: it builds every map of the
 ball with `compose` and measures each class with `length_exact`; it is
 the reference for the spectrum read off its parents' depth-2 tables.
+`compose_by_atoms` is the former expression parser, which composes the
+atoms one at a time with `compose`, building and certifying every
+intermediate map; it is the reference for the one-fold parser.
 `is_prefix` and `dump_markov_spec` are helpers only tests need: a prefix
 test on words, and the JSON text `load_markov_spec` reads.
 """
@@ -64,6 +67,7 @@ from stretchfactor import (
     preimage_partition,
     uniform_measure,
 )
+from stretchfactor.automorphisms import _parse_expr_atom
 from stretchfactor.boundary import CylinderPartition, _resolve
 from stretchfactor.measures import frac_str
 from stretchfactor.words import (
@@ -79,6 +83,15 @@ from stretchfactor.words import (
     word_key,
 )
 
+
+
+def compose_by_atoms(rank, text):
+    """The generator expression `text`, composed one atom at a time."""
+    result = None
+    for part in text.split("*"):
+        atom = _parse_expr_atom(rank, part.strip())
+        result = atom if result is None else compose(result, atom)
+    return result
 
 
 def is_prefix(u, v):

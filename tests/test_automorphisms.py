@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -34,7 +36,9 @@ from stretchfactor.measures import uniform_measure
 from stretchfactor.words import free_reduce, inverse
 
 from conftest import is_atom, nielsen, random_composition
-from oracles import simple_witness
+from oracles import compose_by_atoms, simple_witness
+
+POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "pools"
 
 
 def w(text):
@@ -214,11 +218,11 @@ def test_generator_expressions():
     assert comp.apply(w("b")) == w("ab")
 
 
-def random_expression(rank, rng):
-    """A product of one to three random W2, perm and inner generators."""
+def random_expression(rank, rng, max_atoms=3):
+    """A product of one to max_atoms random W2, perm and inner generators."""
     letters = "abcd"[:rank]
     parts = []
-    for _ in range(rng.randrange(1, 4)):
+    for _ in range(rng.randrange(1, max_atoms + 1)):
         kind = rng.choice(["W2", "perm", "inner"])
         if kind == "W2":
             a = rng.randrange(rank)
@@ -240,6 +244,37 @@ def random_expression(rank, rng):
             word = random_reduced(rng.randrange(1, 4), rank, rng)
             parts.append(f"inner[{word}]")
     return " * ".join(parts)
+
+
+@given(st.integers(2, 4), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_the_fold_is_the_product_of_its_atoms(rank, seed):
+    # Automorphism equality reads the forward images only
+    text = random_expression(rank, random.Random(seed), max_atoms=12)
+    phi, by_atoms = parse_generator_expression(rank, text), compose_by_atoms(rank, text)
+    assert (phi.fwd, phi.bwd) == (by_atoms.fwd, by_atoms.bwd)
+
+
+def test_every_pooled_expression_folds_to_the_product_of_its_atoms():
+    checked = {}
+    for workload in ("length-cold", "currents", "whitehead"):
+        with open(POOLS / f"{workload}.json", encoding="utf-8") as fh:
+            entries = json.load(fh)["entries"]
+        expressions = [(e["rank"], e["map"]) for e in entries if "map" in e and "inverse" not in e]
+        for rank, text in expressions:
+            phi, by_atoms = parse_generator_expression(rank, text), compose_by_atoms(rank, text)
+            assert (phi.fwd, phi.bwd) == (by_atoms.fwd, by_atoms.bwd), text
+        checked[workload] = len(expressions)
+    assert checked == {"length-cold": 511, "currents": 288, "whitehead": 190}
+
+
+def test_a_one_atom_expression_is_the_shared_atom():
+    move = WhiteheadSecondKind(2, 1, ("RIGHT",)).automorphism()
+    factors = move.factors
+    phi = parse_generator_expression(2, "W2[a; b:RIGHT]")
+    assert phi is move and phi.factors is factors
+    swap = SignedPermutation(2, (-2, 1)).automorphism()
+    assert parse_generator_expression(2, "perm[a->B, b->a]") is swap
 
 
 @given(st.integers(2, 4), st.integers(0, 2**32))

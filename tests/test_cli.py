@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -356,16 +358,24 @@ def test_selftest_checks_survive_optimize_flag(mode, fails):
     assert ("selftest passed" in result.stdout) != fails
 
 
+# A two-atom expression is folded with one step on each side: the forward
+# images are certified first (check 0), then the inverse images (check 1).
+# The fault lengthens the first recomputed image of one side by its own
+# last letter, so it stays reduced, before the step's round trip.
 _LENGTH_WITH_PRODUCT_FAULT = """
 import sys
 import stretchfactor.automorphisms as A
 
-certify = A._certify
-if sys.argv[1] == "fault":
-    def corrupt_first_image(phi, psi, fwd, bwd):
-        fwd[0] = fwd[0] + fwd[0][-1:]
-        certify(phi, psi, fwd, bwd)
-    A._certify = corrupt_first_image
+round_trip = A._round_trip
+checks = []
+if sys.argv[1] != "exact":
+    def corrupt_one_side(images, words, expected, letters):
+        if len(checks) == {"fault": 0, "fault-inverse": 1}[sys.argv[1]]:
+            x = letters[0]
+            images[x - 1] = images[x - 1] + images[x - 1][-1:]
+        checks.append(letters)
+        round_trip(images, words, expected, letters)
+    A._round_trip = corrupt_one_side
 from stretchfactor.cli import run
 sys.exit(run(["length", "--rank", "2", *sys.argv[2:]]))
 """
@@ -377,10 +387,11 @@ sys.exit(run(["length", "--rank", "2", *sys.argv[2:]]))
         ("exact", ["--map", "W2[a; b:RIGHT] * W2[b; a:LEFT]"], 0, ""),
         # a product of verified maps that fails its certificate is an engine bug
         ("fault", ["--map", "W2[a; b:RIGHT] * W2[b; a:LEFT]"], 1, "AssertionError: product certificate"),
+        ("fault-inverse", ["--map", "W2[a; b:RIGHT] * W2[b; a:LEFT]"], 1, "AssertionError: product certificate"),
         # a wrong inverse from outside is an input error
         ("exact", ["--map", "a->a,b->ba", "--inverse", "a->a,b->ba"], 2, "error: inverse check failed"),
     ],
-    ids=["product", "corrupted-product", "wrong-inverse"],
+    ids=["product", "corrupted-product", "corrupted-inverse-product", "wrong-inverse"],
 )
 def test_engine_bugs_and_input_errors_exit_apart(mode, argv, code, message):
     # under python -O too: the certificate is not an assert statement
@@ -514,6 +525,33 @@ def test_entry_outside_the_rank_or_named_twice_is_input_error(expression):
         parse_generator_expression(2, expression)
     code, _ = invoke(["length", "--rank", "2", "--map", expression])
     assert code == 2
+
+
+@pytest.mark.parametrize("expression", ["", "*", "W2[a; b:RIGHT] *"])
+def test_an_empty_atom_is_an_input_error(expression):
+    # splitting on '*' always gives an atom, so an empty expression is
+    # one empty atom; through the CLI, text without '[' is read as a raw map
+    with pytest.raises(InputError, match="^cannot parse '': expected W2"):
+        parse_generator_expression(2, expression)
+    assert invoke(["length", "--rank", "2", "--map", expression]) == (2, "")
+
+
+def _readme_examples():
+    """(argv, stdout) of every `$ stretchfactor ...` example in README.md."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n\$ stretchfactor (.*?)\n(.*?)^```$", text, re.M | re.S)
+    return [(shlex.split(command), out) for command, out in blocks]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout", [pytest.param(*example, id=example[0][0]) for example in _readme_examples()]
+)
+def test_readme_examples_print_what_the_readme_shows(argv, stdout):
+    assert invoke(argv) == (0, stdout)
+
+
+def test_the_readme_shows_three_examples():
+    assert [argv[0] for argv, _ in _readme_examples()] == ["length", "factorize", "spectrum"]
 
 
 def _parse_map(rank, text):

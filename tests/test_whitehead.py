@@ -486,29 +486,35 @@ def test_every_non_simple_map_has_a_decreasing_move(rank, n_factors, v_len, seed
 def test_factorize_builds_no_candidate_map(monkeypatch):
     # A pooled rank-3 input of two steps.  Each step reads one depth-2
     # table, which is one pair-sum walk, and composes only the chosen
-    # move; recomposing the report composes twice more.  Measuring each
+    # move; recomposing the report is one fold of its chain.  Measuring each
     # of the 90 candidate maps instead would take 184 compositions, 185
     # walks and, with one shared cache, 374 nodes (two steps of
     # oracles.descent_step_by_lengths).
     phi = pooled_map("factorize3-0020")
-    counts = {"compose": 0, "walks": 0}
+    counts = {"compose": 0, "fold": 0, "walks": 0}
     compose_, cross_mass = whitehead_module.compose, boundary_module._cross_mass
+    fold = whitehead_module._fold
 
     def counted_compose(*args, **kwargs):
         counts["compose"] += 1
         return compose_(*args, **kwargs)
+
+    def counted_fold(*args, **kwargs):
+        counts["fold"] += 1
+        return fold(*args, **kwargs)
 
     def counted_cross_mass(*args, **kwargs):
         counts["walks"] += 1
         return cross_mass(*args, **kwargs)
 
     monkeypatch.setattr(whitehead_module, "compose", counted_compose)
+    monkeypatch.setattr(whitehead_module, "_fold", counted_fold)
     monkeypatch.setattr(boundary_module, "_cross_mass", counted_cross_mass)
     budget = Budget()
     rep = factorize(phi, budget=budget)
     assert rep.lengths == (1, F(6, 5), F(7, 5))
     assert len(rep.taus) == 2
-    assert counts == {"compose": 2 * 2, "walks": 2 * 1}
+    assert counts == {"compose": 2, "fold": 1, "walks": 2 * 1}
     assert budget.spent == 9
 
 

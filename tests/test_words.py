@@ -195,6 +195,19 @@ def test_canonical_letter_order():
     assert [format_word((c,)) for c in ordered] == ["a", "A", "b", "B"]
 
 
+def test_word_key_orders_words_as_letter_key_pairs_do():
+    # word_key reads each letter as one integer; shortlex over letter_key
+    # pairs is the order it stands for
+    words = [u for n in range(5) for u in all_words(n, 3)]
+    random.Random(7).shuffle(words)
+    assert len({word_key(u) for u in words}) == len(words)
+    by_pairs = sorted(words, key=lambda u: (len(u), tuple(letter_key(x) for x in u)))
+    assert sorted(words, key=word_key) == by_pairs
+    # every one of the 52 letters has a place
+    big = alphabet(26)
+    assert sorted(big[::-1], key=lambda x: word_key((x,))) == list(big)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("n", range(6))
 def test_all_words_lists_each_reduced_word_once_in_canonical_order(n, k):
