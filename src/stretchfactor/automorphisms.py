@@ -47,6 +47,7 @@ from .errors import InputError, NotInverseError
 from .words import (
     MAX_RANK,
     Word,
+    _unchecked_word,
     alphabet,
     cancellation,
     check_rank,
@@ -99,14 +100,18 @@ class Automorphism:
     found on first use, so equal maps have equal chains; a signed
     permutation's is (self,).
 
-    A rank outside 2..26 raises InputError.  With verify=True (the
-    default) the constructor checks by brute force that `bwd` inverts
-    `fwd` and raises NotInverseError otherwise.  verify=False is for
-    callers whose pair is inverse by construction or already certified;
-    nothing checks it then.  The engine's products are certified from
-    their verified factors: two maps by `compose`'s round trips, and a
-    chain of atoms by `_fold`, whose every step round-trips the images
-    it changed through its atom's other side.
+    A rank outside 2..26, or a number of images other than the rank,
+    raises InputError.  With verify=True (the default) every image must
+    be a nonempty reduced word in the rank (InputError or
+    NotReducedError), and the constructor checks by brute force that
+    `bwd` inverts `fwd` and raises NotInverseError otherwise.
+    verify=False is for callers whose pair is inverse by construction or
+    already certified; nothing checks it then, not even a letter of an
+    image, and images that are not Words become Words unchecked.  The
+    engine's products are certified from their verified factors: two
+    maps by `compose`'s round trips, and a chain of atoms by `_fold`,
+    whose every step round-trips the images it changed through its
+    atom's other side.
     """
 
     __slots__ = ("rank", "fwd", "bwd", "_factors", "_hash")
@@ -123,15 +128,16 @@ class Automorphism:
         if len(fwd) != rank or len(bwd) != rank:
             raise InputError("need exactly one image per basis letter")
         self.rank = rank
-        self.fwd = tuple(w if type(w) is Word else Word(w) for w in fwd)
-        self.bwd = tuple(w if type(w) is Word else Word(w) for w in bwd)
-        for w in self.fwd + self.bwd:
-            if not w:
-                raise InputError("automorphism images must be nonempty")
-            validate_rank(w, rank)
+        word = Word if verify else _unchecked_word
+        self.fwd = tuple(w if type(w) is Word else word(w) for w in fwd)
+        self.bwd = tuple(w if type(w) is Word else word(w) for w in bwd)
         self._factors: Optional[tuple] = None
         self._hash = hash((rank, self.fwd))
         if verify:
+            for w in self.fwd + self.bwd:
+                if not w:
+                    raise InputError("automorphism images must be nonempty")
+                validate_rank(w, rank)
             self._verify()
 
     def _verify(self) -> None:
@@ -263,8 +269,8 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     """
     if phi.rank != psi.rank:
         raise InputError("cannot compose automorphisms of different ranks")
-    fwd = [Word(_substitute(phi.fwd, w)) for w in psi.fwd]
-    bwd = [Word(_substitute(psi.bwd, w)) for w in phi.bwd]
+    fwd = [_substitute(phi.fwd, w) for w in psi.fwd]
+    bwd = [_substitute(psi.bwd, w) for w in phi.bwd]
     _certify((phi.fwd, phi.bwd), (psi.fwd, psi.bwd), fwd, bwd)
     return Automorphism(phi.rank, fwd, bwd, verify=False)
 
@@ -640,20 +646,57 @@ def _shortest_conjugate(images) -> tuple[tuple, list[int]]:
     single-letter conjugations that shrink it reach a global minimum.  At
     rank >= 2 a minimum of total length k, every image one letter, is the
     only minimum, since conjugating it by any letter adds at least 2k - 2.
+
+    Letters are tried in `alphabet` order, and c is taken when it shrinks
+    the cost, F(c^-1) + E(c) > k (`_deltas`), read again after each
+    conjugation; a pass that takes none ends the descent.  At most one
+    letter shrinks the cost at a time, since F(c^-1) + F(d^-1) <= k and
+    E(c) + E(d) <= k for letters c != d, so v does not depend on the
+    order in which letters are tried.  So while every image is x m x^-1
+    with m nonempty, conjugating by x^-1 is the step taken, and the run
+    of such letters that all images share is stripped at once.  Then the
+    tallies F and E of first and last letters are kept as the images
+    change, and each image is conjugated in place at its two ends, so a
+    letter of v costs O(k), not a copy of every image.  A map that is its
+    own shortest conjugate is returned as tuples of its images' letters.
     """
-    current = tuple(tuple(w) for w in images)
-    v: list[int] = []
-    deltas = _deltas(current)
+    k = len(images)
+    t, u = 0, images[0]
+    while all(len(w) > 2 * t + 2 and w[t] == u[t] and w[-1 - t] == -u[t] for w in images):
+        t += 1
+    v: list[int] = list(u[:t])
+    if t:
+        images = [w[t : len(w) - t] for w in images]
+    first = dict.fromkeys(alphabet(k), 0)
+    last = dict(first)
+    for w in images:
+        first[w[0]] += 1
+        last[w[-1]] += 1
+    words = None
     improved = True
     while improved:
         improved = False
-        for c in alphabet(len(current)):
-            if deltas[c] < 0:
-                current = _conjugate(c, current)
-                v.append(-c)
-                deltas = _deltas(current)
-                improved = True
-    return current, v
+        for c in alphabet(k):
+            if first[-c] + last[c] <= k:
+                continue
+            if words is None:
+                words = [deque(w) for w in images]
+            for w in words:
+                first[w[0]] -= 1
+                last[w[-1]] -= 1
+                if w[0] == -c:
+                    w.popleft()
+                else:
+                    w.appendleft(c)
+                if w and w[-1] == c:
+                    w.pop()
+                else:
+                    w.append(-c)
+                first[w[0]] += 1
+                last[w[-1]] += 1
+            v.append(-c)
+            improved = True
+    return tuple(map(tuple, words if words is not None else images)), v
 
 
 def _plateau(images) -> set[tuple]:

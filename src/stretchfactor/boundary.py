@@ -86,8 +86,12 @@ Six facts drive the computation:
   computed on the map's shortest conjugate psi, from psi's Nielsen chain
   (`_class_rep`), and a budget counts the nodes of psi's chain: the chain
   of a conjugate of psi pays for steps that cannot change the answer.
-  Preimages, profiles and recentering are not class invariants and read
-  the map's own chain.
+  psi costs one pass over phi's images: the descent conjugates each
+  image in place at its two ends, each inverse image of psi is one
+  reduction of g phi^-1(y) g^-1, and psi is built without a re-scan.
+  Its inverse images come from phi's and the conjugator alone, so the
+  peel of psi's chain still checks them.  Preimages, profiles and
+  recentering are not class invariants and read the map's own chain.
 
 * Canonical partitions are shared, immutable tries.  A partition is
   stored as its canonical prefix tree (complete sibling sets coalesced;
@@ -111,7 +115,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import mul
+from operator import mul, neg
 from os.path import commonprefix
 from typing import Iterable, Optional, Sequence
 
@@ -123,8 +127,8 @@ from .words import (
     alphabet,
     all_words,
     as_word,
+    cancellation,
     check_rank,
-    concat,
     extension_letters,
     format_word,
     inverse,
@@ -533,18 +537,27 @@ def _class_rep(auto: Automorphism) -> Automorphism:
     v^-1.  Inner automorphisms act trivially on currents, so psi pushes
     every current where phi does, and its inverse images are
     psi^-1(y) = phi^-1(v y v^-1) = g phi^-1(y) g^-1 with g = phi^-1(v).
-    psi is Nielsen-factored on first use.  Nothing else certifies it:
-    `_depth1_family` peels that chain off psi's inverse images and must
-    reach the basis letters, so a wrong psi or a wrong chain raises
+    Each is one reduction of three reduced words, cancelled at the left
+    seam and then at the right, and psi is built without a re-scan of
+    its images.  It is Nielsen-factored on first use.  Nothing else
+    certifies it: `_depth1_family` peels that chain off psi's inverse
+    images, derived from phi's and v alone, and must reach the basis
+    letters, so a wrong psi, a wrong v or a wrong chain raises
     AssertionError.  A map that is its own shortest conjugate is
     returned as it is.
     """
     images, v = _shortest_conjugate(auto.fwd)
     if not v:
         return auto
-    g = Word(_substitute(auto.bwd, v))
-    g_inv = inverse(g)
-    bwd = [concat(concat(g, w), g_inv) for w in auto.bwd]
+    g = tuple(_substitute(auto.bwd, v))
+    g_inv = tuple(map(neg, reversed(g)))
+    n = len(g)
+    bwd = []
+    for w in auto.bwd:
+        c = cancellation(g, w)
+        w = g[: n - c] + w[c:]
+        c = cancellation(w, g_inv)
+        bwd.append(w[: len(w) - c] + g_inv[c:])
     return Automorphism(auto.rank, images, bwd, verify=False)
 
 
@@ -572,17 +585,22 @@ def _depth1_family(
     suffix of the chain is cached or every atom is peeled.  A suffix is
     known by its inverse images alone: peeling the atom a off a o rest
     gives rest^-1(x) = (a o rest)^-1(a(x)), where a(x) has at most two
-    letters.  With every atom peeled, these must be the basis letters,
-    which proves that the chain composes to the map, and the families
-    start from the identity's.  The longer suffixes are then assembled
-    right to left, one atom step each; none of them repeats, since
-    Nielsen reduction never returns to an image tuple.
+    letters; where a(x) is one positive letter y, that is the previous
+    suffix's image of y, kept as it is.  With every atom peeled, these
+    must be the basis letters, which proves that the chain composes to
+    the map, and the families start from the identity's.  The longer
+    suffixes are then assembled right to left, one atom step each; none
+    of them repeats, since Nielsen reduction never returns to an image
+    tuple.
     """
     families, factors = cache.families, auto.factors
     suffixes = [auto.bwd]
     while suffixes[-1] not in families and len(suffixes) <= len(factors):
         prev, atom = suffixes[-1], factors[len(suffixes) - 1]
-        suffixes.append(tuple(tuple(_substitute(prev, w)) for w in atom.fwd))
+        suffixes.append(tuple(
+            prev[w[0] - 1] if len(w) == 1 and w[0] > 0 else tuple(_substitute(prev, w))
+            for w in atom.fwd
+        ))
     fam = families.get(suffixes[-1])
     if fam is None:
         if suffixes[-1] != tuple((x,) for x in range(1, auto.rank + 1)):
@@ -657,10 +675,12 @@ def partition_mass(mu: FrequencyMeasure, part: CylinderPartition) -> Fraction:
 # -- current values under pushforward ---------------------------------------
 
 
-def _scaling(mu: FrequencyMeasure, parts: dict) -> tuple:
-    """(den, h, power, ends, weigh, whole): the scaling both pair walks share.
+def _scaling(mu: FrequencyMeasure, h: int) -> tuple:
+    """(den, power, ends, weigh, whole): the scaling both pair walks share.
 
-    h is the longest cell of the parts.  Rows carry D^(h-|w1|) and columns
+    h is the longest cell of the parts, which the caller knows: the
+    one-state walk reads it off the nodes it lists, the others take
+    `CylinderPartition.height`.  Rows carry D^(h-|w1|) and columns
     D^(h-|w2|), so a pair splitting at depth d counts E D^(2h-2d-1) times
     its mass, and power[2d] = D^(2d) brings it to the common denominator
     den = E D^(2h-1).  ends[x], step[x] times the all-ones column, is the
@@ -669,14 +689,18 @@ def _scaling(mu: FrequencyMeasure, parts: dict) -> tuple:
     rows and columns of one integer (`_pair_mass`).  A cell of length n
     weighs weigh[h-n], its uniform mass in units of 1 / (2k (2k-1)^h),
     and the boundary weighs whole: a walk whose cells weigh otherwise
-    lost or doubled a cell, and raises AssertionError.
+    lost or doubled a cell, and raises AssertionError (`_check_tiling`).
     """
     k = mu.rank
-    h = max(p.height for p in parts.values())
     e, d = mu.chain[:2]
     power = list(accumulate(repeat(d, 2 * h), mul, initial=1))
     weigh = [(2 * k - 1) ** (i + 1) for i in range(h)]
-    return e * power[2 * h - 1], h, power, mu.ends, weigh, 2 * k * (2 * k - 1) ** h
+    return e * power[2 * h - 1], power, mu.ends, weigh, 2 * k * (2 * k - 1) ** h
+
+
+def _check_tiling(weight: int, whole: int) -> None:
+    if weight != whole:
+        raise AssertionError("the parts do not tile the boundary")
 
 
 def _pair_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
@@ -703,71 +727,75 @@ def _pair_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
     walk below is the one for every other chain, and the reference the
     tests hold the integer walk to.
     """
-    den, h, power, ends, weigh, whole = _scaling(mu, parts)
+    if mu.scalars is not None:
+        return _one_state_pair_mass(mu, parts)
+    h = max(p.height for p in parts.values())
+    den, power, ends, weigh, whole = _scaling(mu, h)
     # each cell ending in x adds D^(2h-2) lasts[x] (FrequencyMeasure.lasts)
     lift = power[2 * h - 2] if h else 0
-    if mu.scalars is not None:
-        weight, num = _one_state_pair_mass(mu, parts, h, power, weigh, lift)
-    else:
-        _, d, init, step = mu.chain
-        lasts = mu.lasts
-        weight, num = 0, {}
-        for c, part in parts.items():
-            # nodes[i] = (parent, letter from it, depth, node); its sums are
-            # [row, col, same]: the summed row and column of the cells below
-            # it, and the products within each child
-            nodes = [(-1, None, len(part.stem), part.trie)]
-            sums: list = []
-            q = top = 0
-            for i, (_, _, depth, node) in enumerate(nodes):
-                leaf, below = power[h - depth - 1], depth + 1
-                row, col = {}, {}
-                for x, child in node.items():
-                    if type(child) is dict:
-                        nodes.append((i, x, below, child))
-                    else:
-                        _add(row, init[-x], leaf)
-                        _add(col, ends[x], leaf)
-                        top += lasts[x]
-                        weight += weigh[h - below]
-                sums.append([row, col, 0])
-            for i in range(len(nodes) - 1, -1, -1):
-                parent, x, depth, _ = nodes[i]
-                row, col, same = sums[i]
-                # less the pairs split at this node
-                q -= (_dot(row, col) - same) * power[2 * depth]
-                if parent >= 0:
-                    row, col = _row_times(row, step[-x]), _times_column(step[x], col)
-                    above = sums[parent]
-                    above[2] += _dot(row, col)
-                    _add(above[0], row)
-                    _add(above[1], col)
-            num[c] = q + top * lift
-    if weight != whole:
-        raise AssertionError("the parts do not tile the boundary")
+    _, d, init, step = mu.chain
+    lasts = mu.lasts
+    weight, num = 0, {}
+    for c, part in parts.items():
+        # nodes[i] = (parent, letter from it, depth, node); its sums are
+        # [row, col, same]: the summed row and column of the cells below
+        # it, and the products within each child
+        nodes = [(-1, None, len(part.stem), part.trie)]
+        sums: list = []
+        q = top = 0
+        for i, (_, _, depth, node) in enumerate(nodes):
+            leaf, below = power[h - depth - 1], depth + 1
+            row, col = {}, {}
+            for x, child in node.items():
+                if type(child) is dict:
+                    nodes.append((i, x, below, child))
+                else:
+                    _add(row, init[-x], leaf)
+                    _add(col, ends[x], leaf)
+                    top += lasts[x]
+                    weight += weigh[h - below]
+            sums.append([row, col, 0])
+        for i in range(len(nodes) - 1, -1, -1):
+            parent, x, depth, _ = nodes[i]
+            row, col, same = sums[i]
+            # less the pairs split at this node
+            q -= (_dot(row, col) - same) * power[2 * depth]
+            if parent >= 0:
+                row, col = _row_times(row, step[-x]), _times_column(step[x], col)
+                above = sums[parent]
+                above[2] += _dot(row, col)
+                _add(above[0], row)
+                _add(above[1], col)
+        num[c] = q + top * lift
+    _check_tiling(weight, whole)
     return den, num
 
 
-def _one_state_pair_mass(
-    mu: FrequencyMeasure, parts: dict, h: int, power: list, weigh: list, lift: int
-) -> tuple[int, dict]:
-    """(weight, numerators) of `_pair_mass`'s walk for a one-state chain.
+def _one_state_pair_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
+    """`_pair_mass` for a one-state chain.
 
     The same telescoped walk, node list and scaling, with each row and
     column one integer: a leaf x adds init[x^-1] to its node's row and
     ends[x] to its column, and an edge x multiplies them by step[x^-1] and
     step[x] (`FrequencyMeasure.scalars`).  The leaves of a node share its
-    scale and weight, so each is applied once per node.
+    scale and weight, so each is applied once per node.  Every part's
+    nodes are listed first, with their leaves' sums unscaled, so h, the
+    longest cell, is read off the lists, and no walk of the tries is
+    made for it; the bottom-up pass then scales each node's leaves.
     """
     init, ends, step = mu.scalars
     lasts = mu.lasts
-    weight, num = 0, {}
+    walks = []
+    h = 0
     for c, part in parts.items():
+        # nodes[i] = (parent, letter from it, depth, node); its sums are
+        # [row, col, count] of its leaves, unscaled, and [row, col, same]
+        # of its children, scaled
         nodes = [(-1, 0, len(part.stem), part.trie)]
         sums: list = []
-        q = top = 0
+        top = 0
         for i, (_, _, depth, node) in enumerate(nodes):
-            row = col = leaves = 0
+            row = col = n = 0
             for x, child in node.items():
                 if type(child) is dict:
                     nodes.append((i, x, depth + 1, child))
@@ -775,26 +803,37 @@ def _one_state_pair_mass(
                     row += init[-x]
                     col += ends[x]
                     top += lasts[x]
-                    leaves += 1
-            if leaves:
-                leaf = power[h - depth - 1]
-                row *= leaf
-                col *= leaf
-                weight += leaves * weigh[h - depth - 1]
-            sums.append([row, col, 0])
+                    n += 1
+            if n and depth >= h:
+                h = depth + 1
+            sums.append([row, col, n, 0, 0, 0])
+        walks.append((c, nodes, sums, top))
+    den, power, _, weigh, whole = _scaling(mu, h)
+    lift = power[2 * h - 2] if h else 0
+    weight, num = 0, {}
+    for c, nodes, sums, top in walks:
+        q = 0
         for i in range(len(nodes) - 1, -1, -1):
             parent, x, depth, _ = nodes[i]
-            row, col, same = sums[i]
+            row, col, n, child_row, child_col, same = sums[i]
+            if n:
+                leaf = power[h - depth - 1]
+                row = row * leaf + child_row
+                col = col * leaf + child_col
+                weight += n * weigh[h - depth - 1]
+            else:
+                row, col = child_row, child_col
             q -= (row * col - same) * power[2 * depth]
             if parent >= 0:
                 row *= step[-x]
                 col *= step[x]
                 above = sums[parent]
-                above[0] += row
-                above[1] += col
-                above[2] += row * col
+                above[3] += row
+                above[4] += col
+                above[5] += row * col
         num[c] = q + top * lift
-    return weight, num
+    _check_tiling(weight, whole)
+    return den, num
 
 
 def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
@@ -815,7 +854,8 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
     reverse.  Comparable cells raise AssertionError, and so do cells
     whose uniform masses do not sum to one.
     """
-    den, h, power, ends, weigh, whole = _scaling(mu, parts)
+    h = max(p.height for p in parts.values())
+    den, power, ends, weigh, whole = _scaling(mu, h)
     init, step = mu.chain[2:]
     weight = 0
     num = {(a, v): 0 for v in parts for a in alphabet(mu.rank) if a != v[0]}
@@ -844,8 +884,7 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
             # a colour alone with a subtree is in no tiling: its cells go
             # uncounted, and the weights fall short
         sums.append([rows, cols, {}])
-    if weight != whole:
-        raise AssertionError("the parts do not tile the boundary")
+    _check_tiling(weight, whole)
     for i in range(len(nodes) - 1, -1, -1):
         parent, x, depth, _ = nodes[i]
         rows, cols, same = sums[i]

@@ -40,6 +40,10 @@ class Word(tuple):
 EMPTY = Word()
 
 
+# letters as a Word without `Word`'s check, for words reduced by construction
+_unchecked_word = functools.partial(tuple.__new__, Word)
+
+
 def as_word(w: Sequence[int]) -> Word:
     """w as a Word: NotReducedError unless it is freely reduced."""
     return w if type(w) is Word else Word(w)
@@ -210,7 +214,7 @@ def all_words(n: int, k: int) -> Iterator[Word]:
     while stack:
         w = stack.pop()
         if len(w) == n:
-            yield tuple.__new__(Word, w)
+            yield _unchecked_word(w)
             continue
         for c in reversed(extension_letters(w, k)):
             stack.append(w + (c,))

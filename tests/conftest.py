@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from stretchfactor import Word, make_automorphism
-from stretchfactor.boundary import _depth1_family, _preimage, _words
+from stretchfactor.automorphisms import _shortest_conjugate
+from stretchfactor.boundary import _class_rep, _depth1_family, _preimage, _words
 from stretchfactor.measures import (
     MarkovSpec,
     markov_measure,
@@ -14,13 +15,16 @@ from stretchfactor.measures import (
 )
 from stretchfactor.words import (
     alphabet,
+    concat,
     extension_letters,
+    inverse,
     is_cyclically_reduced,
     is_proper_power,
     random_reduced,
+    validate_rank,
 )
 
-from oracles import pair_mass_by_pairs
+from oracles import pair_mass_by_pairs, shortest_conjugate_by_steps
 
 
 def nielsen():
@@ -84,6 +88,26 @@ def given_chain_table(auto, mu, depth, budget, cache):
             for v in _words(n, rank)
         })
     return 1, {v: q for level in reversed(levels) for v, q in level.items()}
+
+
+def assert_class_rep_by_steps(phi):
+    """`boundary._class_rep(phi)` is the shortest conjugate the former
+    descent finds (`oracles.shortest_conjugate_by_steps`): the same psi and
+    v, inverse images g phi^-1(y) g^-1 with g = phi^-1(v) reduced by
+    `concat`, and every image a nonempty reduced Word in the rank, which
+    the constructor no longer checks for the engine's own maps."""
+    images, v = shortest_conjugate_by_steps(phi.fwd)
+    assert _shortest_conjugate(phi.fwd) == (images, v)
+    psi = _class_rep(phi)
+    if not v:
+        assert psi is phi
+    g = phi.apply_inverse(v)
+    assert psi.fwd == images
+    assert psi.bwd == tuple(concat(concat(g, w), inverse(g)) for w in phi.bwd)
+    for w in psi.fwd + psi.bwd:
+        assert type(w) is Word and w
+        Word(w)  # NotReducedError unless reduced
+        validate_rank(w, phi.rank)
 
 
 def is_atom(f):

@@ -33,6 +33,10 @@ candidate move's composite and measures it; it is the reference for the
 cut-formula scoring.  `normalize_by_costs` is the former conjugation
 normal form, which rebuilds and re-measures the image tuple for every
 letter at every step; it is the reference for the tally-driven one.
+`shortest_conjugate_by_steps` is the former shortest-conjugate descent,
+which rebuilds every image and recounts the first and last letters after
+each letter of the conjugator; it is the reference for the descent that
+conjugates each image in place at its ends.
 `simple_witness` is the former simplicity test, which cyclically reduces
 every image and searches the conjugators u<p> of one image; it is the
 reference for the shortest-conjugate descent.
@@ -450,6 +454,38 @@ def _conjugate(c, images):
 
 def _cost(images):
     return sum(len(w) for w in images)
+
+
+def _deltas(images):
+    """The change of the total image length under conjugation by each letter."""
+    deltas = dict.fromkeys(alphabet(len(images)), 2 * len(images))
+    for w in images:
+        deltas[-w[0]] -= 2
+        deltas[w[-1]] -= 2
+    return deltas
+
+
+def shortest_conjugate_by_steps(images):
+    """(psi, v) with phi(x) = v psi(x) v^-1, psi of least total length.
+
+    Letters are tried in `alphabet` order and c is taken when conjugating
+    by it shrinks the total length; the images are rebuilt and the
+    length changes recounted after every letter taken, until a pass over
+    the alphabet takes none.
+    """
+    current = tuple(tuple(w) for w in images)
+    v = []
+    deltas = _deltas(current)
+    improved = True
+    while improved:
+        improved = False
+        for c in alphabet(len(current)):
+            if deltas[c] < 0:
+                current = _conjugate(c, current)
+                v.append(-c)
+                deltas = _deltas(current)
+                improved = True
+    return current, v
 
 
 def normalize_by_costs(images):

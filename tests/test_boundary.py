@@ -13,7 +13,9 @@ from stretchfactor import (
     comparable,
     compose,
     depth1_profile,
+    descent_step,
     enumerate_signed_permutations,
+    factorize,
     identity,
     inner,
     length_exact,
@@ -55,6 +57,7 @@ from stretchfactor.words import (
 )
 
 from conftest import (
+    assert_class_rep_by_steps,
     conjugated_composition,
     doubly_stochastic_markov,
     given_chain_table,
@@ -1439,12 +1442,28 @@ def test_a_budget_stops_a_deep_table_before_it_lists_the_preimages():
     assert peak < 2**20
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    rank=st.integers(2, 5),
+    n_factors=st.integers(1, 3),
+    v_len=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_class_rep_is_the_step_by_step_shortest_conjugate(rank, n_factors, v_len, seed):
+    # the descent conjugates each image in place and psi's inverse images
+    # are one reduction each; both agree with the former letter-by-letter
+    # descent and with concat, conjugators of up to 40 letters included
+    phi = conjugated_composition(rank, n_factors, v_len, random.Random(seed))
+    assert_class_rep_by_steps(phi)
+
+
 @settings(max_examples=20, deadline=None)
 @given(rank=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
 def test_a_wrong_conjugator_is_an_engine_bug(rank, seed):
     # psi's inverse images are derived from phi's and the conjugator v;
     # with v wrong they do not invert psi, so peeling psi's chain off them
-    # misses the basis letters
+    # misses the basis letters, in every table that reads psi: lengths,
+    # pushforwards and the descent's depth-2 tables
     from stretchfactor import boundary
 
     rng = random.Random(seed)
@@ -1462,6 +1481,8 @@ def test_a_wrong_conjugator_is_an_engine_bug(rank, seed):
             lambda: length_exact(phi),
             lambda: pushforward_table(phi, mu, 2),
             lambda: pushforward_current_value(phi, mu, (1, 2)),
+            lambda: factorize(phi),
+            lambda: descent_step(phi),
         ):
             with pytest.raises(AssertionError, match="do not compose"):
                 run()

@@ -12,7 +12,9 @@ nodes each input spends are pinned, so a wrong translation, a wrong
 pair sum or a drift in the work done fails here, not only in the
 benchmark.  Every input of all three pools is also run and checked the
 way the benchmark checks it, through `perfbench/workloads.py`, with no
-node count pinned.  The pool files are read, never written.
+node count pinned, and every pooled map's shortest conjugate is held to
+the former letter-by-letter descent.  The pool files are read, never
+written.
 """
 
 import importlib
@@ -25,6 +27,8 @@ import pytest
 
 import stretchfactor as sf
 from stretchfactor.words import cyclic_length
+
+from conftest import assert_class_rep_by_steps
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 POOLS = PERFBENCH / "pools"
@@ -169,6 +173,22 @@ def test_pooled_whitehead_answer_and_nodes(entry):
         report = sf.spectrum(entry["rank"], entry["max_factors"], budget=budget)
         assert list(report.values()) == [Fraction(v) for v in entry["expect"]]
     assert budget.spent == WHITEHEAD_SPENT[entry["id"]]
+
+
+@pytest.mark.parametrize("workload", ["length-cold", "currents", "whitehead"])
+def test_every_pooled_class_rep(monkeypatch, workload):
+    # every pooled map's shortest conjugate, conjugator and inverse images
+    # are those of the former letter-by-letter descent
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    maps = 0
+    for entry in workloads.load_pool(workload):
+        prepared = workloads.prepare(sf, entry)
+        if prepared is not None:
+            assert_class_rep_by_steps(prepared[0] if entry["op"] == "eta" else prepared)
+            maps += 1
+    assert maps == {"length-cold": 571, "currents": 288, "whitehead": 190}[workload]
 
 
 @pytest.mark.parametrize("workload", ["length-cold", "currents", "whitehead"])
