@@ -652,21 +652,14 @@ def _shortest_conjugate(images) -> tuple[tuple, list[int]]:
     conjugation; a pass that takes none ends the descent.  At most one
     letter shrinks the cost at a time, since F(c^-1) + F(d^-1) <= k and
     E(c) + E(d) <= k for letters c != d, so v does not depend on the
-    order in which letters are tried.  So while every image is x m x^-1
-    with m nonempty, conjugating by x^-1 is the step taken, and the run
-    of such letters that all images share is stripped at once.  Then the
-    tallies F and E of first and last letters are kept as the images
-    change, and each image is conjugated in place at its two ends, so a
-    letter of v costs O(k), not a copy of every image.  A map that is its
-    own shortest conjugate is returned as tuples of its images' letters.
+    order in which letters are tried.  The tallies F and E of first and
+    last letters are kept as the images change, and each image is
+    conjugated in place at its two ends, so a letter of v costs O(k), not
+    a copy of every image.  A map that is its own shortest conjugate is
+    returned as tuples of its images' letters.
     """
     k = len(images)
-    t, u = 0, images[0]
-    while all(len(w) > 2 * t + 2 and w[t] == u[t] and w[-1 - t] == -u[t] for w in images):
-        t += 1
-    v: list[int] = list(u[:t])
-    if t:
-        images = [w[t : len(w) - t] for w in images]
+    v: list[int] = []
     first = dict.fromkeys(alphabet(k), 0)
     last = dict(first)
     for w in images:
