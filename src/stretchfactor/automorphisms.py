@@ -12,7 +12,9 @@ recomputes and round-trips only the images of the letters it moves, and
 one map is built at the end.  Inner automorphisms and signed
 permutations are inverse pairs by construction, each signed permutation
 is built once per process, and each second-kind move once and verified,
-so the boundary engine always has a certified inverse available.
+so the boundary engine always has a certified inverse available.  Each
+atom of a generator expression is parsed once per process too, cached by
+its rank and text (`_parse_expr_atom`); only the fold runs per expression.
 Every map also factors into atoms of two kinds, elementary
 transvections (the second-kind moves that move one letter on one side)
 and signed permutations, whose preimage families the boundary engine
@@ -788,19 +790,28 @@ def parse_generator_expression(rank: int, text: str) -> Automorphism:
 
     `*` composes left-to-right with the left factor applied last.  Every
     named generator carries its inverse, so no `--inverse` text is needed.
-    Every atom is parsed first; W2 and perm atoms are the cached maps of
-    `_second_kind` and `_signed_permutation`.  The chain is then one fold
+    Every atom is parsed first, and each atom text once per process: the
+    parsed atom is cached by rank and stripped text, and a text that fails
+    to parse is not cached, so it raises again.  W2 and perm atoms are the
+    cached maps of `_second_kind` and `_signed_permutation`, and an inner
+    atom is built once per text.  The chain is then one fold
     (`_fold`): forward images left to right, P_j = P_(j-1) o a_j, inverse
     images right to left, Q_j = Q_(j+1) o a_j^-1, each step recomputing
     only the letters a_j moves and checking each new image through a_j's
     other side, P_j(a_j^-1(x)) = P_(j-1)(x).  By induction the pair is
-    a_1 o ... o a_n and its inverse, with no intermediate map built.  A
-    one-atom expression returns the shared atom itself.
+    a_1 o ... o a_n and its inverse, with no intermediate map built, and
+    every fold step's round trip runs on every call.  A one-atom
+    expression returns the shared atom itself, the same object on every
+    call.
     """
     check_rank(rank)
     return _fold([_parse_expr_atom(rank, t.strip()) for t in text.split("*")])
 
 
+# A few hundred distinct atom texts serve every pooled expression; the bound
+# keeps a long-running caller that parses ever new inner[w] atoms from
+# growing the cache without limit.  Errors propagate and are not cached.
+@functools.lru_cache(maxsize=1024)
 def _parse_expr_atom(rank: int, text: str) -> Automorphism:
     m = _EXPR_ATOM.match(text)
     if not m:

@@ -182,39 +182,85 @@ class MarkovSpec:
     transitions: dict[int, dict[int, Fraction]]
 
     def validate(self) -> None:
+        """Check the spec in integers, raising the first failure found.
+
+        In order: the mass is positive; p covers the alphabet, is
+        nonnegative and sums to 1; each row of P, in turn, covers the
+        alphabet, has P(x, x^-1) = 0, is nonnegative and sums to 1; p is
+        stationary, letter by letter.  The mass and every entry of p and
+        P must be an int or a Fraction (InputError naming the entry).
+        The checks read m p over E and P over D, the lcms of their
+        denominators, as integers (`_integers`): the 2k products m p(x)
+        are the only Fractions formed.
+        """
+        self._integers()
+
+    def _integers(self) -> tuple[int, int, dict[int, int], dict[int, dict[int, int]]]:
+        """(E, D, E m p, D P): the validated spec as integers over its lcms.
+
+        E is the lcm of the denominators of m p(x) over the letters x and D
+        that of the entries of P, so E m p(x) and D P(x, y) are integers;
+        `markov_measure` builds its chain from them.  Each row is first
+        read over the lcm of its own denominators, so that its checks run
+        before a later row is read.
+        """
         letters = alphabet(self.rank)
-        if self.mass <= 0:
+        mass = _exact(self.mass, "mass")
+        if mass <= 0:
             raise NotStochasticError("mass must be positive")
         if set(self.initial) != set(letters):
             raise InputError("initial distribution must cover the alphabet")
-        if any(p < 0 for p in self.initial.values()):
+        start = {x: mass * _exact(self.initial[x], "p", x) for x in letters}
+        e = math.lcm(*(q.denominator for q in start.values()))
+        init = {x: q.numerator * (e // q.denominator) for x, q in start.items()}
+        if any(q < 0 for q in init.values()):
             raise NotStochasticError("initial probabilities must be nonnegative")
-        if sum(self.initial.values()) != 1:
+        # sum m p = E m, which is p summing to 1
+        if sum(init.values()) * mass.denominator != e * mass.numerator:
             raise NotStochasticError("initial probabilities must sum to 1")
+        rows = {}
         for x in letters:
             row = self.transitions.get(x)
             if row is None or set(row) != set(letters):
                 raise InputError(f"transition row of {format_letter(x)} must cover the alphabet")
-            if row[-x] != 0:
+            for y in letters:
+                _exact(row[y], "P", x, y)
+            r = math.lcm(*(q.denominator for q in row.values()))
+            ints = {y: q.numerator * (r // q.denominator) for y, q in row.items()}
+            if ints[-x] != 0:
                 raise ForbiddenTransitionError(
                     f"P({format_letter(x)}, {format_letter(-x)}) must be 0"
                 )
-            if any(q < 0 for q in row.values()):
+            if any(q < 0 for q in ints.values()):
                 raise NotStochasticError("transition probabilities must be nonnegative")
-            if sum(row.values()) != 1:
+            if sum(ints.values()) != r:
                 raise NotStochasticError(
                     f"transition row of {format_letter(x)} must sum to 1"
                 )
+            rows[x] = r, ints
+        d = math.lcm(*(r for r, _ in rows.values()))
+        moves = {x: {y: q * (d // r) for y, q in ints.items()} for x, (r, ints) in rows.items()}
+        # sum_x p(x) P(x, y) = p(y), times E m D
         for y in letters:
-            inflow = sum(self.initial[x] * self.transitions[x][y] for x in letters)
-            if inflow != self.initial[y]:
+            if sum(init[x] * moves[x][y] for x in letters) != d * init[y]:
                 raise NotStationaryError(
                     f"initial distribution is not stationary at {format_letter(y)}"
                 )
+        return e, d, init, moves
+
+
+def _exact(q, field: str, *letters: int):
+    """q itself if it is an int or a Fraction; otherwise InputError naming the entry."""
+    if type(q) is not int and not isinstance(q, Fraction):
+        name = f"{field}({', '.join(map(format_letter, letters))})" if letters else field
+        raise InputError(
+            f"markov spec {name} must be an integer or a fraction, not {type(q).__name__} {q!r}"
+        )
+    return q
 
 
 def markov_measure(spec: MarkovSpec) -> FrequencyMeasure:
-    spec.validate()
+    e, d, start, moves = spec._integers()
 
     def evaluate(w: Word) -> Fraction:
         q = spec.mass * spec.initial[w[0]]
@@ -225,12 +271,8 @@ def markov_measure(spec: MarkovSpec) -> FrequencyMeasure:
     # one state per letter: init[x] = {x: E m p(x)}, step[x] = {(y, x): D P(y, x)},
     # E and D the lcm of the denominators of m p and of P
     letters = alphabet(spec.rank)
-    start = {x: spec.mass * spec.initial[x] for x in letters}
-    moves = spec.transitions
-    e = math.lcm(*(q.denominator for q in start.values()))
-    d = math.lcm(*(moves[y][x].denominator for y in letters for x in letters))
-    init = {x: ({x: int(e * q)} if q else {}) for x, q in start.items()}
-    step = {x: {(y, x): int(d * moves[y][x]) for y in letters if moves[y][x]} for x in letters}
+    init = {x: ({x: q} if q else {}) for x, q in start.items()}
+    step = {x: {(y, x): moves[y][x] for y in letters if moves[y][x]} for x in letters}
     return FrequencyMeasure(
         rank=spec.rank, kind="markov", mass=spec.mass, _eval=evaluate,
         chain=(e, d, init, step), label="markov",

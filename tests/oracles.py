@@ -43,20 +43,30 @@ reference for the shortest-conjugate descent.
 `spectrum_by_lengths` is the former spectrum: it builds every map of the
 ball with `compose` and measures each class with `length_exact`; it is
 the reference for the spectrum read off its parents' depth-2 tables.
-`compose_by_atoms` is the former expression parser, which composes the
-atoms one at a time with `compose`, building and certifying every
-intermediate map; it is the reference for the one-fold parser.
+`compose_by_atoms` is the former expression parser, which parses every
+atom afresh, with no cache, and composes the atoms one at a time with
+`compose`, building and certifying every intermediate map; it is the
+reference for the one-fold parser and its atom cache.
+`validate_by_fractions` is the former `MarkovSpec.validate`, which sums
+and multiplies Fractions; it is the reference for the integer checks.
+`markov_chain_by_fractions` is the former construction of a Markov
+measure's chain from Fractions; it is the reference for the chain built
+from the validated integers.
 `is_prefix` and `dump_markov_spec` are helpers only tests need: a prefix
 test on words, and the JSON text `load_markov_spec` reads.
 """
 
 import json
+import math
 from fractions import Fraction
 from typing import Optional
 
 from stretchfactor import (
     DescentStuckError,
+    ForbiddenTransitionError,
     InputError,
+    NotStationaryError,
+    NotStochasticError,
     PartitionCache,
     SignedPermutation,
     SpectrumReport,
@@ -93,9 +103,55 @@ def compose_by_atoms(rank, text):
     """The generator expression `text`, composed one atom at a time."""
     result = None
     for part in text.split("*"):
-        atom = _parse_expr_atom(rank, part.strip())
+        # the uncached parser, so that the oracle shares no atom with the engine
+        atom = _parse_expr_atom.__wrapped__(rank, part.strip())
         result = atom if result is None else compose(result, atom)
     return result
+
+
+def validate_by_fractions(spec):
+    """The checks of `MarkovSpec.validate`, in Fractions, in its order."""
+    letters = alphabet(spec.rank)
+    if spec.mass <= 0:
+        raise NotStochasticError("mass must be positive")
+    if set(spec.initial) != set(letters):
+        raise InputError("initial distribution must cover the alphabet")
+    if any(p < 0 for p in spec.initial.values()):
+        raise NotStochasticError("initial probabilities must be nonnegative")
+    if sum(spec.initial.values()) != 1:
+        raise NotStochasticError("initial probabilities must sum to 1")
+    for x in letters:
+        row = spec.transitions.get(x)
+        if row is None or set(row) != set(letters):
+            raise InputError(f"transition row of {format_letter(x)} must cover the alphabet")
+        if row[-x] != 0:
+            raise ForbiddenTransitionError(
+                f"P({format_letter(x)}, {format_letter(-x)}) must be 0"
+            )
+        if any(q < 0 for q in row.values()):
+            raise NotStochasticError("transition probabilities must be nonnegative")
+        if sum(row.values()) != 1:
+            raise NotStochasticError(
+                f"transition row of {format_letter(x)} must sum to 1"
+            )
+    for y in letters:
+        inflow = sum(spec.initial[x] * spec.transitions[x][y] for x in letters)
+        if inflow != spec.initial[y]:
+            raise NotStationaryError(
+                f"initial distribution is not stationary at {format_letter(y)}"
+            )
+
+
+def markov_chain_by_fractions(spec):
+    """(E, D, init, step) of a valid spec's Markov measure, read off its Fractions."""
+    letters = alphabet(spec.rank)
+    start = {x: spec.mass * spec.initial[x] for x in letters}
+    moves = spec.transitions
+    e = math.lcm(*(q.denominator for q in start.values()))
+    d = math.lcm(*(moves[y][x].denominator for y in letters for x in letters))
+    init = {x: ({x: int(e * q)} if q else {}) for x, q in start.items()}
+    step = {x: {(y, x): int(d * moves[y][x]) for y in letters if moves[y][x]} for x in letters}
+    return e, d, init, step
 
 
 def is_prefix(u, v):

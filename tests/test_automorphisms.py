@@ -30,7 +30,7 @@ from stretchfactor import (
     parse_word,
     random_reduced,
 )
-from stretchfactor.automorphisms import _certify
+from stretchfactor.automorphisms import _certify, _parse_expr_atom
 from stretchfactor.boundary import _depth1_family, _pair_mass
 from stretchfactor.measures import uniform_measure
 from stretchfactor.words import free_reduce, inverse
@@ -275,6 +275,45 @@ def test_a_one_atom_expression_is_the_shared_atom():
     assert phi is move and phi.factors is factors
     swap = SignedPermutation(2, (-2, 1)).automorphism()
     assert parse_generator_expression(2, "perm[a->B, b->a]") is swap
+    # an inner atom is built once per (rank, stripped text)
+    conjugation = parse_generator_expression(3, "inner[aB]")
+    assert parse_generator_expression(3, " inner[aB] ") is conjugation
+    assert conjugation == inner(3, w("aB"))
+    assert parse_generator_expression(2, "inner[aB]") != conjugation
+
+
+def _pooled_atoms():
+    atoms = set()
+    for workload in ("length-cold", "currents", "whitehead"):
+        with open(POOLS / f"{workload}.json", encoding="utf-8") as fh:
+            entries = json.load(fh)["entries"]
+        for e in entries:
+            if "map" in e and "inverse" not in e:
+                atoms.update((e["rank"], t.strip()) for t in e["map"].split("*"))
+    return sorted(atoms)
+
+
+def test_every_pooled_atom_is_cached_as_it_parses():
+    atoms = _pooled_atoms()
+    assert len(atoms) == 241
+    for rank, text in atoms:
+        cached, fresh = _parse_expr_atom(rank, text), _parse_expr_atom.__wrapped__(rank, text)
+        assert (cached.fwd, cached.bwd) == (fresh.fwd, fresh.bwd), text
+        assert _parse_expr_atom(rank, text) is cached, text
+
+
+@pytest.mark.parametrize("text", ["inner[ac]", "W2[a; b:UP]", "perm[a->b]", "W3[a]"])
+def test_a_bad_atom_raises_on_every_call(text):
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InputError) as err:
+            parse_generator_expression(2, text)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_the_atom_cache_is_bounded():
+    assert 0 < _parse_expr_atom.cache_info().maxsize < 1 << 16
 
 
 @given(st.integers(2, 4), st.integers(0, 2**32))

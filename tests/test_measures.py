@@ -1,11 +1,16 @@
+import json
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stretchfactor import (
     ComparableCylindersError,
     ForbiddenTransitionError,
+    InputError,
     MarkovSpec,
     NotCyclicallyReducedError,
     NotStationaryError,
@@ -25,8 +30,10 @@ from stretchfactor import (
 from stretchfactor.measures import frac_str
 from stretchfactor.words import all_words, alphabet
 
-from conftest import sample_measures
-from oracles import dump_markov_spec
+from conftest import doubly_stochastic_markov, reversible_markov, sample_measures
+from oracles import dump_markov_spec, markov_chain_by_fractions, validate_by_fractions
+
+POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "pools"
 
 
 def w(text):
@@ -142,6 +149,96 @@ def test_markov_validation_errors():
     short_rows[1][2] = F(0)
     with pytest.raises(NotStochasticError):
         MarkovSpec(2, F(1), spec.initial, short_rows).validate()
+
+
+@pytest.mark.parametrize("field", ["mass", "p", "P"])
+def test_a_float_entry_is_input_error_naming_it(field):
+    spec = uniform_as_markov(2)
+    mass, p = spec.mass, dict(spec.initial)
+    rows = {x: dict(r) for x, r in spec.transitions.items()}
+    if field == "mass":
+        mass, name = 1.0, "mass"
+    elif field == "p":
+        p[2], name = 0.25, "p(b)"
+    else:
+        rows[-1][2], name = 1 / 3, "P(A, b)"
+    bad = MarkovSpec(2, mass, p, rows)
+    for check in (bad.validate, lambda: markov_measure(bad)):
+        with pytest.raises(InputError, match=rf"markov spec {re.escape(name)} must be .* not float"):
+            check()
+
+
+def _outcome(check, spec):
+    try:
+        check(spec)
+    except Exception as e:  # the two validators must fail alike
+        return type(e), str(e)
+    return None
+
+
+_FRACTIONS = st.fractions(min_value=-1, max_value=2, max_denominator=12)
+
+
+@given(
+    st.integers(2, 4),
+    st.integers(0, 2),
+    st.integers(0, 2**32),
+    st.sampled_from([
+        "mass", "p", "P", "P(x, x^-1)", "p moved", "P moved", "missing p", "missing P",
+        "missing row",
+    ]),
+    _FRACTIONS,
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_checks_fail_as_the_fraction_checks(rank, kind, seed, field, value):
+    rng = random.Random(seed)
+    spec = [
+        lambda: uniform_as_markov(rank),
+        lambda: reversible_markov(rank, rng, F(3, 2)),
+        lambda: doubly_stochastic_markov(rank, rng),
+    ][kind]()
+    letters = alphabet(rank)
+    mass, p = spec.mass, dict(spec.initial)
+    rows = {x: dict(r) for x, r in spec.transitions.items()}
+    x, y, z = rng.choice(letters), rng.choice(letters), rng.choice(letters)
+    # "moved" takes up to the smaller entry from one entry to the other,
+    # keeping the sum and the signs
+    if field == "mass":
+        mass = value
+    elif field == "p":
+        p[x] = value
+    elif field == "P":
+        rows[x][y] = value
+    elif field == "P(x, x^-1)":
+        rows[x][-x] = value
+    elif field == "p moved":
+        shift = value * min(p[y], p[z]) / 2
+        p[y], p[z] = p[y] + shift, p[z] - shift
+    elif field == "P moved":
+        shift = value * min(rows[x][y], rows[x][z]) / 2
+        rows[x][y], rows[x][z] = rows[x][y] + shift, rows[x][z] - shift
+    elif field == "missing p":
+        del p[x]
+    elif field == "missing P":
+        del rows[x][y]
+    else:
+        del rows[x]
+    perturbed = MarkovSpec(rank, mass, p, rows)
+    assert _outcome(MarkovSpec.validate, perturbed) == _outcome(validate_by_fractions, perturbed)
+
+
+def _pooled_markov_specs():
+    with open(POOLS / "currents.json", encoding="utf-8") as fh:
+        entries = json.load(fh)["entries"]
+    texts = {e["measure"] for e in entries if e["measure"].startswith("markov:")}
+    return [load_markov_spec(t[len("markov:"):]) for t in sorted(texts)]
+
+
+def test_the_chain_is_built_as_from_fractions():
+    specs = _pooled_markov_specs()
+    assert len(specs) == 96
+    for spec in specs + [uniform_as_markov(k) for k in (2, 3, 4)]:
+        assert markov_measure(spec).chain == markov_chain_by_fractions(spec)
 
 
 def test_biased_stationary_markov_consistent():
