@@ -74,10 +74,12 @@ Six facts drive the computation:
   walk makes one product per pair of first letter and colour, where
   the telescoped walk makes one per part, so depth 1 keeps the latter.
   A chain with one state (the uniform measure, a one-letter rational
-  measure) has rows and columns of one entry, and its depth-1 walk
-  carries them as integers.  The chain selects that walk: every length
-  reads the uniform measure, and few other measures have one state.
-  The walk for several states stays the reference.
+  measure) has rows and columns of one entry, and both of its walks, the
+  telescoped one and the tiling's, carry them as integers.  The chain
+  selects those walks: every length, and every depth-2 table that
+  descent and the spectrum score moves from, reads the uniform measure,
+  and few other measures have one state.  The walks for several states
+  stay the reference.
 
 * Class invariance.  Inner automorphisms act trivially on currents
   (Kapovich, as above), so pushforward tables and current values, and
@@ -124,6 +126,7 @@ from .errors import InputError, ResourceLimitError
 from .measures import FrequencyMeasure, uniform_measure
 from .words import (
     Word,
+    _unchecked_word,
     alphabet,
     all_words,
     as_word,
@@ -679,14 +682,15 @@ def _scaling(mu: FrequencyMeasure, h: int) -> tuple:
     """(den, power, ends, weigh, whole): the scaling both pair walks share.
 
     h is the longest cell of the parts, which the caller knows: the
-    one-state walk reads it off the nodes it lists, the others take
-    `CylinderPartition.height`.  Rows carry D^(h-|w1|) and columns
+    one-state walks read it off the nodes they list, the generic walks
+    take `CylinderPartition.height`.  Rows carry D^(h-|w1|) and columns
     D^(h-|w2|), so a pair splitting at depth d counts E D^(2h-2d-1) times
     its mass, and power[2d] = D^(2d) brings it to the common denominator
     den = E D^(2h-1).  ends[x], step[x] times the all-ones column, is the
     column of a cell's last letter x; the measure read it off its chain
-    once.  A one-state chain's depth-1 walk scales the same way, with
-    rows and columns of one integer (`_pair_mass`).  A cell of length n
+    once.  A one-state chain's walks scale the same way, with rows and
+    columns of one integer (`_one_state_pair_mass`,
+    `_one_state_cross_mass`).  A cell of length n
     weighs weigh[h-n], its uniform mass in units of 1 / (2k (2k-1)^h),
     and the boundary weighs whole: a walk whose cells weigh otherwise
     lost or doubled a cell, and raises AssertionError (`_check_tiling`).
@@ -853,7 +857,15 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
     top-down, each child after its parent, and sums them bottom-up in
     reverse.  Comparable cells raise AssertionError, and so do cells
     whose uniform masses do not sum to one.
+
+    A one-state chain selects its integer form (`_one_state_cross_mass`),
+    as it does at depth 1: every table of the uniform measure takes it,
+    so every class step of `factorize` and `spectrum` does.  The walk
+    below is the one for every other chain, and the reference the tests
+    hold the integer walk to.
     """
+    if mu.scalars is not None:
+        return _one_state_cross_mass(mu, parts)
     h = max(p.height for p in parts.values())
     den, power, ends, weigh, whole = _scaling(mu, h)
     init, step = mu.chain[2:]
@@ -906,6 +918,88 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
                 if g != c[0]:
                     psame[g, c] = psame.get((g, c), 0) + _dot(r, v)
     return den, {Word((-a,) + v): q for (a, v), q in num.items()}
+
+
+def _one_state_cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
+    """`_cross_mass` for a one-state chain.
+
+    The same node list, scaling and checks, with each group's row and
+    each colour's column one integer: a leaf x adds init[x^-1] to its
+    group's row and ends[x] to its colour's column, and an edge x
+    multiplies them by step[x^-1] and step[x] (`FrequencyMeasure.scalars`).
+    The nodes are listed with their leaves' sums unscaled, so h, the
+    longest cell, is read off the list, as in `_one_state_pair_mass`;
+    one pass then scales the leaves and weighs them.  The pairs split at
+    a node of depth d are D^(2d) R[g] C[c] less, for each child x,
+    D^(2d) step[x^-1] step[x] times the child's own products.  Summed
+    over the tiling, each node's products therefore count once, times
+    D^(2d) less D^(2d-2) step[x^-1] step[x] for the edge x from its
+    parent, and no products within a child are kept.  A key (a^-1,) + v
+    with a != v1 is reduced as it is built.
+    """
+    init, ends, step = mu.scalars
+    m = len(commonprefix([p.stem for p in parts.values() if p.trie]))
+    # nodes[i] = (parent, letter from it, depth, [(colour, node) below one
+    # path]); its sums are [rows, cols, count] of its leaves, unscaled
+    # until h is known
+    nodes = [(-1, 0, m, [(v, p.root(m)) for v, p in parts.items() if p.trie])]
+    sums: list = []
+    h = 0
+    for i, (_, _, depth, node) in enumerate(nodes):
+        by_letter: dict = {}
+        for c, child in node:
+            for x, grand in child.items():
+                by_letter.setdefault(x, []).append((c, grand))
+        rows, cols = {}, {}
+        n = 0
+        for x, entries in by_letter.items():
+            if len(entries) > 1:
+                if any(type(grand) is not dict for _, grand in entries):
+                    raise AssertionError("comparable cylinders across the parts")
+                nodes.append((i, x, depth + 1, entries))
+            elif type(entries[0][1]) is not dict:
+                c = entries[0][0]
+                rows[c[0]] = rows.get(c[0], 0) + init[-x]
+                cols[c] = cols.get(c, 0) + ends[x]
+                n += 1
+            # a colour alone with a subtree is in no tiling: its cells go
+            # uncounted, and the weights fall short
+        if n and depth >= h:
+            h = depth + 1
+        sums.append([rows, cols, n])
+    den, power, _, weigh, whole = _scaling(mu, h)
+    weight = 0
+    for (_, _, depth, _), (rows, cols, n) in zip(nodes, sums):
+        if n:
+            leaf = power[h - depth - 1]
+            for g in rows:
+                rows[g] *= leaf
+            for c in cols:
+                cols[c] *= leaf
+            weight += n * weigh[h - depth - 1]
+    _check_tiling(weight, whole)
+    letters = alphabet(mu.rank)
+    num = {v: {a: 0 for a in letters if a != v[0]} for v in parts}
+    for i in range(len(nodes) - 1, -1, -1):
+        parent, x, depth, _ = nodes[i]
+        rows, cols, _ = sums[i]
+        scale = power[2 * depth]
+        if parent >= 0:
+            up, down = step[-x], step[x]
+            scale -= power[2 * depth - 2] * up * down
+            prows, pcols, _ = sums[parent]
+            for g, r in rows.items():
+                prows[g] = prows.get(g, 0) + r * up
+            for c, v in cols.items():
+                pcols[c] = pcols.get(c, 0) + v * down
+        for c, v in cols.items():
+            into, first, v = num[c], c[0], v * scale
+            for g, r in rows.items():
+                if g != first:
+                    into[g] += r * v
+    return den, {
+        _unchecked_word((-a,) + v): q for v, into in num.items() for a, q in into.items()
+    }
 
 
 # Vectors are dicts state -> int, matrices dicts (from, to) -> int.

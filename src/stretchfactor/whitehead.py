@@ -70,7 +70,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .automorphisms import (
     Automorphism,
@@ -203,8 +204,11 @@ def _expand(
 ) -> tuple[int, int, list[tuple[int, WhiteheadSecondKind]]]:
     """(D, D L(phi), `_cut_scores`) of phi's depth-2 table: one class step.
 
-    The table is psi's, whose chain the budget counts.  One that does not
-    sum to `expected`, the value the parent's cut gave, is an engine bug.
+    The table is psi's, whose chain the budget counts.  It is the uniform
+    measure's, whose one state selects the integer walk of the families
+    (`boundary._one_state_cross_mass`), and the cut scores read it in
+    integers too.  A table that does not sum to `expected`, the value the
+    parent's cut gave, is an engine bug.
     """
     den, num = _table(auto, uniform_measure(auto.rank), 2, budget, cache)
     total, scores = _cut_scores(auto.rank, num)
@@ -244,12 +248,14 @@ def _cut_scores(
 
     `num` holds D nu(v) for every cylinder v of length 1 and 2, for one
     common denominator D, as `boundary._table` returns it, so every move
-    is scored by integer sums of the cut formula.
+    is scored by integer sums of the cut formula.  Each move reads its
+    cancelling turns through one getter (`_cut_terms`), with no lookup
+    per turn in Python.
     """
     ones = [num[(x,)] for x in alphabet(rank)]
     scores = [
-        (sum(map(mul, ones, lengths)) - 2 * sum(num[t] for t in turns), tau)
-        for tau, lengths, turns in _move_data(rank)
+        (sum(map(mul, ones, lengths)) - 2 * sum(turns(num)), tau)
+        for tau, lengths, turns in _cut_terms(rank)
     ]
     return sum(ones), scores
 
@@ -259,7 +265,11 @@ def _move_data(rank: int) -> tuple:
     """(tau, |tau(x)| per letter x, cancelling turns xy) per non-identity move.
 
     Built from the moves' letter images on first use at each rank, in
-    canonical move order.
+    canonical move order.  Every move cancels at two turns or more: a
+    letter x that it sends to a^-1 x cancels at the turns a x and
+    x^-1 a^-1, and one that it sends to x a at x a^-1 and a x^-1.  A move
+    with fewer, or with a seam that cancels two letters, raises
+    AssertionError.
     """
     letters = alphabet(rank)
     out = []
@@ -279,8 +289,20 @@ def _move_data(rank: int) -> tuple:
                     )
                 if c:
                     turns.append((x, y))
+        if len(turns) < 2:
+            raise AssertionError(f"{tau.label()} cancels at {len(turns)} turns")
         out.append((tau, tuple(map(len, images)), tuple(turns)))
     return tuple(out)
+
+
+@functools.cache
+def _cut_terms(rank: int) -> tuple:
+    """`_move_data` with each move's turns read by one `operator.itemgetter`,
+    built once per rank.  A getter of two or more keys returns a tuple,
+    which `_move_data` makes sure of."""
+    return tuple(
+        (tau, lengths, itemgetter(*turns)) for tau, lengths, turns in _move_data(rank)
+    )
 
 
 def canonical_out_key(auto: Automorphism) -> tuple[Word, ...]:
@@ -339,12 +361,6 @@ def spectrum(
     if max_factors < 1:
         raise InputError("max_factors must be at least 1")
     budget, cache = _resolve(budget, cache)
-    # each signed permutation with its letter map; its score is the base's,
-    # and its class is not expanded (docstring)
-    perms = [
-        (g, None, {s * x: s * y for x, (y,) in enumerate(g.fwd, 1) for s in (1, -1)})
-        for g in enumerate_signed_permutations(rank)
-    ]
     root = identity(rank)
     plateau = _plateau(root.fwd)
     key = _class_key(plateau)
@@ -356,9 +372,12 @@ def spectrum(
         for base, t, plateau in sources:
             den, total, scores = _expand(base, classes[t], budget, cache)
             # identity-typed moves are the identity map and are not scored;
-            # the identity permutation already stands for them
+            # the identity permutation already stands for them.  A signed
+            # permutation is read as its letter map, its score is the
+            # base's, and its class is not expanded (docstring)
             moves = [(tau.automorphism(), score, None) for score, tau in scores]
-            for g, score, letters in moves + perms:
+            moves += [(None, total, letters) for letters in _permutation_letters(rank)]
+            for g, score, letters in moves:
                 if letters is None:
                     psi = _shortest_conjugate([_substitute(g.fwd, w) for w in t])[0]
                     if psi in met:
@@ -367,7 +386,7 @@ def spectrum(
                 else:
                     if _relabelled(letters, t) in met:
                         continue
-                    new, score = {_relabelled(letters, u) for u in plateau}, total
+                    new = {_relabelled(letters, u) for u in plateau}
                 key = _class_key(new)
                 met.update(new)
                 classes[key] = Fraction(score, den)
@@ -389,7 +408,18 @@ def spectrum(
     )
 
 
-def _relabelled(letters: dict[int, int], images: tuple) -> tuple:
+@functools.cache
+def _permutation_letters(rank: int) -> tuple[Mapping[int, int], ...]:
+    """The letter map x -> sigma(x) of each signed permutation sigma, in
+    `enumerate_signed_permutations` order, built once per rank and shared
+    read-only."""
+    return tuple(
+        MappingProxyType({s * x: s * y for x, (y,) in enumerate(g.fwd, 1) for s in (1, -1)})
+        for g in enumerate_signed_permutations(rank)
+    )
+
+
+def _relabelled(letters: Mapping[int, int], images: tuple) -> tuple:
     return tuple(tuple(map(letters.__getitem__, w)) for w in images)
 
 

@@ -30,9 +30,12 @@ for the canonical tries that partitions now keep.
 formula from preimage partitions and `mu.eval` alone, with no pair sums.
 `descent_step_by_lengths` is the former descent step: it builds every
 candidate move's composite and measures it; it is the reference for the
-cut-formula scoring.  `normalize_by_costs` is the former conjugation
-normal form, which rebuilds and re-measures the image tuple for every
-letter at every step; it is the reference for the tally-driven one.
+cut-formula scoring.  `cut_scores_by_turns` is the former `_cut_scores`,
+which sums each move's turns through a generator of lookups; it is the
+reference for the one getter per move.  `normalize_by_costs` is the
+former conjugation normal form, which rebuilds and re-measures the image
+tuple for every letter at every step; it is the reference for the
+tally-driven one.
 `shortest_conjugate_by_steps` is the former shortest-conjugate descent,
 which rebuilds every image and recounts the first and last letters after
 each letter of the conjugator; it is the reference for the descent that
@@ -59,6 +62,7 @@ test on words, and the JSON text `load_markov_spec` reads.
 import json
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from stretchfactor import (
@@ -84,6 +88,7 @@ from stretchfactor import (
 from stretchfactor.automorphisms import _parse_expr_atom
 from stretchfactor.boundary import CylinderPartition, _resolve
 from stretchfactor.measures import frac_str
+from stretchfactor.whitehead import _move_data
 from stretchfactor.words import (
     all_words,
     alphabet,
@@ -493,6 +498,17 @@ def descent_step_by_lengths(auto, *, budget=None, cache=None):
         f"no second-kind move decreases L = {frac_str(base)} for the "
         f"non-simple map {auto.key()!r}"
     )
+
+
+def cut_scores_by_turns(rank, num):
+    """(D ||nu||, [(D ||tau_* nu||, tau) for each non-identity move]), each
+    move's turns summed one lookup at a time."""
+    ones = [num[(x,)] for x in alphabet(rank)]
+    scores = [
+        (sum(map(mul, ones, lengths)) - 2 * sum(num[t] for t in turns), tau)
+        for tau, lengths, turns in _move_data(rank)
+    ]
+    return sum(ones), scores
 
 
 def _tuple_sort_key(images):

@@ -39,11 +39,18 @@ from stretchfactor.boundary import (
     _family_from_factors,
     _graft,
     _merge,
+    _one_state_cross_mass,
+    _one_state_pair_mass,
     _pair_mass,
     _subtract,
     _table,
 )
-from stretchfactor.measures import markov_measure, rational_measure, uniform_as_markov
+from stretchfactor.measures import (
+    FrequencyMeasure,
+    markov_measure,
+    rational_measure,
+    uniform_as_markov,
+)
 from stretchfactor.selftest import _random_prefix_free
 from stretchfactor.words import (
     all_words,
@@ -792,32 +799,86 @@ def test_one_state_walk_matches_the_generic_walk_on_a_3000_letter_tiling():
     assert _pair_mass(uniform_measure(2), parts) == _pair_mass(generic, parts)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    rank=st.integers(2, 4),
+    n_factors=st.integers(1, 5),
+    depth=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_state_cross_walk_matches_the_generic_walk(rank, n_factors, depth, seed):
+    # a depth-n table walks the preimages of the words of length n - 1;
+    # the uniform measure walks them in integers, uniform-as-Markov one
+    # state per letter, and both give the same (D, num).  The uniform
+    # chain's weights are all 1, so a one-state chain of random weights
+    # is held to its twin with a second state that nothing enters.
+    rng = random.Random(seed)
+    auto = random_composition(rank, n_factors, rng)
+    cache = PartitionCache()
+    parts = {v: preimage_partition(auto, v, cache=cache) for v in all_words(depth - 1, rank)}
+    generic = markov_measure(uniform_as_markov(rank))
+    assert _cross_mass(uniform_measure(rank), parts) == _cross_mass(generic, parts)
+    one_state, twin = _weighted_chain_and_twin(rank, rng)
+    assert one_state.scalars is not None and twin.scalars is None
+    assert _cross_mass(one_state, parts) == _cross_mass(twin, parts)
+
+
+def _weighted_chain_and_twin(rank, rng):
+    """A one-state chain of random weights, and the same chain with a dead
+    second state: the two walks sum one formula over it, measure or not."""
+    letters = alphabet(rank)
+    e, d = rng.randint(1, 9), rng.randint(1, 9)
+    init = {x: rng.randint(0, 9) for x in letters}
+    step = {x: rng.randint(0, 9) for x in letters}
+
+    def chain(dead):
+        rows = {x: {0: q, **({1: 0} if dead else {})} for x, q in init.items()}
+        mats = {x: {(0, 0): q, **({(1, 1): 0} if dead else {})} for x, q in step.items()}
+        return FrequencyMeasure(rank, "markov", F(1), None, (e, d, rows, mats), "weighted")
+
+    return chain(False), chain(True)
+
+
+def test_one_state_cross_walk_matches_the_generic_walk_on_a_3000_letter_tiling():
+    parts, _ = _spine_tiling(3000)
+    generic = markov_measure(uniform_as_markov(2))
+    assert _cross_mass(uniform_measure(2), parts) == _cross_mass(generic, parts)
+
+
 def test_the_chain_selects_the_one_state_walk(monkeypatch):
     # uniform and one-letter rational measures have one state; the Markov
     # measures and a longer rational word have one state per letter or
-    # per position, and take the generic walk
+    # per position, and take the generic walk.  So it goes for the
+    # depth-1 walk of the families and for the cross walk of the depth-2
+    # preimages, which a depth-3 table takes.
     from stretchfactor import boundary
 
     calls = []
-    walk = boundary._one_state_pair_mass
 
-    def counted(mu, *args):
-        calls.append(mu.label)
-        return walk(mu, *args)
+    def counted(integer_walk):
+        def walk(mu, *args):
+            calls.append(mu.label)
+            return integer_walk(mu, *args)
 
-    monkeypatch.setattr(boundary, "_one_state_pair_mass", counted)
+        return walk
+
+    for name in ("_one_state_pair_mass", "_one_state_cross_mass"):
+        monkeypatch.setattr(boundary, name, counted(getattr(boundary, name)))
     rng = random.Random(11)
     auto = random_composition(3, 3, rng)
-    fam = {a: preimage_partition(auto, (a,), cache=PartitionCache()) for a in alphabet(3)}
-    uniform, as_markov, markov, one_letter, word = sample_measures(3, rng)
-    for mu in (uniform, one_letter):
-        del calls[:]
-        _pair_mass(mu, fam)
-        assert calls == [mu.label]
-    for mu in (as_markov, markov, word):
-        del calls[:]
-        _pair_mass(mu, fam)
-        assert calls == [], mu.label
+    cache = PartitionCache()
+    measures = sample_measures(3, rng)
+    for walk, depth in ((_pair_mass, 1), (_cross_mass, 2)):
+        parts = {v: preimage_partition(auto, v, cache=cache) for v in all_words(depth, 3)}
+        uniform, as_markov, markov, one_letter, word = measures
+        for mu in (uniform, one_letter):
+            del calls[:]
+            walk(mu, parts)
+            assert calls == [mu.label], walk.__name__
+        for mu in (as_markov, markov, word):
+            del calls[:]
+            walk(mu, parts)
+            assert calls == [], (walk.__name__, mu.label)
 
 
 def test_pair_mass_of_empty_or_comparable_families():
@@ -1299,11 +1360,16 @@ def test_deep_tables_count_the_image_of_a_rational_word(rank, seed):
 def test_cross_walk_rejects_a_broken_tiling():
     # the walk takes the preimages one level below a depth-3 table; a
     # cell inside another colour's is comparable, and a lost colour
-    # leaves cells whose uniform masses do not sum to one
+    # leaves cells whose uniform masses do not sum to one.  The uniform
+    # measure takes the integer walk, uniform-as-Markov the generic one.
+    for mu in (uniform_measure(2), markov_measure(uniform_as_markov(2))):
+        _assert_cross_walk_rejects_broken_tilings(mu)
+
+
+def _assert_cross_walk_rejects_broken_tilings(mu):
     auto = parse_generator_expression(2, "W2[a; b:CONJ] * inner[ab] * W2[b; a:LEFT]")
     cache = PartitionCache()
     parts = {v: preimage_partition(auto, v, cache=cache) for v in all_words(2, 2)}
-    mu = uniform_measure(2)
     den, num = _cross_mass(mu, parts)
     assert {v: F(q, den) for v, q in num.items()} == {
         v: q for v, q in pushforward_table(auto, mu, 3).items() if len(v) == 3
@@ -1317,6 +1383,11 @@ def test_cross_walk_rejects_a_broken_tiling():
         _cross_mass(mu, broken)
     with pytest.raises(AssertionError, match="tile"):
         _cross_mass(mu, {v: p for v, p in parts.items() if v != other})
+    # one colour alone, or nothing, tiles nothing either
+    with pytest.raises(AssertionError, match="tile"):
+        _cross_mass(mu, {first: parts[first]})
+    with pytest.raises(AssertionError, match="tile"):
+        _cross_mass(mu, {first: CylinderPartition(2, (), {})})
 
 
 def _spine_tiling(n):
@@ -1375,7 +1446,11 @@ def test_pair_mass_of_a_3000_letter_tiling():
         assert {v: F(q, den) for v, q in num.items()} == expected, mu.label
 
 
-@pytest.mark.parametrize("walk", [_pair_mass, _cross_mass], ids=lambda walk: walk.__name__)
+@pytest.mark.parametrize(
+    "walk",
+    [_pair_mass, _one_state_pair_mass, _cross_mass, _one_state_cross_mass],
+    ids=lambda walk: walk.__name__,
+)
 def test_pair_walks_do_not_recurse(walk):
     # each walk keeps its own stack: it does not call itself, and the only
     # code nested in it is comprehensions, which cannot

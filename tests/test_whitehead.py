@@ -31,11 +31,16 @@ from stretchfactor import (
 )
 from stretchfactor.automorphisms import SignedPermutation, _plateau
 from stretchfactor.boundary import _table
-from stretchfactor.whitehead import _cut_scores, _expand, _move_data
-from stretchfactor.words import alphabet, random_reduced
+from stretchfactor.whitehead import _cut_scores, _cut_terms, _expand, _move_data
+from stretchfactor.words import all_words, alphabet, random_reduced
 
 from conftest import conjugated_composition, random_composition, sample_measures
-from oracles import descent_step_by_lengths, normalize_by_costs, spectrum_by_lengths
+from oracles import (
+    cut_scores_by_turns,
+    descent_step_by_lengths,
+    normalize_by_costs,
+    spectrum_by_lengths,
+)
 
 POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "pools"
 
@@ -411,6 +416,36 @@ def test_move_data_seams_cancel_one_letter():
             for x, y in turns:
                 u, v = phi.letter_image(x), phi.letter_image(y)
                 assert y != -x and u[-1] == -v[0] == tau.multiplier
+
+
+def test_every_move_cancels_at_two_turns_or_more():
+    # so each move's getter returns a tuple of its turns' entries
+    for rank in range(2, 7):
+        assert all(len(turns) >= 2 for _, _, turns in _move_data(rank)), rank
+    turns = [(x, y) for x in alphabet(4) for y in alphabet(4)]
+    num = dict(zip(turns, range(len(turns))))
+    for (_, _, turns), (_, _, getter) in zip(_move_data(4), _cut_terms(4)):
+        assert getter(num) == tuple(num[t] for t in turns)
+
+
+def test_a_move_with_fewer_than_two_turns_is_an_engine_bug(monkeypatch):
+    # a getter of one key would return the entry, not a tuple of it; the
+    # first move is made to cancel at one turn only
+    seams = iter([1])
+    monkeypatch.setattr(whitehead_module, "cancellation", lambda u, v: next(seams, 0))
+    with pytest.raises(AssertionError, match="cancels at 1 turns"):
+        _move_data.__wrapped__(2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rank=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_cut_scores_match_the_turn_by_turn_sums(rank, seed):
+    # any integers will do for the cut formula's sums: the same total,
+    # and the same scores in the same move order
+    rng = random.Random(seed)
+    bound = 10 ** rng.randint(1, 40)
+    num = {v: rng.randint(-bound, bound) for n in (1, 2) for v in all_words(n, rank)}
+    assert _cut_scores(rank, num) == cut_scores_by_turns(rank, num)
 
 
 @settings(max_examples=12, deadline=None)
