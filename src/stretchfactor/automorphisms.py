@@ -706,7 +706,12 @@ def _plateau(images) -> set[tuple]:
     sigma keeps lengths and sends conjugates to conjugates, so the
     plateau of sigma o phi is sigma applied letter by letter to phi's.
     """
-    current = _shortest_conjugate(images)[0]
+    return _plateau_around(_shortest_conjugate(images)[0])
+
+
+def _plateau_around(current: tuple) -> set[tuple]:
+    """`_plateau` walked from current, one of its tuples: a caller that
+    holds a shortest conjugate needs no second descent."""
     seen = {current}
     queue = [current]
     while queue:

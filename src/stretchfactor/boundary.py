@@ -125,8 +125,8 @@ from .automorphisms import Automorphism, _shortest_conjugate, _substitute, conj
 from .errors import InputError, ResourceLimitError
 from .measures import FrequencyMeasure, uniform_measure
 from .words import (
+    _LETTER_ORDER,
     Word,
-    _unchecked_word,
     alphabet,
     all_words,
     as_word,
@@ -625,18 +625,20 @@ def _family_from_factors(
     of a is fam[a] less it."""
     k = head.rank
     if all(len(img) == 1 for img in head.fwd):
-        return {y: fam[head.inverse_letter_image(y)[0]] for y in alphabet(k)}
+        # sigma^-1(y) is one letter: sigma^-1(x) or its inverse
+        inv = head.bwd
+        return {y: fam[inv[y - 1][0] if y > 0 else -inv[-y - 1][0]] for y in alphabet(k)}
     s, a = _transvection_letters(head)
     out = dict(fam)
-    out[-s] = _preimage(bwd, fam, Word((a, -s)), budget)
+    out[-s] = _preimage(bwd, fam, (a, -s), budget)
     out[a] = _subtract(fam[a], out[-s], budget)
     out[-a] = _merge(fam[-s], fam[-a], budget)
     return out
 
 
-def _preimage(bwd: tuple, fam: dict, u: Word, budget: Budget) -> CylinderPartition:
-    """Preimage of Cyl(u) under the map with inverse images bwd and depth-1
-    families fam."""
+def _preimage(bwd: tuple, fam: dict, u: Sequence[int], budget: Budget) -> CylinderPartition:
+    """Preimage of Cyl(u), u reduced, under the map with inverse images bwd
+    and depth-1 families fam."""
     if len(u) == 1:
         return fam[u[0]]
     # the translation identity: phi^-1(u' x) = phi^-1(u') * phi^-1(Cyl x)
@@ -840,10 +842,12 @@ def _one_state_pair_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
     return den, num
 
 
-def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
-    """(D, {(a^-1,) + v: D times the sum of mu(w1^-1 w2) over w1 in the
-    cells of the colours that start with a and w2 in parts[v], a != v1}),
-    D one common denominator.
+def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, list[int]]:
+    """(D, num), num[2k i + j] being D times the sum of mu(w1^-1 w2) over
+    w2 in the i-th part and w1 in the cells of the colours that start
+    with the j-th letter of `alphabet`, for j other than the i-th
+    colour's first letter, whose place holds 0; D is one common
+    denominator.
 
     `parts` maps colours, words, to partitions that tile the boundary, so
     every pair of cells splits at one node of the tiling and all the
@@ -856,7 +860,10 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
     is `_scaling`'s.  The walk does not recurse: it lists the nodes
     top-down, each child after its parent, and sums them bottom-up in
     reverse.  Comparable cells raise AssertionError, and so do cells
-    whose uniform masses do not sum to one.
+    whose uniform masses do not sum to one.  The layout depends only on
+    the colours' order, so readers take entries by place and no key is
+    built: `_table` keys it once for a table, and the class step reads
+    it by index (`whitehead._cut_scores`).
 
     A one-state chain selects its integer form (`_one_state_cross_mass`),
     as it does at depth 1: every table of the uniform measure takes it,
@@ -869,12 +876,16 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
     h = max(p.height for p in parts.values())
     den, power, ends, weigh, whole = _scaling(mu, h)
     init, step = mu.chain[2:]
+    span = 2 * mu.rank
+    groups = [_LETTER_ORDER[c[0]] - 1 for c in parts]  # place in `alphabet`
     weight = 0
-    num = {(a, v): 0 for v in parts for a in alphabet(mu.rank) if a != v[0]}
+    num = [0] * (span * len(groups))
     m = len(commonprefix([p.stem for p in parts.values() if p.trie]))
     # nodes[i] = (parent, letter from it, depth, [(colour, node) below one
-    # path]); its sums are [rows, cols, same]
-    nodes = [(-1, None, m, [(v, p.root(m)) for v, p in parts.items() if p.trie])]
+    # path]), a colour by its place in parts; its sums are [rows, cols, same]
+    nodes = [
+        (-1, None, m, [(c, p.root(m)) for c, p in enumerate(parts.values()) if p.trie])
+    ]
     sums: list = []
     for i, (_, _, depth, node) in enumerate(nodes):
         leaf, below = power[h - depth - 1], depth + 1
@@ -890,7 +901,7 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
                 nodes.append((i, x, below, entries))
             elif type(entries[0][1]) is not dict:
                 c = entries[0][0]
-                _add(rows.setdefault(c[0], {}), init[-x], leaf)
+                _add(rows.setdefault(groups[c], {}), init[-x], leaf)
                 _add(cols.setdefault(c, {}), ends[x], leaf)
                 weight += weigh[h - below]
             # a colour alone with a subtree is in no tiling: its cells go
@@ -902,9 +913,10 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
         rows, cols, same = sums[i]
         scale = power[2 * depth]
         for c, col in cols.items():
+            first = groups[c]
             for g, row in rows.items():
-                if g != c[0]:
-                    num[g, c] += (_dot(row, col) - same.get((g, c), 0)) * scale
+                if g != first:
+                    num[span * c + g] += (_dot(row, col) - same.get((g, c), 0)) * scale
         if parent < 0:
             continue
         rows = {g: _row_times(r, step[-x]) for g, r in rows.items()}
@@ -914,14 +926,15 @@ def _cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
             _add(prows.setdefault(g, {}), r)
         for c, v in cols.items():
             _add(pcols.setdefault(c, {}), v)
+            first = groups[c]
             for g, r in rows.items():
-                if g != c[0]:
+                if g != first:
                     psame[g, c] = psame.get((g, c), 0) + _dot(r, v)
-    return den, {Word((-a,) + v): q for (a, v), q in num.items()}
+    return den, num
 
 
-def _one_state_cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]:
-    """`_cross_mass` for a one-state chain.
+def _one_state_cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, list[int]]:
+    """`_cross_mass` for a one-state chain, in the same layout.
 
     The same node list, scaling and checks, with each group's row and
     each colour's column one integer: a leaf x adds init[x^-1] to its
@@ -934,15 +947,16 @@ def _one_state_cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]
     D^(2d) step[x^-1] step[x] times the child's own products.  Summed
     over the tiling, each node's products therefore count once, times
     D^(2d) less D^(2d-2) step[x^-1] step[x] for the edge x from its
-    parent, and no products within a child are kept.  A key (a^-1,) + v
-    with a != v1 is reduced as it is built.
+    parent, and no products within a child are kept.
     """
     init, ends, step = mu.scalars
+    span = 2 * mu.rank
+    groups = [_LETTER_ORDER[c[0]] - 1 for c in parts]  # place in `alphabet`
     m = len(commonprefix([p.stem for p in parts.values() if p.trie]))
     # nodes[i] = (parent, letter from it, depth, [(colour, node) below one
-    # path]); its sums are [rows, cols, count] of its leaves, unscaled
-    # until h is known
-    nodes = [(-1, 0, m, [(v, p.root(m)) for v, p in parts.items() if p.trie])]
+    # path]), a colour by its place in parts; its sums are [rows, cols,
+    # count] of its leaves, unscaled until h is known
+    nodes = [(-1, 0, m, [(c, p.root(m)) for c, p in enumerate(parts.values()) if p.trie])]
     sums: list = []
     h = 0
     for i, (_, _, depth, node) in enumerate(nodes):
@@ -959,7 +973,8 @@ def _one_state_cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]
                 nodes.append((i, x, depth + 1, entries))
             elif type(entries[0][1]) is not dict:
                 c = entries[0][0]
-                rows[c[0]] = rows.get(c[0], 0) + init[-x]
+                g = groups[c]
+                rows[g] = rows.get(g, 0) + init[-x]
                 cols[c] = cols.get(c, 0) + ends[x]
                 n += 1
             # a colour alone with a subtree is in no tiling: its cells go
@@ -978,8 +993,7 @@ def _one_state_cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]
                 cols[c] *= leaf
             weight += n * weigh[h - depth - 1]
     _check_tiling(weight, whole)
-    letters = alphabet(mu.rank)
-    num = {v: {a: 0 for a in letters if a != v[0]} for v in parts}
+    num = [0] * (span * len(groups))
     for i in range(len(nodes) - 1, -1, -1):
         parent, x, depth, _ = nodes[i]
         rows, cols, _ = sums[i]
@@ -993,13 +1007,11 @@ def _one_state_cross_mass(mu: FrequencyMeasure, parts: dict) -> tuple[int, dict]
             for c, v in cols.items():
                 pcols[c] = pcols.get(c, 0) + v * down
         for c, v in cols.items():
-            into, first, v = num[c], c[0], v * scale
+            first, v, at = groups[c], v * scale, span * c
             for g, r in rows.items():
                 if g != first:
-                    into[g] += r * v
-    return den, {
-        _unchecked_word((-a,) + v): q for v, into in num.items() for a, q in into.items()
-    }
+                    num[at + g] += r * v
+    return den, num
 
 
 # Vectors are dicts state -> int, matrices dicts (from, to) -> int.
@@ -1045,9 +1057,10 @@ def pushforward_current_value(
     a != u1 (module docstring): the pairs from the families of those
     letters into phi^-1(Cyl u).  One walk of the 2k families, with the
     family of u1 split into phi^-1(Cyl u) and the rest (a difference),
-    counts them (`_cross_mass`).  The preimages are those of the map's
-    shortest conjugate, which pushes mu to the same current.  A measure
-    of another rank raises InputError.
+    counts them (`_cross_mass`): nu(u) is the sum of the colour u's
+    entries in its layout, that of the group u1 being 0.  The preimages
+    are those of the map's shortest conjugate, which pushes mu to the
+    same current.  A measure of another rank raises InputError.
     """
     if mu.rank != auto.rank:
         raise InputError("measure and map ranks differ")
@@ -1056,12 +1069,14 @@ def pushforward_current_value(
     auto = _class_rep(auto)
     fam = _depth1_family(auto, budget, cache)
     part = _preimage(auto.bwd, fam, u, budget)
-    parts = {Word((a,)): fam[a] for a in alphabet(auto.rank)}
+    letters = alphabet(auto.rank)
+    parts = {(a,): fam[a] for a in letters}
     # for a one-letter u the rest is empty, and the preimage replaces it
-    parts[Word(u[:1])] = _subtract(fam[u[0]], part, budget)
+    parts[u[:1]] = _subtract(fam[u[0]], part, budget)
     parts[u] = part
     den, num = _cross_mass(mu, parts)
-    return Fraction(sum(num[(-a,) + u] for a in alphabet(auto.rank) if a != u[0]), den)
+    at = len(letters) * list(parts).index(u)
+    return Fraction(sum(num[at : at + len(letters)]), den)
 
 
 def pushforward_table(
@@ -1104,11 +1119,12 @@ def _table(
     preimages of the words of length depth - 1, grouped by first letter,
     gives every value of the deepest length and checks that they tile
     (`_cross_mass`); at depth 2 these are the families, and nothing is
-    grafted.  A shorter v sums its children in integers,
-    nu(v) = sum of nu(vc).  Keys run by length, then in `all_words`
-    order.  The table is a class invariant, read off the map's shortest
-    conjugate psi (`_class_rep`), whose chain the budget counts; a
-    measure of another rank raises InputError first.
+    grafted.  The walk's layout is keyed once, each word of the deepest
+    length read at its place (`_cross_place`).  A shorter v sums its
+    children in integers, nu(v) = sum of nu(vc).  Keys run by length,
+    then in `all_words` order.  The table is a class invariant, read off
+    the map's shortest conjugate psi (`_class_rep`), whose chain the
+    budget counts; a measure of another rank raises InputError first.
     """
     if mu.rank != auto.rank:
         raise InputError("measure and map ranks differ")
@@ -1120,7 +1136,9 @@ def _table(
         den, deep = _pair_mass(mu, parts)
     else:
         den, cross = _cross_mass(mu, parts)
-        deep = {v: cross[v] for v in _words(depth, rank)}
+        colour = {c: i for i, c in enumerate(parts)}
+        span = 2 * rank
+        deep = {v: cross[_cross_place(span, colour[v[1:]], v[0])] for v in _words(depth, rank)}
     levels = [deep]
     for n in range(depth - 1, 0, -1):
         below = levels[-1]
@@ -1129,6 +1147,12 @@ def _table(
             for v in _words(n, rank)
         })
     return den, {v: q for level in reversed(levels) for v, q in level.items()}
+
+
+def _cross_place(span: int, colour: int, x: int) -> int:
+    """The place of D nu(x v) in `_cross_mass`'s layout of 2k = span
+    letters, v the colour at place `colour`: its column of the group x^-1."""
+    return span * colour + _LETTER_ORDER[-x] - 1
 
 
 def depth1_profile(

@@ -31,11 +31,13 @@ off one depth-2 pushforward table of phi (J. H. C. Whitehead, Ann. of
 Math. 37 (1936); Lyndon-Schupp, Combinatorial Group Theory, I.4).  That
 table is the weighted Whitehead graph of nu: nu(x^-1 y) is the pair mass
 of the depth-1 families of x and y, so one walk of the 2k families gives
-it, and no longer preimage is built.
+it (`boundary._cross_mass`), and no longer preimage is built.  The walk
+lays its integers out by place, per colour y and group x, and the
+scores read them there: no cylinder is keyed and no level is summed.
 
 That table is a class invariant, read off the shortest conjugate psi
-of phi (`boundary._table`): every conjugate of phi gets the same move,
-a budget (`--budget`) counts psi's chain, and the moves are still
+of phi (`boundary._class_rep`): every conjugate of phi gets the same
+move, a budget (`--budget`) counts psi's chain, and the moves are still
 composed with phi, so a factorization recomposes to its input.
 
 Descent and the spectrum read each class through one step, `_expand`.
@@ -48,9 +50,10 @@ cut gave it; no class is measured alone.
 
 Nor is a class's plateau of shortest conjugates walked more than once.
 Since tau o iota_v = iota_tau(v) o tau, a move is applied to one shortest
-conjugate of phi, its class key, and the plateau is walked only when the
-conjugate that descends from it is new.  A signed permutation needs
-neither: sigma o phi's plateau is sigma applied letterwise to phi's.
+conjugate of phi, its class key, and the plateau is walked, from the
+conjugate that descends from it, only when that conjugate is new.  A
+signed permutation needs neither: sigma o phi's plateau is sigma applied
+letterwise to phi's.
 
 A class the spectrum first reaches as sigma o B, B the class being
 expanded, is a relabelled class.  Its step would be B's seen through
@@ -78,6 +81,7 @@ from .automorphisms import (
     WhiteheadSecondKind,
     _fold,
     _plateau,
+    _plateau_around,
     _shortest_conjugate,
     _substitute,
     _tuple_sort_key,
@@ -87,7 +91,15 @@ from .automorphisms import (
     identity,
     is_simple,
 )
-from .boundary import Budget, PartitionCache, _resolve, _table
+from . import boundary
+from .boundary import (
+    Budget,
+    PartitionCache,
+    _class_rep,
+    _cross_place,
+    _depth1_family,
+    _resolve,
+)
 from .errors import DescentStuckError, InputError
 from .measures import frac_str, uniform_measure
 from .words import Word, alphabet, cancellation, format_word
@@ -204,15 +216,21 @@ def _expand(
 ) -> tuple[int, int, list[tuple[int, WhiteheadSecondKind]]]:
     """(D, D L(phi), `_cut_scores`) of phi's depth-2 table: one class step.
 
-    The table is psi's, whose chain the budget counts.  It is the uniform
-    measure's, whose one state selects the integer walk of the families
-    (`boundary._one_state_cross_mass`), and the cut scores read it in
-    integers too.  A table that does not sum to `expected`, the value the
-    parent's cut gave, is an engine bug.
+    The table is that of psi, phi's shortest conjugate (`_class_rep`),
+    whose chain the budget counts: one walk of psi's 2k families under
+    the uniform measure, whose one state selects the integer walk
+    (`boundary._one_state_cross_mass`).  The cut scores read the walk's
+    integers by place, so no cylinder of the table is keyed as a `Word`.
+    A table that does not sum to `expected`, the value the parent's cut
+    gave, is an engine bug.
     """
-    den, num = _table(auto, uniform_measure(auto.rank), 2, budget, cache)
-    total, scores = _cut_scores(auto.rank, num)
-    if expected is not None and Fraction(total, den) != expected:
+    rank = auto.rank
+    psi = _class_rep(auto)
+    fam = _depth1_family(psi, budget, cache)
+    parts = {(x,): fam[x] for x in alphabet(rank)}
+    den, num = boundary._cross_mass(uniform_measure(rank), parts)
+    total, scores = _cut_scores(rank, num)
+    if expected is not None and total * expected.denominator != den * expected.numerator:
         raise AssertionError(
             f"the cut formula gave L = {frac_str(expected)} but the "
             f"table of {auto.key()!r} sums to {frac_str(Fraction(total, den))}"
@@ -242,20 +260,24 @@ def _steepest(
 
 
 def _cut_scores(
-    rank: int, num: dict[Word, int]
+    rank: int, num: list[int]
 ) -> tuple[int, list[tuple[int, WhiteheadSecondKind]]]:
     """(D ||nu||, [(D ||tau_* nu||, tau) for each non-identity move]).
 
-    `num` holds D nu(v) for every cylinder v of length 1 and 2, for one
-    common denominator D, as `boundary._table` returns it, so every move
-    is scored by integer sums of the cut formula.  Each move reads its
-    cancelling turns through one getter (`_cut_terms`), with no lookup
-    per turn in Python.
+    `num` is `boundary._cross_mass`'s layout of the 2k families, one
+    colour per letter in `alphabet` order, for one common denominator D:
+    D nu(xy) sits in the column of the group x^-1 of the colour y, and
+    D nu(x) = sum of D nu(xy) over y is that column's sum.  So every
+    move is scored by integer sums of the cut formula, and each reads its
+    cancelling turns through one getter of their places (`_cut_terms`),
+    with no key and no lookup per turn in Python.
     """
-    ones = [num[(x,)] for x in alphabet(rank)]
+    span = 2 * rank
+    columns, terms = _cut_terms(rank)
+    ones = [sum(num[j::span]) for j in columns]
     scores = [
         (sum(map(mul, ones, lengths)) - 2 * sum(turns(num)), tau)
-        for tau, lengths, turns in _cut_terms(rank)
+        for tau, lengths, turns in terms
     ]
     return sum(ones), scores
 
@@ -297,12 +319,20 @@ def _move_data(rank: int) -> tuple:
 
 @functools.cache
 def _cut_terms(rank: int) -> tuple:
-    """`_move_data` with each move's turns read by one `operator.itemgetter`,
-    built once per rank.  A getter of two or more keys returns a tuple,
-    which `_move_data` makes sure of."""
-    return tuple(
-        (tau, lengths, itemgetter(*turns)) for tau, lengths, turns in _move_data(rank)
+    """(columns, terms), built once per rank for `_cut_scores`' layout
+    (`boundary._cross_place`): the first place of each letter's column,
+    and `_move_data` with each move's turns read by one
+    `operator.itemgetter` of their places.  A getter of two or more
+    places returns a tuple, which `_move_data` makes sure of."""
+    letters = alphabet(rank)
+    span = len(letters)
+    place = {y: i for i, y in enumerate(letters)}
+    columns = tuple(_cross_place(span, 0, x) for x in letters)
+    terms = tuple(
+        (tau, lengths, itemgetter(*(_cross_place(span, place[y], x) for x, y in turns)))
+        for tau, lengths, turns in _move_data(rank)
     )
+    return columns, terms
 
 
 def canonical_out_key(auto: Automorphism) -> tuple[Word, ...]:
@@ -314,12 +344,14 @@ def canonical_out_key(auto: Automorphism) -> tuple[Word, ...]:
     maps have equal keys exactly when they differ by an inner
     automorphism.
     """
-    return tuple(Word(w) for w in _class_key(_plateau(auto.fwd)))
+    return tuple(Word(w) for w in _class_key(_plateau(auto.fwd))[1])
 
 
 def _class_key(plateau) -> tuple:
-    """The shortlex-least image tuple: of a plateau, its class's key."""
-    return min(plateau, key=_tuple_sort_key)
+    """(order, key): the shortlex-least image tuple of a plateau, its class's
+    key, and its shortlex order (`_tuple_sort_key`), which no two tuples
+    share."""
+    return min(zip(map(_tuple_sort_key, plateau), plateau))
 
 
 def spectrum(
@@ -339,13 +371,17 @@ def spectrum(
     `_expand`: one depth-2 table of it, its shortest conjugate's, gives
     L(tau o phi) for every move tau by the cut formula and L(sigma o phi)
     = L(phi) for every signed permutation sigma (module docstring); the
-    budget counts those chains.  One tuple keys, names and expands a class: the
-    shortlex-least of its plateau of shortest conjugates, its
-    `_class_key`.  Each class's plateau is walked once: every tuple of it
-    is recorded, a move's candidate is the key with the move applied and
-    descended to a shortest conjugate, and only a conjugate not yet
-    recorded is walked.  A signed permutation's candidate is relabelled,
-    not walked.
+    budget counts those chains.  One tuple keys, names and expands a
+    class: the shortlex-least of its plateau of shortest conjugates, its
+    `_class_key`, taken once with its shortlex order, which then picks
+    each value's representative.  Each class's plateau is walked once:
+    every tuple of it is recorded, a move's candidate is the key with the
+    move applied and descended to a shortest conjugate, and only a
+    conjugate not yet recorded is walked, from that conjugate, with no
+    second descent (`_plateau_around`).  A signed permutation's candidate
+    is relabelled, not walked.  A class's L is its parent's cut score
+    over the table's D, one Fraction per distinct pair; a relabelled
+    class takes its base's.
 
     A class first reached by a signed permutation, sigma o B, is
     relabelled: every class its expansion would meet is already recorded
@@ -362,41 +398,46 @@ def spectrum(
         raise InputError("max_factors must be at least 1")
     budget, cache = _resolve(budget, cache)
     root = identity(rank)
-    plateau = _plateau(root.fwd)
-    key = _class_key(plateau)
-    classes = {key: ONE}  # class key -> L
+    plateau = _plateau_around(_shortest_conjugate(root.fwd)[0])
+    order, key = _class_key(plateau)
+    found = [(order, key, ONE)]  # (shortlex order, class key, L) per class
     met = set(plateau)  # every shortest conjugate of a class found
-    frontier = [(root, key, plateau)]
+    frontier = [(root, key, plateau, ONE)]
+    lengths: dict[tuple[int, int], Fraction] = {}  # (D L, D) -> L, built once
     for level in range(1, max_factors + 1):
         sources, frontier = frontier, []
-        for base, t, plateau in sources:
-            den, total, scores = _expand(base, classes[t], budget, cache)
+        for base, t, plateau, value in sources:
+            den, _, scores = _expand(base, value, budget, cache)
             # identity-typed moves are the identity map and are not scored;
             # the identity permutation already stands for them.  A signed
-            # permutation is read as its letter map, its score is the
-            # base's, and its class is not expanded (docstring)
+            # permutation is read as its letter map, its class has the
+            # base's L, and it is not expanded (docstring)
             moves = [(tau.automorphism(), score, None) for score, tau in scores]
-            moves += [(None, total, letters) for letters in _permutation_letters(rank)]
+            moves += [(None, None, letters) for letters in _permutation_letters(rank)]
             for g, score, letters in moves:
                 if letters is None:
                     psi = _shortest_conjugate([_substitute(g.fwd, w) for w in t])[0]
                     if psi in met:
                         continue
-                    new = _plateau(psi)
+                    new = _plateau_around(psi)
+                    child = lengths.get((score, den))
+                    if child is None:
+                        child = lengths[score, den] = Fraction(score, den)
                 else:
                     if _relabelled(letters, t) in met:
                         continue
                     new = {_relabelled(letters, u) for u in plateau}
-                key = _class_key(new)
+                    child = value
+                order, key = _class_key(new)
                 met.update(new)
-                classes[key] = Fraction(score, den)
+                found.append((order, key, child))
                 if level < max_factors and letters is None:
-                    frontier.append((compose(g, base), key, new))
+                    frontier.append((compose(g, base), key, new, child))
     by_value: dict[Fraction, list[tuple]] = {}
-    for key, value in classes.items():
-        by_value.setdefault(value, []).append(key)
+    for order, key, value in found:
+        by_value.setdefault(value, []).append((order, key))
     entries = tuple(
-        (value, len(keys), _key_text(_class_key(keys)))
+        (value, len(keys), _key_text(min(keys)[1]))
         for value, keys in sorted(by_value.items())
     )
     values = [e[0] for e in entries]

@@ -31,8 +31,17 @@ formula from preimage partitions and `mu.eval` alone, with no pair sums.
 `descent_step_by_lengths` is the former descent step: it builds every
 candidate move's composite and measures it; it is the reference for the
 cut-formula scoring.  `cut_scores_by_turns` is the former `_cut_scores`,
-which sums each move's turns through a generator of lookups; it is the
-reference for the one getter per move.  `normalize_by_costs` is the
+which sums each move's turns through a generator of lookups into a
+`Word`-keyed table; it is the reference for the one getter per move.
+`keyed_cross_mass` keys the cross walk's layout as the walk once
+returned it, and `cut_table_by_keys` builds from it the keyed depth-2
+table that `cut_scores_by_turns` reads.  `class_step_by_table` is the
+former class step, the keyed table of `boundary._table` scored by
+`cut_scores_by_turns`; it is the reference for `whitehead._expand`,
+which scores the walk's integers by place.  `spectrum_by_keyed_steps` is
+the former spectrum loop on those steps, which descends each new class's
+conjugate twice, takes each class key twice and builds a Fraction per
+class; it is the reference for the loop that does each once.  `normalize_by_costs` is the
 former conjugation normal form, which rebuilds and re-measures the image
 tuple for every letter at every step; it is the reference for the
 tally-driven one.
@@ -85,10 +94,20 @@ from stretchfactor import (
     preimage_partition,
     uniform_measure,
 )
-from stretchfactor.automorphisms import _parse_expr_atom
-from stretchfactor.boundary import CylinderPartition, _resolve
+from stretchfactor.automorphisms import (
+    _parse_expr_atom,
+    _plateau,
+    _shortest_conjugate,
+    _substitute,
+)
+from stretchfactor.boundary import CylinderPartition, _resolve, _table
 from stretchfactor.measures import frac_str
-from stretchfactor.whitehead import _move_data
+from stretchfactor.whitehead import (
+    _key_text,
+    _move_data,
+    _permutation_letters,
+    _relabelled,
+)
 from stretchfactor.words import (
     all_words,
     alphabet,
@@ -509,6 +528,96 @@ def cut_scores_by_turns(rank, num):
         for tau, lengths, turns in _move_data(rank)
     ]
     return sum(ones), scores
+
+
+def keyed_cross_mass(rank, parts, num):
+    """{(a^-1,) + v: num's entry for the colour v and the group a} over
+    a != v1, from `boundary._cross_mass`'s layout of `parts`: the entry of
+    the i-th colour and the j-th letter of `alphabet` at 2k i + j.  The
+    place of a colour's own first letter must hold 0."""
+    letters = alphabet(rank)
+    span = len(letters)
+    assert len(num) == span * len(parts)
+    out = {}
+    for i, v in enumerate(parts):
+        for j, a in enumerate(letters):
+            if a == v[0]:
+                assert num[span * i + j] == 0, (v, a)
+            else:
+                out[Word((-a,) + tuple(v))] = num[span * i + j]
+    return out
+
+
+def cut_table_by_keys(rank, num):
+    """The keyed depth-2 table {v: D nu(v)} of a cross-walk layout of the
+    2k families, one colour per letter in `alphabet` order: D nu(xy) from
+    `keyed_cross_mass`, and D nu(x) the sum of D nu(xc) over c."""
+    letters = alphabet(rank)
+    two = keyed_cross_mass(rank, [(x,) for x in letters], num)
+    table = {Word((x,)): sum(two[(x, c)] for c in letters if c != -x) for x in letters}
+    table.update((v, two[v]) for v in all_words(2, rank))
+    return table
+
+
+def class_step_by_table(auto, budget, cache):
+    """(D, D L(phi), scores) of phi's class step as it was: the `Word`-keyed
+    depth-2 table of the uniform measure (`boundary._table`), scored by
+    `cut_scores_by_turns`."""
+    den, num = _table(auto, uniform_measure(auto.rank), 2, budget, cache)
+    total, scores = cut_scores_by_turns(auto.rank, num)
+    return den, total, scores
+
+
+def spectrum_by_keyed_steps(rank, max_factors, *, budget=None, cache=None):
+    """The former `spectrum` loop, on `class_step_by_table`.
+
+    Each class step checks its table against its parent's cut as a
+    Fraction; each class reached by a move is descended again before its
+    plateau is walked; each class key is the shortlex-least tuple of its
+    plateau, taken again from the keys to name each value; each class's
+    L is a new Fraction.
+    """
+    budget, cache = _resolve(budget, cache)
+    root = identity(rank)
+    plateau = _plateau(root.fwd)
+    key = min(plateau, key=_tuple_sort_key)
+    classes = {key: Fraction(1)}
+    met = set(plateau)
+    frontier = [(root, key, plateau)]
+    for level in range(1, max_factors + 1):
+        sources, frontier = frontier, []
+        for base, t, plateau in sources:
+            den, total, scores = class_step_by_table(base, budget, cache)
+            assert Fraction(total, den) == classes[t]
+            moves = [(tau.automorphism(), score, None) for score, tau in scores]
+            moves += [(None, total, letters) for letters in _permutation_letters(rank)]
+            for g, score, letters in moves:
+                if letters is None:
+                    psi = _shortest_conjugate([_substitute(g.fwd, w) for w in t])[0]
+                    if psi in met:
+                        continue
+                    new = _plateau(psi)
+                else:
+                    if _relabelled(letters, t) in met:
+                        continue
+                    new = {_relabelled(letters, u) for u in plateau}
+                key = min(new, key=_tuple_sort_key)
+                met.update(new)
+                classes[key] = Fraction(score, den)
+                if level < max_factors and letters is None:
+                    frontier.append((compose(g, base), key, new))
+    by_value = {}
+    for key, value in classes.items():
+        by_value.setdefault(value, []).append(key)
+    entries = tuple(
+        (value, len(keys), _key_text(min(keys, key=_tuple_sort_key)))
+        for value, keys in sorted(by_value.items())
+    )
+    values = [e[0] for e in entries]
+    min_gap = min((b - a for a, b in zip(values, values[1:])), default=None)
+    return SpectrumReport(
+        rank=rank, max_factors=max_factors, entries=entries, min_gap=min_gap
+    )
 
 
 def _tuple_sort_key(images):

@@ -82,6 +82,7 @@ from oracles import (
     covers_boundary,
     family_by_leaf_preimages,
     is_prefix,
+    keyed_cross_mass,
     pair_mass_by_pairs,
     subtract_by_leaves,
     sweep_depth1,
@@ -1371,7 +1372,7 @@ def _assert_cross_walk_rejects_broken_tilings(mu):
     cache = PartitionCache()
     parts = {v: preimage_partition(auto, v, cache=cache) for v in all_words(2, 2)}
     den, num = _cross_mass(mu, parts)
-    assert {v: F(q, den) for v, q in num.items()} == {
+    assert {v: F(q, den) for v, q in keyed_cross_mass(2, parts, num).items()} == {
         v: q for v, q in pushforward_table(auto, mu, 3).items() if len(v) == 3
     }
     first, other = w("ab"), w("ba")
@@ -1417,6 +1418,7 @@ def test_cross_walk_of_a_3000_letter_tiling():
     parts, deep = _spine_tiling(3000)
     for mu in sample_measures(2, random.Random(5)):
         den, num = _cross_mass(mu, parts)
+        num = keyed_cross_mass(2, parts, num)
         expected = {}
         for v in parts:
             for g in alphabet(2):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -29,16 +30,24 @@ from stretchfactor import (
     parse_word,
     spectrum,
 )
-from stretchfactor.automorphisms import SignedPermutation, _plateau
-from stretchfactor.boundary import _table
+from stretchfactor.automorphisms import (
+    SignedPermutation,
+    _plateau,
+    _plateau_around,
+    _shortest_conjugate,
+)
+from stretchfactor.boundary import _cross_mass, _depth1_family
 from stretchfactor.whitehead import _cut_scores, _cut_terms, _expand, _move_data
-from stretchfactor.words import all_words, alphabet, random_reduced
+from stretchfactor.words import alphabet, random_reduced
 
 from conftest import conjugated_composition, random_composition, sample_measures
 from oracles import (
+    class_step_by_table,
     cut_scores_by_turns,
+    cut_table_by_keys,
     descent_step_by_lengths,
     normalize_by_costs,
+    spectrum_by_keyed_steps,
     spectrum_by_lengths,
 )
 
@@ -236,13 +245,15 @@ def test_spectrum_walks_each_plateau_once(monkeypatch, rank, max_factors, walks)
     # reached by a signed permutation is relabelled from its base's
     # plateau.  At one factor those are the classes of L = 1 other than
     # the identity's, so the walks are the identity's and one per move class.
+    # Each walk starts from a shortest conjugate already in hand.
     calls = []
 
-    def counted(images):
-        calls.append(images)
-        return _plateau(images)
+    def counted(psi):
+        assert _shortest_conjugate(psi)[0] == psi
+        calls.append(psi)
+        return _plateau_around(psi)
 
-    monkeypatch.setattr(whitehead_module, "_plateau", counted)
+    monkeypatch.setattr(whitehead_module, "_plateau_around", counted)
     rep = spectrum(rank, max_factors)
     classes = sum(mult for _, mult, _ in rep.entries)
     assert len(calls) == walks <= classes
@@ -258,18 +269,97 @@ def test_spectrum_builds_a_table_only_for_classes_reached_by_a_move(
     monkeypatch, rank, max_factors, tables
 ):
     # the identity's class and each expanded class first reached by a
-    # move build one table; a class first reached by a signed permutation
-    # is not expanded (12, 48, 120 and 90 tables at (2, 2), (2, 3), (2, 4)
-    # and (3, 2) when every class below the last level was)
+    # move build one table, the one walk of its class step; a class first
+    # reached by a signed permutation is not expanded (12, 48, 120 and 90
+    # tables at (2, 2), (2, 3), (2, 4) and (3, 2) when every class below
+    # the last level was)
     calls = []
+    cross_mass = boundary_module._cross_mass
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
-        return _table(*args, **kwargs)
+        calls.append(args[1])
+        return cross_mass(*args, **kwargs)
 
-    monkeypatch.setattr(whitehead_module, "_table", counted)
+    monkeypatch.setattr(boundary_module, "_cross_mass", counted)
     spectrum(rank, max_factors)
     assert len(calls) == tables
+
+
+@pytest.mark.parametrize(
+    "rank, max_factors", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
+)
+def test_spectrum_equals_the_loop_on_keyed_steps(rank, max_factors):
+    # each class keyed once, each plateau walked from the conjugate in
+    # hand and each (score, D) one Fraction: the same entries, min_gap
+    # and budget as the loop that does each twice on keyed tables
+    budget, ref_budget = Budget(), Budget()
+    rep = spectrum(rank, max_factors, budget=budget)
+    assert rep == spectrum_by_keyed_steps(rank, max_factors, budget=ref_budget)
+    assert budget.spent == ref_budget.spent
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rank=st.integers(2, 5),
+    n_factors=st.integers(1, 3),
+    v_len=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_step_equals_the_keyed_step(rank, n_factors, v_len, seed):
+    # the walk's integers scored by place give the keyed table's D, total
+    # and scores, in the same move order (`_steepest` keeps the first
+    # minimum), and spend the same nodes
+    rng = random.Random(seed)
+    phi = conjugated_composition(rank, n_factors, v_len, rng)
+    budget, ref_budget = Budget(), Budget()
+    step = _expand(phi, None, budget, PartitionCache())
+    assert step == class_step_by_table(phi, ref_budget, PartitionCache())
+    assert budget.spent == ref_budget.spent
+
+
+def test_the_class_step_builds_no_word(monkeypatch):
+    # a factorization and a spectrum: no Word is built by a class step,
+    # outside the maps it reads (the shortest conjugate's construction
+    # and its Nielsen chain), so no keyed table can come back unseen.
+    # The move table is built once per rank, first.
+    from stretchfactor import automorphisms, words
+
+    for rank in (2, 3):
+        _move_data(rank)
+    built = []
+    depth = [0]
+    maps = {automorphisms.Automorphism.__init__.__code__, automorphisms._nielsen_factors.__code__}
+
+    def counted(make):
+        def wrapped(*args):
+            if depth[0]:
+                frame = sys._getframe(1)
+                while frame.f_code is not _expand.__code__:
+                    if frame.f_code in maps:
+                        break
+                    frame = frame.f_back
+                else:
+                    built.append(sys._getframe(1).f_code.co_name)
+            return make(*args)
+        return wrapped
+
+    def expand(*args):
+        depth[0] += 1
+        try:
+            return _expand(*args)
+        finally:
+            depth[0] -= 1
+
+    new = counted(words.Word.__new__)
+    monkeypatch.setattr(words.Word, "__new__", staticmethod(new))
+    unchecked = counted(words._unchecked_word)
+    for module in (words, automorphisms, boundary_module):
+        if hasattr(module, "_unchecked_word"):
+            monkeypatch.setattr(module, "_unchecked_word", unchecked)
+    monkeypatch.setattr(whitehead_module, "_expand", expand)
+    factorize(pooled_map("factorize3-0020"))
+    spectrum(2, 3)
+    assert built == []
 
 
 def _patch_scores(monkeypatch, rescore):
@@ -419,13 +509,14 @@ def test_move_data_seams_cancel_one_letter():
 
 
 def test_every_move_cancels_at_two_turns_or_more():
-    # so each move's getter returns a tuple of its turns' entries
+    # so each move's getter returns a tuple of its turns' entries, read
+    # off the cross walk's layout of the families
     for rank in range(2, 7):
         assert all(len(turns) >= 2 for _, _, turns in _move_data(rank)), rank
-    turns = [(x, y) for x in alphabet(4) for y in alphabet(4)]
-    num = dict(zip(turns, range(len(turns))))
-    for (_, _, turns), (_, _, getter) in zip(_move_data(4), _cut_terms(4)):
-        assert getter(num) == tuple(num[t] for t in turns)
+    num = [0 if j == i else 8 * i + j + 1 for i in range(8) for j in range(8)]
+    table = cut_table_by_keys(4, num)
+    for (_, _, turns), (_, _, getter) in zip(_move_data(4), _cut_terms(4)[1]):
+        assert getter(num) == tuple(table[t] for t in turns)
 
 
 def test_a_move_with_fewer_than_two_turns_is_an_engine_bug(monkeypatch):
@@ -440,12 +531,18 @@ def test_a_move_with_fewer_than_two_turns_is_an_engine_bug(monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(rank=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
 def test_cut_scores_match_the_turn_by_turn_sums(rank, seed):
-    # any integers will do for the cut formula's sums: the same total,
-    # and the same scores in the same move order
+    # any integers will do for the cut formula's sums, laid out as the
+    # cross walk of the families lays them out (0 at each colour's own
+    # group): the same total, and the same scores in the same move order,
+    # as the turn-by-turn sums over the keyed table
     rng = random.Random(seed)
     bound = 10 ** rng.randint(1, 40)
-    num = {v: rng.randint(-bound, bound) for n in (1, 2) for v in all_words(n, rank)}
-    assert _cut_scores(rank, num) == cut_scores_by_turns(rank, num)
+    span = 2 * rank
+    num = [
+        0 if j == i else rng.randint(-bound, bound) for i in range(span) for j in range(span)
+    ]
+    table = cut_table_by_keys(rank, num)
+    assert _cut_scores(rank, num) == cut_scores_by_turns(rank, table)
 
 
 @settings(max_examples=12, deadline=None)
@@ -460,8 +557,10 @@ def test_cut_formula_matches_eta_length_for_every_move(rank, n_factors, seed):
     rng = random.Random(seed)
     phi = random_composition(rank, n_factors, rng)
     cache = PartitionCache()
+    fam = _depth1_family(phi, Budget(), cache)
+    parts = {(x,): fam[x] for x in alphabet(rank)}
     for mu in sample_measures(rank, rng):
-        den, num = _table(phi, mu, 2, Budget(), cache)
+        den, num = _cross_mass(mu, parts)
         total, scores = _cut_scores(rank, num)
         assert F(total, den) == eta_length(phi, mu, cache=cache).value
         for value, tau in scores:
